@@ -66,13 +66,16 @@ def cmd_field(args, parser) -> int:
     rep = verdict(inv, args.n, eps, ell)
     t2 = time.perf_counter()
     cyc = cusp_cycle(D)
-    tan = verify_cusp_tangency(cyc)
     t3 = time.perf_counter()
+    tan = verify_cusp_tangency(cyc)
+    t4 = time.perf_counter()
     if timings is not None:
         timings["invariants"] = t1 - t0
         timings["elliptic_criterion"] = t2 - t1
-        timings["cusp"] = t3 - t2
-        timings["total"] = t3 - t0
+        timings["cusp_cycle"] = t3 - t2
+        timings["cusp_tangency"] = t4 - t3
+        timings["cusp"] = t4 - t2
+        timings["total"] = t4 - t0
 
     params = {
         "value": args.value,

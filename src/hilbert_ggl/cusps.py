@@ -8,7 +8,8 @@ fraction ("HJ expansion", digits all >= 2) of a reduced quadratic surd
 attached to (M, V).
 
 Everything here is exact: surds are tracked through their (P, Q) state,
-boundary rays are field elements with Fraction coordinates, and the unit eta
+boundary rays are field elements held as integers (a + b*sqrt(D))/c with
+integer coordinates in the module basis, and the unit eta
 identified by the cycle is compared against the fundamental unit computed
 independently in field_invariants.
 """
@@ -121,9 +122,9 @@ def _module_multiplier(alpha: QuadElem, beta: QuadElem, D: int):
 
     def attempt(al: QuadElem, be: QuadElem):
         theta = be / al
-        if theta.y == 0:
+        if theta.b == 0:
             raise DomainError("module generators are rationally dependent")
-        if theta.y < 0:
+        if theta.b < 0:
             theta = -theta
         w, (_, _, c, d) = _expand_to_reduced(theta)
         denom = c * w.elem(D) + QuadElem.from_rational(d, D)
@@ -149,12 +150,18 @@ def _module_multiplier(alpha: QuadElem, beta: QuadElem, D: int):
 
 
 def _coords_in_basis(e: QuadElem, alpha: QuadElem, beta: QuadElem) -> tuple[Fraction, Fraction]:
-    """Coordinates of e in the basis (alpha, beta), solved exactly."""
-    den = alpha.x * beta.y - alpha.y * beta.x
+    """Coordinates of e in the basis (alpha, beta), solved exactly.
+
+    Cramer's rule on the integer parts of (a + b*sqrt(D))/c: with
+    [p, q] = p.a*q.b - p.b*q.a, u = [e, beta] alpha.c / (e.c [alpha, beta])
+    and v = [alpha, e] beta.c / (e.c [alpha, beta]).
+    """
+    den = alpha.a * beta.b - alpha.b * beta.a
     if den == 0:
         raise DomainError("module generators are linearly dependent over Q")
-    u = (e.x * beta.y - e.y * beta.x) / den
-    v = (alpha.x * e.y - alpha.y * e.x) / den
+    den *= e.c
+    u = Fraction((e.a * beta.b - e.b * beta.a) * alpha.c, den)
+    v = Fraction((alpha.a * e.b - alpha.b * e.a) * beta.c, den)
     return u, v
 
 
@@ -180,7 +187,8 @@ class CuspCycle:
     eta         generator of V picked out by the cycle (mu_0 / mu_{fr})
     eta_period  generator for v_power = 1 (eta = eta_period ** v_power)
     module      the basis (alpha, beta) the rays live in
-    ray_coords  integer coordinates of each ray in that basis
+    ray_coords  integer coordinates (as Fractions) of each ray in that basis,
+                solved once here and reused by verify_cusp_tangency
     unimodular  True when all consecutive coordinate pairs have det +-1
     """
 
@@ -363,7 +371,7 @@ def chart_tangency(mu1: QuadElem, mu2: QuadElem, index: int = 0, coord_det=None)
     """
     rows = [(mu1, mu1.conjugate()), (mu2, mu2.conjugate())]
     lam, mult, degenerate = _wedge_check(rows)
-    if not degenerate and lam.x != 0:
+    if not degenerate and lam.a != 0:
         raise RuntimeError("chart determinant %s has a rational part" % (lam,))
     return CuspChartCheck(
         index=index,
@@ -389,14 +397,14 @@ def verify_cusp_tangency(cycle: CuspCycle) -> CuspTangencyReport:
     Each consecutive ray pair (including the seam pair ending in
     eta^{-1} mu_0) spans a chart; the wedge of its two logarithmic forms
     must be a single monomial with multiplicity one in each coordinate and
-    coefficient equal to the exact ray determinant.
+    coefficient equal to the exact ray determinant.  Module coordinates
+    come from cycle.ray_coords; only the closing ray is solved here.
     """
-    rays = list(cycle.rays) + [cycle.closing_ray]
-    alpha, beta = cycle.module
+    rays = cycle.rays + (cycle.closing_ray,)
+    coords = cycle.ray_coords + (_coords_in_basis(cycle.closing_ray, *cycle.module),)
     checks = []
     for k in range(len(cycle.rays)):
-        u1, v1 = _coords_in_basis(rays[k], alpha, beta)
-        u2, v2 = _coords_in_basis(rays[k + 1], alpha, beta)
+        (u1, v1), (u2, v2) = coords[k], coords[k + 1]
         cd = u1 * v2 - v1 * u2
         checks.append(chart_tangency(rays[k], rays[k + 1], index=k, coord_det=cd))
     unimodular = all(c.coord_det is not None and abs(c.coord_det) == 1 for c in checks)

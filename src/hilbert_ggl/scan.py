@@ -22,7 +22,7 @@ from fractions import Fraction
 from .criteria import FieldInputs, verdict
 from .cyclic import to_fraction
 from .elliptic import elliptic_summary, imag_class_numbers, l1_imag
-from .errors import DomainError
+from .errors import DomainError, NumericalAgreementError
 from .field_invariants import class_number, fundamental_discriminants_up_to, regulator
 from .lfunctions import character_table, closed_form_l1, l2_certified, zeta2_constant
 
@@ -123,7 +123,7 @@ def scan_field(D: int, epsilon, n: int = 2, zeta_tol: float = 1e-6,
         reg = regulator(D)
         hr_exact = h * reg
         if abs(hr_exact - hr) > 1e-6 * max(1.0, hr):
-            raise RuntimeError(
+            raise NumericalAgreementError(
                 "exact hR = %r disagrees with closed form %r for D=%d" % (hr_exact, hr, D)
             )
         hr = hr_exact

@@ -3,6 +3,8 @@
 import json
 import os
 
+import pytest
+
 from hilbert_ggl.cli import main
 from hilbert_ggl.field_invariants import fundamental_discriminants_up_to
 
@@ -29,6 +31,13 @@ def test_cusp_8_golden(capsys):
     assert capsys.readouterr().out == golden_text("cusp_8.txt")
 
 
+@pytest.mark.parametrize("D", [12, 9997, 99996])
+def test_cusp_golden_half_integral_and_long_period(D, capsys):
+    # D=12 has half-integer ray coordinates; 9997 and 99996 have long periods
+    assert main(["cusp", str(D)]) == 0
+    assert capsys.readouterr().out == golden_text("cusp_%d.txt" % D)
+
+
 def test_field_squarefree_value_normalized(capsys):
     assert main(["field", "6", "--json"]) == 0
     doc = json.loads(capsys.readouterr().out)
@@ -44,7 +53,8 @@ def test_field_json_schema(capsys):
                         "tolerances", "timings"}
     assert doc["schema_version"] == 1
     assert doc["params"]["epsilon"] == "1/100"
-    assert set(doc["timings"]) == {"invariants", "elliptic_criterion", "cusp", "total"}
+    assert set(doc["timings"]) == {"invariants", "elliptic_criterion", "cusp_cycle",
+                                   "cusp_tangency", "cusp", "total"}
     rec = doc["records"][0]
     assert rec["criterion"]["verdict"] == "CandidateExceptional"
     assert rec["cusp"]["tangency"]["ok"] is True

@@ -1,6 +1,8 @@
 """Exact arithmetic on quadratic field elements and surds."""
 
+import copy
 import math
+import pickle
 import random
 from fractions import Fraction
 
@@ -50,8 +52,91 @@ def test_scalar_operations_coerce_both_sides():
 
 
 def test_mixed_fields_rejected():
-    with pytest.raises(DomainError):
-        QuadElem(1, 1, 5) + QuadElem(1, 1, 8)
+    a, b = QuadElem(1, 1, 5), QuadElem(Fraction(1, 2), 1, 8)
+    for op in (lambda: a + b, lambda: a - b, lambda: a * b, lambda: a / b,
+               lambda: b < a, lambda: b > a):
+        with pytest.raises(DomainError):
+            op()
+
+
+def _ref_sign(x: Fraction, y: Fraction, D: int) -> int:
+    """Sign of x + y*sqrt(D) via isqrt of the cleared-denominator form."""
+    L = math.lcm(x.denominator, y.denominator)
+    X, Y = int(x * L), int(y * L)
+    if Y == 0:
+        return (X > 0) - (X < 0)
+    if Y < 0:
+        return -_ref_sign(-x, -y, D)
+    # Y sqrt(D) is irrational, so it exceeds -X iff its floor reaches -X
+    return 1 if math.isqrt(Y * Y * D) >= -X else -1
+
+
+def _ref_integral(x: Fraction, y: Fraction, D: int) -> bool:
+    a, b = 2 * x, 2 * y
+    return a.denominator == 1 and b.denominator == 1 and (a - b * D) % 2 == 0
+
+
+def _assert_is(e: QuadElem, x: Fraction, y: Fraction, D: int):
+    assert (e.x, e.y, e.D) == (x, y, D)
+    assert e == QuadElem(x, y, D)
+    assert e.c > 0 and math.gcd(e.a, e.b, e.c) == 1
+
+
+def test_integer_form_matches_fraction_pair_reference():
+    rng = random.Random(20261018)
+
+    def rand_q():
+        return Fraction(rng.randint(-60, 60), rng.choice([1, 2, 3, 4, 6, 9, 12, 35]))
+
+    for _ in range(400):
+        D = rng.choice([5, 8, 12, 13, 21, 24, 60, 229, 9997])
+        x1, y1, x2, y2 = rand_q(), rand_q(), rand_q(), rand_q()
+        a, b = QuadElem(x1, y1, D), QuadElem(x2, y2, D)
+        _assert_is(a, x1, y1, D)
+        _assert_is(a + b, x1 + x2, y1 + y2, D)
+        _assert_is(a - b, x1 - x2, y1 - y2, D)
+        _assert_is(-a, -x1, -y1, D)
+        _assert_is(a * b, x1 * x2 + y1 * y2 * D, x1 * y2 + y1 * x2, D)
+        _assert_is(a.conjugate(), x1, -y1, D)
+        _assert_is(a * 3 + Fraction(1, 6), 3 * x1 + Fraction(1, 6), 3 * y1, D)
+        nb = x2 * x2 - y2 * y2 * D
+        assert b.norm() == nb and b.trace() == 2 * x2
+        if nb != 0:
+            _assert_is(b.inverse(), x2 / nb, -y2 / nb, D)
+            q = a / b
+            _assert_is(q, (x1 * x2 - y1 * y2 * D) / nb, (y1 * x2 - x1 * y2) / nb, D)
+        assert a.sign() == _ref_sign(x1, y1, D)
+        assert a.sign_conjugate() == _ref_sign(x1, -y1, D)
+        assert a.is_integral() == _ref_integral(x1, y1, D)
+        assert float(a) == float(x1) + float(y1) * math.sqrt(D)
+
+
+def test_normal_form_equality_and_hash():
+    e = QuadElem(Fraction(2, 4), 1, 5)
+    f = QuadElem(Fraction(1, 2), 1, 5)
+    assert e == f and hash(e) == hash(f)
+    assert e.x == Fraction(1, 2) and e.x.denominator == 2 and e.y.denominator == 1
+    assert (e.a, e.b, e.c) == (1, 2, 2)
+    g = (e * 6) / 6 - 0
+    assert g == e and hash(g) == hash(e) and len({e, f, g}) == 1
+    assert QuadElem(1, 1, 5) != QuadElem(1, 1, 13)
+    assert QuadElem(1, 0, 5) != 1  # no equality with plain rationals
+    assert repr(QuadElem(Fraction(1, 2), -3, 13)) == \
+        "QuadElem(x=Fraction(1, 2), y=Fraction(-3, 1), D=13)"
+
+
+def test_immutable_and_picklable():
+    e = QuadElem(Fraction(-7, 6), Fraction(5, 4), 229)
+    for proto in range(pickle.HIGHEST_PROTOCOL + 1):
+        back = pickle.loads(pickle.dumps(e, protocol=proto))
+        assert back == e and hash(back) == hash(e) and str(back) == str(e)
+    assert copy.deepcopy(e) == e
+    with pytest.raises(AttributeError):
+        e.a = 3
+    with pytest.raises(AttributeError):
+        e.x = 3
+    with pytest.raises(AttributeError):
+        del e.D
 
 
 def test_norm_trace_conjugate():
@@ -140,6 +225,12 @@ def test_surd_floor_ceil_both_denominator_signs():
         v = w.value()
         assert w.floor() == math.floor(v)
         assert w.ceil() == math.ceil(v)
+        r = Fraction(rng.randint(-40, 40), rng.randint(1, 5))
+        if abs(v - r) > 1e-9:
+            assert w.cmp_rational(r) == (1 if v > r else -1)
+        v_conj = (P - math.sqrt(D)) / Q
+        if abs(v_conj - r) > 1e-9:
+            assert w.conj_cmp_rational(r) == (1 if v_conj > r else -1)
 
 
 def test_hj_step_is_exact_moebius_step():

@@ -1,11 +1,12 @@
 """Bulk scans: determinism, worker independence, caching hooks."""
 
+import importlib
 import math
 from fractions import Fraction
 
 import pytest
 
-from hilbert_ggl.errors import DomainError
+from hilbert_ggl.errors import DomainError, NumericalAgreementError
 from hilbert_ggl.field_invariants import class_number, regulator
 from hilbert_ggl.lfunctions import closed_form_l1
 from hilbert_ggl.scan import (
@@ -123,3 +124,11 @@ def test_field_record_round_trip():
     assert FieldRecord.from_dict(rec.to_dict()) == rec
     fast = scan_field(13, Fraction(1, 100))
     assert FieldRecord.from_dict(fast.to_dict()) == fast
+
+
+def test_exact_recheck_disagreement_raises_specific_error(monkeypatch):
+    # the package re-exports the function scan, which hides the module name
+    scan_module = importlib.import_module("hilbert_ggl.scan")
+    monkeypatch.setattr(scan_module, "regulator", lambda D: 2 * regulator(D))
+    with pytest.raises(NumericalAgreementError, match="exact hR"):
+        scan_field(5, Fraction(1, 100), exact=True)
