@@ -108,10 +108,11 @@ def cmd_scan(args, parser) -> int:
     cache = ScanCache(args.cache, params) if args.cache else None
     precomputed = None
     on_record = None
+    fresh = []
     if cache is not None:
         loaded = cache.load()
         precomputed = {d: FieldRecord.from_dict(rec) for d, rec in loaded.items()}
-        on_record = lambda rec: cache.append(rec.to_dict())
+        on_record = lambda rec: fresh.append(rec.to_dict())
 
     t0 = time.perf_counter()
     result = scan(
@@ -123,6 +124,9 @@ def cmd_scan(args, parser) -> int:
         precomputed=precomputed,
         on_record=on_record,
     )
+    if fresh:
+        # one open and one write for the whole run
+        cache.append(*fresh)
     elapsed = time.perf_counter() - t0
     timings = {"scan": elapsed} if args.timings else None
 

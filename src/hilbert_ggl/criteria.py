@@ -23,6 +23,7 @@ Fractions; only d^(3/2), zeta_K(2), h R and the final comparisons are floats.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -116,6 +117,19 @@ def thresholds(n: int, epsilon, s_sums=()) -> Thresholds:
     )
 
 
+# a scan asks for the same (n, epsilon, rotation sums) on every field; typed
+# keeps 2 and 2.0 apart so a float degree is still rejected
+_thresholds_memo = functools.lru_cache(maxsize=32, typed=True)(thresholds)
+
+
+def _cached_thresholds(n, epsilon, sums: tuple) -> Thresholds:
+    try:
+        return _thresholds_memo(n, epsilon, sums)
+    except TypeError:
+        # unhashable input: let thresholds() validate it uncached
+        return thresholds(n, epsilon, sums)
+
+
 def beta_constant(epsilon, n: int, sup_norm) -> Fraction:
     """Scaling constant beta = (epsilon/2) / sup_norm for the cutoff metric."""
     eps = to_fraction(epsilon, "epsilon")
@@ -185,7 +199,7 @@ def verdict(inv, n: int, epsilon, elliptic=None, s_sums=None) -> CriterionReport
     if sums:
         flags.append("joint_existence_assumed")
 
-    th = thresholds(n, epsilon, sums)
+    th = _cached_thresholds(n, epsilon, tuple(sums))
     top = nu_max(inv, n)
     required = float(th.nu_cusp)
     rr_at_required = rr_leading_coeff(inv, n, required)

@@ -71,7 +71,8 @@ class EllipticTrace:
         return int(val)
 
     def __str__(self) -> str:
-        return str(self.elem)
+        # the text of str(self.elem), without building the field element
+        return "%s + %s*sqrt(%d)" % (Fraction(self.p, 2), Fraction(self.q, 2), self.D)
 
 
 def elliptic_traces(D: int) -> list[EllipticTrace]:

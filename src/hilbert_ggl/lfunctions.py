@@ -41,6 +41,9 @@ _TABLE_M4 = np.array([0, 1, 0, -1], dtype=np.int8)
 _TABLE_P8 = np.array([0, 1, 0, -1, 0, -1, 0, 1], dtype=np.int8)
 _TABLE_M8 = np.array([0, 1, 0, 1, 0, -1, 0, -1], dtype=np.int8)
 
+# Legendre and character tables up to this modulus are cached (read-only)
+# and never evicted: about 1 MB for all the odd primes below it
+_CACHED_MODULUS = 4096
 _legendre_cache: dict[int, np.ndarray] = {}
 _small_table_cache: dict[int, np.ndarray] = {}
 _primes_cache: dict[int, np.ndarray] = {}
@@ -122,15 +125,16 @@ def primes_up_to(limit: int) -> np.ndarray:
 
 
 def _legendre_table(p: int) -> np.ndarray:
+    """(n/p) for n = 0..p-1; the residues are the squares a^2, 1 <= a < p/2."""
     tbl = _legendre_cache.get(p)
     if tbl is None:
         tbl = np.full(p, -1, dtype=np.int8)
         tbl[0] = 0
-        a = np.arange(1, p, dtype=np.int64)
-        tbl[np.unique(a * a % p)] = 1
-        if len(_legendre_cache) > 64:
-            _legendre_cache.clear()
-        _legendre_cache[p] = tbl
+        a = np.arange(1, (p + 1) // 2, dtype=np.int64)
+        tbl[a * a % p] = 1
+        if p <= _CACHED_MODULUS:
+            tbl.flags.writeable = False
+            _legendre_cache[p] = tbl
     return tbl
 
 
@@ -162,7 +166,10 @@ def factor_fundamental(d: int) -> list[int]:
 
 
 def character_table(d: int) -> np.ndarray:
-    """Values chi_d(n), n = 0..|d|-1, as the product of prime-discriminant tables."""
+    """Values chi_d(n), n = 0..|d|-1, as the product of prime-discriminant tables.
+
+    Tables for |d| <= 4096 are cached and returned read-only.
+    """
     q = abs(d)
     cached = _small_table_cache.get(d)
     if cached is not None:
@@ -177,8 +184,11 @@ def character_table(d: int) -> np.ndarray:
             tbl = _TABLE_M8
         else:
             tbl = _legendre_table(abs(part))
-        arr *= np.resize(tbl, q)
-    if q <= 4096:
+        # the factor moduli multiply to q, so each table repeats a whole
+        # number of times
+        arr *= np.tile(tbl, q // len(tbl))
+    if q <= _CACHED_MODULUS:
+        arr.flags.writeable = False
         _small_table_cache[d] = arr
     return arr
 

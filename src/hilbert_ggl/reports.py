@@ -156,23 +156,21 @@ class ScanCache:
                 fh.write(self._entry_line(rec))
         os.replace(tmp, self.path)
 
-    def append(self, record: dict) -> None:
-        """Append one record, writing the header first if the file is new."""
+    def append(self, *records: dict) -> None:
+        """Append records in the given order, writing the header first if the
+        file is new."""
         new = not os.path.exists(self.path)
         with open(self.path, "a", encoding="utf-8") as fh:
             if new:
                 fh.write(json.dumps(self._header(), sort_keys=True) + "\n")
-            fh.write(self._entry_line(record))
+            fh.write("".join(self._entry_line(rec) for rec in records))
 
     def _entry_line(self, record: dict) -> str:
+        # the sorted, compact dump of {"D", "crc", "record"}, spliced around
+        # the canonical record text so the record is serialized once
         canon = canonical_record_json(record)
-        return (
-            json.dumps(
-                {"D": record["D"], "crc": zlib.crc32(canon.encode("ascii")), "record": _jsonable(record)},
-                sort_keys=True,
-                separators=(",", ":"),
-            )
-            + "\n"
+        return '{"D":%s,"crc":%d,"record":%s}\n' % (
+            json.dumps(record["D"]), zlib.crc32(canon.encode("ascii")), canon
         )
 
 

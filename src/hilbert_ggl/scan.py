@@ -3,8 +3,9 @@
 The per-field fast path never computes h and R separately: the class number
 formula gives hR = sqrt(D) L(1, chi_D) / 2 from the finite closed form, and
 zeta_K(2) comes from the certified partial sum of L(2, chi_D).  Fields whose
-verdict comes out Satisfied (none are expected at desk scale) are recomputed
-on the exact path, which also runs the full agreement checks.
+verdict comes out Satisfied are recomputed on the exact path, which also runs
+the full agreement checks; none occur below D = 5000, and 458 of the 30394
+fields up to D = 1e5 do.
 
 Scans are deterministic: per-field work is a pure function of (D, parameters),
 records are merged sorted by D, and the same code path runs serially or under
@@ -27,6 +28,10 @@ from .field_invariants import class_number, fundamental_discriminants_up_to, reg
 from .lfunctions import character_table, closed_form_l1, l2_certified, zeta2_constant
 
 WORKERS_ENV = "HILBERT_GGL_WORKERS"
+# a pool scan hands out this many interleaved slices of the fields per
+# worker, so a worker that finishes early takes the next slice instead of
+# waiting for a fixed half of the work on the other one
+_SLICES_PER_WORKER = 8
 
 
 @dataclass(frozen=True)
@@ -223,8 +228,9 @@ def scan(dmax: int, epsilon="0.01", n: int = 2, zeta_tol: float = 1e-6,
     """Scan all fundamental discriminants D <= dmax.
 
     precomputed maps D to already-known records (cache hits); on_record, if
-    given, is called with each freshly computed record in ascending D order
-    (the CLI streams these into the cache file).
+    given, is called with each freshly computed record in ascending D order,
+    but only once every field has been computed (the CLI appends them to the
+    cache file then, so an interrupted scan leaves no new records).
     """
     if dmax < 5:
         raise DomainError("dmax must be at least 5, got %d" % dmax)
@@ -241,10 +247,12 @@ def scan(dmax: int, epsilon="0.01", n: int = 2, zeta_tol: float = 1e-6,
             _init_worker(sieve_limit)
             fresh = _scan_chunk((todo, eps, n, zeta_tol))
         else:
-            chunks = [todo[i::workers] for i in range(workers)]
+            k = workers * _SLICES_PER_WORKER
+            chunks = [todo[i::k] for i in range(k)]
             chunks = [c for c in chunks if c]
             with ProcessPoolExecutor(
-                max_workers=len(chunks), initializer=_init_worker, initargs=(sieve_limit,)
+                max_workers=min(workers, len(chunks)), initializer=_init_worker,
+                initargs=(sieve_limit,),
             ) as pool:
                 out = pool.map(_scan_chunk, [(c, eps, n, zeta_tol) for c in chunks])
                 fresh = [rec for sub in out for rec in sub]

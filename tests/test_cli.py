@@ -1,5 +1,6 @@
 """Command line behavior: golden outputs, exit codes, file flows."""
 
+import hashlib
 import json
 import os
 
@@ -151,3 +152,19 @@ def test_tangency_file_flows(tmp_path, capsys):
     captured = capsys.readouterr()
     assert "chart 0: degenerate (det=0)" in captured.out
     assert "degenerate chart" in captured.err
+
+
+# sha256 of `scan --dmax 2000 --cache C --out O`, recorded before the character
+# table, threshold memo and cache-line rewrites; the cache digest pins the
+# exact bytes of every ScanCache entry line
+SCAN_2000_CSV_SHA256 = "c3c10b1d8a068948c47d59711a6b6916ae5051b99f41c1b8ddc408610c38b4f0"
+SCAN_2000_CACHE_SHA256 = "e069a7d8c11d686cf652e6d4a9178b7ad3af17c2893c96ec745ec91f99a5220b"
+
+
+def test_scan_2000_csv_and_cache_golden(tmp_path, capsys):
+    cache = tmp_path / "scan.cache"
+    out = tmp_path / "scan.csv"
+    assert main(["scan", "--dmax", "2000", "--cache", str(cache), "--out", str(out)]) == 0
+    assert capsys.readouterr().out.startswith("scanned 607 fields to D<=2000 (0 from cache)")
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == SCAN_2000_CSV_SHA256
+    assert hashlib.sha256(cache.read_bytes()).hexdigest() == SCAN_2000_CACHE_SHA256

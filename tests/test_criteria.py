@@ -184,3 +184,24 @@ def test_verdict_satisfied_requires_elliptic_feasibility():
     assert not rep.elliptic_feasible
     assert rep.verdict == "CandidateExceptional"
     assert rep.elliptic_detail[0].label == "orbit 0"
+
+
+def test_verdict_memo_keeps_validation():
+    # the thresholds memo caches results, never exceptions: bad input raises
+    # on every call
+    inv = FieldInputs(D=10**4, hr=1.0, zeta2=1.0)
+    for _ in range(2):
+        with pytest.raises(DomainError):
+            verdict(inv, 2, Fraction(1, 2))
+        with pytest.raises(DomainError):
+            verdict(inv, 2, Fraction(1, 100), s_sums=[Fraction(1), Fraction(0)])
+        with pytest.raises(DomainError):
+            verdict(inv, 2, [Fraction(1, 100)])  # unhashable, so never memoized
+    # a float degree equal to 2 is still rejected after an integer call
+    verdict(inv, 2, Fraction(1, 100))
+    with pytest.raises(DomainError):
+        verdict(inv, 2.0, Fraction(1, 100))
+    first = verdict(inv, 2, Fraction(1, 100), s_sums=[Fraction(1, 2)])
+    again = verdict(inv, 2, Fraction(1, 100), s_sums=[Fraction(1, 2)])
+    assert first == again
+    assert first.elliptic_detail[0].m == Fraction(1, 2)

@@ -207,3 +207,9 @@ def test_growth_exponent_below_bound():
     assert slope <= 0.6, slope
     with pytest.raises(DomainError):
         fit_growth_exponent([5.0], [2.0])
+
+
+def test_trace_str_matches_field_element():
+    for D in (5, 8, 12, 13, 21, 24, 28, 40, 1009, 99996):
+        for t in elliptic_traces(D):
+            assert str(t) == str(t.elem), (D, t.p, t.q)

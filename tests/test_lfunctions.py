@@ -6,6 +6,7 @@ import random
 import numpy as np
 import pytest
 
+from hilbert_ggl import lfunctions
 from hilbert_ggl.errors import BudgetExceededError, DomainError
 from hilbert_ggl.field_invariants import fundamental_discriminants_up_to
 from hilbert_ggl.lfunctions import (
@@ -94,6 +95,79 @@ def test_three_character_constructions_agree():
         if d > 0:
             t3 = euler_chi_array(d, q - 1)
             assert np.array_equal(t1, t3[:q]), d
+
+
+def test_character_table_against_euler_and_kronecker_to_large_modulus(monkeypatch):
+    # empty caches, so every table below is built here and not by another test
+    monkeypatch.setattr(lfunctions, "_legendre_cache", {})
+    monkeypatch.setattr(lfunctions, "_small_table_cache", {})
+    rng = random.Random(4096)
+    pos = [int(x) for x in fundamental_discriminants_up_to(100_000)]
+    big = [d for d in pos if d > 10_000]
+    composite_big_prime = [
+        d for d in big
+        if len(factor_fundamental(d)) > 1 and max(map(abs, factor_fundamental(d))) > 4096
+    ]
+    primes_1_mod_4 = [d for d in pos if factor_fundamental(d) == [d]]
+    neg_large = [-m for m in range(100_001, 400_001, 37) if is_fundamental_discriminant(-m)]
+    ds = rng.sample(big, 6) + rng.sample(composite_big_prime, 2)
+    ds += [max(p for p in primes_1_mod_4 if p <= 4096), max(primes_1_mod_4)]
+    ds += rng.sample(neg_large, 3) + [max(neg_large, key=abs)]
+    assert min(ds) < -390_000
+    for d in ds:
+        q = abs(d)
+        t1 = character_table(d)
+        assert t1.dtype == np.int8 and t1.shape == (q,), d
+        assert np.array_equal(t1, euler_chi_array(d, q - 1)), d
+    for d in (ds[6], ds[8], ds[9], ds[10]):
+        assert np.array_equal(character_table(d), kronecker_table(d)), d
+
+    # a prime discriminant is a single factor: its table is a copy, never
+    # the cached Legendre table itself
+    p = ds[8]
+    assert p <= 4096 and p in lfunctions._legendre_cache
+    assert not np.shares_memory(character_table(p), lfunctions._legendre_cache[p])
+    # prime factors above 4096 are built on each call and not cached
+    assert all(abs(part) > 4096 for part in factor_fundamental(ds[9]))
+    assert ds[9] not in lfunctions._legendre_cache
+
+
+def test_legendre_cache_survives_many_distinct_primes(monkeypatch):
+    monkeypatch.setattr(lfunctions, "_legendre_cache", {})
+    monkeypatch.setattr(lfunctions, "_small_table_cache", {})
+    # d = -p for 80 primes p = 3 mod 4 in a row: more distinct primes than
+    # any fixed-size cache would hold
+    ds = [d for d in negative_fundamental_discriminants(4096)
+          if factor_fundamental(d) == [d]][-80:]
+    first = character_table(ds[0])
+    first_legendre = lfunctions._legendre_cache[-ds[0]]
+    for d in ds:
+        q = abs(d)
+        assert np.array_equal(character_table(d), euler_chi_array(d, q - 1)), d
+    assert len(lfunctions._legendre_cache) == 80
+    assert lfunctions._legendre_cache[-ds[0]] is first_legendre
+    assert character_table(ds[0]) is first
+    assert np.array_equal(first, kronecker_table(ds[0]))
+
+
+def test_cached_tables_are_read_only():
+    tbl = character_table(5)
+    with pytest.raises(ValueError):
+        tbl[1] = 0
+    with pytest.raises(ValueError):
+        tbl *= -1
+    assert list(character_table(5)) == [0, 1, -1, -1, 1]
+    character_table(-7 * 11 * 4)
+    assert lfunctions._legendre_cache
+    for p, legendre in lfunctions._legendre_cache.items():
+        with pytest.raises(ValueError):
+            legendre[0] = 1
+    for d, cached in lfunctions._small_table_cache.items():
+        assert not cached.flags.writeable, d
+    # tables above the cached modulus belong to the caller
+    own = character_table(4201)
+    own[0] = 7
+    assert character_table(4201)[0] == 0
 
 
 def test_character_period_and_parity():

@@ -83,6 +83,18 @@ def test_scan_cache_round_trip(tmp_path):
     assert again.load() == cache.load()
 
 
+def test_scan_cache_append_many_matches_one_by_one(tmp_path):
+    params = {"n": 2, "epsilon": "1/100", "zeta_tol": 1e-6}
+    records = [scan_field(D, Fraction(1, 100)).to_dict() for D in (5, 8, 12)]
+    one_by_one = ScanCache(str(tmp_path / "a.cache"), params)
+    for rec in records:
+        one_by_one.append(rec)
+    batched = ScanCache(str(tmp_path / "b.cache"), params)
+    batched.append(*records[:2])
+    batched.append(records[2])
+    assert (tmp_path / "a.cache").read_bytes() == (tmp_path / "b.cache").read_bytes()
+
+
 def test_scan_cache_header_mismatch(tmp_path):
     path = str(tmp_path / "scan.cache")
     ScanCache(path, params={"epsilon": "1/100"}).append(

@@ -59,6 +59,8 @@ def test_scan_worker_count_does_not_change_records():
     serial = scan(150, workers=1)
     pooled = scan(150, workers=2)
     assert serial.records == pooled.records
+    # fewer fields than pool slices: empty slices are dropped
+    assert scan(20, workers=3).records == scan(20, workers=1).records
 
 
 def test_scan_precomputed_and_streaming():
