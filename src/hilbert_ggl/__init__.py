@@ -67,14 +67,12 @@ from .field_invariants import (
     DualZeta,
     QuadraticFieldInvariants,
     class_number,
-    dirichlet_L,
     fundamental_discriminant,
     fundamental_discriminant_signed,
     fundamental_discriminants_up_to,
     fundamental_unit,
     invariants,
     regulator,
-    zeta_K2,
     zeta_K2_dual,
 )
 from .hj import hj_expand, hj_reconstruct
@@ -86,7 +84,7 @@ from .lfunctions import (
     l2_certified,
 )
 from .quadratic import QuadElem, QuadSurd
-from .scan import FieldRecord, ScanResult, scan
+from .scan import FieldRecord, ScanResult
 from .reports import ScanCache, SCHEMA_VERSION
 
 __version__ = "0.1.0"
@@ -127,7 +125,6 @@ __all__ = [
     "closed_form_l1",
     "cm_extension_invariants",
     "cusp_cycle",
-    "dirichlet_L",
     "elliptic_summary",
     "elliptic_traces",
     "exact_det",
@@ -153,13 +150,11 @@ __all__ = [
     "prestel_bound",
     "regulator",
     "rr_leading_coeff",
-    "scan",
     "tai_check",
     "tangency_divisor",
     "thresholds",
     "verdict",
     "verify_cusp_tangency",
     "wedge_terms",
-    "zeta_K2",
     "zeta_K2_dual",
 ]

@@ -20,7 +20,7 @@ from .cusps import cusp_cycle, verify_cusp_tangency
 from .cyclic import parse_matrices, tangency_divisor, to_fraction
 from .elliptic import elliptic_summary
 from .errors import DomainError
-from .field_invariants import fundamental_discriminant, invariants
+from .field_invariants import DEGREE, fundamental_discriminant, invariants
 from .hj import hj_expand
 from .lfunctions import is_fundamental_discriminant, is_squarefree
 from .reports import (
@@ -63,7 +63,7 @@ def cmd_field(args, parser) -> int:
     inv = invariants(D, zeta_tol=args.zeta_tol, acnf_tol=args.acnf_tol)
     t1 = time.perf_counter()
     ell = elliptic_summary(D, hr_field=inv.hr)
-    rep = verdict(inv, args.n, eps, ell)
+    rep = verdict(inv, DEGREE, eps, ell)
     t2 = time.perf_counter()
     cyc = cusp_cycle(D)
     t3 = time.perf_counter()
@@ -80,7 +80,7 @@ def cmd_field(args, parser) -> int:
     params = {
         "value": args.value,
         "D": D,
-        "n": args.n,
+        "n": DEGREE,
         "epsilon": eps,
         "zeta_tol": args.zeta_tol,
         "acnf_tol": args.acnf_tol,
@@ -101,7 +101,7 @@ def cmd_scan(args, parser) -> int:
         parser.error("--dmax must be at least 5")
     eps = _epsilon_fraction(args.epsilon, parser)
     params = {
-        "n": args.n,
+        "n": DEGREE,
         "epsilon": str(eps),
         "zeta_tol": args.zeta_tol,
     }
@@ -118,7 +118,6 @@ def cmd_scan(args, parser) -> int:
     result = scan(
         args.dmax,
         epsilon=eps,
-        n=args.n,
         zeta_tol=args.zeta_tol,
         workers=args.workers,
         precomputed=precomputed,
@@ -248,8 +247,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_field = sub.add_parser("field", help="full report for one field")
     p_field.add_argument("value", type=int, help="fundamental discriminant D or squarefree m")
-    p_field.add_argument("--epsilon", default="0.01", help="epsilon in (0, 1/n), exact rational")
-    p_field.add_argument("--n", type=int, default=2, help="degree of the totally real field")
+    p_field.add_argument("--epsilon", default="0.01", help="epsilon in (0, 1/2), exact rational")
     p_field.add_argument("--zeta-tol", type=float, default=1e-9, dest="zeta_tol")
     p_field.add_argument("--acnf-tol", type=float, default=1e-8, dest="acnf_tol")
     p_field.add_argument("--json", action="store_true")
@@ -259,7 +257,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_scan = sub.add_parser("scan", help="scan all fundamental discriminants up to a bound")
     p_scan.add_argument("--dmax", type=int, required=True)
     p_scan.add_argument("--epsilon", default="0.01")
-    p_scan.add_argument("--n", type=int, default=2)
     p_scan.add_argument("--zeta-tol", type=float, default=1e-6, dest="zeta_tol")
     p_scan.add_argument("--out", help="output file (summary goes to stdout)")
     p_scan.add_argument("--format", choices=("csv", "json"), default="csv")

@@ -187,9 +187,10 @@ class CuspCycle:
     eta         generator of V picked out by the cycle (mu_0 / mu_{fr})
     eta_period  generator for v_power = 1 (eta = eta_period ** v_power)
     module      the basis (alpha, beta) the rays live in
-    ray_coords  integer coordinates (as Fractions) of each ray in that basis,
-                solved once here and reused by verify_cusp_tangency
-    unimodular  True when all consecutive coordinate pairs have det +-1
+    coord_dets  determinant of each consecutive ray pair (mu_k, mu_{k+1}),
+                closing ray included, in module coordinates (integral
+                Fractions); verify_cusp_tangency reports them per chart
+    unimodular  True when every entry of coord_dets is +-1
     """
 
     D: int
@@ -201,7 +202,7 @@ class CuspCycle:
     eta: QuadElem
     eta_period: QuadElem
     module: tuple[QuadElem, QuadElem]
-    ray_coords: tuple[tuple[Fraction, Fraction], ...]
+    coord_dets: tuple[Fraction, ...]
     unimodular: bool
 
     def self_intersections(self) -> tuple[int, ...]:
@@ -301,14 +302,11 @@ def cusp_cycle(D: int, module=None, v=None) -> CuspCycle:
         raise RuntimeError("period word is all 2s, which no quadratic surd produces")
 
     coords = []
-    for mu in rays:
+    for mu in rays + [closing]:
         u_c, v_c = _coords_in_basis(mu, alpha, beta)
         if u_c.denominator != 1 or v_c.denominator != 1:
             raise RuntimeError("ray %s does not lie in the module (coords %s, %s)" % (mu, u_c, v_c))
         coords.append((u_c, v_c))
-    close_u, close_v = _coords_in_basis(closing, alpha, beta)
-    if close_u.denominator != 1 or close_v.denominator != 1:
-        raise RuntimeError("closing ray %s does not lie in the module" % (closing,))
 
     if v is not None and not isinstance(v, int):
         for gen_img in (eta * alpha, eta * beta):
@@ -316,12 +314,7 @@ def cusp_cycle(D: int, module=None, v=None) -> CuspCycle:
             if gu.denominator != 1 or gv.denominator != 1:
                 raise DomainError("v = eta^%d does not preserve the module" % f)
 
-    dets = []
-    ext = coords + [(close_u, close_v)]
-    for k in range(total):
-        (u1, v1), (u2, v2) = ext[k], ext[k + 1]
-        dets.append(u1 * v2 - v1 * u2)
-    unimodular = all(abs(d) == 1 for d in dets)
+    dets = tuple(u1 * v2 - v1 * u2 for (u1, v1), (u2, v2) in zip(coords, coords[1:]))
 
     return CuspCycle(
         D=D,
@@ -333,8 +326,8 @@ def cusp_cycle(D: int, module=None, v=None) -> CuspCycle:
         eta=eta,
         eta_period=eta_period,
         module=(alpha, beta),
-        ray_coords=tuple(coords),
-        unimodular=unimodular,
+        coord_dets=dets,
+        unimodular=all(abs(d) == 1 for d in dets),
     )
 
 
@@ -397,16 +390,13 @@ def verify_cusp_tangency(cycle: CuspCycle) -> CuspTangencyReport:
     Each consecutive ray pair (including the seam pair ending in
     eta^{-1} mu_0) spans a chart; the wedge of its two logarithmic forms
     must be a single monomial with multiplicity one in each coordinate and
-    coefficient equal to the exact ray determinant.  Module coordinates
-    come from cycle.ray_coords; only the closing ray is solved here.
+    coefficient equal to the exact ray determinant.  The module-coordinate
+    determinants come from cycle.coord_dets, formed once by cusp_cycle.
     """
     rays = cycle.rays + (cycle.closing_ray,)
-    coords = cycle.ray_coords + (_coords_in_basis(cycle.closing_ray, *cycle.module),)
-    checks = []
-    for k in range(len(cycle.rays)):
-        (u1, v1), (u2, v2) = coords[k], coords[k + 1]
-        cd = u1 * v2 - v1 * u2
-        checks.append(chart_tangency(rays[k], rays[k + 1], index=k, coord_det=cd))
-    unimodular = all(c.coord_det is not None and abs(c.coord_det) == 1 for c in checks)
-    ok = all(c.ok for c in checks) and unimodular
-    return CuspTangencyReport(D=cycle.D, charts=tuple(checks), unimodular=unimodular, ok=ok)
+    checks = tuple(
+        chart_tangency(rays[k], rays[k + 1], index=k, coord_det=cycle.coord_dets[k])
+        for k in range(len(cycle.rays))
+    )
+    ok = all(c.ok for c in checks) and cycle.unimodular
+    return CuspTangencyReport(D=cycle.D, charts=checks, unimodular=cycle.unimodular, ok=ok)

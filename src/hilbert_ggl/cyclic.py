@@ -332,8 +332,3 @@ def parse_matrices(text: str) -> list[tuple[tuple[Fraction, ...], ...]]:
                 for line in block]
         out.append(as_exponent_matrix(rows))
     return out
-
-
-def format_matrices(mats) -> str:
-    blocks = ["\n".join(" ".join(str(x) for x in row) for row in mat) for mat in mats]
-    return "\n\n".join(blocks) + "\n"

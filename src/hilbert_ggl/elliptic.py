@@ -139,6 +139,11 @@ def l1_imag(d: int, h_table: np.ndarray) -> float:
     return 2.0 * math.pi * int(h_table[-d]) / (w * math.sqrt(-d))
 
 
+def _closed_l1(d: int) -> float:
+    """L(1, chi_d) from the finite closed form, the default L(1) source."""
+    return closed_form_l1(d)[0]
+
+
 def make_l1_lookup(limit: int):
     """L(1, chi_d) callable backed by one class-number sieve for negative d.
 
@@ -147,9 +152,7 @@ def make_l1_lookup(limit: int):
     h = imag_class_numbers(limit)
 
     def lookup(d: int) -> float:
-        if d < 0:
-            return l1_imag(d, h)
-        return closed_form_l1(d)[0]
+        return l1_imag(d, h) if d < 0 else _closed_l1(d)
 
     return lookup
 
@@ -207,7 +210,7 @@ def cm_extension_invariants(D: int, s: int, l1=None) -> CMExtensionInvariants:
     if n_u0 < 1:
         raise RuntimeError("N(U0)^2 = %d below 1" % n_u0)
     if l1 is None:
-        l1 = lambda d: closed_form_l1(d)[0]
+        l1 = _closed_l1
     hr_prime = (
         w_prime * math.sqrt(d_kp) * l1(d2) * l1(d3) * l1(D) / (4.0 * math.pi ** 2)
     )
@@ -268,7 +271,7 @@ def prestel_bound(D: int, s, hr_field: float | None = None, l1=None) -> TraceBou
         )
 
     if l1 is None:
-        l1 = lambda d: closed_form_l1(d)[0]
+        l1 = _closed_l1
     cm = cm_extension_invariants(D, trace.s_rational, l1=l1)
     if hr_field is None:
         hr_field = math.sqrt(D) * l1(D) / 2.0
@@ -303,7 +306,7 @@ class EllipticSummary:
 def elliptic_summary(D: int, hr_field: float | None = None, l1=None) -> EllipticSummary:
     """Enumerate traces and aggregate the per-trace bounds."""
     if l1 is None:
-        l1 = lambda d: closed_form_l1(d)[0]
+        l1 = _closed_l1
     bounds = tuple(
         prestel_bound(D, t, hr_field=hr_field, l1=l1) for t in elliptic_traces(D)
     )

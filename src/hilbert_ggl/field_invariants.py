@@ -30,7 +30,7 @@ from math import isqrt
 import mpmath as mp
 import numpy as np
 
-from .errors import BudgetExceededError, DomainError, NumericalAgreementError
+from .errors import DomainError, NumericalAgreementError
 from .lfunctions import (
     L_value,
     character_table,
@@ -43,6 +43,10 @@ from .lfunctions import (
     primes_up_to,
     zeta2_constant,
 )
+
+# degree n of the totally real fields handled here: every invariant below is
+# quadratic, so the criterion is evaluated at n = 2
+DEGREE = 2
 
 _invsq_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
@@ -269,13 +273,6 @@ def class_number(D: int) -> ClassData:
     return ClassData(D=D, h=h, h_plus=h_plus, unit_norm=norm)
 
 
-def hr_fast(D: int, table: np.ndarray | None = None) -> tuple[float, float]:
-    """h * R via the class number formula hR = sqrt(D) L(1, chi_D) / 2."""
-    value, cert = closed_form_l1(D, table)
-    scale = math.sqrt(D) / 2.0
-    return scale * value, scale * cert + 1e-15
-
-
 @dataclass(frozen=True)
 class QuadraticFieldInvariants:
     D: int
@@ -416,41 +413,3 @@ def zeta_K2_dual(D: int, char_tol: float = 2e-9, limit: int = 300_000,
         )
     return DualZeta(D=D, char_value=char_value, char_cert=char_cert,
                     ideal_value=ideal_value, ideal_cert=ideal_cert, difference=diff)
-
-
-def dirichlet_L(s: int, d_signed: int, tol: float = 1e-10) -> float:
-    """L(s, chi_d) for s in {1, 2} with absolute error at most tol.
-
-    s = 2 runs certified partial sums with the Abel tail bound; s = 1 uses
-    the finite closed form, whose only error is float rounding.  If the
-    achievable certificate exceeds tol the evaluation refuses rather than
-    silently under-deliver.
-    """
-    if s not in (1, 2):
-        raise DomainError(f"s must be 1 or 2, got {s!r}")
-    if not (tol > 0):
-        raise DomainError(f"tolerance must be positive, got {tol!r}")
-    if not is_fundamental_discriminant(d_signed):
-        raise DomainError(f"{d_signed} is not a fundamental discriminant")
-    if s == 2:
-        return L_value(2, d_signed, tol).value
-    value, cert = closed_form_l1(d_signed)
-    if cert > tol:
-        raise BudgetExceededError(
-            f"closed form for L(1, chi_{d_signed}) certifies only {cert:.2e} > {tol:.2e}",
-            needed=math.ceil(cert / tol),
-            budget=1,
-        )
-    return value
-
-
-def zeta_K2(inv_or_D, char_tol: float = 2e-9, limit: int = 300_000) -> float:
-    """zeta_K(2) with the two independent evaluation routes cross-checked.
-
-    Accepts either a discriminant or an invariants record.  Raises
-    NumericalAgreementError when the character route and the ideal-norm
-    route differ beyond their combined certificates.
-    """
-    D = inv_or_D.D if hasattr(inv_or_D, "D") else int(inv_or_D)
-    dual = zeta_K2_dual(D, char_tol=char_tol, limit=limit)
-    return dual.char_value

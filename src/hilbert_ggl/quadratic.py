@@ -235,9 +235,6 @@ class QuadElem:
     def __float__(self) -> float:
         return self.a / self.c + self.b / self.c * math.sqrt(self.D)
 
-    def conjugate_float(self) -> float:
-        return float(self.conjugate())
-
     def __gt__(self, other) -> bool:
         return (self - self._coerce(other)).sign() > 0
 
@@ -246,9 +243,6 @@ class QuadElem:
 
     def __str__(self) -> str:
         return f"{self.x} + {self.y}*sqrt({self.D})"
-
-    def to_json(self) -> dict:
-        return {"x": str(self.x), "y": str(self.y), "D": self.D}
 
 
 # QuadElem.__setattr__ refuses writes; constructors fill the slots through
@@ -332,9 +326,6 @@ class QuadSurd:
 
     def ceil(self) -> int:
         return self.floor() + 1  # irrational, never an integer
-
-    def hj_digit(self) -> int:
-        return self.ceil()
 
     def hj_step(self) -> tuple[int, "QuadSurd"]:
         """One minus-continued-fraction step: returns (b, 1/(b - w)) for b = ceil(w)."""

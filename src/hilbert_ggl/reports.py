@@ -147,15 +147,6 @@ class ScanCache:
                 out[int(d)] = record
         return out
 
-    def write_all(self, records) -> None:
-        """Rewrite the cache with a header and the given records (dicts)."""
-        tmp = self.path + ".tmp"
-        with open(tmp, "w", encoding="utf-8") as fh:
-            fh.write(json.dumps(self._header(), sort_keys=True) + "\n")
-            for rec in records:
-                fh.write(self._entry_line(rec))
-        os.replace(tmp, self.path)
-
     def append(self, *records: dict) -> None:
         """Append records in the given order, writing the header first if the
         file is new."""

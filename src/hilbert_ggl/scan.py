@@ -22,9 +22,9 @@ from fractions import Fraction
 
 from .criteria import FieldInputs, verdict
 from .cyclic import to_fraction
-from .elliptic import elliptic_summary, imag_class_numbers, l1_imag
+from .elliptic import _closed_l1, elliptic_summary, make_l1_lookup
 from .errors import DomainError, NumericalAgreementError
-from .field_invariants import class_number, fundamental_discriminants_up_to, regulator
+from .field_invariants import DEGREE, class_number, fundamental_discriminants_up_to, regulator
 from .lfunctions import character_table, closed_form_l1, l2_certified, zeta2_constant
 
 WORKERS_ENV = "HILBERT_GGL_WORKERS"
@@ -97,7 +97,7 @@ class FieldRecord:
         )
 
 
-def scan_field(D: int, epsilon, n: int = 2, zeta_tol: float = 1e-6,
+def scan_field(D: int, epsilon, zeta_tol: float = 1e-6,
                l1_lookup=None, exact: bool = False) -> FieldRecord:
     """Evaluate the criterion for one field.
 
@@ -112,17 +112,15 @@ def scan_field(D: int, epsilon, n: int = 2, zeta_tol: float = 1e-6,
     zeta2 = zeta2_constant() * l2_val
     zeta2_cert = zeta2_constant() * l2_cert
 
+    other_l1 = _closed_l1 if l1_lookup is None else l1_lookup
+
     def l1_for(d: int) -> float:
-        if d == D:
-            return l1_val
-        if l1_lookup is not None:
-            return l1_lookup(d)
-        return closed_form_l1(d)[0]
+        return l1_val if d == D else other_l1(d)
 
     ell = elliptic_summary(D, hr_field=hr, l1=l1_for)
     h = None
     reg = None
-    rep = verdict(FieldInputs(D=D, hr=hr, zeta2=zeta2), n, epsilon, ell)
+    rep = verdict(FieldInputs(D=D, hr=hr, zeta2=zeta2), DEGREE, epsilon, ell)
     if exact or rep.verdict == "Satisfied":
         h = class_number(D).h
         reg = regulator(D)
@@ -132,7 +130,7 @@ def scan_field(D: int, epsilon, n: int = 2, zeta_tol: float = 1e-6,
                 "exact hR = %r disagrees with closed form %r for D=%d" % (hr_exact, hr, D)
             )
         hr = hr_exact
-        rep = verdict(FieldInputs(D=D, hr=hr, zeta2=zeta2), n, epsilon, ell)
+        rep = verdict(FieldInputs(D=D, hr=hr, zeta2=zeta2), DEGREE, epsilon, ell)
     return FieldRecord(
         D=D,
         h=h,
@@ -168,7 +166,6 @@ class DyadicBlock:
 @dataclass(frozen=True)
 class ScanResult:
     dmax: int
-    n: int
     epsilon: Fraction
     zeta_tol: float
     records: tuple[FieldRecord, ...]
@@ -183,20 +180,14 @@ _WORKER_STATE: dict = {}
 
 def _init_worker(limit: int) -> None:
     if _WORKER_STATE.get("limit", -1) < limit:
-        _WORKER_STATE["h_table"] = imag_class_numbers(limit)
+        _WORKER_STATE["l1_lookup"] = make_l1_lookup(limit)
         _WORKER_STATE["limit"] = limit
 
 
 def _scan_chunk(args) -> list[FieldRecord]:
-    ds, epsilon, n, zeta_tol = args
-    h_table = _WORKER_STATE["h_table"]
-
-    def lookup(d: int) -> float:
-        if d < 0:
-            return l1_imag(d, h_table)
-        return closed_form_l1(d)[0]
-
-    return [scan_field(D, epsilon, n=n, zeta_tol=zeta_tol, l1_lookup=lookup) for D in ds]
+    ds, epsilon, zeta_tol = args
+    lookup = _WORKER_STATE["l1_lookup"]
+    return [scan_field(D, epsilon, zeta_tol=zeta_tol, l1_lookup=lookup) for D in ds]
 
 
 def _dyadic_blocks(records) -> tuple[DyadicBlock, ...]:
@@ -216,13 +207,16 @@ def _dyadic_blocks(records) -> tuple[DyadicBlock, ...]:
 def resolve_workers(workers: int | None) -> int:
     if workers is None:
         raw = os.environ.get(WORKERS_ENV, "")
-        workers = int(raw) if raw.strip() else 1
+        try:
+            workers = int(raw) if raw.strip() else 1
+        except ValueError:
+            raise DomainError("%s must be an integer, got %r" % (WORKERS_ENV, raw)) from None
     if workers < 1:
         raise DomainError("worker count must be >= 1, got %d" % workers)
     return workers
 
 
-def scan(dmax: int, epsilon="0.01", n: int = 2, zeta_tol: float = 1e-6,
+def scan(dmax: int, epsilon="0.01", zeta_tol: float = 1e-6,
          workers: int | None = None, precomputed: dict[int, FieldRecord] | None = None,
          on_record=None) -> ScanResult:
     """Scan all fundamental discriminants D <= dmax.
@@ -245,7 +239,7 @@ def scan(dmax: int, epsilon="0.01", n: int = 2, zeta_tol: float = 1e-6,
     if todo:
         if workers == 1:
             _init_worker(sieve_limit)
-            fresh = _scan_chunk((todo, eps, n, zeta_tol))
+            fresh = _scan_chunk((todo, eps, zeta_tol))
         else:
             k = workers * _SLICES_PER_WORKER
             chunks = [todo[i::k] for i in range(k)]
@@ -254,7 +248,7 @@ def scan(dmax: int, epsilon="0.01", n: int = 2, zeta_tol: float = 1e-6,
                 max_workers=min(workers, len(chunks)), initializer=_init_worker,
                 initargs=(sieve_limit,),
             ) as pool:
-                out = pool.map(_scan_chunk, [(c, eps, n, zeta_tol) for c in chunks])
+                out = pool.map(_scan_chunk, [(c, eps, zeta_tol) for c in chunks])
                 fresh = [rec for sub in out for rec in sub]
     fresh.sort(key=lambda r: r.D)
     if on_record is not None:
@@ -269,7 +263,6 @@ def scan(dmax: int, epsilon="0.01", n: int = 2, zeta_tol: float = 1e-6,
     failing = [r.D for r in records if r.verdict != "Satisfied"]
     return ScanResult(
         dmax=dmax,
-        n=n,
         epsilon=eps,
         zeta_tol=zeta_tol,
         records=records,

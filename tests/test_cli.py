@@ -65,18 +65,24 @@ def test_usage_exit_codes(capsys):
     assert main(["field", "4"]) == 2  # 4 = 2^2 is neither fundamental nor squarefree
     assert main(["field", "9"]) == 2
     assert main(["scan", "--dmax", "4"]) == 2
+    # the criterion is evaluated at degree 2 only; there is no degree option
+    assert main(["field", "5", "--n", "3"]) == 2
+    assert main(["scan", "--dmax", "10", "--n", "3"]) == 2
     assert main(["unknown"]) == 2
     assert main([]) == 2
     assert main(["--help"]) == 0
     capsys.readouterr()
 
 
-def test_domain_errors_exit_one(capsys):
+def test_domain_errors_exit_one(capsys, monkeypatch):
     assert main(["hj", "12", "0"]) == 1
     assert "error:" in capsys.readouterr().err
     assert main(["hj", "12", "8"]) == 1  # gcd(12, 8) != 1
     assert main(["tangency", os.path.join(GOLDEN, "no_such_file.txt")]) == 1
     assert "error:" in capsys.readouterr().err
+    monkeypatch.setenv("HILBERT_GGL_WORKERS", "abc")
+    assert main(["scan", "--dmax", "10"]) == 1
+    assert "HILBERT_GGL_WORKERS" in capsys.readouterr().err
 
 
 def test_scan_stdout_csv(capsys):

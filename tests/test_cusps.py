@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from hilbert_ggl.cusps import (
+    _coords_in_basis,
     chart_tangency,
     cusp_cycle,
     find_equivalent_reduced,
@@ -172,3 +173,20 @@ def test_verify_cusp_tangency_range():
             assert ch.multiplicities == (1, 1), D
             assert ch.det.x == 0 and ch.sqrt_coeff != 0, D
             assert abs(ch.coord_det) == 1, D
+
+
+def test_coord_dets_formed_once_match_recomputation():
+    cycles = [cusp_cycle(D) for D in (5, 8, 12, 229, 9997)]
+    cycles.append(cusp_cycle(5, module=(1, QuadElem(0, 1, 5))))
+    cycles.append(cusp_cycle(5, v=2))
+    for cyc in cycles:
+        assert len(cyc.coord_dets) == len(cyc.rays)
+        charts = verify_cusp_tangency(cyc).charts
+        assert [c.coord_det for c in charts] == list(cyc.coord_dets)
+        # recompute the determinants from scratch, closing ray included
+        coords = [_coords_in_basis(mu, *cyc.module) for mu in cyc.rays + (cyc.closing_ray,)]
+        for k, got in enumerate(cyc.coord_dets):
+            (u1, v1), (u2, v2) = coords[k], coords[k + 1]
+            assert isinstance(got, Fraction)
+            assert got == u1 * v2 - v1 * u2, (cyc.D, k)
+        assert cyc.unimodular == all(abs(d) == 1 for d in cyc.coord_dets)

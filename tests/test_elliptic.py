@@ -55,7 +55,7 @@ def test_trace_embeddings_really_below_two():
     for D in (5, 8, 12, 13, 17, 60):
         for t in elliptic_traces(D):
             assert abs(float(t.elem)) < 2
-            assert abs(t.elem.conjugate_float()) < 2
+            assert abs(float(t.elem.conjugate())) < 2
             assert t.elem.is_integral()
 
 

@@ -6,21 +6,18 @@ import random
 import mpmath
 import pytest
 
-from hilbert_ggl.errors import BudgetExceededError, DomainError
+from hilbert_ggl.errors import DomainError
 from hilbert_ggl.field_invariants import (
     class_number,
-    dirichlet_L,
     form_cycles,
     fundamental_discriminant,
     fundamental_discriminant_signed,
     fundamental_discriminants_up_to,
     fundamental_unit,
-    hr_fast,
     invariants,
     reduced_forms,
     regulator,
     rho_step,
-    zeta_K2,
     zeta_K2_dual,
 )
 
@@ -154,13 +151,6 @@ def test_form_cycles_partition():
         assert len(seen) == len(set(seen))
 
 
-def test_hr_fast_matches_exact_product():
-    for D in (5, 8, 40, 229, 401):
-        hr, cert = hr_fast(D)
-        exact = class_number(D).h * regulator(D)
-        assert abs(hr - exact) <= cert + 1e-10
-
-
 def test_invariants_record():
     inv = invariants(5)
     assert (inv.h, inv.h_plus, inv.t, inv.u, inv.unit_norm) == (1, 1, 1, 1, -1)
@@ -173,20 +163,6 @@ def test_invariants_record():
         invariants(6)
 
 
-def test_dirichlet_l_values():
-    assert abs(dirichlet_L(1, -4) - math.pi / 4) < 1e-12
-    assert abs(dirichlet_L(1, 5) - 0.4304089409640040) < 1e-12
-    assert abs(dirichlet_L(2, 5, 1e-10) - 0.7062114032597410) < 1e-9
-    assert abs(dirichlet_L(1, -3) - float(mp_l_value(1, -3))) < 1e-12
-    assert abs(dirichlet_L(2, -8, 1e-11) - float(mp_l_value(2, -8))) < 1e-10
-    with pytest.raises(DomainError):
-        dirichlet_L(3, 5)
-    with pytest.raises(DomainError):
-        dirichlet_L(1, 6)
-    with pytest.raises(BudgetExceededError):
-        dirichlet_L(1, 5, 1e-30)
-
-
 def test_zeta_k2_dual_agreement():
     for D in (5, 8, 12, 13, 229):
         dual = zeta_K2_dual(D)
@@ -194,13 +170,6 @@ def test_zeta_k2_dual_agreement():
         oracle = float(mpmath.zeta(2)) * float(mp_l_value(2, D))
         assert abs(dual.char_value - oracle) <= dual.char_cert + 1e-12
         assert abs(dual.ideal_value - oracle) <= dual.ideal_cert + 1e-12
-
-
-def test_zeta_k2_frozen_value():
-    # 40-digit evaluation: zeta(2) * L(2, chi_5) = 1.1616711956186385...
-    assert abs(zeta_K2(5) - 1.1616711956186385) < 1e-8
-    inv = invariants(5)
-    assert abs(zeta_K2(inv) - inv.zeta2) < 1e-8
 
 
 def test_unit_norm_two_routes_agree():

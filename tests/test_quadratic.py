@@ -163,7 +163,7 @@ def test_exact_sign_against_float():
         D = rng.choice([5, 8, 13, 60, 229])
         e = QuadElem(Fraction(rng.randint(-30, 30), rng.randint(1, 9)),
                      Fraction(rng.randint(-30, 30), rng.randint(1, 9)), D)
-        f, g = float(e), e.conjugate_float()
+        f, g = float(e), float(e.conjugate())
         if abs(f) > 1e-6:
             assert e.sign() == (1 if f > 0 else -1)
         if abs(f) > 1e-6 and abs(g) > 1e-6:
@@ -197,13 +197,6 @@ def test_comparisons():
     assert e > 2
     assert e < 3
     assert e > QuadElem(1, 0, 5)
-
-
-def test_to_json_round_trip():
-    e = QuadElem(Fraction(1, 2), Fraction(-3, 2), 13)
-    j = e.to_json()
-    assert j == {"x": "1/2", "y": "-3/2", "D": 13}
-    assert QuadElem(Fraction(j["x"]), Fraction(j["y"]), j["D"]) == e
 
 
 def test_surd_invariant_enforced():

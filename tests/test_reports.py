@@ -76,7 +76,7 @@ def test_scan_cache_round_trip(tmp_path):
     cache.append(records[0])
     cache.append(records[1])
     assert cache.load() == {5: records[0], 8: records[1]}
-    cache.write_all(records)
+    cache.append(records[2])
     assert cache.load() == {5: records[0], 8: records[1], 12: records[2]}
     # a second handle with identical params reads the same file
     again = ScanCache(path, params={"n": 2, "epsilon": "1/100", "zeta_tol": 1e-6})

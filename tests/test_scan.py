@@ -1,11 +1,11 @@
 """Bulk scans: determinism, worker independence, caching hooks."""
 
-import importlib
 import math
 from fractions import Fraction
 
 import pytest
 
+import hilbert_ggl.scan as scan_module
 from hilbert_ggl.errors import DomainError, NumericalAgreementError
 from hilbert_ggl.field_invariants import class_number, regulator
 from hilbert_ggl.lfunctions import closed_form_l1
@@ -119,6 +119,9 @@ def test_resolve_workers_env(monkeypatch):
     monkeypatch.setenv(WORKERS_ENV, "0")
     with pytest.raises(DomainError):
         resolve_workers(None)
+    monkeypatch.setenv(WORKERS_ENV, "abc")
+    with pytest.raises(DomainError, match=WORKERS_ENV + ".*'abc'"):
+        resolve_workers(None)
 
 
 def test_field_record_round_trip():
@@ -129,8 +132,6 @@ def test_field_record_round_trip():
 
 
 def test_exact_recheck_disagreement_raises_specific_error(monkeypatch):
-    # the package re-exports the function scan, which hides the module name
-    scan_module = importlib.import_module("hilbert_ggl.scan")
     monkeypatch.setattr(scan_module, "regulator", lambda D: 2 * regulator(D))
     with pytest.raises(NumericalAgreementError, match="exact hR"):
         scan_field(5, Fraction(1, 100), exact=True)
