@@ -84,8 +84,8 @@ from .lfunctions import (
     l2_certified,
 )
 from .quadratic import QuadElem, QuadSurd
-from .scan import FieldRecord, ScanResult
-from .reports import ScanCache, SCHEMA_VERSION
+from .scan import ScanResult
+from .reports import FieldRecord, ScanCache, SCHEMA_VERSION
 
 __version__ = "0.1.0"
 

@@ -15,9 +15,9 @@ import sys
 import time
 from fractions import Fraction
 
-from .criteria import verdict
+from .criteria import to_fraction, verdict
 from .cusps import cusp_cycle, verify_cusp_tangency
-from .cyclic import parse_matrices, tangency_divisor, to_fraction
+from .cyclic import parse_matrices, tangency_divisor
 from .elliptic import elliptic_summary
 from .errors import DomainError
 from .field_invariants import DEGREE, fundamental_discriminant, invariants
@@ -31,7 +31,7 @@ from .reports import (
     json_dumps,
     render_field_text,
 )
-from .scan import FieldRecord, scan
+from .scan import scan
 
 
 def _normalize_field_value(value: int, parser: argparse.ArgumentParser) -> int:
@@ -106,13 +106,8 @@ def cmd_scan(args, parser) -> int:
         "zeta_tol": args.zeta_tol,
     }
     cache = ScanCache(args.cache, params) if args.cache else None
-    precomputed = None
-    on_record = None
+    precomputed = cache.load() if cache is not None else None
     fresh = []
-    if cache is not None:
-        loaded = cache.load()
-        precomputed = {d: FieldRecord.from_dict(rec) for d, rec in loaded.items()}
-        on_record = lambda rec: fresh.append(rec.to_dict())
 
     t0 = time.perf_counter()
     result = scan(
@@ -121,7 +116,7 @@ def cmd_scan(args, parser) -> int:
         zeta_tol=args.zeta_tol,
         workers=args.workers,
         precomputed=precomputed,
-        on_record=on_record,
+        on_record=fresh.append if cache is not None else None,
     )
     if fresh:
         # one open and one write for the whole run
@@ -295,13 +290,7 @@ def main(argv=None) -> int:
         return args.func(args, parser)
     except SystemExit as exc:
         return int(exc.code or 0)
-    except DomainError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 1
-    except RuntimeError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (DomainError, RuntimeError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1
 

@@ -28,10 +28,21 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cyclic import to_fraction
 from .errors import DomainError, NumericalAgreementError
 
 _HR_FLOOR = 1e-12
+
+
+def to_fraction(x, what: str = "value") -> Fraction:
+    """Exact coercion; floats convert by their exact binary value."""
+    if isinstance(x, Fraction):
+        return x
+    if isinstance(x, (int, str, float)):
+        try:
+            return Fraction(x)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise DomainError(f"cannot parse {what} {x!r} as a rational") from exc
+    raise DomainError(f"{what} must be rational, got {type(x).__name__}")
 
 
 @dataclass(frozen=True)

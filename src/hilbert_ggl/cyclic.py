@@ -28,20 +28,9 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .criteria import to_fraction
 from .errors import DomainError
 from .hj import hj_expand
-
-
-def to_fraction(x, what: str = "value") -> Fraction:
-    """Exact coercion; floats convert by their exact binary value."""
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, (int, str, float)):
-        try:
-            return Fraction(x)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise DomainError(f"cannot parse {what} {x!r} as a rational") from exc
-    raise DomainError(f"{what} must be rational, got {type(x).__name__}")
 
 
 def _nonzero(c) -> bool:

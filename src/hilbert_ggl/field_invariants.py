@@ -290,15 +290,15 @@ class QuadraticFieldInvariants:
     acnf_residual: float
 
 
-def invariants(D: int, *, zeta_tol: float = 1e-9,
-               acnf_tol: float = 1e-8) -> QuadraticFieldInvariants:
-    """All field data for the criterion, with the analytic cross-check enforced.
+def exact_hr(D: int, l1: float, l1_cert: float, acnf_tol: float = 1e-8
+             ) -> tuple[FundamentalUnit, ClassData, float, float]:
+    """(unit, class data, regulator, residual) of Q(sqrt(D)), checked against
+    L(1, chi_D) = l1 with certificate l1_cert.
 
-    Raises NumericalAgreementError if |2hR/sqrt(D) - L(1, chi_D)| exceeds
-    acnf_tol plus the L-value certificate, or if the two unit-norm routes
-    disagree (the latter would be a bug, not a tolerance issue).
+    Raises NumericalAgreementError if the two unit-norm routes disagree (a
+    bug, not a tolerance issue) or if the class number formula residual
+    |2hR/sqrt(D) - l1| exceeds acnf_tol + l1_cert.
     """
-    _check_field_discriminant(D)
     unit = fundamental_unit(D)
     cd = class_number(D)
     if cd.unit_norm != unit.norm:
@@ -307,20 +307,27 @@ def invariants(D: int, *, zeta_tol: float = 1e-9,
             f"{cd.unit_norm} from form cycles"
         )
     reg = unit.regulator()
-    hr = cd.h * reg
-    table = character_table(D)
-    l1, l1_cert = closed_form_l1(D, table)
-    residual = abs(2.0 * hr / math.sqrt(D) - l1)
+    residual = abs(2.0 * (cd.h * reg) / math.sqrt(D) - l1)
     if residual > acnf_tol + l1_cert:
         raise NumericalAgreementError(
             f"D={D}: class number formula residual {residual:.3e} exceeds "
             f"{acnf_tol:.1e} + {l1_cert:.1e}"
         )
+    return unit, cd, reg, residual
+
+
+def invariants(D: int, *, zeta_tol: float = 1e-9,
+               acnf_tol: float = 1e-8) -> QuadraticFieldInvariants:
+    """All field data for the criterion, with the exact_hr checks enforced."""
+    _check_field_discriminant(D)
+    table = character_table(D)
+    l1, l1_cert = closed_form_l1(D, table)
+    unit, cd, reg, residual = exact_hr(D, l1, l1_cert, acnf_tol)
     l2, l2_cert = l2_certified(D, zeta_tol, table)
     z2 = zeta2_constant()
     return QuadraticFieldInvariants(
         D=D, h=cd.h, h_plus=cd.h_plus, t=unit.t, u=unit.u, unit_norm=unit.norm,
-        regulator=reg, hr=hr, l1_value=l1, l1_cert=l1_cert,
+        regulator=reg, hr=cd.h * reg, l1_value=l1, l1_cert=l1_cert,
         zeta2=z2 * l2, zeta2_cert=z2 * l2_cert + 1e-15,
         acnf_residual=residual,
     )

@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import os
 import zlib
+from dataclasses import dataclass, fields
 from fractions import Fraction
 
 from .errors import CacheError
@@ -30,6 +31,56 @@ CSV_COLUMNS = (
     "elliptic_total_bound",
     "verdict",
 )
+
+
+@dataclass(frozen=True)
+class FieldRecord:
+    """One scanned field; h and R are filled only on the exact path."""
+
+    D: int
+    h: int | None
+    R: float | None
+    hr: float
+    zeta2: float
+    zeta2_cert: float
+    l1: float
+    l1_cert: float
+    nu_max: float
+    nu_required: float
+    margin: float
+    elliptic_total_bound: float
+    elliptic_exponent: float
+    verdict: str
+    flags: tuple[str, ...]
+    exact: bool
+
+    def to_dict(self) -> dict:
+        """JSON-native dict in field order (flags as a list)."""
+        rec = {name: getattr(self, name) for name in _RECORD_KEYS}
+        rec["flags"] = list(self.flags)
+        return rec
+
+    @classmethod
+    def from_dict(cls, rec: dict) -> "FieldRecord":
+        """Inverse of to_dict; a missing key or an uncoercible value raises
+        KeyError, TypeError or ValueError."""
+        return cls(**{name: _DECODERS.get(name, float)(rec[name]) for name in _RECORD_KEYS})
+
+
+def _optional(kind):
+    return lambda v: None if v is None else kind(v)
+
+
+_RECORD_KEYS = tuple(f.name for f in fields(FieldRecord))
+# every record field not listed here is a float
+_DECODERS = {
+    "D": int,
+    "h": _optional(int),
+    "R": _optional(float),
+    "verdict": str,
+    "flags": tuple,
+    "exact": bool,
+}
 
 
 def fmt10(x) -> str:
@@ -75,7 +126,8 @@ def csv_rows(records) -> str:
 
 
 def canonical_record_json(record: dict) -> str:
-    return json.dumps(_jsonable(record), sort_keys=True, separators=(",", ":"), allow_nan=False)
+    """Sorted, compact JSON of a JSON-native record (as from to_dict or json.loads)."""
+    return json.dumps(record, sort_keys=True, separators=(",", ":"), allow_nan=False)
 
 
 class ScanCache:
@@ -101,11 +153,11 @@ class ScanCache:
             "params": self.params,
         }
 
-    def load(self) -> dict[int, dict]:
+    def load(self) -> dict[int, FieldRecord]:
         """Records already present, or {} when the file does not exist yet."""
         if not os.path.exists(self.path):
             return {}
-        out: dict[int, dict] = {}
+        out: dict[int, FieldRecord] = {}
         with open(self.path, "r", encoding="utf-8") as fh:
             header_line = fh.readline()
             if not header_line.strip():
@@ -128,26 +180,33 @@ class ScanCache:
                     continue
                 try:
                     entry = json.loads(line)
-                    d = entry["D"]
-                    crc = entry["crc"]
-                    record = entry["record"]
-                except (json.JSONDecodeError, KeyError, TypeError) as exc:
+                    d, crc, record = entry["D"], entry["crc"], entry["record"]
+                    actual = zlib.crc32(canonical_record_json(record).encode("ascii"))
+                    if actual != crc:
+                        raise CacheError(
+                            "checksum mismatch for D=%s (stored %s, computed %s)"
+                            % (d, crc, actual),
+                            path=self.path,
+                            key="D=%s" % d,
+                        )
+                    rec = FieldRecord.from_dict(record)
+                except (KeyError, TypeError, ValueError) as exc:
                     raise CacheError(
-                        "cache line %d is corrupt: %s" % (lineno, exc),
+                        "cache line %d is corrupt: %s: %s" % (lineno, type(exc).__name__, exc),
                         path=self.path,
                         key="line %d" % lineno,
                     ) from exc
-                actual = zlib.crc32(canonical_record_json(record).encode("ascii"))
-                if actual != crc:
+                # the checksum covers only the record, so the key is checked here
+                if rec.D != d:
                     raise CacheError(
-                        "checksum mismatch for D=%s (stored %s, computed %s)" % (d, crc, actual),
+                        "cache line %d is keyed D=%s but holds D=%d" % (lineno, d, rec.D),
                         path=self.path,
-                        key="D=%s" % d,
+                        key="line %d" % lineno,
                     )
-                out[int(d)] = record
+                out[rec.D] = rec
         return out
 
-    def append(self, *records: dict) -> None:
+    def append(self, *records: FieldRecord) -> None:
         """Append records in the given order, writing the header first if the
         file is new."""
         new = not os.path.exists(self.path)
@@ -156,12 +215,12 @@ class ScanCache:
                 fh.write(json.dumps(self._header(), sort_keys=True) + "\n")
             fh.write("".join(self._entry_line(rec) for rec in records))
 
-    def _entry_line(self, record: dict) -> str:
+    def _entry_line(self, record: FieldRecord) -> str:
         # the sorted, compact dump of {"D", "crc", "record"}, spliced around
         # the canonical record text so the record is serialized once
-        canon = canonical_record_json(record)
-        return '{"D":%s,"crc":%d,"record":%s}\n' % (
-            json.dumps(record["D"]), zlib.crc32(canon.encode("ascii")), canon
+        canon = canonical_record_json(record.to_dict())
+        return '{"D":%d,"crc":%d,"record":%s}\n' % (
+            record.D, zlib.crc32(canon.encode("ascii")), canon
         )
 
 

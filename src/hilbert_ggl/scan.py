@@ -3,9 +3,10 @@
 The per-field fast path never computes h and R separately: the class number
 formula gives hR = sqrt(D) L(1, chi_D) / 2 from the finite closed form, and
 zeta_K(2) comes from the certified partial sum of L(2, chi_D).  Fields whose
-verdict comes out Satisfied are recomputed on the exact path, which also runs
-the full agreement checks; none occur below D = 5000, and 458 of the 30394
-fields up to D = 1e5 do.
+verdict comes out Satisfied are recomputed on the exact path
+(field_invariants.exact_hr), which runs the same unit-norm and class number
+formula checks as a single-field report; none occur below D = 5000, and 458
+of the 30394 fields up to D = 1e5 do.
 
 Scans are deterministic: per-field work is a pure function of (D, parameters),
 records are merged sorted by D, and the same code path runs serially or under
@@ -20,81 +21,18 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .criteria import FieldInputs, verdict
-from .cyclic import to_fraction
+from .criteria import FieldInputs, to_fraction, verdict
 from .elliptic import _closed_l1, elliptic_summary, make_l1_lookup
-from .errors import DomainError, NumericalAgreementError
-from .field_invariants import DEGREE, class_number, fundamental_discriminants_up_to, regulator
+from .errors import DomainError
+from .field_invariants import DEGREE, exact_hr, fundamental_discriminants_up_to
 from .lfunctions import character_table, closed_form_l1, l2_certified, zeta2_constant
+from .reports import FieldRecord
 
 WORKERS_ENV = "HILBERT_GGL_WORKERS"
 # a pool scan hands out this many interleaved slices of the fields per
 # worker, so a worker that finishes early takes the next slice instead of
 # waiting for a fixed half of the work on the other one
 _SLICES_PER_WORKER = 8
-
-
-@dataclass(frozen=True)
-class FieldRecord:
-    """One scanned field; h and R are filled only on the exact path."""
-
-    D: int
-    h: int | None
-    R: float | None
-    hr: float
-    zeta2: float
-    zeta2_cert: float
-    l1: float
-    l1_cert: float
-    nu_max: float
-    nu_required: float
-    margin: float
-    elliptic_total_bound: float
-    elliptic_exponent: float
-    verdict: str
-    flags: tuple[str, ...]
-    exact: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "D": self.D,
-            "h": self.h,
-            "R": self.R,
-            "hr": self.hr,
-            "zeta2": self.zeta2,
-            "zeta2_cert": self.zeta2_cert,
-            "l1": self.l1,
-            "l1_cert": self.l1_cert,
-            "nu_max": self.nu_max,
-            "nu_required": self.nu_required,
-            "margin": self.margin,
-            "elliptic_total_bound": self.elliptic_total_bound,
-            "elliptic_exponent": self.elliptic_exponent,
-            "verdict": self.verdict,
-            "flags": list(self.flags),
-            "exact": self.exact,
-        }
-
-    @classmethod
-    def from_dict(cls, rec: dict) -> "FieldRecord":
-        return cls(
-            D=int(rec["D"]),
-            h=None if rec["h"] is None else int(rec["h"]),
-            R=None if rec["R"] is None else float(rec["R"]),
-            hr=float(rec["hr"]),
-            zeta2=float(rec["zeta2"]),
-            zeta2_cert=float(rec["zeta2_cert"]),
-            l1=float(rec["l1"]),
-            l1_cert=float(rec["l1_cert"]),
-            nu_max=float(rec["nu_max"]),
-            nu_required=float(rec["nu_required"]),
-            margin=float(rec["margin"]),
-            elliptic_total_bound=float(rec["elliptic_total_bound"]),
-            elliptic_exponent=float(rec["elliptic_exponent"]),
-            verdict=str(rec["verdict"]),
-            flags=tuple(rec["flags"]),
-            exact=bool(rec["exact"]),
-        )
 
 
 def scan_field(D: int, epsilon, zeta_tol: float = 1e-6,
@@ -122,14 +60,9 @@ def scan_field(D: int, epsilon, zeta_tol: float = 1e-6,
     reg = None
     rep = verdict(FieldInputs(D=D, hr=hr, zeta2=zeta2), DEGREE, epsilon, ell)
     if exact or rep.verdict == "Satisfied":
-        h = class_number(D).h
-        reg = regulator(D)
-        hr_exact = h * reg
-        if abs(hr_exact - hr) > 1e-6 * max(1.0, hr):
-            raise NumericalAgreementError(
-                "exact hR = %r disagrees with closed form %r for D=%d" % (hr_exact, hr, D)
-            )
-        hr = hr_exact
+        _unit, classes, reg, _residual = exact_hr(D, l1_val, l1_cert)
+        h = classes.h
+        hr = h * reg
         rep = verdict(FieldInputs(D=D, hr=hr, zeta2=zeta2), DEGREE, epsilon, ell)
     return FieldRecord(
         D=D,

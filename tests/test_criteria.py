@@ -1,6 +1,5 @@
 """Form-count thresholds, nu_max, beta constant and the per-field verdict."""
 
-import math
 import random
 from fractions import Fraction
 

@@ -2,9 +2,7 @@
 
 import math
 import random
-from fractions import Fraction
 
-import numpy as np
 import pytest
 
 from hilbert_ggl.elliptic import (

@@ -1,10 +1,12 @@
 """Report documents, CSV layout, and the checksummed scan cache."""
 
 import json
+import zlib
 from fractions import Fraction
 
 import pytest
 
+from hilbert_ggl.cli import main
 from hilbert_ggl.criteria import FieldInputs, verdict
 from hilbert_ggl.cusps import cusp_cycle, verify_cusp_tangency
 from hilbert_ggl.elliptic import elliptic_summary
@@ -62,17 +64,20 @@ def test_csv_rows_frozen_layout():
 
 
 def test_canonical_record_json_is_stable():
-    rec = {"b": 1, "a": Fraction(1, 2), "c": [1.5, None]}
+    rec = {"b": 1, "a": "1/2", "c": [1.5, None]}
     canon = canonical_record_json(rec)
     assert canon == '{"a":"1/2","b":1,"c":[1.5,null]}'
     assert canonical_record_json(dict(reversed(list(rec.items())))) == canon
+    # records are JSON-native by the time they are canonicalized
+    with pytest.raises(TypeError):
+        canonical_record_json({"a": Fraction(1, 2)})
 
 
 def test_scan_cache_round_trip(tmp_path):
     path = str(tmp_path / "scan.cache")
     cache = ScanCache(path, params={"n": 2, "epsilon": "1/100", "zeta_tol": 1e-6})
     assert cache.load() == {}
-    records = [scan_field(D, Fraction(1, 100)).to_dict() for D in (5, 8, 12)]
+    records = [scan_field(D, Fraction(1, 100)) for D in (5, 8, 12)]
     cache.append(records[0])
     cache.append(records[1])
     assert cache.load() == {5: records[0], 8: records[1]}
@@ -85,7 +90,7 @@ def test_scan_cache_round_trip(tmp_path):
 
 def test_scan_cache_append_many_matches_one_by_one(tmp_path):
     params = {"n": 2, "epsilon": "1/100", "zeta_tol": 1e-6}
-    records = [scan_field(D, Fraction(1, 100)).to_dict() for D in (5, 8, 12)]
+    records = [scan_field(D, Fraction(1, 100)) for D in (5, 8, 12)]
     one_by_one = ScanCache(str(tmp_path / "a.cache"), params)
     for rec in records:
         one_by_one.append(rec)
@@ -97,9 +102,7 @@ def test_scan_cache_append_many_matches_one_by_one(tmp_path):
 
 def test_scan_cache_header_mismatch(tmp_path):
     path = str(tmp_path / "scan.cache")
-    ScanCache(path, params={"epsilon": "1/100"}).append(
-        scan_field(5, Fraction(1, 100)).to_dict()
-    )
+    ScanCache(path, params={"epsilon": "1/100"}).append(scan_field(5, Fraction(1, 100)))
     other = ScanCache(path, params={"epsilon": "1/20"})
     with pytest.raises(CacheError) as err:
         other.load()
@@ -110,7 +113,7 @@ def test_scan_cache_header_mismatch(tmp_path):
 def test_scan_cache_corruption(tmp_path):
     path = str(tmp_path / "scan.cache")
     cache = ScanCache(path, params={"epsilon": "1/100"})
-    cache.append(scan_field(5, Fraction(1, 100)).to_dict())
+    cache.append(scan_field(5, Fraction(1, 100)))
 
     with open(path, "a", encoding="utf-8") as fh:
         fh.write("this is not json\n")
@@ -131,6 +134,67 @@ def test_scan_cache_corruption(tmp_path):
     with pytest.raises(CacheError) as err:
         cache.load()
     assert err.value.key == "header"
+
+
+CLI_PARAMS = {"n": 2, "epsilon": "1/100", "zeta_tol": 1e-6}
+
+
+def _scan_cache_lines(tmp_path, dmax):
+    path = str(tmp_path / "scan.cache")
+    assert main(["scan", "--dmax", str(dmax), "--cache", path, "--out",
+                 str(tmp_path / "scan.csv")]) == 0
+    with open(path, encoding="utf-8") as fh:
+        return path, fh.read().splitlines()
+
+
+def _write_lines(path, lines):
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("".join(line + "\n" for line in lines))
+
+
+def _entry(d, record):
+    canon = canonical_record_json(record)
+    return json.dumps({"D": d, "crc": zlib.crc32(canon.encode("ascii")), "record": record},
+                      sort_keys=True, separators=(",", ":"))
+
+
+def test_scan_cache_mis_keyed_line(tmp_path, capsys):
+    path, lines = _scan_cache_lines(tmp_path, 20)
+    capsys.readouterr()
+    ds = [json.loads(line)["D"] for line in lines[1:]]
+    assert ds == [5, 8, 12, 13, 17]
+    # drop D=13 and file the intact D=8 record under the key 13
+    rekeyed = lines[2].replace('{"D":8,', '{"D":13,', 1)
+    lines = [lines[0], lines[1], rekeyed, lines[3], lines[5]]
+    _write_lines(path, lines)
+    with pytest.raises(CacheError) as err:
+        ScanCache(path, CLI_PARAMS).load()
+    assert err.value.key == "line 3"
+    assert main(["scan", "--dmax", "20", "--cache", path]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: cache line 3" in captured.err
+
+
+@pytest.mark.parametrize("damage", ["drop_exact", "bad_margin"])
+def test_scan_cache_undecodable_record(tmp_path, capsys, damage):
+    path, lines = _scan_cache_lines(tmp_path, 20)
+    capsys.readouterr()
+    entry = json.loads(lines[2])
+    record = entry["record"]
+    if damage == "drop_exact":
+        del record["exact"]
+    else:
+        record["margin"] = "abc"
+    lines[2] = _entry(entry["D"], record)  # checksum still valid
+    _write_lines(path, lines)
+    with pytest.raises(CacheError) as err:
+        ScanCache(path, CLI_PARAMS).load()
+    assert err.value.key == "line 3"
+    assert main(["scan", "--dmax", "20", "--cache", path]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: cache line 3 ")
 
 
 def _field_pipeline(D=5, n=2, eps=Fraction(1, 100)):

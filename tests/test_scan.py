@@ -5,9 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-import hilbert_ggl.scan as scan_module
 from hilbert_ggl.errors import DomainError, NumericalAgreementError
-from hilbert_ggl.field_invariants import class_number, regulator
+from hilbert_ggl.field_invariants import FundamentalUnit, class_number, regulator
 from hilbert_ggl.lfunctions import closed_form_l1
 from hilbert_ggl.scan import (
     FieldRecord,
@@ -127,11 +126,18 @@ def test_resolve_workers_env(monkeypatch):
 def test_field_record_round_trip():
     rec = scan_field(13, Fraction(1, 100), exact=True)
     assert FieldRecord.from_dict(rec.to_dict()) == rec
+    assert list(rec.to_dict()) == [
+        "D", "h", "R", "hr", "zeta2", "zeta2_cert", "l1", "l1_cert", "nu_max",
+        "nu_required", "margin", "elliptic_total_bound", "elliptic_exponent",
+        "verdict", "flags", "exact",
+    ]
+    assert rec.to_dict()["flags"] == list(rec.flags)
     fast = scan_field(13, Fraction(1, 100))
     assert FieldRecord.from_dict(fast.to_dict()) == fast
 
 
 def test_exact_recheck_disagreement_raises_specific_error(monkeypatch):
-    monkeypatch.setattr(scan_module, "regulator", lambda D: 2 * regulator(D))
-    with pytest.raises(NumericalAgreementError, match="exact hR"):
+    original = FundamentalUnit.regulator
+    monkeypatch.setattr(FundamentalUnit, "regulator", lambda unit: 2 * original(unit))
+    with pytest.raises(NumericalAgreementError, match="class number formula residual"):
         scan_field(5, Fraction(1, 100), exact=True)
