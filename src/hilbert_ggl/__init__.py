@@ -81,7 +81,6 @@ from .lfunctions import (
     is_fundamental_discriminant,
     is_squarefree,
     kronecker_chi,
-    l2_certified,
 )
 from .quadratic import QuadElem, QuadSurd
 from .scan import ScanResult
@@ -142,7 +141,6 @@ __all__ = [
     "is_fundamental_discriminant",
     "is_squarefree",
     "kronecker_chi",
-    "l2_certified",
     "make_l1_lookup",
     "nu_max",
     "parse_matrices",

@@ -60,7 +60,7 @@ def cmd_field(args, parser) -> int:
     timings: dict[str, float] | None = {} if args.timings else None
 
     t0 = time.perf_counter()
-    inv = invariants(D, zeta_tol=args.zeta_tol, acnf_tol=args.acnf_tol)
+    inv = invariants(D, acnf_tol=args.acnf_tol)
     t1 = time.perf_counter()
     ell = elliptic_summary(D, hr_field=inv.hr)
     rep = verdict(inv, DEGREE, eps, ell)
@@ -82,7 +82,6 @@ def cmd_field(args, parser) -> int:
         "D": D,
         "n": DEGREE,
         "epsilon": eps,
-        "zeta_tol": args.zeta_tol,
         "acnf_tol": args.acnf_tol,
     }
     doc = build_field_document(params, inv, rep, ell, cyc, tan, timings=timings)
@@ -100,11 +99,7 @@ def cmd_scan(args, parser) -> int:
     if args.dmax < 5:
         parser.error("--dmax must be at least 5")
     eps = _epsilon_fraction(args.epsilon, parser)
-    params = {
-        "n": DEGREE,
-        "epsilon": str(eps),
-        "zeta_tol": args.zeta_tol,
-    }
+    params = {"n": DEGREE, "epsilon": str(eps)}
     cache = ScanCache(args.cache, params) if args.cache else None
     precomputed = cache.load() if cache is not None else None
     fresh = []
@@ -113,7 +108,6 @@ def cmd_scan(args, parser) -> int:
     result = scan(
         args.dmax,
         epsilon=eps,
-        zeta_tol=args.zeta_tol,
         workers=args.workers,
         precomputed=precomputed,
         on_record=fresh.append if cache is not None else None,
@@ -243,7 +237,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_field = sub.add_parser("field", help="full report for one field")
     p_field.add_argument("value", type=int, help="fundamental discriminant D or squarefree m")
     p_field.add_argument("--epsilon", default="0.01", help="epsilon in (0, 1/2), exact rational")
-    p_field.add_argument("--zeta-tol", type=float, default=1e-9, dest="zeta_tol")
     p_field.add_argument("--acnf-tol", type=float, default=1e-8, dest="acnf_tol")
     p_field.add_argument("--json", action="store_true")
     p_field.add_argument("--timings", action="store_true")
@@ -252,7 +245,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_scan = sub.add_parser("scan", help="scan all fundamental discriminants up to a bound")
     p_scan.add_argument("--dmax", type=int, required=True)
     p_scan.add_argument("--epsilon", default="0.01")
-    p_scan.add_argument("--zeta-tol", type=float, default=1e-6, dest="zeta_tol")
     p_scan.add_argument("--out", help="output file (summary goes to stdout)")
     p_scan.add_argument("--format", choices=("csv", "json"), default="csv")
     p_scan.add_argument("--cache", help="resumable cache file")

@@ -13,11 +13,12 @@ Everything discrete is integer arithmetic:
 * regulator: log of the exact unit at working precision scaled to the size
   of t, so the float64 result is correctly rounded.
 
-zeta_K(2) = zeta(2) L(2, chi_D) is evaluated two independent ways in
-``zeta_K2_dual``: the character route (reciprocity-built table, partial sums
-with Abel certificate) and an ideal-counting route (divisor convolution of an
-Euler-criterion character sieve, truncation completed exactly through the
-identity sum_{d<=X} chi(d)/d^2 * (zeta(2) - H2(X//d)) and an Abel remainder).
+``invariants`` takes zeta_K(2) from the exact zeta_K(-1) (lfunctions.zeta_K2).
+``zeta_K2_dual`` cross-checks it as zeta(2) L(2, chi_D) by two independent
+float routes: characters (reciprocity-built table, partial sums with Abel
+certificate) and ideal counts (divisor convolution of an Euler-criterion
+character sieve, truncation completed exactly through the identity
+sum_{d<=X} chi(d)/d^2 * (zeta(2) - H2(X//d)) and an Abel remainder).
 Disagreement beyond the combined certificates raises.
 """
 
@@ -39,9 +40,9 @@ from .lfunctions import (
     is_fundamental_discriminant,
     is_squarefree,
     kronecker_table,
-    l2_certified,
     primes_up_to,
     zeta2_constant,
+    zeta_K2,
 )
 
 # degree n of the totally real fields handled here: every invariant below is
@@ -316,19 +317,17 @@ def exact_hr(D: int, l1: float, l1_cert: float, acnf_tol: float = 1e-8
     return unit, cd, reg, residual
 
 
-def invariants(D: int, *, zeta_tol: float = 1e-9,
-               acnf_tol: float = 1e-8) -> QuadraticFieldInvariants:
+def invariants(D: int, *, acnf_tol: float = 1e-8) -> QuadraticFieldInvariants:
     """All field data for the criterion, with the exact_hr checks enforced."""
     _check_field_discriminant(D)
     table = character_table(D)
     l1, l1_cert = closed_form_l1(D, table)
     unit, cd, reg, residual = exact_hr(D, l1, l1_cert, acnf_tol)
-    l2, l2_cert = l2_certified(D, zeta_tol, table)
-    z2 = zeta2_constant()
+    zeta2, zeta2_cert = zeta_K2(D, table)
     return QuadraticFieldInvariants(
         D=D, h=cd.h, h_plus=cd.h_plus, t=unit.t, u=unit.u, unit_norm=unit.norm,
         regulator=reg, hr=cd.h * reg, l1_value=l1, l1_cert=l1_cert,
-        zeta2=z2 * l2, zeta2_cert=z2 * l2_cert + 1e-15,
+        zeta2=zeta2, zeta2_cert=zeta2_cert,
         acnf_residual=residual,
     )
 

@@ -1,6 +1,9 @@
-"""Dirichlet L-values for quadratic characters, with certified error bounds.
+"""Dirichlet L-values for quadratic characters, and zeta_K(-1) exactly.
 
 Evaluation routes:
+
+* ``zeta_K_minus1``: zeta_K(-1) = B_{2,chi}/24 as a Fraction, and from it
+  ``zeta_K2``: zeta_K(2) to float rounding, the route of scans and reports.
 
 * ``L_value``: truncated character sum with an Abel-summation tail certificate.
   For non-principal chi mod q every partial sum S(x) = sum_{n<=x} chi(n) is
@@ -29,6 +32,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -47,6 +51,9 @@ _CACHED_MODULUS = 4096
 _legendre_cache: dict[int, np.ndarray] = {}
 _small_table_cache: dict[int, np.ndarray] = {}
 _primes_cache: dict[int, np.ndarray] = {}
+
+# largest D with sum_{a<D} a^2 < 2^63: sum chi(a) a^2 stays in int64 up to it
+_INT64_SQUARES = 3_024_617
 
 
 def is_squarefree(n: int) -> bool:
@@ -139,30 +146,29 @@ def _legendre_table(p: int) -> np.ndarray:
 
 
 def factor_fundamental(d: int) -> list[int]:
-    """Prime-discriminant factorization of a fundamental discriminant."""
-    if not is_fundamental_discriminant(d):
+    """Prime-discriminant factorization, raising DomainError unless d is
+    fundamental: d != 1, no odd p^2 divides d, and d / prod(p* = +-p = 1 mod 4)
+    is 1, -4, 8 or -8."""
+    if d in (0, 1):
         raise DomainError(f"{d} is not a fundamental discriminant")
-    m = abs(d)
-    while m % 2 == 0:
-        m //= 2
+    rest = abs(d)
+    while rest % 2 == 0:
+        rest //= 2
     parts = []
-    rest = m
     p = 3
     while p * p <= rest:
         if rest % p == 0:
-            parts.append(p if p % 4 == 1 else -p)
             rest //= p
-        else:
-            p += 2
+            if rest % p == 0:
+                raise DomainError(f"{d} is not a fundamental discriminant")
+            parts.append(p if p % 4 == 1 else -p)
+        p += 2
     if rest > 1:
         parts.append(rest if rest % 4 == 1 else -rest)
-    odd_prod = math.prod(parts) if parts else 1
-    two_part = d // odd_prod
-    if two_part != 1:
-        if two_part not in (-4, 8, -8):
-            raise DomainError(f"unexpected even part {two_part} of discriminant {d}")
-        parts.append(two_part)
-    return parts
+    two_part = d // math.prod(parts)
+    if two_part not in (1, -4, 8, -8):
+        raise DomainError(f"{d} is not a fundamental discriminant")
+    return parts if two_part == 1 else parts + [two_part]
 
 
 def character_table(d: int) -> np.ndarray:
@@ -287,20 +293,29 @@ def closed_form_l1(d: int, table: np.ndarray | None = None) -> tuple[float, floa
     return value, cert
 
 
-def l2_certified(d: int, tol: float, table: np.ndarray | None = None,
-                 n_cap: int = 2_000_000) -> tuple[float, float]:
-    """L(2, chi_d) by partial sums with exact-M Abel certificate, term count capped.
-
-    Unlike L_value this never raises on budget; it reports the certificate it
-    achieved (scans record it in the output tolerances).
-    """
+def zeta_K_minus1(D: int, table: np.ndarray | None = None) -> Fraction:
+    """zeta_K(-1) = B_{2,chi}/24 = sum_{a<D} chi_D(a) a^2 / (24 D), D > 1."""
+    if D <= 1:
+        raise DomainError(f"need a real quadratic field discriminant, got {D}")
     if table is None:
-        table = character_table(d)
-    m_bound = max_partial_sum(table)
-    n_terms = min(n_cap, math.ceil(math.sqrt(2.0 * m_bound / tol)))
-    value = _tail_sum(table, 2, n_terms)
-    cert = 2.0 * m_bound / float(n_terms + 1) ** 2 + 5e-15 * max(1.0, math.log(n_terms + 1))
-    return value, cert
+        table = character_table(D)
+    if D > _INT64_SQUARES:  # past the int64 range: Python ints cannot wrap
+        return Fraction(sum(c * a * a for a, c in enumerate(table.tolist())), 24 * D)
+    a = np.arange(D, dtype=np.int64)
+    return Fraction(int(np.dot(table, a * a)), 24 * D)
+
+
+def zeta_K2(D: int, table: np.ndarray | None = None) -> tuple[float, float]:
+    """(zeta_K(2), rounding bound) from zeta_K(2) = 4 pi^4 zeta_K(-1) / D^(3/2).
+
+    Twelve roundings of at most u = 2^-53 (four through math.pi, two in pi2,
+    one each in float(), sqrt, the three inexact products and the quotient)
+    give a relative error gamma_12 = 12u / (1 - 12u), below 13u even with
+    the rounding of the bound.
+    """
+    pi2 = math.pi * math.pi
+    value = 4.0 * pi2 * pi2 * float(zeta_K_minus1(D, table)) / (D * math.sqrt(D))
+    return value, 13 * 2.0 ** -53 * value
 
 
 def zeta2_constant() -> float:

@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from .errors import CacheError
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 CACHE_FORMAT = "hilbert-ggl-scan-cache"
 CSV_COLUMNS = (
     "D",
@@ -62,25 +62,27 @@ class FieldRecord:
 
     @classmethod
     def from_dict(cls, rec: dict) -> "FieldRecord":
-        """Inverse of to_dict; a missing key or an uncoercible value raises
-        KeyError, TypeError or ValueError."""
-        return cls(**{name: _DECODERS.get(name, float)(rec[name]) for name in _RECORD_KEYS})
-
-
-def _optional(kind):
-    return lambda v: None if v is None else kind(v)
+        """Inverse of to_dict; a missing key raises KeyError, a wrong JSON
+        type, an unknown verdict or a non-string flag ValueError."""
+        values = {}
+        for name in _RECORD_KEYS:
+            value = rec[name]
+            # exact types, so that JSON true and false pass for no number
+            if type(value) not in _JSON_TYPES.get(name, (float, int)):
+                raise ValueError("invalid %s: %r" % (name, value))
+            # every key but D and h holds a float, which JSON may write as an int
+            values[name] = float(value) if type(value) is int and name not in ("D", "h") else value
+        if values["verdict"] not in ("Satisfied", "CandidateExceptional"):
+            raise ValueError("invalid verdict: %r" % values["verdict"])
+        if any(type(f) is not str for f in values["flags"]):
+            raise ValueError("invalid flags: %r" % values["flags"])
+        return cls(**{**values, "flags": tuple(values["flags"])})
 
 
 _RECORD_KEYS = tuple(f.name for f in fields(FieldRecord))
-# every record field not listed here is a float
-_DECODERS = {
-    "D": int,
-    "h": _optional(int),
-    "R": _optional(float),
-    "verdict": str,
-    "flags": tuple,
-    "exact": bool,
-}
+# the JSON types each key accepts; every key not listed holds a float
+_JSON_TYPES = {"D": (int,), "h": (int, type(None)), "R": (float, int, type(None)),
+               "verdict": (str,), "flags": (list,), "exact": (bool,)}
 
 
 def fmt10(x) -> str:
@@ -325,7 +327,6 @@ def build_field_document(params: dict, inv, rep, ell, cyc, tan, timings=None) ->
         "params": params,
         "records": [record],
         "tolerances": {
-            "zeta_tol": params.get("zeta_tol"),
             "acnf_tol": params.get("acnf_tol"),
             "l1_cert": inv.l1_cert,
             "zeta2_cert": inv.zeta2_cert,

@@ -2,8 +2,8 @@
 
 The per-field fast path never computes h and R separately: the class number
 formula gives hR = sqrt(D) L(1, chi_D) / 2 from the finite closed form, and
-zeta_K(2) comes from the certified partial sum of L(2, chi_D).  Fields whose
-verdict comes out Satisfied are recomputed on the exact path
+zeta_K(2) from the exact zeta_K(-1), rounded once (lfunctions.zeta_K2).  Fields
+whose verdict comes out Satisfied are recomputed on the exact path
 (field_invariants.exact_hr), which runs the same unit-norm and class number
 formula checks as a single-field report; none occur below D = 5000, and 458
 of the 30394 fields up to D = 1e5 do.
@@ -25,7 +25,7 @@ from .criteria import FieldInputs, to_fraction, verdict
 from .elliptic import _closed_l1, elliptic_summary, make_l1_lookup
 from .errors import DomainError
 from .field_invariants import DEGREE, exact_hr, fundamental_discriminants_up_to
-from .lfunctions import character_table, closed_form_l1, l2_certified, zeta2_constant
+from .lfunctions import character_table, closed_form_l1, zeta_K2
 from .reports import FieldRecord
 
 WORKERS_ENV = "HILBERT_GGL_WORKERS"
@@ -35,8 +35,7 @@ WORKERS_ENV = "HILBERT_GGL_WORKERS"
 _SLICES_PER_WORKER = 8
 
 
-def scan_field(D: int, epsilon, zeta_tol: float = 1e-6,
-               l1_lookup=None, exact: bool = False) -> FieldRecord:
+def scan_field(D: int, epsilon, l1_lookup=None, exact: bool = False) -> FieldRecord:
     """Evaluate the criterion for one field.
 
     l1_lookup optionally supplies L(1, chi_d) for the negative discriminants
@@ -46,9 +45,7 @@ def scan_field(D: int, epsilon, zeta_tol: float = 1e-6,
     table = character_table(D)
     l1_val, l1_cert = closed_form_l1(D, table)
     hr = math.sqrt(D) * l1_val / 2.0
-    l2_val, l2_cert = l2_certified(D, zeta_tol / zeta2_constant(), table)
-    zeta2 = zeta2_constant() * l2_val
-    zeta2_cert = zeta2_constant() * l2_cert
+    zeta2, zeta2_cert = zeta_K2(D, table)
 
     other_l1 = _closed_l1 if l1_lookup is None else l1_lookup
 
@@ -100,7 +97,6 @@ class DyadicBlock:
 class ScanResult:
     dmax: int
     epsilon: Fraction
-    zeta_tol: float
     records: tuple[FieldRecord, ...]
     satisfied: tuple[int, ...]
     n_exceptional: int
@@ -117,10 +113,9 @@ def _init_worker(limit: int) -> None:
         _WORKER_STATE["limit"] = limit
 
 
-def _scan_chunk(args) -> list[FieldRecord]:
-    ds, epsilon, zeta_tol = args
+def _scan_chunk(ds: list[int], epsilon: Fraction) -> list[FieldRecord]:
     lookup = _WORKER_STATE["l1_lookup"]
-    return [scan_field(D, epsilon, zeta_tol=zeta_tol, l1_lookup=lookup) for D in ds]
+    return [scan_field(D, epsilon, l1_lookup=lookup) for D in ds]
 
 
 def _dyadic_blocks(records) -> tuple[DyadicBlock, ...]:
@@ -149,9 +144,8 @@ def resolve_workers(workers: int | None) -> int:
     return workers
 
 
-def scan(dmax: int, epsilon="0.01", zeta_tol: float = 1e-6,
-         workers: int | None = None, precomputed: dict[int, FieldRecord] | None = None,
-         on_record=None) -> ScanResult:
+def scan(dmax: int, epsilon="0.01", workers: int | None = None,
+         precomputed: dict[int, FieldRecord] | None = None, on_record=None) -> ScanResult:
     """Scan all fundamental discriminants D <= dmax.
 
     precomputed maps D to already-known records (cache hits); on_record, if
@@ -172,7 +166,7 @@ def scan(dmax: int, epsilon="0.01", zeta_tol: float = 1e-6,
     if todo:
         if workers == 1:
             _init_worker(sieve_limit)
-            fresh = _scan_chunk((todo, eps, zeta_tol))
+            fresh = _scan_chunk(todo, eps)
         else:
             k = workers * _SLICES_PER_WORKER
             chunks = [todo[i::k] for i in range(k)]
@@ -181,7 +175,7 @@ def scan(dmax: int, epsilon="0.01", zeta_tol: float = 1e-6,
                 max_workers=min(workers, len(chunks)), initializer=_init_worker,
                 initargs=(sieve_limit,),
             ) as pool:
-                out = pool.map(_scan_chunk, [(c, eps, zeta_tol) for c in chunks])
+                out = pool.map(_scan_chunk, chunks, [eps] * len(chunks))
                 fresh = [rec for sub in out for rec in sub]
     fresh.sort(key=lambda r: r.D)
     if on_record is not None:
@@ -197,7 +191,6 @@ def scan(dmax: int, epsilon="0.01", zeta_tol: float = 1e-6,
     return ScanResult(
         dmax=dmax,
         epsilon=eps,
-        zeta_tol=zeta_tol,
         records=records,
         satisfied=satisfied,
         n_exceptional=len(failing),

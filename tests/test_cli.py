@@ -52,7 +52,8 @@ def test_field_json_schema(capsys):
     doc = json.loads(capsys.readouterr().out)
     assert set(doc) == {"schema_version", "command", "params", "records",
                         "tolerances", "timings"}
-    assert doc["schema_version"] == 1
+    assert doc["schema_version"] == 2
+    assert set(doc["tolerances"]) == {"acnf_tol", "l1_cert", "zeta2_cert"}
     assert doc["params"]["epsilon"] == "1/100"
     assert set(doc["timings"]) == {"invariants", "elliptic_criterion", "cusp_cycle",
                                    "cusp_tangency", "cusp", "total"}
@@ -68,6 +69,9 @@ def test_usage_exit_codes(capsys):
     # the criterion is evaluated at degree 2 only; there is no degree option
     assert main(["field", "5", "--n", "3"]) == 2
     assert main(["scan", "--dmax", "10", "--n", "3"]) == 2
+    # zeta_K(2) is exact up to rounding; there is no tolerance option
+    assert main(["field", "5", "--zeta-tol", "1e-9"]) == 2
+    assert main(["scan", "--dmax", "10", "--zeta-tol", "1e-6"]) == 2
     assert main(["unknown"]) == 2
     assert main([]) == 2
     assert main(["--help"]) == 0
@@ -90,7 +94,7 @@ def test_scan_stdout_csv(capsys):
     out = capsys.readouterr().out
     lines = out.splitlines()
     assert lines[0] == "D,h,R,hR,zeta2,nu_max,nu_required,margin,elliptic_total_bound,verdict"
-    assert lines[1] == ("5,,,0.4812118251,1.161671195,0.1760065078,2.040816327,"
+    assert lines[1] == ("5,,,0.4812118251,1.161671196,0.1760065078,2.040816327,"
                         "-1.864809819,14,CandidateExceptional")
     n_fields = len(fundamental_discriminants_up_to(100))
     assert len(lines) == n_fields + 1
@@ -160,11 +164,11 @@ def test_tangency_file_flows(tmp_path, capsys):
     assert "degenerate chart" in captured.err
 
 
-# sha256 of `scan --dmax 2000 --cache C --out O`, recorded before the character
-# table, threshold memo and cache-line rewrites; the cache digest pins the
-# exact bytes of every ScanCache entry line
-SCAN_2000_CSV_SHA256 = "c3c10b1d8a068948c47d59711a6b6916ae5051b99f41c1b8ddc408610c38b4f0"
-SCAN_2000_CACHE_SHA256 = "e069a7d8c11d686cf652e6d4a9178b7ad3af17c2893c96ec745ec91f99a5220b"
+# sha256 of `scan --dmax 2000 --cache C --out O`, recorded when zeta_K(2)
+# moved to the exact zeta_K(-1) (schema 2); the cache digest pins the exact
+# bytes of every ScanCache entry line
+SCAN_2000_CSV_SHA256 = "a3cfe0c8ec4a40f9b28b1c218871c38d79b8fe1c2889dffbdd501284bb3b4198"
+SCAN_2000_CACHE_SHA256 = "4919e4a7e55b21dca242d4870ec0d1ecc4cbaaf26ec995093eccdd61d14649dc"
 
 
 def test_scan_2000_csv_and_cache_golden(tmp_path, capsys):

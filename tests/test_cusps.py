@@ -12,11 +12,14 @@ from hilbert_ggl.cusps import (
     periodic_hj,
     verify_cusp_tangency,
 )
+from hilbert_ggl.elliptic import imag_class_numbers
 from hilbert_ggl.errors import DomainError
 from hilbert_ggl.field_invariants import (
+    class_number,
     fundamental_discriminants_up_to,
     fundamental_unit,
 )
+from hilbert_ggl.lfunctions import primes_up_to
 from hilbert_ggl.quadratic import QuadElem, QuadSurd
 
 from oracles import cyclically_equal
@@ -190,3 +193,25 @@ def test_coord_dets_formed_once_match_recomputation():
             assert isinstance(got, Fraction)
             assert got == u1 * v2 - v1 * u2, (cyc.D, k)
         assert cyc.unimodular == all(abs(d) == 1 for d in cyc.coord_dets)
+
+
+def test_hirzebruch_class_number_identity():
+    """Hirzebruch: for a prime p = 3 (mod 4), p > 3, with h(4p) = 1, the cusp
+    cycle of Q(sqrt p) gives h(-p) = (1/3) sum (b_i - 3)."""
+    h_imag = imag_class_numbers(5000)
+    gated = other = 0
+    fails_ungated = False
+    for p in primes_up_to(5000):
+        p = int(p)
+        if p % 4 != 3 or p == 3:
+            continue
+        holds = 3 * int(h_imag[p]) == sum(b - 3 for b in cusp_cycle(4 * p).digits)
+        if class_number(4 * p).h == 1:
+            assert holds, p
+            gated += 1
+        else:
+            fails_ungated |= not holds
+            other += 1
+    assert (gated, other) == (288, 50)
+    # without the h(4p) = 1 gate the identity does not hold
+    assert fails_ungated

@@ -1,8 +1,11 @@
-"""Certified L-values and the three independent character constructions."""
+"""Certified L-values, exact zeta_K(-1) and the three independent character
+constructions."""
 
 import math
 import random
+from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -19,12 +22,13 @@ from hilbert_ggl.lfunctions import (
     is_squarefree,
     kronecker_chi,
     kronecker_table,
-    l2_certified,
     max_partial_sum,
     zeta2_constant,
+    zeta_K2,
+    zeta_K_minus1,
 )
 
-from oracles import kronecker, mp_l_value
+from oracles import kronecker, mp_l_value, siegel_zeta_minus1
 
 
 def negative_fundamental_discriminants(limit: int) -> list[int]:
@@ -82,6 +86,19 @@ def test_factor_fundamental():
             assert is_fundamental_discriminant(part)
     with pytest.raises(DomainError):
         factor_fundamental(6)
+
+
+def test_factor_fundamental_decides_fundamentality():
+    for m in range(1, 5001):
+        for d in (m, -m):
+            if is_fundamental_discriminant(d):
+                parts = factor_fundamental(d)
+                assert math.prod(parts) == d, d
+            else:
+                with pytest.raises(DomainError):
+                    factor_fundamental(d)
+    with pytest.raises(DomainError):
+        factor_fundamental(0)
 
 
 def test_three_character_constructions_agree():
@@ -238,14 +255,56 @@ def test_closed_form_l1_matches_oracle():
         assert cert < 1e-10
 
 
-def test_l2_certified_never_raises_and_reports_honestly():
-    value, cert = l2_certified(5, 1e-30)  # impossible tol: capped terms
-    oracle = float(mp_l_value(2, 5))
-    assert abs(value - oracle) <= cert
-    assert cert > 1e-30
-    value2, cert2 = l2_certified(5, 1e-9)
-    assert cert2 <= 1e-9
-    assert abs(value2 - oracle) <= cert2
+def _zeta_sample() -> list[int]:
+    """Every 50th real discriminant up to 1e5 and a few named fields (612 D)."""
+    ds = [int(x) for x in fundamental_discriminants_up_to(100_000)]
+    return sorted(set(ds[::50]) | {5, 8, 12, 64277, 99996})
+
+
+def test_zeta_K_minus1_equals_siegel():
+    assert zeta_K_minus1(5) == Fraction(1, 30)
+    assert zeta_K_minus1(8) == Fraction(1, 12)
+    ds = _zeta_sample()
+    assert len(ds) == 612
+    for D in ds:
+        assert zeta_K_minus1(D) == siegel_zeta_minus1(D), D
+
+
+def test_zeta_K_minus1_rejects_non_real_fields():
+    for D in (-4, 0, 1, 6, 9):
+        with pytest.raises(DomainError):
+            zeta_K_minus1(D)
+
+
+def test_zeta_K_minus1_past_the_int64_bound():
+    n = lfunctions._INT64_SQUARES
+    # the largest D whose squares a^2, a < D, sum below 2^63
+    assert (n - 1) * n * (2 * n - 1) // 6 < 2**63 <= n * (n + 1) * (2 * n + 1) // 6
+    D = 3024620  # the first real discriminant above the bound
+    assert D > n and is_fundamental_discriminant(D)
+    assert zeta_K_minus1(D) == siegel_zeta_minus1(D)
+
+
+def test_zeta_K_minus1_python_int_route(monkeypatch):
+    # a tiny bound sends small fields through the Python-int sum as well
+    monkeypatch.setattr(lfunctions, "_INT64_SQUARES", 7)
+    for D in (5, 8, 12, 13, 229, 1001, 4997):
+        assert zeta_K_minus1(D) == siegel_zeta_minus1(D), D
+
+
+def test_zeta_K2_rounding_bound():
+    """zeta_K(2) = 4 pi^4 zeta_K(-1) / D^(3/2) within its rounding bound of a
+    50-digit evaluation, and of the Hurwitz-zeta L(2) oracle."""
+    for D in (5, 8, 12, 13, 229, 7057, 64277, 99996):
+        value, cert = zeta_K2(D)
+        z = zeta_K_minus1(D)
+        with mpmath.workdps(50):
+            exact = 4 * mpmath.pi ** 4 * z.numerator / (z.denominator * mpmath.mpf(D) ** 1.5)
+            assert abs(value - exact) <= cert, D
+        assert 0 < cert <= 2e-15 * value
+        if D < 300:
+            oracle = zeta2_constant() * float(mp_l_value(2, D))
+            assert abs(value - oracle) <= 1e-14 * value, D
 
 
 def test_zeta2_constant():

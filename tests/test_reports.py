@@ -14,6 +14,7 @@ from hilbert_ggl.errors import CacheError
 from hilbert_ggl.field_invariants import invariants
 from hilbert_ggl.reports import (
     CSV_COLUMNS,
+    FieldRecord,
     ScanCache,
     build_field_document,
     build_scan_document,
@@ -52,12 +53,12 @@ def test_csv_rows_frozen_layout():
     fast = scan_field(5, Fraction(1, 100))
     assert csv_rows([fast.to_dict()]) == (
         "D,h,R,hR,zeta2,nu_max,nu_required,margin,elliptic_total_bound,verdict\n"
-        "5,,,0.4812118251,1.161671195,0.1760065078,2.040816327,"
+        "5,,,0.4812118251,1.161671196,0.1760065078,2.040816327,"
         "-1.864809819,14,CandidateExceptional\n"
     )
     exact = scan_field(5, Fraction(1, 100), exact=True)
     assert csv_rows([exact.to_dict()]).splitlines()[1] == (
-        "5,1,0.4812118251,0.4812118251,1.161671195,0.1760065078,2.040816327,"
+        "5,1,0.4812118251,0.4812118251,1.161671196,0.1760065078,2.040816327,"
         "-1.864809819,14,CandidateExceptional"
     )
     assert csv_rows([]) == ",".join(CSV_COLUMNS) + "\n"
@@ -75,7 +76,7 @@ def test_canonical_record_json_is_stable():
 
 def test_scan_cache_round_trip(tmp_path):
     path = str(tmp_path / "scan.cache")
-    cache = ScanCache(path, params={"n": 2, "epsilon": "1/100", "zeta_tol": 1e-6})
+    cache = ScanCache(path, params={"n": 2, "epsilon": "1/100"})
     assert cache.load() == {}
     records = [scan_field(D, Fraction(1, 100)) for D in (5, 8, 12)]
     cache.append(records[0])
@@ -84,12 +85,12 @@ def test_scan_cache_round_trip(tmp_path):
     cache.append(records[2])
     assert cache.load() == {5: records[0], 8: records[1], 12: records[2]}
     # a second handle with identical params reads the same file
-    again = ScanCache(path, params={"n": 2, "epsilon": "1/100", "zeta_tol": 1e-6})
+    again = ScanCache(path, params={"n": 2, "epsilon": "1/100"})
     assert again.load() == cache.load()
 
 
 def test_scan_cache_append_many_matches_one_by_one(tmp_path):
-    params = {"n": 2, "epsilon": "1/100", "zeta_tol": 1e-6}
+    params = {"n": 2, "epsilon": "1/100"}
     records = [scan_field(D, Fraction(1, 100)) for D in (5, 8, 12)]
     one_by_one = ScanCache(str(tmp_path / "a.cache"), params)
     for rec in records:
@@ -100,7 +101,7 @@ def test_scan_cache_append_many_matches_one_by_one(tmp_path):
     assert (tmp_path / "a.cache").read_bytes() == (tmp_path / "b.cache").read_bytes()
 
 
-def test_scan_cache_header_mismatch(tmp_path):
+def test_scan_cache_header_mismatch(tmp_path, capsys):
     path = str(tmp_path / "scan.cache")
     ScanCache(path, params={"epsilon": "1/100"}).append(scan_field(5, Fraction(1, 100)))
     other = ScanCache(path, params={"epsilon": "1/20"})
@@ -108,6 +109,33 @@ def test_scan_cache_header_mismatch(tmp_path):
         other.load()
     assert err.value.key == "header"
     assert err.value.path == path
+
+    # the header a schema-1 `scan --cache` wrote: its zeta2 came from a
+    # partial sum of L(2), so its records must not be reused
+    v1 = tmp_path / "v1.cache"
+    v1.write_text(json.dumps({
+        "cache_version": 1, "format": "hilbert-ggl-scan-cache", "schema_version": 1,
+        "params": {"epsilon": "1/100", "n": 2, "zeta_tol": 1e-6},
+    }, sort_keys=True) + "\n", encoding="utf-8")
+    with pytest.raises(CacheError) as err:
+        ScanCache(str(v1), CLI_PARAMS).load()
+    assert err.value.key == "header"
+    assert main(["scan", "--dmax", "20", "--cache", str(v1)]) == 1
+    assert "error: cache header" in capsys.readouterr().err
+
+
+def test_field_record_from_dict_checks_types():
+    good = scan_field(13, Fraction(1, 100), exact=True).to_dict()
+    # a JSON int is a valid float value
+    assert FieldRecord.from_dict({**good, "margin": -2}).margin == -2.0
+    assert FieldRecord.from_dict({**good, "h": None, "R": None}).h is None
+    for key, value in [("margin", True), ("margin", "1.5"), ("zeta2", None),
+                       ("h", True), ("h", 1.0), ("R", "0.5"), ("D", 13.0),
+                       ("exact", 1), ("exact", "false"), ("flags", "ab"),
+                       ("flags", [1]), ("flags", None), ("verdict", "Maybe"),
+                       ("verdict", "satisfied"), ("verdict", None)]:
+        with pytest.raises(ValueError, match="invalid %s" % key):
+            FieldRecord.from_dict({**good, key: value})
 
 
 def test_scan_cache_corruption(tmp_path):
@@ -136,7 +164,7 @@ def test_scan_cache_corruption(tmp_path):
     assert err.value.key == "header"
 
 
-CLI_PARAMS = {"n": 2, "epsilon": "1/100", "zeta_tol": 1e-6}
+CLI_PARAMS = {"n": 2, "epsilon": "1/100"}
 
 
 def _scan_cache_lines(tmp_path, dmax):
@@ -176,16 +204,26 @@ def test_scan_cache_mis_keyed_line(tmp_path, capsys):
     assert "error: cache line 3" in captured.err
 
 
-@pytest.mark.parametrize("damage", ["drop_exact", "bad_margin"])
-def test_scan_cache_undecodable_record(tmp_path, capsys, damage):
+_DROP = object()
+
+
+@pytest.mark.parametrize("key, value", [
+    pytest.param("exact", _DROP, id="drop_exact"),
+    pytest.param("margin", "abc", id="bad_margin"),
+    # the next three loaded silently while decoding coerced each value
+    pytest.param("exact", "false", id="exact_string"),
+    pytest.param("verdict", "Maybe", id="unknown_verdict"),
+    pytest.param("flags", "ab", id="flags_string"),
+])
+def test_scan_cache_undecodable_record(tmp_path, capsys, key, value):
     path, lines = _scan_cache_lines(tmp_path, 20)
     capsys.readouterr()
     entry = json.loads(lines[2])
     record = entry["record"]
-    if damage == "drop_exact":
-        del record["exact"]
+    if value is _DROP:
+        del record[key]
     else:
-        record["margin"] = "abc"
+        record[key] = value
     lines[2] = _entry(entry["D"], record)  # checksum still valid
     _write_lines(path, lines)
     with pytest.raises(CacheError) as err:
@@ -208,10 +246,10 @@ def _field_pipeline(D=5, n=2, eps=Fraction(1, 100)):
 
 def test_build_field_document_and_text():
     inv, rep, ell, cyc, tan = _field_pipeline()
-    params = {"D": 5, "n": 2, "epsilon": "1/100", "zeta_tol": 1e-9, "acnf_tol": 1e-8}
+    params = {"D": 5, "n": 2, "epsilon": "1/100", "acnf_tol": 1e-8}
     doc = build_field_document(params, inv, rep, ell, cyc, tan,
                                timings={"total": 0.25})
-    assert doc["schema_version"] == 1
+    assert doc["schema_version"] == 2
     assert doc["command"] == "field"
     rec = doc["records"][0]
     assert rec["D"] == 5
@@ -237,7 +275,7 @@ def test_build_field_document_and_text():
 
 def test_build_scan_document():
     result = scan(100, epsilon="0.05")
-    params = {"dmax": 100, "n": 2, "epsilon": "1/20", "zeta_tol": 1e-6}
+    params = {"dmax": 100, "n": 2, "epsilon": "1/20"}
     doc = build_scan_document(result, params, timings={"total": 0.1})
     assert doc["command"] == "scan"
     assert doc["summary"]["fields"] == len(result.records)

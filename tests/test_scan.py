@@ -21,11 +21,9 @@ def test_scan_field_fast_path_matches_closed_form():
     rec = scan_field(5, Fraction(1, 100))
     assert rec.h is None and rec.R is None and not rec.exact
     assert rec.hr == math.sqrt(5) * closed_form_l1(5)[0] / 2.0
-    # nu_max scales like zeta2^(1/n), so the default zeta_tol=1e-6 certificate
-    # allows a drift of about cert/(2 zeta2) relative
-    assert abs(rec.nu_max - 0.1760065078159474) < 1e-7
-    tight = scan_field(5, Fraction(1, 100), zeta_tol=1e-12)
-    assert abs(tight.nu_max - 0.1760065078159474) < 1e-12
+    # zeta_K(2) is exact up to rounding, so nu_max is too
+    assert abs(rec.nu_max - 0.1760065078159474) < 1e-12
+    assert rec.zeta2_cert < 1e-14
     assert abs(rec.nu_required - 2 / 0.98) < 1e-15
     assert abs(rec.margin - (rec.nu_max - rec.nu_required)) < 1e-15
     assert rec.verdict == "CandidateExceptional"
