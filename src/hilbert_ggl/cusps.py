@@ -228,7 +228,7 @@ def cusp_cycle(D: int, module=None, v=None) -> CuspCycle:
         alpha = QuadElem.from_rational(1, D)
         beta = omega
         w = _default_surd(D)
-        lam = QuadElem.from_rational(1, D)
+        lam = None  # the rays of O_K need no scaling
     else:
         try:
             raw_alpha, raw_beta = module
@@ -276,20 +276,22 @@ def cusp_cycle(D: int, module=None, v=None) -> CuspCycle:
                 )
 
     digits_v = digits * f
+    total = f * r
     if f > 1:
-        mus = _rays_from_cycle(w, digits, f * r, D)
+        mus = _rays_from_cycle(w, digits, total, D)
     eta = eta_period ** f
 
-    rays = [lam * mu for mu in mus[: f * r]]
-    closing = lam * mus[f * r]
+    rays, closing = mus[:total], mus[total]
+    if lam is not None:
+        rays = [lam * mu for mu in rays]
+        closing = lam * closing
     for mu in rays:
         if not mu.is_totally_positive():
             raise RuntimeError("ray %s is not totally positive" % (mu,))
     if closing != eta.inverse() * rays[0]:
-        raise RuntimeError("cycle did not close: mu_%d != eta^-1 * mu_0" % (f * r,))
+        raise RuntimeError("cycle did not close: mu_%d != eta^-1 * mu_0" % total)
 
     # three-term recurrence holds cyclically with the eta twist at the seam
-    total = f * r
     for k in range(total):
         prev = eta * rays[total - 1] if k == 0 else rays[k - 1]
         nxt = closing if k == total - 1 else rays[k + 1]
@@ -306,7 +308,7 @@ def cusp_cycle(D: int, module=None, v=None) -> CuspCycle:
         u_c, v_c = _coords_in_basis(mu, alpha, beta)
         if u_c.denominator != 1 or v_c.denominator != 1:
             raise RuntimeError("ray %s does not lie in the module (coords %s, %s)" % (mu, u_c, v_c))
-        coords.append((u_c, v_c))
+        coords.append((u_c.numerator, v_c.numerator))
 
     if v is not None and not isinstance(v, int):
         for gen_img in (eta * alpha, eta * beta):
@@ -314,7 +316,7 @@ def cusp_cycle(D: int, module=None, v=None) -> CuspCycle:
             if gu.denominator != 1 or gv.denominator != 1:
                 raise DomainError("v = eta^%d does not preserve the module" % f)
 
-    dets = tuple(u1 * v2 - v1 * u2 for (u1, v1), (u2, v2) in zip(coords, coords[1:]))
+    dets = [u1 * v2 - v1 * u2 for (u1, v1), (u2, v2) in zip(coords, coords[1:])]
 
     return CuspCycle(
         D=D,
@@ -326,7 +328,7 @@ def cusp_cycle(D: int, module=None, v=None) -> CuspCycle:
         eta=eta,
         eta_period=eta_period,
         module=(alpha, beta),
-        coord_dets=dets,
+        coord_dets=tuple(map(Fraction, dets)),
         unimodular=all(abs(d) == 1 for d in dets),
     )
 

@@ -24,7 +24,9 @@ n/q_inverse).
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -40,64 +42,73 @@ def _nonzero(c) -> bool:
     return c != 0
 
 
-def _perm_sign(axes: tuple[int, ...]) -> int:
-    inversions = 0
-    for i in range(len(axes)):
-        for j in range(i + 1, len(axes)):
-            if axes[i] > axes[j]:
-                inversions += 1
-    return -1 if inversions % 2 else 1
-
-
 def wedge_terms(forms: list[list[tuple]]) -> dict[tuple, object]:
     """Exact wedge of m one-forms given as term lists (coeff, exponents, axis).
 
     Returns {total exponent tuple: coefficient}; zero coefficients dropped.
     Coefficients may be Fractions or any field elements supporting +,-,*.
+    Partial products grow one form at a time over the systems of distinct
+    axes, in the lexicographic order of the term choices; the permutation
+    sign is counted as each axis is added.
     """
     m = len(forms)
-    out: dict[tuple, object] = {}
-
-    def descend(i, axes, coeff, exps):
-        if i == m:
-            signed = coeff if _perm_sign(axes) > 0 else -coeff
-            key = tuple(exps)
-            cur = out.get(key)
-            out[key] = signed if cur is None else cur + signed
-            return
-        for c, e, axis in forms[i]:
-            if axis in axes or not _nonzero(c):
-                continue
-            descend(i + 1, axes + (axis,), coeff * c if coeff is not None else c,
-                    [a + b for a, b in zip(exps, e)])
-
     width = len(forms[0][0][1]) if forms and forms[0] else m
-    descend(0, (), None, [0] * width)
+    # (axes used as a bit mask, sign, coefficient, exponent sums)
+    partial = [(0, 1, None, (0,) * width)]
+    for form in forms:
+        terms = [(c, e, axis) for c, e, axis in form if _nonzero(c)]
+        grown = []
+        for used, sign, coeff, exps in partial:
+            for c, e, axis in terms:
+                bit = 1 << axis
+                if used & bit:
+                    continue
+                # each axis already chosen above this one is an inversion
+                flip = (used >> axis).bit_count() & 1
+                grown.append((used | bit, -sign if flip else sign,
+                              c if coeff is None else coeff * c,
+                              tuple(map(operator.add, exps, e))))
+        partial = grown
+    out: dict[tuple, object] = {}
+    for _used, sign, coeff, key in partial:
+        cur = out.get(key)
+        if cur is None:
+            out[key] = coeff if sign > 0 else -coeff
+        else:
+            out[key] = cur + coeff if sign > 0 else cur - coeff
     return {k: v for k, v in out.items() if _nonzero(v)}
 
 
 def exact_det(rows) -> object:
-    """Determinant by fraction-exact Gaussian elimination; generic field entries."""
+    """Determinant by fraction-free (Bareiss) elimination; generic field entries.
+
+    Step k replaces each entry below and right of the pivot p_k by
+    (p_k a_ij - a_ik a_kj) / p_{k-1}, an exact division (none at the first
+    step), so a 2x2 costs two products and one difference.
+    """
     n = len(rows)
     mat = [list(r) for r in rows]
     if any(len(r) != n for r in mat):
         raise DomainError("determinant needs a square matrix")
-    zero = mat[0][0] - mat[0][0]
     sign = 1
-    for col in range(n):
-        piv = next((r for r in range(col, n) if _nonzero(mat[r][col])), None)
-        if piv is None:
-            return zero
-        if piv != col:
+    prev = None
+    for col in range(n - 1):
+        if not _nonzero(mat[col][col]):
+            piv = next((r for r in range(col + 1, n) if _nonzero(mat[r][col])), None)
+            if piv is None:
+                return mat[0][0] - mat[0][0]
             mat[col], mat[piv] = mat[piv], mat[col]
             sign = -sign
-        pivot = mat[col][col]
+        top = mat[col]
+        p = top[col]
         for r in range(col + 1, n):
-            f = mat[r][col] / pivot
-            mat[r] = [mat[r][c] - f * mat[col][c] for c in range(n)]
-    det = mat[0][0]
-    for i in range(1, n):
-        det = det * mat[i][i]
+            row = mat[r]
+            f = row[col]
+            for c in range(col + 1, n):
+                x = p * row[c] - f * top[c]
+                row[c] = x if prev is None else x / prev
+        prev = p
+    det = mat[n - 1][n - 1]
     return -det if sign < 0 else det
 
 
@@ -114,13 +125,16 @@ def as_exponent_matrix(rows) -> tuple[tuple[Fraction, ...], ...]:
     return mat
 
 
+@functools.lru_cache(maxsize=None)
+def _cofactor_exponents(m: int) -> tuple[tuple[int, ...], ...]:
+    """Exponents of prod_{j != l} u_j for l = 0 .. m-1."""
+    return tuple(tuple(0 if j == l else 1 for j in range(m)) for l in range(m))
+
+
 def log_form_terms(B, k: int) -> list[tuple]:
     """Terms of eta_k = sum_l B_lk (prod_{j != l} u_j) du_l."""
-    m = len(B)
-    return [
-        (B[l][k], tuple(0 if j == l else 1 for j in range(m)), l)
-        for l in range(m)
-    ]
+    exps = _cofactor_exponents(len(B))
+    return [(B[l][k], exps[l], l) for l in range(len(B))]
 
 
 @dataclass(frozen=True)
@@ -146,7 +160,7 @@ def _wedge_check(B) -> tuple[object, tuple[int, ...], bool]:
     (exps, lam), = wedge.items()
     if exps != expected:
         raise RuntimeError(f"wedge monomial {exps}, expected {expected}")
-    if _nonzero(lam - det):
+    if lam != det:
         raise RuntimeError("wedge coefficient disagrees with determinant")
     return lam, expected, False
 

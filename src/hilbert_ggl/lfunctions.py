@@ -30,6 +30,7 @@ dual zeta evaluations share no character code.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -70,8 +71,12 @@ def is_squarefree(n: int) -> bool:
     return True
 
 
+@functools.lru_cache(maxsize=1024)
 def is_fundamental_discriminant(x: int) -> bool:
-    """Discriminant of a quadratic field (positive or negative), excluding 1."""
+    """Discriminant of a quadratic field (positive or negative), excluding 1.
+
+    Memoized: a scan re-checks the discriminants its own sieve produced.
+    """
     if x == 0 or x == 1:
         return False
     if x % 4 == 1:

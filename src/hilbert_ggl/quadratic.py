@@ -38,6 +38,14 @@ def is_square(n: int) -> bool:
     return n >= 0 and math.isqrt(n) ** 2 == n
 
 
+def _ratio_str(n: int, d: int) -> str:
+    """str(Fraction(n, d)) for d > 0."""
+    g = math.gcd(n, d)
+    if g == d:
+        return str(n // d)
+    return f"{n // g}/{d // g}"
+
+
 # Every D that passed QuadElem's check; derived elements skip the isqrt.
 _VALID_D: set[int] = set()
 
@@ -160,6 +168,8 @@ class QuadElem:
         return self._coerce(other) - self
 
     def __mul__(self, other):
+        if type(other) is int:
+            return _elem(self.a * other, self.b * other, self.c, self.D)
         o = self._coerce(other)
         a1, b1, a2, b2 = self.a, self.b, o.a, o.b
         return _elem(a1 * a2 + b1 * b2 * self.D, a1 * b2 + b1 * a2, self.c * o.c, self.D)
@@ -242,7 +252,7 @@ class QuadElem:
         return (self - self._coerce(other)).sign() < 0
 
     def __str__(self) -> str:
-        return f"{self.x} + {self.y}*sqrt({self.D})"
+        return f"{_ratio_str(self.a, self.c)} + {_ratio_str(self.b, self.c)}*sqrt({self.D})"
 
 
 # QuadElem.__setattr__ refuses writes; constructors fill the slots through

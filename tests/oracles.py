@@ -3,12 +3,14 @@
 Every oracle recomputes a quantity through a route that shares no code with
 the package: the unit search ascends u directly, class numbers come from the
 analytic formula with a digamma L-value, L-values go through mpmath digamma
-and Hurwitz zeta identities, zeta_K(-1) comes from Siegel's divisor sums, and
-elliptic traces come from a floating point box search on both embeddings.
+and Hurwitz zeta identities, zeta_K(-1) comes from Siegel's divisor sums,
+elliptic traces come from a floating point box search on both embeddings, and
+determinants come from the Leibniz permutation sum.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -164,3 +166,20 @@ def rotations(word: tuple) -> list[tuple]:
 def cyclically_equal(a, b) -> bool:
     a, b = tuple(a), tuple(b)
     return len(a) == len(b) and a in rotations(b)
+
+
+def leibniz_det(rows):
+    """sum over permutations p of sign(p) * prod_i rows[i][p(i)], for any ring
+    entries supporting +, - and *."""
+    n = len(rows)
+    total = None
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        term = rows[0][perm[0]]
+        for i in range(1, n):
+            term = term * rows[i][perm[i]]
+        if total is None:
+            total = term if inversions % 2 == 0 else -term
+        else:
+            total = total - term if inversions % 2 else total + term
+    return total

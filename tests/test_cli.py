@@ -178,3 +178,19 @@ def test_scan_2000_csv_and_cache_golden(tmp_path, capsys):
     assert capsys.readouterr().out.startswith("scanned 607 fields to D<=2000 (0 from cache)")
     assert hashlib.sha256(out.read_bytes()).hexdigest() == SCAN_2000_CSV_SHA256
     assert hashlib.sha256(cache.read_bytes()).hexdigest() == SCAN_2000_CACHE_SHA256
+
+
+# sha256 of `field D --json`: these pin the chart det strings, sqrt_coeff,
+# coord_det and rays, which the cusp_*.txt goldens omit
+FIELD_JSON_SHA256 = {
+    229: "8a6a057aff6976a4339e2e4e1180eab2344bc0229dcc48684039e4404d53ef2f",
+    9997: "569b0a6f41229856986dcf86d91e6ea0d037eee2c380042d2184486f60177e86",
+    99996: "ba2339e212e263a40aa6eaed1230e2c4236ab3ce5ff44ce8a618ed1deb4873b0",
+}
+
+
+@pytest.mark.parametrize("D", sorted(FIELD_JSON_SHA256))
+def test_field_json_bytes_golden(D, capsys):
+    assert main(["field", str(D), "--json"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == FIELD_JSON_SHA256[D]

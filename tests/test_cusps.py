@@ -4,6 +4,9 @@ from fractions import Fraction
 
 import pytest
 
+import hilbert_ggl.cusps as cusps_mod
+import hilbert_ggl.cyclic as cyclic_mod
+from hilbert_ggl.cli import main
 from hilbert_ggl.cusps import (
     _coords_in_basis,
     chart_tangency,
@@ -193,6 +196,64 @@ def test_coord_dets_formed_once_match_recomputation():
             assert isinstance(got, Fraction)
             assert got == u1 * v2 - v1 * u2, (cyc.D, k)
         assert cyc.unimodular == all(abs(d) == 1 for d in cyc.coord_dets)
+
+
+# Fault injection: each check of the cusp path must still fire when the
+# quantity it guards is corrupted, on a real cycle.
+
+def test_fault_det_disagreeing_with_wedge_raises(monkeypatch):
+    cyc = cusp_cycle(229)
+    det = cyclic_mod.exact_det
+    monkeypatch.setattr(cyclic_mod, "exact_det", lambda rows: det(rows) + 1)
+    with pytest.raises(RuntimeError, match="disagrees"):
+        verify_cusp_tangency(cyc)
+
+
+def test_fault_wedge_with_two_monomials_raises(monkeypatch):
+    cyc = cusp_cycle(229)
+    wedge = cyclic_mod.wedge_terms
+
+    def two_monomials(forms):
+        out = wedge(forms)
+        (coeff,) = out.values()
+        return {**out, (0, 2): coeff}
+
+    monkeypatch.setattr(cyclic_mod, "wedge_terms", two_monomials)
+    with pytest.raises(RuntimeError, match="2 monomials"):
+        verify_cusp_tangency(cyc)
+
+
+def test_fault_conjugate_with_rational_part_raises(monkeypatch):
+    cyc = cusp_cycle(229)
+    conj = QuadElem.conjugate
+    monkeypatch.setattr(QuadElem, "conjugate", lambda e: conj(e) + 1)
+    with pytest.raises(RuntimeError, match="rational part"):
+        verify_cusp_tangency(cyc)
+
+
+def test_fault_identity_conjugate_gives_degenerate_charts(monkeypatch, capsys):
+    cyc = cusp_cycle(229)
+    monkeypatch.setattr(QuadElem, "conjugate", lambda e: e)
+    rep = verify_cusp_tangency(cyc)
+    assert all(ch.degenerate and ch.det.is_zero() for ch in rep.charts)
+    assert not rep.ok
+    assert main(["field", "229"]) == 1
+    assert "cusp tangency verification failed for D=229" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("k, message", [(0, "did not close"), (1, "recurrence broken at position 0"),
+                                        (3, "recurrence broken at position 2")])
+def test_fault_perturbed_ray_breaks_cusp_cycle(monkeypatch, k, message):
+    rays = cusps_mod._rays_from_cycle
+
+    def perturbed(*args):
+        mus = rays(*args)
+        mus[k] = mus[k] + 1
+        return mus
+
+    monkeypatch.setattr(cusps_mod, "_rays_from_cycle", perturbed)
+    with pytest.raises(RuntimeError, match=message):
+        cusp_cycle(229)
 
 
 def test_hirzebruch_class_number_identity():

@@ -18,6 +18,9 @@ from hilbert_ggl.cyclic import (
     wedge_terms,
 )
 from hilbert_ggl.errors import DomainError
+from hilbert_ggl.quadratic import QuadElem
+
+from oracles import leibniz_det
 
 IDENT2 = ((1, 0), (0, 1))
 
@@ -90,6 +93,66 @@ def test_exact_det_and_wedge_terms():
     assert wedge == {(1, 1): Fraction(5)}  # det = 8 - 3
     Bs = as_exponent_matrix([[1, 2], [2, 4]])
     assert wedge_terms([log_form_terms(Bs, 0), log_form_terms(Bs, 1)]) == {}
+
+
+def _frac(rng):
+    # small numerators, so zero entries and vanishing pivots come up often
+    return Fraction(rng.randint(-3, 3), rng.randint(1, 4))
+
+
+def test_exact_det_matches_leibniz_on_fractions():
+    rng = random.Random(7101)
+    mats = [[[_frac(rng) for _ in range(n)] for _ in range(n)]
+            for n in range(1, 6) for _ in range(60)]
+    for n in range(2, 6):
+        # singular: the last row is a combination of the first two
+        M = [[_frac(rng) for _ in range(n)] for _ in range(n)]
+        M[-1] = [2 * a - b for a, b in zip(M[0], M[1])]
+        mats.append(M)
+        # zero leading pivot, so the first step must swap rows
+        M = [[_frac(rng) for _ in range(n)] for _ in range(n)]
+        M[0][0], M[1][0] = Fraction(0), Fraction(5, 3)
+        mats.append(M)
+        # an all-zero first column
+        mats.append([[Fraction(0)] + [_frac(rng) for _ in range(n - 1)] for _ in range(n)])
+    # a zero second pivot after the first step, forcing a swap at step two
+    mats.append([[Fraction(1), Fraction(2), Fraction(3)],
+                 [Fraction(2), Fraction(4), Fraction(1)],
+                 [Fraction(1), Fraction(3), Fraction(2)]])
+    for M in mats:
+        assert exact_det(M) == leibniz_det(M), M
+    assert exact_det([[Fraction(0), Fraction(1)], [Fraction(1), Fraction(0)]]) == -1
+    assert exact_det([[Fraction(-7, 3)]]) == Fraction(-7, 3)
+    assert sum(exact_det(M) == 0 for M in mats) >= 20
+
+
+def test_exact_det_matches_leibniz_on_quadratic_entries():
+    rng = random.Random(7102)
+
+    def entry(D):
+        if rng.random() < 0.2:
+            return QuadElem(0, 0, D)
+        return QuadElem(_frac(rng), _frac(rng), D)
+
+    for D in (5, 8, 229):
+        for n in (2, 3):
+            for _ in range(40):
+                M = [[entry(D) for _ in range(n)] for _ in range(n)]
+                assert exact_det(M) == leibniz_det(M), M
+        M = [[QuadElem(0, 0, D), QuadElem(1, 1, D)], [QuadElem(2, -1, D), QuadElem(3, 0, D)]]
+        assert exact_det(M) == leibniz_det(M) == -(QuadElem(1, 1, D) * QuadElem(2, -1, D))
+
+
+def test_wedge_of_log_forms_is_the_determinant_monomial():
+    rng = random.Random(7103)
+    for m in range(1, 5):
+        for trial in range(40):
+            B = as_exponent_matrix([[abs(_frac(rng)) for _ in range(m)] for _ in range(m)])
+            if trial == 0 and m > 1:
+                B = as_exponent_matrix([[1] * m] * m)  # rank one
+            det = leibniz_det(B)
+            wedge = wedge_terms([log_form_terms(B, k) for k in range(m)])
+            assert wedge == ({(m - 1,) * m: det} if det != 0 else {}), B
 
 
 def test_tangency_divisor_identity_chart():

@@ -51,6 +51,31 @@ def test_scalar_operations_coerce_both_sides():
     assert (2 / e) * e == QuadElem(2, 0, 5)
 
 
+def _random_elem(rng, D):
+    return QuadElem(Fraction(rng.randint(-20, 20), rng.randint(1, 12)),
+                    Fraction(rng.randint(-20, 20), rng.randint(1, 12)), D)
+
+
+def test_str_matches_fraction_parts():
+    rng = random.Random(7201)
+    elems = [_random_elem(rng, rng.choice([5, 8, 12, 229, 99996])) for _ in range(400)]
+    elems += [QuadElem(0, 0, 5), QuadElem(-3, 0, 8), QuadElem(0, Fraction(-1, 2), 13),
+              QuadElem(Fraction(-7, 6), Fraction(5, 4), 229)]
+    for e in elems:
+        assert str(e) == f"{e.x} + {e.y}*sqrt({e.D})"
+    assert str(QuadElem(Fraction(-1, 2), Fraction(3, 2), 5)) == "-1/2 + 3/2*sqrt(5)"
+
+
+def test_int_scalar_product_matches_element_product():
+    rng = random.Random(7202)
+    for _ in range(400):
+        D = rng.choice([5, 8, 12, 229])
+        e = _random_elem(rng, D)
+        k = rng.choice([0, 1, -1, e.c, -2 * e.c, rng.randint(-10**6, 10**6)])
+        expected = QuadElem.from_rational(k, D) * e
+        assert k * e == expected and e * k == expected, (k, e)
+
+
 def test_mixed_fields_rejected():
     a, b = QuadElem(1, 1, 5), QuadElem(Fraction(1, 2), 1, 8)
     for op in (lambda: a + b, lambda: a - b, lambda: a * b, lambda: a / b,
