@@ -11,6 +11,7 @@ Exit codes: 0 success, 1 domain or verification failure, 2 usage.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 import time
 from fractions import Fraction
@@ -60,9 +61,9 @@ def cmd_field(args, parser) -> int:
     timings: dict[str, float] | None = {} if args.timings else None
 
     t0 = time.perf_counter()
-    inv = invariants(D, acnf_tol=args.acnf_tol)
+    inv = invariants(D)
     t1 = time.perf_counter()
-    ell = elliptic_summary(D, hr_field=inv.hr)
+    ell = elliptic_summary(D)
     rep = verdict(inv, DEGREE, eps, ell)
     t2 = time.perf_counter()
     cyc = cusp_cycle(D)
@@ -77,13 +78,7 @@ def cmd_field(args, parser) -> int:
         timings["cusp"] = t4 - t2
         timings["total"] = t4 - t0
 
-    params = {
-        "value": args.value,
-        "D": D,
-        "n": DEGREE,
-        "epsilon": eps,
-        "acnf_tol": args.acnf_tol,
-    }
+    params = {"value": args.value, "D": D, "n": DEGREE, "epsilon": eps}
     doc = build_field_document(params, inv, rep, ell, cyc, tan, timings=timings)
     if args.json:
         print(json_dumps(doc))
@@ -225,7 +220,9 @@ def cmd_tangency(args, parser) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command line parser, built on first use and then reused."""
     parser = argparse.ArgumentParser(
         prog="hilbert-ggl",
         description="Field-by-field checks of a sufficient criterion for strong "
@@ -237,7 +234,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_field = sub.add_parser("field", help="full report for one field")
     p_field.add_argument("value", type=int, help="fundamental discriminant D or squarefree m")
     p_field.add_argument("--epsilon", default="0.01", help="epsilon in (0, 1/2), exact rational")
-    p_field.add_argument("--acnf-tol", type=float, default=1e-8, dest="acnf_tol")
     p_field.add_argument("--json", action="store_true")
     p_field.add_argument("--timings", action="store_true")
     p_field.set_defaults(func=cmd_field)
@@ -248,8 +244,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_scan.add_argument("--out", help="output file (summary goes to stdout)")
     p_scan.add_argument("--format", choices=("csv", "json"), default="csv")
     p_scan.add_argument("--cache", help="resumable cache file")
-    p_scan.add_argument("--workers", type=int, default=None,
-                        help="process count (default HILBERT_GGL_WORKERS or 1)")
+    p_scan.add_argument("--workers", type=int, default=1, help="process count (default 1)")
     p_scan.add_argument("--timings", action="store_true")
     p_scan.set_defaults(func=cmd_scan)
 

@@ -20,6 +20,7 @@ integer N(4 - s^2) and the ratio is flagged unresolved.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -29,7 +30,7 @@ import numpy as np
 
 from .errors import DomainError
 from .field_invariants import _check_field_discriminant, fundamental_discriminant_signed
-from .lfunctions import closed_form_l1, is_fundamental_discriminant
+from .lfunctions import _l1_odd, closed_form_l1, is_fundamental_discriminant
 from .quadratic import QuadElem
 
 
@@ -126,17 +127,13 @@ def imag_class_numbers(limit: int) -> np.ndarray:
     return h
 
 
-_W_IMAG = {-3: 6, -4: 4}
-
-
 def l1_imag(d: int, h_table: np.ndarray) -> float:
     """L(1, chi_d) for fundamental d < 0 from the class number formula."""
     if d >= 0 or not is_fundamental_discriminant(d):
         raise DomainError("need a fundamental discriminant < 0, got %d" % d)
     if -d >= len(h_table):
         raise DomainError("class number table too short for discriminant %d" % d)
-    w = _W_IMAG.get(d, 2)
-    return 2.0 * math.pi * int(h_table[-d]) / (w * math.sqrt(-d))
+    return _l1_odd(d, int(h_table[-d]))
 
 
 def _closed_l1(d: int) -> float:
@@ -244,12 +241,11 @@ class TraceBound:
     cm: CMExtensionInvariants | None
 
 
-def prestel_bound(D: int, s, hr_field: float | None = None, l1=None) -> TraceBound:
+def prestel_bound(D: int, s, l1=None) -> TraceBound:
     """Bound the count of elliptic points with trace s.
 
-    s may be an EllipticTrace or a rational integer trace.  hr_field
-    optionally supplies h*R of the real field; by default it is taken from
-    the closed form sqrt(D) L(1, chi_D) / 2, using the same L-value as the
+    s may be an EllipticTrace or a rational integer trace.  h*R of the real
+    field is sqrt(D) L(1, chi_D) / 2, using the same L-value as the
     numerator so the shared factor cancels.
     """
     if isinstance(s, EllipticTrace):
@@ -273,9 +269,8 @@ def prestel_bound(D: int, s, hr_field: float | None = None, l1=None) -> TraceBou
     if l1 is None:
         l1 = _closed_l1
     cm = cm_extension_invariants(D, trace.s_rational, l1=l1)
-    if hr_field is None:
-        hr_field = math.sqrt(D) * l1(D) / 2.0
-    value = cm.hR_prime / hr_field * cm.N_U0_sq
+    hr = math.sqrt(D) * l1(D) / 2.0
+    value = cm.hR_prime / hr * cm.N_U0_sq
     return TraceBound(
         trace=trace,
         value=value,
@@ -303,13 +298,11 @@ class EllipticSummary:
         return tuple(b.trace for b in self.bounds)
 
 
-def elliptic_summary(D: int, hr_field: float | None = None, l1=None) -> EllipticSummary:
-    """Enumerate traces and aggregate the per-trace bounds."""
-    if l1 is None:
-        l1 = _closed_l1
-    bounds = tuple(
-        prestel_bound(D, t, hr_field=hr_field, l1=l1) for t in elliptic_traces(D)
-    )
+def elliptic_summary(D: int, l1=None) -> EllipticSummary:
+    """Enumerate traces and aggregate the per-trace bounds; each L-value is
+    evaluated once per call."""
+    l1 = functools.cache(_closed_l1 if l1 is None else l1)
+    bounds = tuple(prestel_bound(D, t, l1=l1) for t in elliptic_traces(D))
     total = float(sum(b.value for b in bounds))
     if total <= 0:
         raise RuntimeError("total elliptic bound %g for D=%d is not positive" % (total, D))

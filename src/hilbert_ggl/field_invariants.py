@@ -291,14 +291,15 @@ class QuadraticFieldInvariants:
     acnf_residual: float
 
 
-def exact_hr(D: int, l1: float, l1_cert: float, acnf_tol: float = 1e-8
+def exact_hr(D: int, l1: float, l1_cert: float
              ) -> tuple[FundamentalUnit, ClassData, float, float]:
     """(unit, class data, regulator, residual) of Q(sqrt(D)), checked against
     L(1, chi_D) = l1 with certificate l1_cert.
 
     Raises NumericalAgreementError if the two unit-norm routes disagree (a
     bug, not a tolerance issue) or if the class number formula residual
-    |2hR/sqrt(D) - l1| exceeds acnf_tol + l1_cert.
+    |2hR/sqrt(D) - l1| exceeds l1_cert + 8u |l1|, u = 2^-53: R is correctly
+    rounded, and the product, square root and quotient add three roundings.
     """
     unit = fundamental_unit(D)
     cd = class_number(D)
@@ -309,20 +310,21 @@ def exact_hr(D: int, l1: float, l1_cert: float, acnf_tol: float = 1e-8
         )
     reg = unit.regulator()
     residual = abs(2.0 * (cd.h * reg) / math.sqrt(D) - l1)
-    if residual > acnf_tol + l1_cert:
+    bound = l1_cert + 8 * 2.0 ** -53 * abs(l1)
+    if residual > bound:
         raise NumericalAgreementError(
             f"D={D}: class number formula residual {residual:.3e} exceeds "
-            f"{acnf_tol:.1e} + {l1_cert:.1e}"
+            f"{bound:.3e} (L(1) cert {l1_cert:.1e} + rounding)"
         )
     return unit, cd, reg, residual
 
 
-def invariants(D: int, *, acnf_tol: float = 1e-8) -> QuadraticFieldInvariants:
+def invariants(D: int) -> QuadraticFieldInvariants:
     """All field data for the criterion, with the exact_hr checks enforced."""
     _check_field_discriminant(D)
     table = character_table(D)
     l1, l1_cert = closed_form_l1(D, table)
-    unit, cd, reg, residual = exact_hr(D, l1, l1_cert, acnf_tol)
+    unit, cd, reg, residual = exact_hr(D, l1, l1_cert)
     zeta2, zeta2_cert = zeta_K2(D, table)
     return QuadraticFieldInvariants(
         D=D, h=cd.h, h_plus=cd.h_plus, t=unit.t, u=unit.u, unit_norm=unit.norm,
@@ -370,7 +372,7 @@ def ideal_norm_counts(D: int, limit: int) -> np.ndarray:
     return r
 
 
-def zeta2_ideal_route(D: int, limit: int = 300_000) -> tuple[float, float]:
+def zeta2_ideal_route(D: int) -> tuple[float, float]:
     """zeta_K(2) as sum r(n)/n^2, truncation completed exactly.
 
     sum_{n<=X} r(n)/n^2 counts pairs d*b = n; the missing pairs with d <= X,
@@ -378,6 +380,7 @@ def zeta2_ideal_route(D: int, limit: int = 300_000) -> tuple[float, float]:
     only the d > X tail, which Abel-bounds by 2 M zeta(2)/(X+1)^2.
     """
     _check_field_discriminant(D)
+    limit = 300_000  # the cutoff X
     if limit < D:
         raise DomainError(f"cutoff {limit} below conductor {D}")
     z2 = zeta2_constant()
@@ -402,15 +405,14 @@ class DualZeta:
     difference: float
 
 
-def zeta_K2_dual(D: int, char_tol: float = 2e-9, limit: int = 300_000,
-                 term_budget: int = 10**7) -> DualZeta:
+def zeta_K2_dual(D: int) -> DualZeta:
     """zeta_K(2) by two routes sharing no character code; raises on disagreement."""
     _check_field_discriminant(D)
     z2 = zeta2_constant()
-    lv = L_value(2, D, char_tol, term_budget, table=kronecker_table(D))
+    lv = L_value(2, D, 2e-9, table=kronecker_table(D))
     char_value = z2 * lv.value
     char_cert = z2 * lv.error_bound + 1e-15
-    ideal_value, ideal_cert = zeta2_ideal_route(D, limit)
+    ideal_value, ideal_cert = zeta2_ideal_route(D)
     diff = abs(char_value - ideal_value)
     if diff > char_cert + ideal_cert + 1e-12:
         raise NumericalAgreementError(

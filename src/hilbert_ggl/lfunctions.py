@@ -17,8 +17,10 @@ Evaluation routes:
 
 * ``closed_form_l1``: exact finite evaluation of L(1, chi_d) used by the
   analytic class-number checks and bulk scans, where the partial-sum route
-  would need ~2M/tol terms.  For odd characters (d < 0) the value is
-  -pi q^(-3/2) sum a chi(a); for even ones (d > 0) it is
+  would need ~2M/tol terms.  For odd characters (d < 0) the integer sum
+  gives the class number h = -w sum a chi(a) / (2q) (RuntimeError unless a
+  positive integer), and the value is 2 pi h / (w sqrt(q)), the expression
+  the class-number sieve of ``elliptic`` shares; for even ones (d > 0) it is
   -(1/sqrt(q)) sum chi(a) log sin(pi a / q).
 
 Character tables are built two independent ways: ``kronecker_chi`` (the
@@ -52,6 +54,9 @@ _CACHED_MODULUS = 4096
 _legendre_cache: dict[int, np.ndarray] = {}
 _small_table_cache: dict[int, np.ndarray] = {}
 _primes_cache: dict[int, np.ndarray] = {}
+
+# roots of unity of the imaginary quadratic fields; w = 2 for all others
+_W_IMAG = {-3: 6, -4: 4}
 
 # largest D with sum_{a<D} a^2 < 2^63: sum chi(a) a^2 stays in int64 up to it
 _INT64_SQUARES = 3_024_617
@@ -276,6 +281,11 @@ def L_value(s: int, d: int, tol: float, term_budget: int = 10**7,
     return LValue(value=value, error_bound=cert, terms=n_needed, s=s, d=d)
 
 
+def _l1_odd(d: int, h: int) -> float:
+    """L(1, chi_d) = 2 pi h / (w sqrt|d|) for fundamental d < 0 of class number h."""
+    return 2.0 * math.pi * h / (_W_IMAG.get(d, 2) * math.sqrt(-d))
+
+
 def closed_form_l1(d: int, table: np.ndarray | None = None) -> tuple[float, float]:
     """Exact finite-sum evaluation of L(1, chi_d); returns (value, error bound)."""
     q = abs(d)
@@ -286,7 +296,12 @@ def closed_form_l1(d: int, table: np.ndarray | None = None) -> tuple[float, floa
         half = (q - 1) // 2
         a = np.arange(1, half + 1, dtype=np.int64)
         s_int = int(np.sum(table[1 : half + 1].astype(np.int64) * (2 * a - q)))
-        value = -math.pi * s_int / q**1.5
+        w_sum = -_W_IMAG.get(d, 2) * s_int
+        h, rem = divmod(w_sum, 2 * q)
+        if rem or h < 1:
+            raise RuntimeError("class number %s of d=%d from the character sum is "
+                               "not a positive integer" % (Fraction(w_sum, 2 * q), d))
+        value = _l1_odd(d, h)
         return value, 4e-15 * (abs(value) + 1.0)
     # chi even: fold around q/2, log sin symmetric
     half = (q - 1) // 2

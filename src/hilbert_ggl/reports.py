@@ -326,11 +326,7 @@ def build_field_document(params: dict, inv, rep, ell, cyc, tan, timings=None) ->
         "command": "field",
         "params": params,
         "records": [record],
-        "tolerances": {
-            "acnf_tol": params.get("acnf_tol"),
-            "l1_cert": inv.l1_cert,
-            "zeta2_cert": inv.zeta2_cert,
-        },
+        "tolerances": {"l1_cert": inv.l1_cert, "zeta2_cert": inv.zeta2_cert},
         "timings": timings,
     }
 

@@ -10,13 +10,12 @@ of the 30394 fields up to D = 1e5 do.
 
 Scans are deterministic: per-field work is a pure function of (D, parameters),
 records are merged sorted by D, and the same code path runs serially or under
-a process pool (HILBERT_GGL_WORKERS or the workers argument).
+a process pool (the workers argument).
 """
 
 from __future__ import annotations
 
 import math
-import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
@@ -28,15 +27,15 @@ from .field_invariants import DEGREE, exact_hr, fundamental_discriminants_up_to
 from .lfunctions import character_table, closed_form_l1, zeta_K2
 from .reports import FieldRecord
 
-WORKERS_ENV = "HILBERT_GGL_WORKERS"
 # a pool scan hands out this many interleaved slices of the fields per
 # worker, so a worker that finishes early takes the next slice instead of
 # waiting for a fixed half of the work on the other one
 _SLICES_PER_WORKER = 8
 
 
-def scan_field(D: int, epsilon, l1_lookup=None, exact: bool = False) -> FieldRecord:
-    """Evaluate the criterion for one field.
+def scan_field(D: int, epsilon, l1_lookup=None) -> FieldRecord:
+    """Evaluate the criterion for one field; a Satisfied field is rechecked
+    on the exact path.
 
     l1_lookup optionally supplies L(1, chi_d) for the negative discriminants
     of the elliptic bounds (a scan shares one class-number sieve); without it
@@ -52,11 +51,12 @@ def scan_field(D: int, epsilon, l1_lookup=None, exact: bool = False) -> FieldRec
     def l1_for(d: int) -> float:
         return l1_val if d == D else other_l1(d)
 
-    ell = elliptic_summary(D, hr_field=hr, l1=l1_for)
+    ell = elliptic_summary(D, l1=l1_for)
     h = None
     reg = None
     rep = verdict(FieldInputs(D=D, hr=hr, zeta2=zeta2), DEGREE, epsilon, ell)
-    if exact or rep.verdict == "Satisfied":
+    exact = rep.verdict == "Satisfied"
+    if exact:
         _unit, classes, reg, _residual = exact_hr(D, l1_val, l1_cert)
         h = classes.h
         hr = h * reg
@@ -77,7 +77,7 @@ def scan_field(D: int, epsilon, l1_lookup=None, exact: bool = False) -> FieldRec
         elliptic_exponent=ell.exponent_record,
         verdict=rep.verdict,
         flags=rep.flags,
-        exact=exact or rep.verdict == "Satisfied",
+        exact=exact,
     )
 
 
@@ -132,19 +132,7 @@ def _dyadic_blocks(records) -> tuple[DyadicBlock, ...]:
     return tuple(blocks)
 
 
-def resolve_workers(workers: int | None) -> int:
-    if workers is None:
-        raw = os.environ.get(WORKERS_ENV, "")
-        try:
-            workers = int(raw) if raw.strip() else 1
-        except ValueError:
-            raise DomainError("%s must be an integer, got %r" % (WORKERS_ENV, raw)) from None
-    if workers < 1:
-        raise DomainError("worker count must be >= 1, got %d" % workers)
-    return workers
-
-
-def scan(dmax: int, epsilon="0.01", workers: int | None = None,
+def scan(dmax: int, epsilon="0.01", workers: int = 1,
          precomputed: dict[int, FieldRecord] | None = None, on_record=None) -> ScanResult:
     """Scan all fundamental discriminants D <= dmax.
 
@@ -155,12 +143,13 @@ def scan(dmax: int, epsilon="0.01", workers: int | None = None,
     """
     if dmax < 5:
         raise DomainError("dmax must be at least 5, got %d" % dmax)
+    if workers < 1:
+        raise DomainError("worker count must be >= 1, got %d" % workers)
     eps = to_fraction(epsilon, "epsilon")
     ds = [int(d) for d in fundamental_discriminants_up_to(dmax)]
     done = dict(precomputed) if precomputed else {}
     todo = [d for d in ds if d not in done]
 
-    workers = resolve_workers(workers)
     sieve_limit = 4 * dmax + 16
     fresh: list[FieldRecord] = []
     if todo:

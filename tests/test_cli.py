@@ -3,11 +3,15 @@
 import hashlib
 import json
 import os
+import random
+from fractions import Fraction
 
 import pytest
 
 from hilbert_ggl.cli import main
+from hilbert_ggl.elliptic import elliptic_summary, make_l1_lookup
 from hilbert_ggl.field_invariants import fundamental_discriminants_up_to
+from hilbert_ggl.scan import scan_field
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 
@@ -53,7 +57,7 @@ def test_field_json_schema(capsys):
     assert set(doc) == {"schema_version", "command", "params", "records",
                         "tolerances", "timings"}
     assert doc["schema_version"] == 2
-    assert set(doc["tolerances"]) == {"acnf_tol", "l1_cert", "zeta2_cert"}
+    assert set(doc["tolerances"]) == {"l1_cert", "zeta2_cert"}
     assert doc["params"]["epsilon"] == "1/100"
     assert set(doc["timings"]) == {"invariants", "elliptic_criterion", "cusp_cycle",
                                    "cusp_tangency", "cusp", "total"}
@@ -72,21 +76,20 @@ def test_usage_exit_codes(capsys):
     # zeta_K(2) is exact up to rounding; there is no tolerance option
     assert main(["field", "5", "--zeta-tol", "1e-9"]) == 2
     assert main(["scan", "--dmax", "10", "--zeta-tol", "1e-6"]) == 2
+    # the class number formula residual bound follows from the L(1) certificate
+    assert main(["field", "5", "--acnf-tol", "1e-8"]) == 2
     assert main(["unknown"]) == 2
     assert main([]) == 2
     assert main(["--help"]) == 0
     capsys.readouterr()
 
 
-def test_domain_errors_exit_one(capsys, monkeypatch):
+def test_domain_errors_exit_one(capsys):
     assert main(["hj", "12", "0"]) == 1
     assert "error:" in capsys.readouterr().err
     assert main(["hj", "12", "8"]) == 1  # gcd(12, 8) != 1
     assert main(["tangency", os.path.join(GOLDEN, "no_such_file.txt")]) == 1
     assert "error:" in capsys.readouterr().err
-    monkeypatch.setenv("HILBERT_GGL_WORKERS", "abc")
-    assert main(["scan", "--dmax", "10"]) == 1
-    assert "HILBERT_GGL_WORKERS" in capsys.readouterr().err
 
 
 def test_scan_stdout_csv(capsys):
@@ -181,11 +184,12 @@ def test_scan_2000_csv_and_cache_golden(tmp_path, capsys):
 
 
 # sha256 of `field D --json`: these pin the chart det strings, sqrt_coeff,
-# coord_det and rays, which the cusp_*.txt goldens omit
+# coord_det and rays, which the cusp_*.txt goldens omit; recorded when the
+# elliptic bounds moved to h*R = sqrt(D) L(1, chi_D) / 2 and acnf_tol left
 FIELD_JSON_SHA256 = {
-    229: "8a6a057aff6976a4339e2e4e1180eab2344bc0229dcc48684039e4404d53ef2f",
-    9997: "569b0a6f41229856986dcf86d91e6ea0d037eee2c380042d2184486f60177e86",
-    99996: "ba2339e212e263a40aa6eaed1230e2c4236ab3ce5ff44ce8a618ed1deb4873b0",
+    229: "ffa02053b540afa5db59114c82cf404f690007b5663d01e3ec1761af7aa0aaac",
+    9997: "e5e4b6824063f7c8018ee5bf247e6e9eaf5f76483f390c5220ad93320d85255d",
+    99996: "03aba0174b92013ebb99bbacc4be43d4038b2c3034bf0c4143d3366c99406a20",
 }
 
 
@@ -194,3 +198,25 @@ def test_field_json_bytes_golden(D, capsys):
     assert main(["field", str(D), "--json"]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == FIELD_JSON_SHA256[D]
+
+
+STANDARD_D = (5, 8, 12, 13, 24, 229, 401, 997, 9997, 12345, 64277, 99996)
+
+
+def test_field_json_elliptic_block_equals_scan_record(capsys):
+    # field and scan take h*R = sqrt(D) L(1, chi_D) / 2 and one L(1) expression
+    # for d < 0, so a report and a sieve-backed scan record agree bit for bit
+    rng = random.Random(4242)
+    ds = [int(d) for d in fundamental_discriminants_up_to(100_000)]
+    sample = sorted(set(STANDARD_D) | set(rng.sample(ds, 20)))
+    # the sieve of the largest scan holds the same class numbers as 4 D + 16
+    lookup = make_l1_lookup(4 * max(sample) + 16)
+    for D in sample:
+        assert main(["field", str(D), "--json"]) == 0
+        ell = json.loads(capsys.readouterr().out)["records"][0]["elliptic"]
+        rec = scan_field(D, Fraction(1, 100), l1_lookup=lookup)
+        assert ell["total_bound"] == rec.elliptic_total_bound, D
+        assert ell["exponent_record"] == rec.elliptic_exponent, D
+        summary = elliptic_summary(D, l1=lookup)
+        assert summary.total_bound == rec.elliptic_total_bound, D
+        assert [c["bound"] for c in ell["classes"]] == [b.value for b in summary.bounds], D

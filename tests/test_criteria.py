@@ -112,7 +112,7 @@ def test_beta_constant_examples():
 
 def test_verdict_d5_candidate_exceptional():
     inv = invariants(5)
-    ell = elliptic_summary(5, hr_field=inv.hr)
+    ell = elliptic_summary(5)
     rep = verdict(inv, 2, Fraction(1, 20), ell)
     assert rep.verdict == "CandidateExceptional"
     assert abs(rep.nu_max - 0.176) < 1e-3
@@ -151,7 +151,7 @@ def test_verdict_monotone_in_zeta2():
 
 def test_verdict_orbit_labels_and_s_sums():
     inv = invariants(5)
-    ell = elliptic_summary(5, hr_field=inv.hr)
+    ell = elliptic_summary(5)
     k = len(ell.bounds)
     sums = [Fraction(1, 2)] * k
     rep = verdict(inv, 2, Fraction(1, 20), ell, s_sums=sums)

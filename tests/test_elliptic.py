@@ -17,11 +17,7 @@ from hilbert_ggl.elliptic import (
     prestel_bound,
 )
 from hilbert_ggl.errors import DomainError
-from hilbert_ggl.field_invariants import (
-    class_number,
-    fundamental_discriminants_up_to,
-    regulator,
-)
+from hilbert_ggl.field_invariants import fundamental_discriminants_up_to
 from hilbert_ggl.lfunctions import closed_form_l1
 
 from oracles import brute_elliptic_traces, mp_l_value
@@ -142,16 +138,6 @@ def test_prestel_bound_consistent_across_l_routes():
                   for route in (None, sieve, oracle)}
         vs = list(values.values())
         assert max(vs) - min(vs) < 1e-9, (D, s, vs)
-
-
-def test_prestel_bound_with_exact_hr_stays_close():
-    # exact h*R in the denominator instead of the closed form: same number
-    # up to the L-value rounding
-    for D, s in [(5, 0), (13, 1), (17, 0)]:
-        hr = class_number(D).h * regulator(D)
-        a = prestel_bound(D, s).value
-        b = prestel_bound(D, s, hr_field=hr).value
-        assert abs(a - b) < 1e-9 * max(1.0, abs(a))
 
 
 def test_prestel_bound_irrational():

@@ -6,9 +6,11 @@ import random
 import mpmath
 import pytest
 
-from hilbert_ggl.errors import DomainError
+from hilbert_ggl.errors import DomainError, NumericalAgreementError
 from hilbert_ggl.field_invariants import (
+    FundamentalUnit,
     class_number,
+    exact_hr,
     form_cycles,
     fundamental_discriminant,
     fundamental_discriminant_signed,
@@ -20,6 +22,7 @@ from hilbert_ggl.field_invariants import (
     rho_step,
     zeta_K2_dual,
 )
+from hilbert_ggl.lfunctions import closed_form_l1
 
 from oracles import brute_class_number, brute_fundamental_unit, mp_l_value, mp_regulator
 
@@ -158,9 +161,24 @@ def test_invariants_record():
     assert abs(inv.hr - inv.h * inv.regulator) == 0
     assert abs(inv.l1_value - 0.4304089409640040) < 1e-12
     assert abs(inv.zeta2 - 1.1616711956186385) <= inv.zeta2_cert + 1e-12
-    assert inv.acnf_residual <= 1e-8 + inv.l1_cert
+    assert inv.acnf_residual <= inv.l1_cert + 8 * 2.0 ** -53 * inv.l1_value
     with pytest.raises(DomainError):
         invariants(6)
+
+
+def test_exact_hr_catches_a_regulator_off_by_1e_12(monkeypatch):
+    # the residual bound l1_cert + 8u |L(1)| leaves no room for a relative
+    # error of 1e-12 in R
+    for D in (5, 8, 229, 9997, 64277, 99996):
+        l1, l1_cert = closed_form_l1(D)
+        exact_hr(D, l1, l1_cert)
+    original = FundamentalUnit.regulator
+    monkeypatch.setattr(FundamentalUnit, "regulator",
+                        lambda unit: original(unit) * (1 + 1e-12))
+    for D in (5, 8, 229, 9997, 64277, 99996):
+        l1, l1_cert = closed_form_l1(D)
+        with pytest.raises(NumericalAgreementError, match="class number formula residual"):
+            exact_hr(D, l1, l1_cert)
 
 
 def test_zeta_k2_dual_agreement():

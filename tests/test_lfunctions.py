@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from hilbert_ggl import lfunctions
+from hilbert_ggl.elliptic import imag_class_numbers, l1_imag
 from hilbert_ggl.errors import BudgetExceededError, DomainError
 from hilbert_ggl.field_invariants import fundamental_discriminants_up_to
 from hilbert_ggl.lfunctions import (
@@ -253,6 +254,29 @@ def test_closed_form_l1_matches_oracle():
         oracle = float(mp_l_value(1, d))
         assert abs(value - oracle) <= cert, (d, value, oracle, cert)
         assert cert < 1e-10
+
+
+def test_closed_form_l1_odd_equals_class_number_sieve():
+    # d < 0 has one float expression, 2 pi h / (w sqrt|d|): the closed form
+    # reads h off its integer sum, the sieve counts reduced forms
+    h = imag_class_numbers(40016)
+    ds = negative_fundamental_discriminants(40016)
+    assert len(ds) == 12166
+    for d in ds:
+        assert closed_form_l1(d)[0] == l1_imag(d, h), d
+
+
+def test_closed_form_l1_rejects_a_flipped_odd_character():
+    # one flipped chi(a), 0 < a < |d|/2, gcd(a, d) = 1, moves the class
+    # number -w sum a chi(a) / (2|d|) by w (2a - |d|) chi(a) / |d|: off the
+    # integers, or below 1 for d = -3, -4
+    rng = random.Random(808)
+    for d in [-3, -4, -8] + rng.sample(negative_fundamental_discriminants(5000), 40):
+        table = character_table(d).copy()
+        a = rng.choice([a for a in range(1, (-d + 1) // 2) if table[a]])
+        table[a] = -table[a]
+        with pytest.raises(RuntimeError, match="not a positive integer"):
+            closed_form_l1(d, table)
 
 
 def _zeta_sample() -> list[int]:

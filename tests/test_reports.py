@@ -56,10 +56,10 @@ def test_csv_rows_frozen_layout():
         "5,,,0.4812118251,1.161671196,0.1760065078,2.040816327,"
         "-1.864809819,14,CandidateExceptional\n"
     )
-    exact = scan_field(5, Fraction(1, 100), exact=True)
+    exact = scan_field(46373, Fraction(1, 100))  # Satisfied: the exact path fills h and R
     assert csv_rows([exact.to_dict()]).splitlines()[1] == (
-        "5,1,0.4812118251,0.4812118251,1.161671196,0.1760065078,2.040816327,"
-        "-1.864809819,14,CandidateExceptional"
+        "46373,1,31.146314,31.146314,1.092508677,2.043205146,2.040816327,"
+        "0.002388819678,532,Satisfied"
     )
     assert csv_rows([]) == ",".join(CSV_COLUMNS) + "\n"
 
@@ -125,7 +125,7 @@ def test_scan_cache_header_mismatch(tmp_path, capsys):
 
 
 def test_field_record_from_dict_checks_types():
-    good = scan_field(13, Fraction(1, 100), exact=True).to_dict()
+    good = scan_field(46373, Fraction(1, 100)).to_dict()  # exact path: Satisfied
     # a JSON int is a valid float value
     assert FieldRecord.from_dict({**good, "margin": -2}).margin == -2.0
     assert FieldRecord.from_dict({**good, "h": None, "R": None}).h is None
@@ -237,7 +237,7 @@ def test_scan_cache_undecodable_record(tmp_path, capsys, key, value):
 
 def _field_pipeline(D=5, n=2, eps=Fraction(1, 100)):
     inv = invariants(D)
-    ell = elliptic_summary(D, hr_field=inv.hr)
+    ell = elliptic_summary(D)
     rep = verdict(FieldInputs(D=D, hr=inv.hr, zeta2=inv.zeta2), n, eps, ell)
     cyc = cusp_cycle(D)
     tan = verify_cusp_tangency(cyc)
@@ -246,7 +246,7 @@ def _field_pipeline(D=5, n=2, eps=Fraction(1, 100)):
 
 def test_build_field_document_and_text():
     inv, rep, ell, cyc, tan = _field_pipeline()
-    params = {"D": 5, "n": 2, "epsilon": "1/100", "acnf_tol": 1e-8}
+    params = {"D": 5, "n": 2, "epsilon": "1/100"}
     doc = build_field_document(params, inv, rep, ell, cyc, tan,
                                timings={"total": 0.25})
     assert doc["schema_version"] == 2

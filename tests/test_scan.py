@@ -6,15 +6,12 @@ from fractions import Fraction
 import pytest
 
 from hilbert_ggl.errors import DomainError, NumericalAgreementError
-from hilbert_ggl.field_invariants import FundamentalUnit, class_number, regulator
+from hilbert_ggl.field_invariants import FundamentalUnit, class_number, exact_hr, regulator
 from hilbert_ggl.lfunctions import closed_form_l1
-from hilbert_ggl.scan import (
-    FieldRecord,
-    WORKERS_ENV,
-    resolve_workers,
-    scan,
-    scan_field,
-)
+from hilbert_ggl.scan import FieldRecord, scan, scan_field
+
+# the first Satisfied field: its record always comes from the exact path
+FIRST_SATISFIED = 46373
 
 
 def test_scan_field_fast_path_matches_closed_form():
@@ -31,16 +28,19 @@ def test_scan_field_fast_path_matches_closed_form():
 
 
 def test_scan_field_exact_path_consistent():
+    D = FIRST_SATISFIED
+    exact = scan_field(D, Fraction(1, 100))
+    assert exact.exact and exact.verdict == "Satisfied"
+    assert exact.h == class_number(D).h
+    assert exact.R == regulator(D)
+    assert exact.hr == exact.h * exact.R
+    assert abs(exact.hr - math.sqrt(D) * exact.l1 / 2.0) <= 1e-9 * exact.hr
+    # the fast records of other fields agree with the exact h*R check
     for D in (5, 8, 40, 229):
         fast = scan_field(D, Fraction(1, 100))
-        exact = scan_field(D, Fraction(1, 100), exact=True)
-        assert exact.exact
-        assert exact.h == class_number(D).h
-        assert exact.R == regulator(D)
-        assert exact.hr == exact.h * exact.R
-        assert abs(exact.hr - fast.hr) <= 1e-6 * max(1.0, fast.hr)
-        assert abs(exact.nu_max - fast.nu_max) <= 1e-6 * max(1.0, fast.nu_max)
-        assert exact.verdict == fast.verdict
+        _unit, classes, reg, _residual = exact_hr(D, fast.l1, fast.l1_cert)
+        assert classes.h == class_number(D).h
+        assert abs(classes.h * reg - fast.hr) <= 1e-9 * fast.hr
 
 
 def test_scan_deterministic_reruns():
@@ -103,26 +103,11 @@ def test_scan_validation_and_workers():
         scan(4)
     with pytest.raises(DomainError):
         scan(100, workers=0)
-    assert resolve_workers(3) == 3
-
-
-def test_resolve_workers_env(monkeypatch):
-    monkeypatch.delenv(WORKERS_ENV, raising=False)
-    assert resolve_workers(None) == 1
-    monkeypatch.setenv(WORKERS_ENV, "4")
-    assert resolve_workers(None) == 4
-    monkeypatch.setenv(WORKERS_ENV, " ")
-    assert resolve_workers(None) == 1
-    monkeypatch.setenv(WORKERS_ENV, "0")
-    with pytest.raises(DomainError):
-        resolve_workers(None)
-    monkeypatch.setenv(WORKERS_ENV, "abc")
-    with pytest.raises(DomainError, match=WORKERS_ENV + ".*'abc'"):
-        resolve_workers(None)
 
 
 def test_field_record_round_trip():
-    rec = scan_field(13, Fraction(1, 100), exact=True)
+    rec = scan_field(FIRST_SATISFIED, Fraction(1, 100))
+    assert rec.exact
     assert FieldRecord.from_dict(rec.to_dict()) == rec
     assert list(rec.to_dict()) == [
         "D", "h", "R", "hr", "zeta2", "zeta2_cert", "l1", "l1_cert", "nu_max",
@@ -138,4 +123,4 @@ def test_exact_recheck_disagreement_raises_specific_error(monkeypatch):
     original = FundamentalUnit.regulator
     monkeypatch.setattr(FundamentalUnit, "regulator", lambda unit: 2 * original(unit))
     with pytest.raises(NumericalAgreementError, match="class number formula residual"):
-        scan_field(5, Fraction(1, 100), exact=True)
+        scan_field(FIRST_SATISFIED, Fraction(1, 100))
