@@ -121,7 +121,8 @@ def cmd_scan(args, parser) -> int:
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(payload)
-        hits = len(precomputed) if precomputed else 0
+        # the cache may hold fields above --dmax; count only this scan's
+        hits = sum(r.D in precomputed for r in result.records) if precomputed else 0
         print(
             "scanned %d fields to D<=%d (%d from cache): %d satisfied, "
             "%d candidate exceptional, largest failing D=%s"

@@ -149,8 +149,9 @@ def _module_multiplier(alpha: QuadElem, beta: QuadElem, D: int):
     return got
 
 
-def _coords_in_basis(e: QuadElem, alpha: QuadElem, beta: QuadElem) -> tuple[Fraction, Fraction]:
-    """Coordinates of e in the basis (alpha, beta), solved exactly.
+def _cramer(e: QuadElem, alpha: QuadElem, beta: QuadElem) -> tuple[int, int, int]:
+    """Coordinates (u, v) of e in the basis (alpha, beta) as integers
+    (u * den, v * den, den), den != 0.
 
     Cramer's rule on the integer parts of (a + b*sqrt(D))/c: with
     [p, q] = p.a*q.b - p.b*q.a, u = [e, beta] alpha.c / (e.c [alpha, beta])
@@ -160,9 +161,14 @@ def _coords_in_basis(e: QuadElem, alpha: QuadElem, beta: QuadElem) -> tuple[Frac
     if den == 0:
         raise DomainError("module generators are linearly dependent over Q")
     den *= e.c
-    u = Fraction((e.a * beta.b - e.b * beta.a) * alpha.c, den)
-    v = Fraction((alpha.a * e.b - alpha.b * e.a) * beta.c, den)
-    return u, v
+    return ((e.a * beta.b - e.b * beta.a) * alpha.c,
+            (alpha.a * e.b - alpha.b * e.a) * beta.c, den)
+
+
+def _coords_in_basis(e: QuadElem, alpha: QuadElem, beta: QuadElem) -> tuple[Fraction, Fraction]:
+    """Coordinates of e in the basis (alpha, beta), solved exactly."""
+    nu, nv, den = _cramer(e, alpha, beta)
+    return Fraction(nu, den), Fraction(nv, den)
 
 
 def _rays_from_cycle(w: QuadSurd, digits: list[int], count: int, D: int) -> list[QuadElem]:
@@ -303,17 +309,20 @@ def cusp_cycle(D: int, module=None, v=None) -> CuspCycle:
     if all(b == 2 for b in digits_v):
         raise RuntimeError("period word is all 2s, which no quadratic surd produces")
 
+    # module membership: both Cramer numerators divide by the denominator
     coords = []
     for mu in rays + [closing]:
-        u_c, v_c = _coords_in_basis(mu, alpha, beta)
-        if u_c.denominator != 1 or v_c.denominator != 1:
-            raise RuntimeError("ray %s does not lie in the module (coords %s, %s)" % (mu, u_c, v_c))
-        coords.append((u_c.numerator, v_c.numerator))
+        nu, nv, den = _cramer(mu, alpha, beta)
+        (u_c, ru), (v_c, rv) = divmod(nu, den), divmod(nv, den)
+        if ru or rv:
+            raise RuntimeError("ray %s does not lie in the module (coords %s, %s)"
+                               % ((mu,) + _coords_in_basis(mu, alpha, beta)))
+        coords.append((u_c, v_c))
 
     if v is not None and not isinstance(v, int):
         for gen_img in (eta * alpha, eta * beta):
-            gu, gv = _coords_in_basis(gen_img, alpha, beta)
-            if gu.denominator != 1 or gv.denominator != 1:
+            nu, nv, den = _cramer(gen_img, alpha, beta)
+            if nu % den or nv % den:
                 raise DomainError("v = eta^%d does not preserve the module" % f)
 
     dets = [u1 * v2 - v1 * u2 for (u1, v1), (u2, v2) in zip(coords, coords[1:])]

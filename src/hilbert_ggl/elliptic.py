@@ -13,8 +13,13 @@ The per-trace bound implemented here is the chain
 
     count(s) <= (h'R' / hR) * N(U0)^2,     N(U0)^2 * N(rel disc) = N(4 - s^2),
 
-which collapses to the exact value (h'R'/hR) when N(U0)^2 = 1.  For
-irrational traces h'R'/hR is not computed; the reported number is the
+which collapses to the exact value (h'R'/hR) when N(U0)^2 = 1.  L(1, chi_D)
+occurs in both class number formulas and cancels, so the ratio is taken from
+the two CM L-values alone:
+
+    h'R' / hR = w' sqrt|d2 d3| L(1, chi_d2) L(1, chi_d3) / (2 pi^2).
+
+For irrational traces h'R'/hR is not computed; the reported number is the
 integer N(4 - s^2) and the ratio is flagged unresolved.
 """
 
@@ -142,16 +147,9 @@ def _closed_l1(d: int) -> float:
 
 
 def make_l1_lookup(limit: int):
-    """L(1, chi_d) callable backed by one class-number sieve for negative d.
-
-    Positive fundamental discriminants fall back to the finite closed form.
-    """
-    h = imag_class_numbers(limit)
-
-    def lookup(d: int) -> float:
-        return l1_imag(d, h) if d < 0 else _closed_l1(d)
-
-    return lookup
+    """L(1, chi_d) callable for fundamental d < 0, |d| <= limit, backed by one
+    class-number sieve."""
+    return functools.partial(l1_imag, h_table=imag_class_numbers(limit))
 
 
 @dataclass(frozen=True)
@@ -161,7 +159,7 @@ class CMExtensionInvariants:
     subfield_discs  the three quadratic subfield discriminants (D, d2, d3)
     d_Kprime        |D * d2 * d3|, the discriminant of the biquadratic K'
     w_prime         roots of unity in K' (12 iff both -3 and -4 occur)
-    hR_prime        h(K') R(K') = w' sqrt(d_K') L(1,chi_d2) L(1,chi_d3) L(1,chi_D) / (2 pi)^2
+    hR_ratio        h(K') R(K') / h(K) R(K) = w' sqrt|d2 d3| L(1,chi_d2) L(1,chi_d3) / (2 pi^2)
     N_rel_disc      norm of the relative different, d_Kprime / D^2
     N_U0_sq         N(U0)^2 with U0^2 * (rel disc) = (4 - s^2) O_K
     """
@@ -171,7 +169,7 @@ class CMExtensionInvariants:
     subfield_discs: tuple[int, int, int]
     d_Kprime: int
     w_prime: int
-    hR_prime: float
+    hR_ratio: float
     N_rel_disc: int
     N_U0_sq: int
 
@@ -179,8 +177,9 @@ class CMExtensionInvariants:
 def cm_extension_invariants(D: int, s: int, l1=None) -> CMExtensionInvariants:
     """Invariants of the CM extension attached to a rational elliptic trace.
 
-    l1 optionally supplies L(1, chi_d) values (callable d -> float); by
-    default each factor is evaluated by its finite closed form.
+    l1 optionally supplies L(1, chi_d) values (callable d -> float); it is
+    asked only for d2 and d3, both negative.  By default each factor is
+    evaluated by its finite closed form.
     """
     _check_field_discriminant(D)
     if s not in (0, 1, -1):
@@ -208,16 +207,14 @@ def cm_extension_invariants(D: int, s: int, l1=None) -> CMExtensionInvariants:
         raise RuntimeError("N(U0)^2 = %d below 1" % n_u0)
     if l1 is None:
         l1 = _closed_l1
-    hr_prime = (
-        w_prime * math.sqrt(d_kp) * l1(d2) * l1(d3) * l1(D) / (4.0 * math.pi ** 2)
-    )
+    hr_ratio = w_prime * math.sqrt(abs(d2 * d3)) * l1(d2) * l1(d3) / (2.0 * math.pi ** 2)
     return CMExtensionInvariants(
         D=D,
         s=s,
         subfield_discs=(D, d2, d3),
         d_Kprime=d_kp,
         w_prime=w_prime,
-        hR_prime=hr_prime,
+        hR_ratio=hr_ratio,
         N_rel_disc=n_rel,
         N_U0_sq=n_u0,
     )
@@ -244,9 +241,8 @@ class TraceBound:
 def prestel_bound(D: int, s, l1=None) -> TraceBound:
     """Bound the count of elliptic points with trace s.
 
-    s may be an EllipticTrace or a rational integer trace.  h*R of the real
-    field is sqrt(D) L(1, chi_D) / 2, using the same L-value as the
-    numerator so the shared factor cancels.
+    s may be an EllipticTrace or a rational integer trace; l1 is passed on to
+    cm_extension_invariants.
     """
     if isinstance(s, EllipticTrace):
         trace = s
@@ -266,14 +262,10 @@ def prestel_bound(D: int, s, l1=None) -> TraceBound:
             cm=None,
         )
 
-    if l1 is None:
-        l1 = _closed_l1
     cm = cm_extension_invariants(D, trace.s_rational, l1=l1)
-    hr = math.sqrt(D) * l1(D) / 2.0
-    value = cm.hR_prime / hr * cm.N_U0_sq
     return TraceBound(
         trace=trace,
-        value=value,
+        value=cm.hR_ratio * cm.N_U0_sq,
         exact=(cm.N_U0_sq == 1),
         unresolved_unit_ratio=False,
         cm=cm,
@@ -299,9 +291,12 @@ class EllipticSummary:
 
 
 def elliptic_summary(D: int, l1=None) -> EllipticSummary:
-    """Enumerate traces and aggregate the per-trace bounds; each L-value is
-    evaluated once per call."""
-    l1 = functools.cache(_closed_l1 if l1 is None else l1)
+    """Enumerate traces and aggregate the per-trace bounds.
+
+    Each rational trace asks l1 for its two CM discriminants d2 and d3; the
+    two traces share none of them except at D = 12 (d = -3 and -4 both
+    twice), so nothing is memoized.
+    """
     bounds = tuple(prestel_bound(D, t, l1=l1) for t in elliptic_traces(D))
     total = float(sum(b.value for b in bounds))
     if total <= 0:

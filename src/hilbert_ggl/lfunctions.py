@@ -48,11 +48,10 @@ _TABLE_M4 = np.array([0, 1, 0, -1], dtype=np.int8)
 _TABLE_P8 = np.array([0, 1, 0, -1, 0, -1, 0, 1], dtype=np.int8)
 _TABLE_M8 = np.array([0, 1, 0, 1, 0, -1, 0, -1], dtype=np.int8)
 
-# Legendre and character tables up to this modulus are cached (read-only)
-# and never evicted: about 1 MB for all the odd primes below it
+# Legendre tables up to this modulus are cached (read-only) and never
+# evicted: about 1 MB for all the odd primes below it
 _CACHED_MODULUS = 4096
 _legendre_cache: dict[int, np.ndarray] = {}
-_small_table_cache: dict[int, np.ndarray] = {}
 _primes_cache: dict[int, np.ndarray] = {}
 
 # roots of unity of the imaginary quadratic fields; w = 2 for all others
@@ -182,14 +181,9 @@ def factor_fundamental(d: int) -> list[int]:
 
 
 def character_table(d: int) -> np.ndarray:
-    """Values chi_d(n), n = 0..|d|-1, as the product of prime-discriminant tables.
-
-    Tables for |d| <= 4096 are cached and returned read-only.
-    """
+    """Values chi_d(n), n = 0..|d|-1, as the product of prime-discriminant
+    tables; the returned array belongs to the caller."""
     q = abs(d)
-    cached = _small_table_cache.get(d)
-    if cached is not None:
-        return cached
     arr = np.ones(q, dtype=np.int8)
     for part in factor_fundamental(d):
         if part == -4:
@@ -203,9 +197,6 @@ def character_table(d: int) -> np.ndarray:
         # the factor moduli multiply to q, so each table repeats a whole
         # number of times
         arr *= np.tile(tbl, q // len(tbl))
-    if q <= _CACHED_MODULUS:
-        arr.flags.writeable = False
-        _small_table_cache[d] = arr
     return arr
 
 

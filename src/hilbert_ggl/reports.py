@@ -17,7 +17,8 @@ from fractions import Fraction
 
 from .errors import CacheError
 
-SCHEMA_VERSION = 2
+# 3: the elliptic bounds take h'R'/hR from the two CM L-values alone
+SCHEMA_VERSION = 3
 CACHE_FORMAT = "hilbert-ggl-scan-cache"
 CSV_COLUMNS = (
     "D",
@@ -247,7 +248,7 @@ def build_field_document(params: dict, inv, rep, ell, cyc, tan, timings=None) ->
                 "subfield_discs": list(b.cm.subfield_discs),
                 "d_Kprime": b.cm.d_Kprime,
                 "w_prime": b.cm.w_prime,
-                "hR_prime": b.cm.hR_prime,
+                "hR_ratio": b.cm.hR_ratio,
                 "N_rel_disc": b.cm.N_rel_disc,
                 "N_U0_sq": b.cm.N_U0_sq,
             }

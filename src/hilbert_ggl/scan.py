@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .criteria import FieldInputs, to_fraction, verdict
-from .elliptic import _closed_l1, elliptic_summary, make_l1_lookup
+from .elliptic import elliptic_summary, make_l1_lookup
 from .errors import DomainError
 from .field_invariants import DEGREE, exact_hr, fundamental_discriminants_up_to
 from .lfunctions import character_table, closed_form_l1, zeta_K2
@@ -37,21 +37,16 @@ def scan_field(D: int, epsilon, l1_lookup=None) -> FieldRecord:
     """Evaluate the criterion for one field; a Satisfied field is rechecked
     on the exact path.
 
-    l1_lookup optionally supplies L(1, chi_d) for the negative discriminants
-    of the elliptic bounds (a scan shares one class-number sieve); without it
-    each value falls back to the closed form.
+    L(1, chi_D) is evaluated once, for hR; the elliptic bounds do not use it.
+    l1_lookup optionally supplies L(1, chi_d) for their negative CM
+    discriminants (a scan shares one class-number sieve); without it each
+    value falls back to the closed form.
     """
     table = character_table(D)
     l1_val, l1_cert = closed_form_l1(D, table)
     hr = math.sqrt(D) * l1_val / 2.0
     zeta2, zeta2_cert = zeta_K2(D, table)
-
-    other_l1 = _closed_l1 if l1_lookup is None else l1_lookup
-
-    def l1_for(d: int) -> float:
-        return l1_val if d == D else other_l1(d)
-
-    ell = elliptic_summary(D, l1=l1_for)
+    ell = elliptic_summary(D, l1=l1_lookup)
     h = None
     reg = None
     rep = verdict(FieldInputs(D=D, hr=hr, zeta2=zeta2), DEGREE, epsilon, ell)

@@ -8,9 +8,11 @@ from fractions import Fraction
 
 import pytest
 
+from hilbert_ggl import elliptic, field_invariants, lfunctions
 from hilbert_ggl.cli import main
 from hilbert_ggl.elliptic import elliptic_summary, make_l1_lookup
 from hilbert_ggl.field_invariants import fundamental_discriminants_up_to
+from hilbert_ggl.lfunctions import closed_form_l1
 from hilbert_ggl.scan import scan_field
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
@@ -56,7 +58,7 @@ def test_field_json_schema(capsys):
     doc = json.loads(capsys.readouterr().out)
     assert set(doc) == {"schema_version", "command", "params", "records",
                         "tolerances", "timings"}
-    assert doc["schema_version"] == 2
+    assert doc["schema_version"] == 3
     assert set(doc["tolerances"]) == {"l1_cert", "zeta2_cert"}
     assert doc["params"]["epsilon"] == "1/100"
     assert set(doc["timings"]) == {"invariants", "elliptic_criterion", "cusp_cycle",
@@ -103,6 +105,23 @@ def test_scan_stdout_csv(capsys):
     assert len(lines) == n_fields + 1
 
 
+def test_field_evaluates_l1_of_d_once(monkeypatch, capsys):
+    # hR needs L(1, chi_D); the elliptic bounds cancel it and must not ask
+    for D in (5, 229, 9997):
+        asked = []
+
+        def counting(d, table=None):
+            asked.append(d)
+            return closed_form_l1(d, table)
+
+        for module in (lfunctions, field_invariants, elliptic):
+            monkeypatch.setattr(module, "closed_form_l1", counting)
+        assert main(["field", str(D)]) == 0
+        capsys.readouterr()
+        assert asked.count(D) == 1, (D, asked)
+        monkeypatch.undo()
+
+
 def test_scan_out_file_and_json(tmp_path, capsys):
     out_csv = str(tmp_path / "scan.csv")
     assert main(["scan", "--dmax", "100", "--out", out_csv]) == 0
@@ -136,6 +155,19 @@ def test_scan_cache_resume_identical(tmp_path, capsys):
         assert fa.read() == fb.read()
 
 
+def test_scan_cache_hits_count_only_fields_up_to_dmax(tmp_path, capsys):
+    # the cache is not keyed on --dmax: a smaller rerun finds more records
+    # in it than it uses, and reports only the ones it uses
+    cache = str(tmp_path / "scan.cache")
+    out = str(tmp_path / "scan.csv")
+    assert main(["scan", "--dmax", "300", "--cache", cache, "--out", out]) == 0
+    capsys.readouterr()
+    assert main(["scan", "--dmax", "100", "--cache", cache, "--out", out]) == 0
+    assert capsys.readouterr().out.startswith("scanned 30 fields to D<=100 (30 from cache):")
+    assert main(["scan", "--dmax", "100", "--out", out]) == 0
+    assert capsys.readouterr().out.startswith("scanned 30 fields to D<=100 (0 from cache):")
+
+
 def test_cusp_json(capsys):
     assert main(["cusp", "8", "--json"]) == 0
     doc = json.loads(capsys.readouterr().out)
@@ -167,11 +199,12 @@ def test_tangency_file_flows(tmp_path, capsys):
     assert "degenerate chart" in captured.err
 
 
-# sha256 of `scan --dmax 2000 --cache C --out O`, recorded when zeta_K(2)
-# moved to the exact zeta_K(-1) (schema 2); the cache digest pins the exact
-# bytes of every ScanCache entry line
+# sha256 of `scan --dmax 2000 --cache C --out O`: the CSV digest was recorded
+# when zeta_K(2) moved to the exact zeta_K(-1) (schema 2), the cache digest
+# when the elliptic bounds dropped L(1, chi_D) (schema 3, last bits of the
+# elliptic floats); the cache digest pins the exact bytes of every entry line
 SCAN_2000_CSV_SHA256 = "a3cfe0c8ec4a40f9b28b1c218871c38d79b8fe1c2889dffbdd501284bb3b4198"
-SCAN_2000_CACHE_SHA256 = "4919e4a7e55b21dca242d4870ec0d1ecc4cbaaf26ec995093eccdd61d14649dc"
+SCAN_2000_CACHE_SHA256 = "b402ab899988a2cb1fca89e27d15878595124ce05057d14c22eaa91837847248"
 
 
 def test_scan_2000_csv_and_cache_golden(tmp_path, capsys):
@@ -185,11 +218,11 @@ def test_scan_2000_csv_and_cache_golden(tmp_path, capsys):
 
 # sha256 of `field D --json`: these pin the chart det strings, sqrt_coeff,
 # coord_det and rays, which the cusp_*.txt goldens omit; recorded when the
-# elliptic bounds moved to h*R = sqrt(D) L(1, chi_D) / 2 and acnf_tol left
+# elliptic bounds moved to h'R'/hR from the two CM L-values (schema 3)
 FIELD_JSON_SHA256 = {
-    229: "ffa02053b540afa5db59114c82cf404f690007b5663d01e3ec1761af7aa0aaac",
-    9997: "e5e4b6824063f7c8018ee5bf247e6e9eaf5f76483f390c5220ad93320d85255d",
-    99996: "03aba0174b92013ebb99bbacc4be43d4038b2c3034bf0c4143d3366c99406a20",
+    229: "bcb52726c93e504bf6d05b72628e201080d5eaac31daa365cdafff1b4874afb6",
+    9997: "3b5ad1f3bd8cee05af10775e50cffa4765252aa6b2fe23294d2787dd9bf063d7",
+    99996: "eda52bf12e7a5481f4efb0eb426ef4caa14923415c08c88341be3c8de3bc68e8",
 }
 
 
@@ -204,8 +237,9 @@ STANDARD_D = (5, 8, 12, 13, 24, 229, 401, 997, 9997, 12345, 64277, 99996)
 
 
 def test_field_json_elliptic_block_equals_scan_record(capsys):
-    # field and scan take h*R = sqrt(D) L(1, chi_D) / 2 and one L(1) expression
-    # for d < 0, so a report and a sieve-backed scan record agree bit for bit
+    # the elliptic bounds use only L(1, chi_d) for the CM discriminants d < 0,
+    # which has one float expression whether it comes from the closed form or
+    # the sieve, so a report and a sieve-backed scan record agree bit for bit
     rng = random.Random(4242)
     ds = [int(d) for d in fundamental_discriminants_up_to(100_000)]
     sample = sorted(set(STANDARD_D) | set(rng.sample(ds, 20)))

@@ -276,3 +276,33 @@ def test_hirzebruch_class_number_identity():
     assert (gated, other) == (288, 50)
     # without the h(4p) = 1 gate the identity does not hold
     assert fails_ungated
+
+
+def _off_module(calls_before_fault: int):
+    """A _cramer that answers truthfully for the first calls, then shifts u
+    by 1/(2 den) so the element seems to leave the module."""
+    real = cusps_mod._cramer
+    calls = []
+
+    def fake(e, alpha, beta):
+        nu, nv, den = real(e, alpha, beta)
+        calls.append(e)
+        if len(calls) > calls_before_fault:
+            return 2 * nu + 1, 2 * nv, 2 * den
+        return nu, nv, den
+
+    return fake
+
+
+def test_fault_ray_outside_module_raises(monkeypatch):
+    monkeypatch.setattr(cusps_mod, "_cramer", _off_module(0))
+    with pytest.raises(RuntimeError, match="does not lie in the module"):
+        cusp_cycle(229)
+
+
+def test_fault_v_not_preserving_module_raises(monkeypatch):
+    cyc = cusp_cycle(5, v=cusp_cycle(5).eta)
+    # the rays and the closing ray pass; the images of alpha and beta do not
+    monkeypatch.setattr(cusps_mod, "_cramer", _off_module(len(cyc.rays) + 1))
+    with pytest.raises(DomainError, match="does not preserve the module"):
+        cusp_cycle(5, v=cyc.eta)

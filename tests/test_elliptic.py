@@ -2,6 +2,7 @@
 
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -84,7 +85,9 @@ def test_l1_imag_matches_digamma_oracle():
 def test_make_l1_lookup_both_signs():
     l1 = make_l1_lookup(200)
     assert abs(l1(-4) - math.pi / 4) < 1e-12
-    assert abs(l1(5) - closed_form_l1(5)[0]) == 0
+    # the elliptic bounds ask only for negative d; there is no d > 0 branch
+    with pytest.raises(DomainError):
+        l1(5)
 
 
 def test_cm_extension_d5_s0():
@@ -94,10 +97,10 @@ def test_cm_extension_d5_s0():
     assert cm.w_prime == 4
     assert cm.N_rel_disc == 16
     assert cm.N_U0_sq == 1
-    # h'R' = w' sqrt(400) L(1,chi_-4) L(1,chi_-20) L(1,chi_5) / (2 pi)^2
-    expect = 4 * 20 * float(mp_l_value(1, -4) * mp_l_value(1, -20) * mp_l_value(1, 5)) \
-        / (4 * math.pi ** 2)
-    assert abs(cm.hR_prime - expect) < 1e-12
+    # h'R'/hR = w' sqrt(80) L(1,chi_-4) L(1,chi_-20) / (2 pi^2): L(1,chi_5) cancels
+    expect = 4 * math.sqrt(80) * float(mp_l_value(1, -4) * mp_l_value(1, -20)) \
+        / (2 * math.pi ** 2)
+    assert abs(cm.hR_ratio - expect) < 1e-12
 
 
 def test_cm_extension_d12_s0_has_twelve_roots_of_unity():
@@ -126,6 +129,44 @@ def test_prestel_bound_rational_collapse_is_exact_rational():
         assert tb.exact, (D, s)
         assert not tb.unresolved_unit_ratio
         assert abs(tb.value - expect) < 1e-9, (D, s, tb.value)
+
+
+STANDARD_D = (5, 8, 12, 13, 24, 229, 401, 997, 9997, 12345, 64277, 99996)
+
+
+def test_l1_is_asked_only_for_the_cm_discriminants():
+    # L(1, chi_D) cancels in h'R'/hR, so the bounds never ask for d >= 0
+    for D in STANDARD_D:
+        asked = []
+
+        def spy(d):
+            asked.append(d)
+            return closed_form_l1(d)[0]
+
+        elliptic_summary(D, l1=spy)
+        for s in (0, 1):
+            prestel_bound(D, s, l1=spy)
+        assert asked and all(d < 0 for d in asked), (D, asked)
+
+
+def test_rational_bounds_equal_class_number_ratio_up_to_20000():
+    # h'R'/hR * N(U0)^2 = 2 w' h(d3) N(U0)^2 / (w(d2) w(d3)), since
+    # h(d2) = 1 for d2 in {-3, -4}; every rational trace, every field
+    dmax = 20_000
+    h = imag_class_numbers(4 * dmax + 16)
+    l1 = make_l1_lookup(4 * dmax + 16)
+    w = {-3: 6, -4: 4}
+    n_traces = 0
+    for D in fundamental_discriminants_up_to(dmax):
+        for b in elliptic_summary(int(D), l1=l1).bounds:
+            if b.cm is None:
+                continue
+            _, d2, d3 = b.cm.subfield_discs
+            exact = Fraction(2 * b.cm.w_prime * int(h[-d3]) * b.cm.N_U0_sq,
+                             w.get(d2, 2) * w.get(d3, 2))
+            assert abs(Fraction(b.value) - exact) <= exact * Fraction(1, 10**15), (D, d3)
+            n_traces += 1
+    assert n_traces == 2 * len(fundamental_discriminants_up_to(dmax))
 
 
 def test_prestel_bound_consistent_across_l_routes():

@@ -110,18 +110,21 @@ def test_scan_cache_header_mismatch(tmp_path, capsys):
     assert err.value.key == "header"
     assert err.value.path == path
 
-    # the header a schema-1 `scan --cache` wrote: its zeta2 came from a
-    # partial sum of L(2), so its records must not be reused
-    v1 = tmp_path / "v1.cache"
-    v1.write_text(json.dumps({
-        "cache_version": 1, "format": "hilbert-ggl-scan-cache", "schema_version": 1,
-        "params": {"epsilon": "1/100", "n": 2, "zeta_tol": 1e-6},
-    }, sort_keys=True) + "\n", encoding="utf-8")
-    with pytest.raises(CacheError) as err:
-        ScanCache(str(v1), CLI_PARAMS).load()
-    assert err.value.key == "header"
-    assert main(["scan", "--dmax", "20", "--cache", str(v1)]) == 1
-    assert "error: cache header" in capsys.readouterr().err
+    # the headers older `scan --cache` runs wrote, whose records must not be
+    # reused: schema 1 took zeta2 from a partial sum of L(2), and schema 2
+    # divided L(1, chi_D) back out of the elliptic bounds (other last bits)
+    for version, old_params in ((1, {"epsilon": "1/100", "n": 2, "zeta_tol": 1e-6}),
+                                (2, CLI_PARAMS)):
+        old = tmp_path / ("v%d.cache" % version)
+        old.write_text(json.dumps({
+            "cache_version": 1, "format": "hilbert-ggl-scan-cache",
+            "schema_version": version, "params": old_params,
+        }, sort_keys=True) + "\n", encoding="utf-8")
+        with pytest.raises(CacheError) as err:
+            ScanCache(str(old), CLI_PARAMS).load()
+        assert err.value.key == "header"
+        assert main(["scan", "--dmax", "20", "--cache", str(old)]) == 1
+        assert "error: cache header" in capsys.readouterr().err
 
 
 def test_field_record_from_dict_checks_types():
@@ -249,7 +252,7 @@ def test_build_field_document_and_text():
     params = {"D": 5, "n": 2, "epsilon": "1/100"}
     doc = build_field_document(params, inv, rep, ell, cyc, tan,
                                timings={"total": 0.25})
-    assert doc["schema_version"] == 2
+    assert doc["schema_version"] == 3
     assert doc["command"] == "field"
     rec = doc["records"][0]
     assert rec["D"] == 5
