@@ -373,8 +373,12 @@ def chart_tangency(mu1: QuadElem, mu2: QuadElem, index: int = 0, coord_det=None)
     sqrt(D) multiple.  A vanishing wedge means the rays are proportional and
     the chart is degenerate; that is reported, not raised.
     """
-    rows = [(mu1, mu1.conjugate()), (mu2, mu2.conjugate())]
-    lam, mult, degenerate = _wedge_check(rows)
+    return _chart_check((mu1, mu1.conjugate()), (mu2, mu2.conjugate()), index, coord_det)
+
+
+def _chart_check(row1, row2, index, coord_det) -> CuspChartCheck:
+    # the wedge check of chart_tangency on the embedding rows (mu, mu')
+    lam, mult, degenerate = _wedge_check([row1, row2])
     if not degenerate and lam.a != 0:
         raise RuntimeError("chart determinant %s has a rational part" % (lam,))
     return CuspChartCheck(
@@ -404,9 +408,10 @@ def verify_cusp_tangency(cycle: CuspCycle) -> CuspTangencyReport:
     coefficient equal to the exact ray determinant.  The module-coordinate
     determinants come from cycle.coord_dets, formed once by cusp_cycle.
     """
-    rays = cycle.rays + (cycle.closing_ray,)
+    # each ray is conjugated once, though it spans two charts
+    rows = [(mu, mu.conjugate()) for mu in cycle.rays + (cycle.closing_ray,)]
     checks = tuple(
-        chart_tangency(rays[k], rays[k + 1], index=k, coord_det=cycle.coord_dets[k])
+        _chart_check(rows[k], rows[k + 1], k, cycle.coord_dets[k])
         for k in range(len(cycle.rays))
     )
     ok = all(c.ok for c in checks) and cycle.unimodular

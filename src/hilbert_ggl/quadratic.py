@@ -52,7 +52,7 @@ _VALID_D: set[int] = set()
 
 def _elem(a: int, b: int, c: int, D: int) -> "QuadElem":
     """(a + b*sqrt(D))/c brought to normal form (c > 0, gcd(a, b, c) = 1)."""
-    g = math.gcd(a, b, c)
+    g = math.gcd(c, a, b)
     if c < 0:
         g = -g
     if g != 1:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import zlib
 from dataclasses import dataclass, fields
 from fractions import Fraction
@@ -129,17 +130,31 @@ def csv_rows(records) -> str:
 
 
 def canonical_record_json(record: dict) -> str:
-    """Sorted, compact JSON of a JSON-native record (as from to_dict or json.loads)."""
+    """Sorted, compact JSON of a JSON-native record (as from to_dict): the
+    record text the cache writes, and whose CRC32 it stores beside it."""
     return json.dumps(record, sort_keys=True, separators=(",", ":"), allow_nan=False)
+
+
+def _reject_constant(name: str):
+    raise ValueError("%s is not a valid cache value" % name)
+
+
+# one decoder for every cache line; it refuses NaN and Infinity, which the
+# writer (allow_nan=False) never emits
+_CACHE_DECODER = json.JSONDecoder(parse_constant=_reject_constant)
+# what _entry_line writes before the record text, which runs to the closing brace
+_ENTRY_PREFIX = re.compile(r'\{"D":(0|[1-9][0-9]*),"crc":(0|[1-9][0-9]*),"record":')
 
 
 class ScanCache:
     """Append-only scan cache in one file, keyed by scan parameters.
 
     Layout: first line a JSON header {format, cache_version, schema_version,
-    params}; every further line {"D": ..., "crc": ..., "record": {...}} where
-    crc is the CRC32 of the record's canonical JSON.  A parameter mismatch or
-    any corrupted line raises CacheError naming the file and offending key.
+    params}; every further line exactly {"D":<D>,"crc":<crc>,"record":<text>}
+    where text is the record's canonical JSON and crc the CRC32 of that text
+    as stored.  A parameter mismatch, a checksum mismatch, a line in any other
+    layout or a record holding NaN or Infinity raises CacheError naming the
+    file and offending key.
     """
 
     CACHE_VERSION = 1
@@ -182,9 +197,15 @@ class ScanCache:
                 if not line.strip():
                     continue
                 try:
-                    entry = json.loads(line)
-                    d, crc, record = entry["D"], entry["crc"], entry["record"]
-                    actual = zlib.crc32(canonical_record_json(record).encode("ascii"))
+                    prefix = _ENTRY_PREFIX.match(line)
+                    if prefix is None:
+                        raise ValueError("not a cache entry line")
+                    start = prefix.end()
+                    record, end = _CACHE_DECODER.raw_decode(line, start)
+                    if line[end:] not in ("}\n", "}"):
+                        raise ValueError("unexpected text after the record: %r" % line[end:])
+                    d, crc = int(prefix[1]), int(prefix[2])
+                    actual = zlib.crc32(line[start:end].encode("ascii"))
                     if actual != crc:
                         raise CacheError(
                             "checksum mismatch for D=%s (stored %s, computed %s)"

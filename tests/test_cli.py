@@ -214,6 +214,11 @@ def test_scan_2000_csv_and_cache_golden(tmp_path, capsys):
     assert capsys.readouterr().out.startswith("scanned 607 fields to D<=2000 (0 from cache)")
     assert hashlib.sha256(out.read_bytes()).hexdigest() == SCAN_2000_CSV_SHA256
     assert hashlib.sha256(cache.read_bytes()).hexdigest() == SCAN_2000_CACHE_SHA256
+    # a resume reads every record back from those bytes and writes nothing
+    assert main(["scan", "--dmax", "2000", "--cache", str(cache), "--out", str(out)]) == 0
+    assert capsys.readouterr().out.startswith("scanned 607 fields to D<=2000 (607 from cache)")
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == SCAN_2000_CSV_SHA256
+    assert hashlib.sha256(cache.read_bytes()).hexdigest() == SCAN_2000_CACHE_SHA256
 
 
 # sha256 of `field D --json`: these pin the chart det strings, sqrt_coeff,

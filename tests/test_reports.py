@@ -189,6 +189,69 @@ def _entry(d, record):
                       sort_keys=True, separators=(",", ":"))
 
 
+def _load_error_key(path):
+    with pytest.raises(CacheError) as err:
+        ScanCache(path, CLI_PARAMS).load()
+    return err.value.key
+
+
+def test_scan_cache_load_reads_the_stored_record_text(tmp_path, monkeypatch):
+    # the CRC is checked against the record text as written, so loading
+    # serializes nothing
+    path, _lines = _scan_cache_lines(tmp_path, 20)
+
+    def no_serializing(record):
+        raise AssertionError("load re-serialized a record")
+
+    monkeypatch.setattr("hilbert_ggl.reports.canonical_record_json", no_serializing)
+    loaded = ScanCache(path, CLI_PARAMS).load()
+    assert loaded == {D: scan_field(D, Fraction(1, 100)) for D in (5, 8, 12, 13, 17)}
+
+
+@pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
+def test_scan_cache_rejects_non_finite_floats(tmp_path, constant):
+    path, lines = _scan_cache_lines(tmp_path, 20)
+    entry = json.loads(lines[1])
+    text = canonical_record_json({**entry["record"], "margin": 0.5})
+    text = text.replace('"margin":0.5', '"margin":%s' % constant)
+    # the CRC covers the stored text, so only the constant is at fault
+    lines[1] = '{"D":%d,"crc":%d,"record":%s}' % (
+        entry["D"], zlib.crc32(text.encode("ascii")), text)
+    _write_lines(path, lines)
+    assert _load_error_key(path) == "line 2"
+
+
+def _respaced(line):
+    # default json.dumps spacing, record included, around the canonical CRC
+    return json.dumps(json.loads(line))
+
+
+def _extra_key(line):
+    return line[:-1] + ',"note":1}'
+
+
+@pytest.mark.parametrize("rewrite", [_respaced, _extra_key])
+def test_scan_cache_rejects_line_outside_writer_layout(tmp_path, rewrite):
+    path, lines = _scan_cache_lines(tmp_path, 20)
+    original = json.loads(lines[2])
+    lines[2] = rewrite(lines[2])
+    # the data and its CRC are intact; only the layout is not the writer's
+    assert {k: json.loads(lines[2])[k] for k in original} == original
+    _write_lines(path, lines)
+    assert _load_error_key(path) == "line 3"
+
+
+def test_scan_cache_one_digit_float_change_fails_checksum(tmp_path):
+    path, lines = _scan_cache_lines(tmp_path, 20)
+    entry = json.loads(lines[4])
+    stored = '"hr":%r' % entry["record"]["hr"]
+    changed = stored[:-1] + ("1" if stored.endswith("0") else "0")
+    assert lines[4].count(stored) == 1
+    lines[4] = lines[4].replace(stored, changed)
+    _write_lines(path, lines)
+    assert _load_error_key(path) == "D=%d" % entry["D"]
+
+
 def test_scan_cache_mis_keyed_line(tmp_path, capsys):
     path, lines = _scan_cache_lines(tmp_path, 20)
     capsys.readouterr()
