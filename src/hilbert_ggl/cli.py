@@ -93,13 +93,16 @@ def cmd_field(args, parser) -> int:
 def cmd_scan(args, parser) -> int:
     if args.dmax < 5:
         parser.error("--dmax must be at least 5")
+    if args.workers < 1:
+        parser.error("--workers must be at least 1")
     eps = _epsilon_fraction(args.epsilon, parser)
     params = {"n": DEGREE, "epsilon": str(eps)}
+    t0 = time.perf_counter()
     cache = ScanCache(args.cache, params) if args.cache else None
     precomputed = cache.load() if cache is not None else None
     fresh = []
 
-    t0 = time.perf_counter()
+    t1 = time.perf_counter()
     result = scan(
         args.dmax,
         epsilon=eps,
@@ -110,11 +113,12 @@ def cmd_scan(args, parser) -> int:
     if fresh:
         # one open and one write for the whole run
         cache.append(*fresh)
-    elapsed = time.perf_counter() - t0
-    timings = {"scan": elapsed} if args.timings else None
+    t2 = time.perf_counter()
+    timings = {"load": t1 - t0, "scan": t2 - t1} if args.timings else None
 
     if args.format == "csv":
-        payload = csv_rows([r.to_dict() for r in result.records])
+        # a record's attribute dict is keyed like its to_dict(), without the copy
+        payload = csv_rows(map(vars, result.records))
     else:
         payload = json_dumps(build_scan_document(result, params, timings=timings)) + "\n"
 
@@ -136,7 +140,7 @@ def cmd_scan(args, parser) -> int:
             )
         )
         if args.timings:
-            print("timing scan=%.3fs" % elapsed)
+            print("timing load=%.3fs scan=%.3fs" % (t1 - t0, t2 - t1))
     else:
         sys.stdout.write(payload)
     return 0

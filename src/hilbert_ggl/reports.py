@@ -1,15 +1,17 @@
 """Report documents, CSV rendering, and the single-file scan cache.
 
 Documents are plain dicts serialized as JSON; floats keep full repr precision
-so a written report parses back to identical values.  Human-facing numbers go
-through fmt10 (10 significant digits).  The scan cache is a line-oriented
-file: one JSON header carrying the parameters that key the cache, then one
-JSON line per field record protected by a CRC32 of its canonical form.
+so a written report parses back to identical values.  Human-facing numbers
+carry 10 significant digits (fmt10, and the CSV row templates).  The scan
+cache is a line-oriented file: one JSON header carrying the parameters that
+key the cache, then one JSON line per field record protected by a CRC32 of
+its canonical form.
 """
 
 from __future__ import annotations
 
 import json
+import operator
 import os
 import re
 import zlib
@@ -66,25 +68,64 @@ class FieldRecord:
     def from_dict(cls, rec: dict) -> "FieldRecord":
         """Inverse of to_dict; a missing key raises KeyError, a wrong JSON
         type, an unknown verdict or a non-string flag ValueError."""
-        values = {}
-        for name in _RECORD_KEYS:
+        # the values go straight into the instance dict: FieldRecord has no
+        # __post_init__ to miss, and the generated __init__ would pay one
+        # frozen setattr per field
+        record = object.__new__(cls)
+        values = record.__dict__
+        for name, decode in _DECODERS:
             value = rec[name]
-            # exact types, so that JSON true and false pass for no number
-            if type(value) not in _JSON_TYPES.get(name, (float, int)):
+            decoded = decode(value)
+            if decoded is _INVALID:
                 raise ValueError("invalid %s: %r" % (name, value))
-            # every key but D and h holds a float, which JSON may write as an int
-            values[name] = float(value) if type(value) is int and name not in ("D", "h") else value
-        if values["verdict"] not in ("Satisfied", "CandidateExceptional"):
-            raise ValueError("invalid verdict: %r" % values["verdict"])
-        if any(type(f) is not str for f in values["flags"]):
-            raise ValueError("invalid flags: %r" % values["flags"])
-        return cls(**{**values, "flags": tuple(values["flags"])})
+            values[name] = decoded
+        return record
 
 
 _RECORD_KEYS = tuple(f.name for f in fields(FieldRecord))
-# the JSON types each key accepts; every key not listed holds a float
-_JSON_TYPES = {"D": (int,), "h": (int, type(None)), "R": (float, int, type(None)),
-               "verdict": (str,), "flags": (list,), "exact": (bool,)}
+# what a decoder returns for a value its key does not accept (None is valid for h and R)
+_INVALID = object()
+
+
+# Decoders from a JSON value to a FieldRecord value, or _INVALID.  Types are
+# tested exactly, so that JSON true and false pass for no number.
+def _as_float(value):
+    # a float key may be written by JSON as an int
+    kind = type(value)
+    return value if kind is float else float(value) if kind is int else _INVALID
+
+
+def _as_float_or_none(value):
+    return None if value is None else _as_float(value)
+
+
+def _as_int(value):
+    return value if type(value) is int else _INVALID
+
+
+def _as_int_or_none(value):
+    return value if value is None or type(value) is int else _INVALID
+
+
+def _as_verdict(value):
+    return value if type(value) is str and value in _VERDICTS else _INVALID
+
+
+def _as_flags(value):
+    if type(value) is list and all(type(flag) is str for flag in value):
+        return tuple(value)
+    return _INVALID
+
+
+def _as_bool(value):
+    return value if type(value) is bool else _INVALID
+
+
+_VERDICTS = frozenset(("Satisfied", "CandidateExceptional"))
+_SPECIAL_DECODERS = {"D": _as_int, "h": _as_int_or_none, "R": _as_float_or_none,
+                     "verdict": _as_verdict, "flags": _as_flags, "exact": _as_bool}
+# one (key, decoder) pair per field, in field order; every key not listed holds a float
+_DECODERS = tuple((name, _SPECIAL_DECODERS.get(name, _as_float)) for name in _RECORD_KEYS)
 
 
 def fmt10(x) -> str:
@@ -114,19 +155,31 @@ def json_dumps(doc, indent: int | None = 2) -> str:
 
 
 def csv_rows(records) -> str:
-    """Fixed-column CSV for scan records (dicts keyed like FieldRecord).
+    """Fixed-column CSV for scan records (mappings keyed like FieldRecord,
+    such as to_dict() or vars() of a record).
 
     h and R are empty on fast-path records; floats keep 10 significant
     digits.
     """
     lines = [",".join(CSV_COLUMNS)]
     for rec in records:
-        row = []
-        for col in CSV_COLUMNS:
-            key = "hr" if col == "hR" else col
-            row.append(fmt10(rec.get(key)))
-        lines.append(",".join(row))
+        cells = _CSV_CELLS(rec)
+        lines.append(_CSV_ROW[cells[1] is None, cells[2] is None] % cells)
     return "\n".join(lines) + "\n"
+
+
+# the record key behind each CSV column, in column order
+_CSV_CELLS = operator.itemgetter(*("hr" if col == "hR" else col for col in CSV_COLUMNS))
+# one row template for each (h is None, R is None); "%.0s" renders None as
+# an empty cell, and every float column takes 10 significant digits
+_CSV_ROW = {
+    (h_none, r_none): ",".join(
+        ("%d", "%.0s" if h_none else "%d", "%.0s" if r_none else "%.10g")
+        + ("%.10g",) * 6 + ("%s",)
+    )
+    for h_none in (False, True)
+    for r_none in (False, True)
+}
 
 
 def canonical_record_json(record: dict) -> str:

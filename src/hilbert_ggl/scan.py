@@ -114,17 +114,16 @@ def _scan_chunk(ds: list[int], epsilon: Fraction) -> list[FieldRecord]:
 
 
 def _dyadic_blocks(records) -> tuple[DyadicBlock, ...]:
-    blocks = []
-    lo = 4
-    dmax = max((r.D for r in records), default=0)
-    while lo <= dmax:
-        hi = lo * 2
-        in_block = [r for r in records if lo <= r.D < hi]
-        if in_block:
-            failing = sum(1 for r in in_block if r.verdict != "Satisfied")
-            blocks.append(DyadicBlock(lo=lo, hi=hi, n_fields=len(in_block), n_failing=failing))
-        lo = hi
-    return tuple(blocks)
+    """Field and failing counts per block [2^k, 2^(k+1)) holding a record,
+    ascending; every D >= 5, so the first block possible is [4, 8)."""
+    n_fields: dict[int, int] = {}
+    n_failing: dict[int, int] = {}
+    for r in records:
+        lo = 1 << (r.D.bit_length() - 1)
+        n_fields[lo] = n_fields.get(lo, 0) + 1
+        n_failing[lo] = n_failing.get(lo, 0) + (r.verdict != "Satisfied")
+    return tuple(DyadicBlock(lo=lo, hi=2 * lo, n_fields=n, n_failing=n_failing[lo])
+                 for lo, n in sorted(n_fields.items()))
 
 
 def scan(dmax: int, epsilon="0.01", workers: int = 1,

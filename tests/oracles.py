@@ -4,12 +4,14 @@ Every oracle recomputes a quantity through a route that shares no code with
 the package: the unit search ascends u directly, class numbers come from the
 analytic formula with a digamma L-value, L-values go through mpmath digamma
 and Hurwitz zeta identities, zeta_K(-1) comes from Siegel's divisor sums,
-elliptic traces come from a floating point box search on both embeddings, and
-determinants come from the Leibniz permutation sum.
+elliptic traces come from a floating point box search on both embeddings,
+determinants come from the Leibniz permutation sum, and scan records are
+decoded key by key and rendered to CSV cell by cell.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import math
 from fractions import Fraction
@@ -183,3 +185,47 @@ def leibniz_det(rows):
         else:
             total = total - term if inversions % 2 else total + term
     return total
+
+
+# the JSON types each FieldRecord key accepts; every key not listed holds a float
+_RECORD_JSON_TYPES = {"D": (int,), "h": (int, type(None)), "R": (float, int, type(None)),
+                      "verdict": (str,), "flags": (list,), "exact": (bool,)}
+
+
+def record_from_dict(record_class, rec: dict):
+    """A record_class (FieldRecord) from its JSON-native dict, checking the
+    type of each key in field order, then the verdict, then the flags; built
+    through the generated __init__."""
+    values = {}
+    for field in dataclasses.fields(record_class):
+        name = field.name
+        value = rec[name]
+        # exact types, so that JSON true and false pass for no number
+        if type(value) not in _RECORD_JSON_TYPES.get(name, (float, int)):
+            raise ValueError("invalid %s: %r" % (name, value))
+        # every key but D and h holds a float, which JSON may write as an int
+        values[name] = float(value) if type(value) is int and name not in ("D", "h") else value
+    if values["verdict"] not in ("Satisfied", "CandidateExceptional"):
+        raise ValueError("invalid verdict: %r" % values["verdict"])
+    if any(type(f) is not str for f in values["flags"]):
+        raise ValueError("invalid flags: %r" % values["flags"])
+    return record_class(**{**values, "flags": tuple(values["flags"])})
+
+
+def _cell10(x) -> str:
+    if x is None:
+        return ""
+    if isinstance(x, float):
+        return "%.10g" % x
+    return str(x)
+
+
+def scan_csv(records) -> str:
+    """The scan CSV of JSON-native records, rendered one cell at a time: empty
+    for None, 10 significant digits for a float, str() otherwise."""
+    columns = ("D", "h", "R", "hR", "zeta2", "nu_max", "nu_required", "margin",
+               "elliptic_total_bound", "verdict")
+    lines = [",".join(columns)]
+    for rec in records:
+        lines.append(",".join(_cell10(rec.get("hr" if col == "hR" else col)) for col in columns))
+    return "\n".join(lines) + "\n"

@@ -4,6 +4,7 @@ import hashlib
 import json
 import os
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -72,6 +73,8 @@ def test_usage_exit_codes(capsys):
     assert main(["field", "4"]) == 2  # 4 = 2^2 is neither fundamental nor squarefree
     assert main(["field", "9"]) == 2
     assert main(["scan", "--dmax", "4"]) == 2
+    assert main(["scan", "--dmax", "100", "--workers", "0"]) == 2
+    assert main(["scan", "--dmax", "100", "--workers", "-1"]) == 2
     # the criterion is evaluated at degree 2 only; there is no degree option
     assert main(["field", "5", "--n", "3"]) == 2
     assert main(["scan", "--dmax", "10", "--n", "3"]) == 2
@@ -138,6 +141,24 @@ def test_scan_out_file_and_json(tmp_path, capsys):
         doc = json.load(fh)
     assert doc["command"] == "scan"
     assert doc["summary"]["fields"] == 30
+
+
+def test_scan_timings(tmp_path, capsys):
+    cache = str(tmp_path / "scan.cache")
+    out = str(tmp_path / "scan.csv")
+    for _ in range(2):  # a cold scan, then a resume from its cache
+        assert main(["scan", "--dmax", "100", "--cache", cache, "--out", out,
+                     "--timings"]) == 0
+        line = capsys.readouterr().out.splitlines()[-1]
+        assert re.fullmatch(r"timing load=\d+\.\d{3}s scan=\d+\.\d{3}s", line), line
+    out_json = str(tmp_path / "scan.json")
+    assert main(["scan", "--dmax", "100", "--cache", cache, "--format", "json",
+                 "--out", out_json, "--timings"]) == 0
+    capsys.readouterr()
+    with open(out_json, encoding="utf-8") as fh:
+        timings = json.load(fh)["timings"]
+    assert set(timings) == {"load", "scan"}
+    assert all(secs >= 0 for secs in timings.values())
 
 
 def test_scan_cache_resume_identical(tmp_path, capsys):

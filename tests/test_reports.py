@@ -1,10 +1,12 @@
 """Report documents, CSV layout, and the checksummed scan cache."""
 
+import dataclasses
 import json
 import zlib
 from fractions import Fraction
 
 import pytest
+from oracles import record_from_dict, scan_csv
 
 from hilbert_ggl.cli import main
 from hilbert_ggl.criteria import FieldInputs, verdict
@@ -139,6 +141,56 @@ def test_field_record_from_dict_checks_types():
                        ("verdict", "satisfied"), ("verdict", None)]:
         with pytest.raises(ValueError, match="invalid %s" % key):
             FieldRecord.from_dict({**good, key: value})
+
+
+def _decoded(rec):
+    """What from_dict and the key-by-key oracle make of rec: the record's
+    values with their types, or the exception each raises."""
+    out = []
+    for decode in (FieldRecord.from_dict, lambda r: record_from_dict(FieldRecord, r)):
+        try:
+            record = decode(rec)
+        except (KeyError, ValueError) as exc:
+            out.append((type(exc), str(exc)))
+        else:
+            out.append((record, hash(record), [(k, type(v)) for k, v in vars(record).items()]))
+    return out
+
+
+# one wrong value of each JSON kind, and a JSON int where a key holds a float
+WRONG_VALUES = (True, False, "1.5", None, [1], ["flag"], 1.0, -2, {})
+
+
+@pytest.mark.parametrize("D", [5, 46373])  # fast path, and exact path (Satisfied)
+def test_field_record_from_dict_matches_key_by_key_oracle(D):
+    good = scan_field(D, Fraction(1, 100))
+    rec = good.to_dict()
+    assert list(rec) == [f.name for f in dataclasses.fields(FieldRecord)]
+    new, old = _decoded(rec)
+    assert new == old and new[0] == good and new[1] == hash(good)
+    for key in rec:
+        for value in WRONG_VALUES:
+            new, old = _decoded({**rec, key: value})
+            assert new == old, (key, value)
+        dropped = {k: v for k, v in rec.items() if k != key}
+        new, old = _decoded(dropped)
+        assert new == old == (KeyError, repr(key)), key
+
+
+def test_csv_rows_matches_cell_by_cell_oracle():
+    # exact-path (Satisfied) records fill h and R; R = 8.251403133 at D = 50837
+    # takes all 10 digits
+    exact = [scan_field(D, Fraction(1, 100)) for D in (46373, 50837)]
+    assert all(r.h is not None and r.R is not None for r in exact)
+    records = list(scan(3000).records) + exact
+    exact = exact[-1]
+    # either empty cell alone, which no scan writes but a mapping may hold
+    records += [dataclasses.replace(exact, h=None), dataclasses.replace(exact, R=None)]
+    dicts = [r.to_dict() for r in records]
+    expected = scan_csv(dicts)
+    assert csv_rows(dicts) == expected
+    # the scan command passes each record's attribute dict
+    assert csv_rows(map(vars, records)) == expected
 
 
 def test_scan_cache_corruption(tmp_path):

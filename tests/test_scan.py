@@ -1,5 +1,6 @@
 """Bulk scans: determinism, worker independence, caching hooks."""
 
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -8,7 +9,7 @@ import pytest
 from hilbert_ggl.errors import DomainError, NumericalAgreementError
 from hilbert_ggl.field_invariants import FundamentalUnit, class_number, exact_hr, regulator
 from hilbert_ggl.lfunctions import closed_form_l1
-from hilbert_ggl.scan import FieldRecord, scan, scan_field
+from hilbert_ggl.scan import DyadicBlock, FieldRecord, _dyadic_blocks, scan, scan_field
 
 # the first Satisfied field: its record always comes from the exact path
 FIRST_SATISFIED = 46373
@@ -74,6 +75,31 @@ def test_scan_precomputed_and_streaming():
     injected = scan(150, precomputed={doctored["D"]: FieldRecord.from_dict(doctored)})
     assert injected.records[0].verdict == "Satisfied"
     assert doctored["D"] in injected.satisfied
+
+
+def _brute_dyadic(records):
+    # each block [lo, 2 lo) counted by filtering every record
+    blocks = []
+    lo = 4
+    while lo <= max(r.D for r in records):
+        in_block = [r for r in records if lo <= r.D < 2 * lo]
+        if in_block:
+            failing = sum(r.verdict != "Satisfied" for r in in_block)
+            blocks.append(DyadicBlock(lo=lo, hi=2 * lo, n_fields=len(in_block),
+                                      n_failing=failing))
+        lo *= 2
+    return tuple(blocks)
+
+
+def test_dyadic_blocks_match_brute_count():
+    records = scan(3000).records
+    assert _dyadic_blocks(records) == _brute_dyadic(records)
+    # no field up to 3000 is Satisfied, so mark some that way to count them
+    marked = [dataclasses.replace(r, verdict="Satisfied") if r.D % 3 == 0 else r
+              for r in records]
+    assert _dyadic_blocks(marked) == _brute_dyadic(marked)
+    assert [b.n_failing for b in _dyadic_blocks(marked)] != [
+        b.n_failing for b in _dyadic_blocks(records)]
 
 
 def test_scan_small_epsilon_example():
