@@ -12,7 +12,6 @@ from __future__ import annotations
 from .criteria import (
     CriterionReport,
     FieldInputs,
-    OrbitCheck,
     Thresholds,
     beta_constant,
     nu_max,
@@ -108,7 +107,6 @@ __all__ = [
     "FieldInputs",
     "FieldRecord",
     "NumericalAgreementError",
-    "OrbitCheck",
     "QuadElem",
     "QuadSurd",
     "QuadraticFieldInvariants",

@@ -64,7 +64,7 @@ def cmd_field(args, parser) -> int:
     inv = invariants(D)
     t1 = time.perf_counter()
     ell = elliptic_summary(D)
-    rep = verdict(inv, DEGREE, eps, ell)
+    rep = verdict(inv, eps)
     t2 = time.perf_counter()
     cyc = cusp_cycle(D)
     t3 = time.perf_counter()
@@ -143,6 +143,9 @@ def cmd_scan(args, parser) -> int:
             print("timing load=%.3fs scan=%.3fs" % (t1 - t0, t2 - t1))
     else:
         sys.stdout.write(payload)
+        if args.timings and args.format == "csv":
+            # stderr, so that stdout holds the CSV bytes alone
+            print("timing load=%.3fs scan=%.3fs" % (t1 - t0, t2 - t1), file=sys.stderr)
     return 0
 
 

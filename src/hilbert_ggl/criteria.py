@@ -13,22 +13,26 @@ which is positive exactly for nu below
 
 the unique positive root.  Extension over the cusps needs nu > n/b with
 b = 1 - n*epsilon; extension over an elliptic orbit with rotation sums
-S needs the analogous ratio n/(m*b), m = min(1, sum S_i).  The verdict is
-Satisfied when nu_max clears the cusp threshold and the form count stays
-positive at every elliptic threshold.
+S needs the analogous ratio n/(m*b), m = min(1, sum S_i).
 
-Anything that can be exact is exact: epsilon, b and the thresholds are
-Fractions; only d^(3/2), zeta_K(2), h R and the final comparisons are floats.
+For real quadratic fields (n = 2), hR = sqrt(D) L(1, chi_D) / 2 and
+zeta_K(2) = 4 pi^4 zeta_K(-1) / D^(3/2) turn nu_max > 2/b into
+
+    L(1, chi_D) < T_D = b^2 zeta_K(-1) / (2D),
+
+an exact rational on the right.  The verdict decides this one inequality by
+exact integer comparisons against the certified L(1) and, where h and R are
+known, against h R; nu_max and the margin are reported floats only.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DomainError, NumericalAgreementError
+from .field_invariants import DEGREE
 
 _HR_FLOOR = 1e-12
 
@@ -47,16 +51,21 @@ def to_fraction(x, what: str = "value") -> Fraction:
 
 @dataclass(frozen=True)
 class FieldInputs:
-    """Minimal invariant data the criterion consumes.
+    """Invariant data the criterion consumes.
 
-    Any object with attributes D, hr, zeta2 works (the full invariant record
-    does); this class is the lightweight carrier for scans and synthetic
-    inputs.
+    Any object with these attributes works (the full invariant record does);
+    this class is the lightweight carrier for scans and synthetic inputs.
+    zeta_m1 is the exact zeta_K(-1); h and regulator are None where unknown.
     """
 
     D: int
     hr: float
     zeta2: float
+    zeta_m1: Fraction
+    l1_value: float
+    l1_cert: float
+    h: int | None = None
+    regulator: float | None = None
 
 
 def rr_leading_coeff(inv, n: int, nu: float) -> float:
@@ -103,9 +112,12 @@ def thresholds(n: int, epsilon, s_sums=()) -> Thresholds:
     if not isinstance(n, int) or n < 2:
         raise DomainError("degree n must be an integer >= 2, got %r" % (n,))
     eps = to_fraction(epsilon, "epsilon")
-    if not (0 < eps < Fraction(1, n)):
+    # eps = p/q in lowest terms; integer tests and one gcd each for b and
+    # nu_cusp, since a scan asks for the thresholds of every field
+    p, q = eps.numerator, eps.denominator
+    if not (0 < p and n * p < q):
         raise DomainError("epsilon must lie in (0, 1/%d), got %s" % (n, eps))
-    b = 1 - n * eps
+    b = Fraction(q - n * p, q)
     ms = []
     cs = []
     for i, raw in enumerate(s_sums):
@@ -122,23 +134,10 @@ def thresholds(n: int, epsilon, s_sums=()) -> Thresholds:
         n=n,
         epsilon=eps,
         b=b,
-        nu_cusp=Fraction(n) / b,
+        nu_cusp=Fraction(n * q, q - n * p),
         m_values=tuple(ms),
         c_elliptic=tuple(cs),
     )
-
-
-# a scan asks for the same (n, epsilon, rotation sums) on every field; typed
-# keeps 2 and 2.0 apart so a float degree is still rejected
-_thresholds_memo = functools.lru_cache(maxsize=32, typed=True)(thresholds)
-
-
-def _cached_thresholds(n, epsilon, sums: tuple) -> Thresholds:
-    try:
-        return _thresholds_memo(n, epsilon, sums)
-    except TypeError:
-        # unhashable input: let thresholds() validate it uncached
-        return thresholds(n, epsilon, sums)
 
 
 def beta_constant(epsilon, n: int, sup_norm) -> Fraction:
@@ -154,15 +153,12 @@ def beta_constant(epsilon, n: int, sup_norm) -> Fraction:
     return (eps / 2) / sup
 
 
-@dataclass(frozen=True)
-class OrbitCheck:
-    """Form-count feasibility at one elliptic orbit's required order ratio."""
+# every real quadratic field has the elliptic trace s = 0, and the verdict
+# assumes each orbit's rotation sum is at least 1, so these hold for every report
+ASSUMPTION_FLAGS = ("rotation_defaulted", "joint_existence_assumed")
 
-    label: str
-    m: Fraction
-    nu_required: float
-    rr_coefficient: float
-    ok: bool
+# R is correctly rounded, so R (1 -+ 2^-52) brackets the true regulator
+_R_SCALE = 1 << 52
 
 
 @dataclass(frozen=True)
@@ -174,70 +170,91 @@ class CriterionReport:
     nu_required: float
     margin: float
     rr_coefficient_at_required: float
-    elliptic_feasible: bool
-    elliptic_detail: tuple[OrbitCheck, ...]
     verdict: str
     flags: tuple[str, ...]
 
 
-def verdict(inv, n: int, epsilon, elliptic=None, s_sums=None) -> CriterionReport:
-    """Decide Satisfied vs CandidateExceptional for one field.
+def _below(lo: int, hi: int, den: int, limit_num: int, limit_den: int) -> bool | None:
+    """True if [lo, hi] / den lies below limit_num / limit_den, False if above,
+    None if it straddles; both denominators are positive."""
+    if hi * limit_den < limit_num * den:
+        return True
+    if lo * limit_den > limit_num * den:
+        return False
+    return None
 
-    elliptic  optional trace-class summary; its classes become the orbits
-    s_sums    optional per-orbit rotation sums; when omitted for a field with
-              elliptic orbits, each sum defaults to 1 (the common case of the
-              extension bound) and the report is flagged rotation_defaulted
 
-    The elliptic side reuses the cusp form count with nu replaced by the
-    orbit's required ratio; that joint accounting is an engine assumption and
-    every report with orbits carries the joint_existence_assumed flag.
-    """
-    flags = []
-    labels: list[str]
-    if s_sums is not None:
-        sums = list(s_sums)
-        if elliptic is not None and len(elliptic.bounds) == len(sums):
-            labels = [str(b.trace) for b in elliptic.bounds]
-        else:
-            labels = ["orbit %d" % i for i in range(len(sums))]
-    elif elliptic is not None and elliptic.bounds:
-        sums = [Fraction(1)] * len(elliptic.bounds)
-        labels = [str(b.trace) for b in elliptic.bounds]
-        flags.append("rotation_defaulted")
-    else:
-        sums = []
-        labels = []
-    if sums:
-        flags.append("joint_existence_assumed")
+def _threshold(inv, b: Fraction) -> tuple[int, int]:
+    """T_D = b^2 zeta_K(-1) / (2D) as (numerator, denominator)."""
+    z = inv.zeta_m1
+    return (b.numerator ** 2 * z.numerator,
+            2 * inv.D * b.denominator ** 2 * z.denominator)
 
-    th = _cached_thresholds(n, epsilon, tuple(sums))
-    top = nu_max(inv, n)
-    required = float(th.nu_cusp)
-    rr_at_required = rr_leading_coeff(inv, n, required)
 
-    detail = []
-    feasible = True
-    for label, m, c in zip(labels, th.m_values, th.c_elliptic):
-        nu_ell = float(c * n)
-        rr_ell = rr_leading_coeff(inv, n, nu_ell)
-        ok = rr_ell > 0.0
-        feasible = feasible and ok
-        detail.append(
-            OrbitCheck(label=label, m=m, nu_required=nu_ell, rr_coefficient=rr_ell, ok=ok)
+def _l1_below(inv, t_num: int, t_den: int) -> bool:
+    l1_num, l1_den = inv.l1_value.as_integer_ratio()
+    cert_num, cert_den = inv.l1_cert.as_integer_ratio()
+    mid, half = l1_num * cert_den, cert_num * l1_den
+    below = _below(mid - half, mid + half, l1_den * cert_den, t_num, t_den)
+    if below is None:
+        raise NumericalAgreementError(
+            "D=%d: L(1, chi_D) = %r +- %.1e straddles the threshold %.17g"
+            % (inv.D, inv.l1_value, inv.l1_cert, t_num / t_den)
         )
+    return below
 
-    margin = top - required
-    satisfied = margin > 0.0 and feasible
+
+def l1_below_threshold(inv, epsilon) -> bool:
+    """Whether the certified L(1, chi_D) lies below T_D = b^2 zeta_K(-1)/(2D),
+    b = 1 - 2 epsilon, which is the criterion at n = 2.
+
+    inv needs D, zeta_m1 (exact zeta_K(-1)), l1_value and l1_cert.  Raises
+    NumericalAgreementError if l1_value +- l1_cert straddles T_D.
+    """
+    return _l1_below(inv, *_threshold(inv, thresholds(DEGREE, epsilon).b))
+
+
+def verdict(inv, epsilon) -> CriterionReport:
+    """Decide Satisfied vs CandidateExceptional for one real quadratic field.
+
+    inv carries D, zeta_m1, l1_value and l1_cert (see l1_below_threshold),
+    hr and zeta2 for the reported floats, and h and regulator, or None for
+    both where they are unknown.  With hR = sqrt(D) L(1)/2 the criterion
+    L(1) < T_D reads 16 D (hR)^2 < b^4 zeta_K(-1)^2, so known h and R decide
+    it a second time, without L(1); the two answers must agree.  Both
+    comparisons are exact, in integers.  A straddle or a disagreement raises
+    NumericalAgreementError.
+
+    nu_max, nu_required, margin and the form-count coefficient are reported
+    floats; they do not enter the decision.  Every report carries
+    ASSUMPTION_FLAGS: an elliptic orbit with rotation sum at least 1 needs
+    the cusp ratio nu_required, and its forms are assumed to be the cusp ones.
+    """
+    th = thresholds(DEGREE, epsilon)
+    t_num, t_den = _threshold(inv, th.b)
+    below = _l1_below(inv, t_num, t_den)
+    if inv.h is not None:
+        r_num, r_den = inv.regulator.as_integer_ratio()
+        hr = inv.h * r_num
+        # L(1) < T_D  <=>  4 (hR)^2 < D T_D^2
+        hr_below = _below(4 * (hr * (_R_SCALE - 1)) ** 2, 4 * (hr * (_R_SCALE + 1)) ** 2,
+                          (r_den * _R_SCALE) ** 2, inv.D * t_num ** 2, t_den ** 2)
+        if hr_below is not below:
+            raise NumericalAgreementError(
+                "D=%d: h R = %d * %r and L(1, chi_D) = %r +- %.1e do not certify "
+                "the same side of the threshold %.17g"
+                % (inv.D, inv.h, inv.regulator, inv.l1_value, inv.l1_cert, t_num / t_den)
+            )
+    top = nu_max(inv, DEGREE)
+    required = float(th.nu_cusp)
     return CriterionReport(
         D=inv.D,
-        n=n,
+        n=DEGREE,
         epsilon=th.epsilon,
         nu_max=top,
         nu_required=required,
-        margin=margin,
-        rr_coefficient_at_required=rr_at_required,
-        elliptic_feasible=feasible,
-        elliptic_detail=tuple(detail),
-        verdict="Satisfied" if satisfied else "CandidateExceptional",
-        flags=tuple(flags),
+        margin=top - required,
+        rr_coefficient_at_required=rr_leading_coeff(inv, DEGREE, required),
+        verdict="Satisfied" if below else "CandidateExceptional",
+        flags=ASSUMPTION_FLAGS,
     )

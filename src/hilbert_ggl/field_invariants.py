@@ -13,7 +13,8 @@ Everything discrete is integer arithmetic:
 * regulator: log of the exact unit at working precision scaled to the size
   of t, so the float64 result is correctly rounded.
 
-``invariants`` takes zeta_K(2) from the exact zeta_K(-1) (lfunctions.zeta_K2).
+``invariants`` computes the exact zeta_K(-1) once and takes zeta_K(2) from it
+(lfunctions.zeta_K2); the criterion compares L(1, chi_D) with it.
 ``zeta_K2_dual`` cross-checks it as zeta(2) L(2, chi_D) by two independent
 float routes: characters (reciprocity-built table, partial sums with Abel
 certificate) and ideal counts (divisor convolution of an Euler-criterion
@@ -26,6 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from math import isqrt
 
 import mpmath as mp
@@ -43,6 +45,7 @@ from .lfunctions import (
     primes_up_to,
     zeta2_constant,
     zeta_K2,
+    zeta_K_minus1,
 )
 
 # degree n of the totally real fields handled here: every invariant below is
@@ -288,6 +291,7 @@ class QuadraticFieldInvariants:
     l1_cert: float
     zeta2: float
     zeta2_cert: float
+    zeta_m1: Fraction
     acnf_residual: float
 
 
@@ -325,11 +329,12 @@ def invariants(D: int) -> QuadraticFieldInvariants:
     table = character_table(D)
     l1, l1_cert = closed_form_l1(D, table)
     unit, cd, reg, residual = exact_hr(D, l1, l1_cert)
-    zeta2, zeta2_cert = zeta_K2(D, table)
+    zeta_m1 = zeta_K_minus1(D, table)
+    zeta2, zeta2_cert = zeta_K2(D, zeta_m1)
     return QuadraticFieldInvariants(
         D=D, h=cd.h, h_plus=cd.h_plus, t=unit.t, u=unit.u, unit_norm=unit.norm,
         regulator=reg, hr=cd.h * reg, l1_value=l1, l1_cert=l1_cert,
-        zeta2=zeta2, zeta2_cert=zeta2_cert,
+        zeta2=zeta2, zeta2_cert=zeta2_cert, zeta_m1=zeta_m1,
         acnf_residual=residual,
     )
 
@@ -409,7 +414,7 @@ def zeta_K2_dual(D: int) -> DualZeta:
     """zeta_K(2) by two routes sharing no character code; raises on disagreement."""
     _check_field_discriminant(D)
     z2 = zeta2_constant()
-    lv = L_value(2, D, 2e-9, table=kronecker_table(D))
+    lv = L_value(D, 2e-9, table=kronecker_table(D))
     char_value = z2 * lv.value
     char_cert = z2 * lv.error_bound + 1e-15
     ideal_value, ideal_cert = zeta2_ideal_route(D)

@@ -5,14 +5,15 @@ Evaluation routes:
 * ``zeta_K_minus1``: zeta_K(-1) = B_{2,chi}/24 as a Fraction, and from it
   ``zeta_K2``: zeta_K(2) to float rounding, the route of scans and reports.
 
-* ``L_value``: truncated character sum with an Abel-summation tail certificate.
-  For non-principal chi mod q every partial sum S(x) = sum_{n<=x} chi(n) is
-  bounded by M = max over one period (S is q-periodic since the full period
-  sums to zero), and summation by parts gives
+* ``L_value``: L(2, chi) as a truncated character sum with an Abel-summation
+  tail certificate.  For non-principal chi mod q every partial sum
+  S(x) = sum_{n<=x} chi(n) is bounded by M = max over one period (S is
+  q-periodic since the full period sums to zero), and summation by parts
+  gives
 
-      | sum_{n>N} chi(n) n^(-s) |  <=  2 M (N+1)^(-s).
+      | sum_{n>N} chi(n) n^(-2) |  <=  2 M (N+1)^(-2).
 
-  The number of terms needed is (2M/tol)^(1/s); when that exceeds the term
+  The number of terms needed is (2M/tol)^(1/2); when that exceeds the term
   budget a BudgetExceededError is raised instead of silently degrading.
 
 * ``closed_form_l1``: exact finite evaluation of L(1, chi_d) used by the
@@ -217,30 +218,24 @@ class LValue:
     value: float
     error_bound: float
     terms: int
-    s: int
     d: int
 
 
-def _tail_sum(table: np.ndarray, s: int, n_terms: int) -> float:
-    """sum_{n<=N} chi(n)/n^s, fixed-chunk order so results are reproducible."""
+def _tail_sum(table: np.ndarray, n_terms: int) -> float:
+    """sum_{n<=N} chi(n)/n^2, fixed-chunk order so results are reproducible."""
     q = len(table)
     total = 0.0
     for start in range(1, n_terms + 1, _CHUNK):
         stop = min(start + _CHUNK, n_terms + 1)
         idx = np.arange(start, stop, dtype=np.int64)
         vals = table[idx % q].astype(np.float64)
-        if s == 1:
-            total += float(np.sum(vals / idx))
-        else:
-            total += float(np.sum(vals / (idx.astype(np.float64) ** s)))
+        total += float(np.sum(vals / (idx.astype(np.float64) ** 2)))
     return total
 
 
-def L_value(s: int, d: int, tol: float, term_budget: int = 10**7,
+def L_value(d: int, tol: float, term_budget: int = 10**7,
             table: np.ndarray | None = None) -> LValue:
-    """L(s, chi_d) by partial sums, absolute error <= tol certified by Abel tail."""
-    if s not in (1, 2):
-        raise DomainError(f"s must be 1 or 2, got {s}")
+    """L(2, chi_d) by partial sums, absolute error <= tol certified by Abel tail."""
     if tol <= 0:
         raise DomainError("tol must be positive")
     if table is None:
@@ -252,24 +247,24 @@ def L_value(s: int, d: int, tol: float, term_budget: int = 10**7,
     tail_target = tol - round_guard
     if tail_target <= 0:
         raise BudgetExceededError(
-            f"L({s}, chi_{d}) tolerance {tol} is below the float rounding floor "
+            f"L(2, chi_{d}) tolerance {tol} is below the float rounding floor "
             f"{round_guard:.1e}",
             needed=term_budget + 1, budget=term_budget,
         )
-    n_needed = math.ceil((2.0 * m_bound / tail_target) ** (1.0 / s))
+    n_needed = math.ceil((2.0 * m_bound / tail_target) ** 0.5)
     if n_needed > term_budget:
         raise BudgetExceededError(
-            f"L({s}, chi_{d}) to tol {tol} needs {n_needed} terms, budget {term_budget}",
+            f"L(2, chi_{d}) to tol {tol} needs {n_needed} terms, budget {term_budget}",
             needed=n_needed, budget=term_budget,
         )
-    value = _tail_sum(table, s, n_needed)
-    cert = 2.0 * m_bound / float(n_needed + 1) ** s + 5e-15 * max(1.0, math.log(n_needed + 1))
+    value = _tail_sum(table, n_needed)
+    cert = 2.0 * m_bound / float(n_needed + 1) ** 2 + 5e-15 * max(1.0, math.log(n_needed + 1))
     if cert > tol:
         raise BudgetExceededError(
-            f"L({s}, chi_{d}) certificate {cert:.3e} exceeds requested {tol:.3e}",
+            f"L(2, chi_{d}) certificate {cert:.3e} exceeds requested {tol:.3e}",
             needed=n_needed + 1, budget=term_budget,
         )
-    return LValue(value=value, error_bound=cert, terms=n_needed, s=s, d=d)
+    return LValue(value=value, error_bound=cert, terms=n_needed, d=d)
 
 
 def _l1_odd(d: int, h: int) -> float:
@@ -316,8 +311,9 @@ def zeta_K_minus1(D: int, table: np.ndarray | None = None) -> Fraction:
     return Fraction(int(np.dot(table, a * a)), 24 * D)
 
 
-def zeta_K2(D: int, table: np.ndarray | None = None) -> tuple[float, float]:
-    """(zeta_K(2), rounding bound) from zeta_K(2) = 4 pi^4 zeta_K(-1) / D^(3/2).
+def zeta_K2(D: int, zeta_m1: Fraction) -> tuple[float, float]:
+    """(zeta_K(2), rounding bound) from zeta_K(2) = 4 pi^4 zeta_K(-1) / D^(3/2),
+    given the exact zeta_m1 = zeta_K_minus1(D).
 
     Twelve roundings of at most u = 2^-53 (four through math.pi, two in pi2,
     one each in float(), sqrt, the three inexact products and the quotient)
@@ -325,7 +321,7 @@ def zeta_K2(D: int, table: np.ndarray | None = None) -> tuple[float, float]:
     the rounding of the bound.
     """
     pi2 = math.pi * math.pi
-    value = 4.0 * pi2 * pi2 * float(zeta_K_minus1(D, table)) / (D * math.sqrt(D))
+    value = 4.0 * pi2 * pi2 * float(zeta_m1) / (D * math.sqrt(D))
     return value, 13 * 2.0 ** -53 * value
 
 

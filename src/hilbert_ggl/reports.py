@@ -304,16 +304,6 @@ class ScanCache:
 def build_field_document(params: dict, inv, rep, ell, cyc, tan, timings=None) -> dict:
     """Single-field report document (full invariant, criterion, elliptic,
     cusp and tangency data); everything JSON-serializable."""
-    orbits = [
-        {
-            "label": o.label,
-            "m": o.m,
-            "nu_required": o.nu_required,
-            "rr_coefficient": o.rr_coefficient,
-            "ok": o.ok,
-        }
-        for o in rep.elliptic_detail
-    ]
     classes = []
     for b in ell.bounds:
         cm = None
@@ -361,8 +351,6 @@ def build_field_document(params: dict, inv, rep, ell, cyc, tan, timings=None) ->
             "nu_required": rep.nu_required,
             "margin": rep.margin,
             "rr_coefficient_at_required": rep.rr_coefficient_at_required,
-            "elliptic_feasible": rep.elliptic_feasible,
-            "orbits": orbits,
             "flags": list(rep.flags),
             "verdict": rep.verdict,
         },
@@ -439,17 +427,6 @@ def render_field_text(doc: dict) -> str:
     lines.append(
         "  rr coefficient at nu_required=%s" % fmt10(cri["rr_coefficient_at_required"])
     )
-    for orb in cri["orbits"]:
-        lines.append(
-            "  orbit %s: m=%s nu=%s rr=%s %s"
-            % (
-                orb["label"],
-                orb["m"],
-                fmt10(orb["nu_required"]),
-                fmt10(orb["rr_coefficient"]),
-                "ok" if orb["ok"] else "infeasible",
-            )
-        )
     if cri["flags"]:
         lines.append("  flags: %s" % ", ".join(cri["flags"]))
     lines.append("elliptic classes:")

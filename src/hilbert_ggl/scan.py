@@ -2,10 +2,12 @@
 
 The per-field fast path never computes h and R separately: the class number
 formula gives hR = sqrt(D) L(1, chi_D) / 2 from the finite closed form, and
-zeta_K(2) from the exact zeta_K(-1), rounded once (lfunctions.zeta_K2).  Fields
-whose verdict comes out Satisfied are recomputed on the exact path
-(field_invariants.exact_hr), which runs the same unit-norm and class number
-formula checks as a single-field report; none occur below D = 5000, and 458
+zeta_K(2) comes from the exact zeta_K(-1), rounded once (lfunctions.zeta_K2).
+The criterion is one exact comparison of the certified L(1, chi_D) with
+T_D = b^2 zeta_K(-1) / (2D).  Fields below T_D, the Satisfied ones, are
+recomputed on the exact path (field_invariants.exact_hr), which runs the same
+unit-norm and class number formula checks as a single-field report, and the
+verdict then decides them by h R as well; none occur below D = 5000, and 458
 of the 30394 fields up to D = 1e5 do.
 
 Scans are deterministic: per-field work is a pure function of (D, parameters),
@@ -17,14 +19,14 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
-from .criteria import FieldInputs, to_fraction, verdict
+from .criteria import FieldInputs, l1_below_threshold, to_fraction, verdict
 from .elliptic import elliptic_summary, make_l1_lookup
 from .errors import DomainError
-from .field_invariants import DEGREE, exact_hr, fundamental_discriminants_up_to
-from .lfunctions import character_table, closed_form_l1, zeta_K2
+from .field_invariants import exact_hr, fundamental_discriminants_up_to
+from .lfunctions import character_table, closed_form_l1, zeta_K2, zeta_K_minus1
 from .reports import FieldRecord
 
 # a pool scan hands out this many interleaved slices of the fields per
@@ -44,23 +46,21 @@ def scan_field(D: int, epsilon, l1_lookup=None) -> FieldRecord:
     """
     table = character_table(D)
     l1_val, l1_cert = closed_form_l1(D, table)
-    hr = math.sqrt(D) * l1_val / 2.0
-    zeta2, zeta2_cert = zeta_K2(D, table)
+    zeta_m1 = zeta_K_minus1(D, table)
+    zeta2, zeta2_cert = zeta_K2(D, zeta_m1)
     ell = elliptic_summary(D, l1=l1_lookup)
-    h = None
-    reg = None
-    rep = verdict(FieldInputs(D=D, hr=hr, zeta2=zeta2), DEGREE, epsilon, ell)
-    exact = rep.verdict == "Satisfied"
+    inputs = FieldInputs(D=D, hr=math.sqrt(D) * l1_val / 2.0, zeta2=zeta2,
+                         zeta_m1=zeta_m1, l1_value=l1_val, l1_cert=l1_cert)
+    exact = l1_below_threshold(inputs, epsilon)
     if exact:
         _unit, classes, reg, _residual = exact_hr(D, l1_val, l1_cert)
-        h = classes.h
-        hr = h * reg
-        rep = verdict(FieldInputs(D=D, hr=hr, zeta2=zeta2), DEGREE, epsilon, ell)
+        inputs = replace(inputs, hr=classes.h * reg, h=classes.h, regulator=reg)
+    rep = verdict(inputs, epsilon)
     return FieldRecord(
         D=D,
-        h=h,
-        R=reg,
-        hr=hr,
+        h=inputs.h,
+        R=inputs.regulator,
+        hr=inputs.hr,
         zeta2=zeta2,
         zeta2_cert=zeta2_cert,
         l1=l1_val,

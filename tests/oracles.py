@@ -5,8 +5,9 @@ the package: the unit search ascends u directly, class numbers come from the
 analytic formula with a digamma L-value, L-values go through mpmath digamma
 and Hurwitz zeta identities, zeta_K(-1) comes from Siegel's divisor sums,
 elliptic traces come from a floating point box search on both embeddings,
-determinants come from the Leibniz permutation sum, and scan records are
-decoded key by key and rendered to CSV cell by cell.
+determinants come from the Leibniz permutation sum, scan records are
+decoded key by key and rendered to CSV cell by cell, and the verdict is
+taken by the float sign tests that the exact comparison replaced.
 """
 
 from __future__ import annotations
@@ -229,3 +230,22 @@ def scan_csv(records) -> str:
     for rec in records:
         lines.append(",".join(_cell10(rec.get("hr" if col == "hR" else col)) for col in columns))
     return "\n".join(lines) + "\n"
+
+
+def float_rule_verdict(D: int, hr: float, zeta2: float, epsilon: Fraction,
+                       n_orbits: int) -> str:
+    """The verdict by float sign tests at n = 2: Satisfied when the margin
+    nu_max - 2/b is positive and the form-count coefficient rr stays positive
+    at every elliptic orbit's required ratio 2/(m b), each orbit with the
+    default rotation sum 1 (so m = 1)."""
+    b = 1 - 2 * epsilon
+    d = float(D)
+    nu_max = 2 / (8.0 * math.pi ** 2) * (4.0 * D * zeta2 / hr) ** 0.5
+    margin = nu_max - float(2 / b)
+
+    def rr(nu: float) -> float:
+        return (2.0 ** -3 * math.pi ** -4 * d ** 1.5 * zeta2
+                - 2.0 * (nu / 2) ** 2 * math.sqrt(d) * hr)
+
+    orbits_ok = all(rr(float(2 / (m * b))) > 0.0 for m in [Fraction(1)] * n_orbits)
+    return "Satisfied" if margin > 0.0 and orbits_ok else "CandidateExceptional"

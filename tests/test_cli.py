@@ -159,6 +159,14 @@ def test_scan_timings(tmp_path, capsys):
         timings = json.load(fh)["timings"]
     assert set(timings) == {"load", "scan"}
     assert all(secs >= 0 for secs in timings.values())
+    # without --out the CSV keeps its bytes on stdout and the timing goes to stderr
+    assert main(["scan", "--dmax", "100", "--cache", cache]) == 0
+    plain = capsys.readouterr()
+    assert main(["scan", "--dmax", "100", "--cache", cache, "--timings"]) == 0
+    timed = capsys.readouterr()
+    assert plain.out.startswith("D,h,R,") and timed.out == plain.out
+    assert plain.err == ""
+    assert re.fullmatch(r"timing load=\d+\.\d{3}s scan=\d+\.\d{3}s\n", timed.err), timed.err
 
 
 def test_scan_cache_resume_identical(tmp_path, capsys):
@@ -244,11 +252,12 @@ def test_scan_2000_csv_and_cache_golden(tmp_path, capsys):
 
 # sha256 of `field D --json`: these pin the chart det strings, sqrt_coeff,
 # coord_det and rays, which the cusp_*.txt goldens omit; recorded when the
-# elliptic bounds moved to h'R'/hR from the two CM L-values (schema 3)
+# criterion block lost its per-orbit rows (the documents of the elliptic
+# bounds from h'R'/hR of schema 3, minus "orbits" and "elliptic_feasible")
 FIELD_JSON_SHA256 = {
-    229: "bcb52726c93e504bf6d05b72628e201080d5eaac31daa365cdafff1b4874afb6",
-    9997: "3b5ad1f3bd8cee05af10775e50cffa4765252aa6b2fe23294d2787dd9bf063d7",
-    99996: "eda52bf12e7a5481f4efb0eb426ef4caa14923415c08c88341be3c8de3bc68e8",
+    229: "4422dde700178b8d1be6fdbabdbe862c995f721ec8fe0e0f4b0f1c5039638c2d",
+    9997: "09e31732daecdbc1e790c4f0a5a1054927a4ff84ec30e8437275682d463264eb",
+    99996: "0f52126d0819f02c427de267b11dd3f60b5e9a1b8cced61e9bfbcf8513c95a2e",
 }
 
 

@@ -1,21 +1,26 @@
 """Form-count thresholds, nu_max, beta constant and the per-field verdict."""
 
+import dataclasses
+import math
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
+import mpmath
 import pytest
 
 from hilbert_ggl.criteria import (
     FieldInputs,
     beta_constant,
+    l1_below_threshold,
     nu_max,
     rr_leading_coeff,
     thresholds,
     verdict,
 )
-from hilbert_ggl.elliptic import elliptic_summary
 from hilbert_ggl.errors import DomainError, NumericalAgreementError
 from hilbert_ggl.field_invariants import invariants
+from hilbert_ggl.lfunctions import zeta_K2, zeta_K_minus1
 
 
 def bisect_root(f, lo: float, hi: float, tol: float) -> float:
@@ -49,7 +54,7 @@ def test_nu_max_is_the_rr_root_for_100_random_fields():
         D = rng.randint(5, 5000)
         hr = rng.uniform(0.3, 50.0)
         zeta2 = rng.uniform(1.0, 2.0)
-        inv = FieldInputs(D=D, hr=hr, zeta2=zeta2)
+        inv = SimpleNamespace(D=D, hr=hr, zeta2=zeta2)
         n = rng.choice([2, 2, 2, 3, 4])
         top = nu_max(inv, n)
         hi = top * 2
@@ -59,13 +64,13 @@ def test_nu_max_is_the_rr_root_for_100_random_fields():
 
 
 def test_rr_leading_coeff_validates_input():
-    inv = FieldInputs(D=5, hr=0.5, zeta2=1.2)
+    inv = SimpleNamespace(D=5, hr=0.5, zeta2=1.2)
     with pytest.raises(DomainError):
         rr_leading_coeff(inv, 1, 0.1)
     with pytest.raises(DomainError):
         rr_leading_coeff(inv, 2, -0.1)
     with pytest.raises(NumericalAgreementError):
-        nu_max(FieldInputs(D=5, hr=0.0, zeta2=1.2), 2)
+        nu_max(SimpleNamespace(D=5, hr=0.0, zeta2=1.2), 2)
 
 
 def test_thresholds_examples():
@@ -110,97 +115,99 @@ def test_beta_constant_examples():
         beta_constant(Fraction(1, 2), 2, 1)
 
 
+def _inputs(D, l1, zeta_m1, l1_cert=None):
+    """Consistent fast-path inputs: hR from L(1), zeta_K(2) from zeta_K(-1)."""
+    return FieldInputs(D=D, hr=math.sqrt(D) * l1 / 2.0, zeta2=zeta_K2(D, zeta_m1)[0],
+                       zeta_m1=zeta_m1, l1_value=l1,
+                       l1_cert=1e-12 * l1 if l1_cert is None else l1_cert)
+
+
 def test_verdict_d5_candidate_exceptional():
     inv = invariants(5)
-    ell = elliptic_summary(5)
-    rep = verdict(inv, 2, Fraction(1, 20), ell)
+    rep = verdict(inv, Fraction(1, 20))
     assert rep.verdict == "CandidateExceptional"
     assert abs(rep.nu_max - 0.176) < 1e-3
     assert abs(rep.nu_required - 2.0 / 0.9) < 1e-12
     assert rep.margin < 0
-    assert "rotation_defaulted" in rep.flags
-    assert "joint_existence_assumed" in rep.flags
-    assert len(rep.elliptic_detail) == len(ell.bounds)
+    assert rep.flags == ("rotation_defaulted", "joint_existence_assumed")
+    # epsilon must lie in (0, 1/2)
+    for eps in (Fraction(1, 2), 0, [Fraction(1, 100)]):
+        with pytest.raises(DomainError):
+            verdict(inv, eps)
 
 
 def test_verdict_synthetic_satisfied():
-    # d zeta / hR = 1e8 makes nu_max = (2/(8 pi^2)) sqrt(4e8) = 506.6 >> nu_cusp
-    inv = FieldInputs(D=10**8, hr=1.0, zeta2=1.0)
-    rep = verdict(inv, 2, Fraction(1, 100))
-    assert rep.nu_max > 500
-    assert rep.verdict == "Satisfied"
-    assert rep.elliptic_feasible
-    assert rep.flags == ()
+    # the first Satisfied field, decided by L(1) alone and by h R as well
+    inv = invariants(46373)
+    fast = _inputs(inv.D, inv.l1_value, inv.zeta_m1, inv.l1_cert)
+    for data in (inv, fast):
+        rep = verdict(data, Fraction(1, 100))
+        assert rep.verdict == "Satisfied"
+        assert rep.margin > 0 and rep.rr_coefficient_at_required > 0
+        assert rep.flags == ("rotation_defaulted", "joint_existence_assumed")
+    assert l1_below_threshold(fast, Fraction(1, 100))
+    # a larger epsilon lowers T_D below L(1)
+    assert verdict(inv, Fraction(1, 10)).verdict == "CandidateExceptional"
 
 
 def test_verdict_monotone_in_zeta2():
-    # increasing zeta_K(2) with everything else fixed never flips
-    # Satisfied -> CandidateExceptional
+    # increasing zeta_K(-1), and with it zeta_K(2), with everything else fixed
+    # never flips Satisfied -> CandidateExceptional
     rng = random.Random(314)
+    flips = 0
     for _ in range(200):
         D = rng.randint(5, 10**7)
-        hr = rng.uniform(0.3, 30.0)
-        z = rng.uniform(1.0, 2.0)
+        l1 = rng.uniform(0.1, 5.0)
         eps = Fraction(rng.randint(1, 49), 100)
-        r1 = verdict(FieldInputs(D, hr, z), 2, eps)
-        r2 = verdict(FieldInputs(D, hr, z * rng.uniform(1.0, 4.0)), 2, eps)
+        b = 1 - 2 * eps
+        # zeta_K(-1) within a factor 2 of the threshold value 2 D L(1) / b^2
+        z1 = Fraction(l1) * 2 * D / b ** 2 * Fraction(rng.randint(500, 2000), 1000)
+        z2 = z1 * Fraction(rng.randint(1000, 4000), 1000)
+        r1 = verdict(_inputs(D, l1, z1), eps)
+        r2 = verdict(_inputs(D, l1, z2), eps)
         if r1.verdict == "Satisfied":
             assert r2.verdict == "Satisfied"
+        flips += r1.verdict != r2.verdict
         assert r2.nu_max >= r1.nu_max
+    assert flips > 0
 
 
-def test_verdict_orbit_labels_and_s_sums():
-    inv = invariants(5)
-    ell = elliptic_summary(5)
-    k = len(ell.bounds)
-    sums = [Fraction(1, 2)] * k
-    rep = verdict(inv, 2, Fraction(1, 20), ell, s_sums=sums)
-    assert "rotation_defaulted" not in rep.flags
-    assert "joint_existence_assumed" in rep.flags
-    assert [o.m for o in rep.elliptic_detail] == [Fraction(1, 2)] * k
-    assert [o.label for o in rep.elliptic_detail] == [str(b.trace) for b in ell.bounds]
-    # nu for the orbit is c*n = n/(m*b)
-    b = 1 - 2 * Fraction(1, 20)
-    assert all(abs(o.nu_required - float(2 / (Fraction(1, 2) * b))) < 1e-12
-               for o in rep.elliptic_detail)
+def _threshold(D, zeta_m1, eps):
+    return (1 - 2 * eps) ** 2 * zeta_m1 / (2 * D)
 
 
-def test_verdict_no_elliptic_input():
-    inv = invariants(5)
-    rep = verdict(inv, 2, Fraction(1, 100))
-    assert rep.elliptic_detail == ()
-    assert rep.flags == ()
-    assert rep.verdict == "CandidateExceptional"
+def test_verdict_straddle_raises():
+    eps = Fraction(1, 100)
+    zeta_m1 = zeta_K_minus1(64277)
+    t = _threshold(64277, zeta_m1, eps)
+    # L(1) on the threshold, up to the rounding of float(T_D)
+    on = _inputs(64277, float(t), zeta_m1, l1_cert=1e-15)
+    with pytest.raises(NumericalAgreementError, match="straddles"):
+        verdict(on, eps)
+    with pytest.raises(NumericalAgreementError, match="straddles"):
+        l1_below_threshold(on, eps)
+    # a certificate that reaches T_D from either side
+    for l1 in (float(t) * (1 - 1e-6), float(t) * (1 + 1e-6)):
+        with pytest.raises(NumericalAgreementError):
+            verdict(_inputs(64277, l1, zeta_m1, l1_cert=2e-6 * l1), eps)
+        assert verdict(_inputs(64277, l1, zeta_m1, l1_cert=1e-7 * l1), eps).verdict == (
+            "Satisfied" if l1 < t else "CandidateExceptional")
 
 
-def test_verdict_satisfied_requires_elliptic_feasibility():
-    # nu_max just above nu_cusp but elliptic order far beyond it: infeasible
-    inv = FieldInputs(D=10**4, hr=1.0, zeta2=1.0)
-    base = verdict(inv, 2, Fraction(1, 100))
-    assert base.verdict == "Satisfied"
-    tiny = [Fraction(1, 1000)]
-    rep = verdict(inv, 2, Fraction(1, 100), s_sums=tiny)
-    assert not rep.elliptic_feasible
-    assert rep.verdict == "CandidateExceptional"
-    assert rep.elliptic_detail[0].label == "orbit 0"
-
-
-def test_verdict_memo_keeps_validation():
-    # the thresholds memo caches results, never exceptions: bad input raises
-    # on every call
-    inv = FieldInputs(D=10**4, hr=1.0, zeta2=1.0)
-    for _ in range(2):
-        with pytest.raises(DomainError):
-            verdict(inv, 2, Fraction(1, 2))
-        with pytest.raises(DomainError):
-            verdict(inv, 2, Fraction(1, 100), s_sums=[Fraction(1), Fraction(0)])
-        with pytest.raises(DomainError):
-            verdict(inv, 2, [Fraction(1, 100)])  # unhashable, so never memoized
-    # a float degree equal to 2 is still rejected after an integer call
-    verdict(inv, 2, Fraction(1, 100))
-    with pytest.raises(DomainError):
-        verdict(inv, 2.0, Fraction(1, 100))
-    first = verdict(inv, 2, Fraction(1, 100), s_sums=[Fraction(1, 2)])
-    again = verdict(inv, 2, Fraction(1, 100), s_sums=[Fraction(1, 2)])
-    assert first == again
-    assert first.elliptic_detail[0].m == Fraction(1, 2)
+def test_verdict_doctored_hr_raises():
+    eps = Fraction(1, 100)
+    # Satisfied by L(1), but h R moved above T_D; CandidateExceptional by
+    # L(1), but h R moved below T_D
+    for D in (46373, 5):
+        inv = invariants(D)
+        t = _threshold(D, inv.zeta_m1, eps)
+        # R with hR = sqrt(D) L / 2 for L = T_D (1 -+ 1e-3): the other side of T_D
+        factor = 1 + 1e-3 if verdict(inv, eps).verdict == "Satisfied" else 1 - 1e-3
+        far = math.sqrt(D) * float(t) * factor / 2.0 / inv.h
+        with pytest.raises(NumericalAgreementError, match="same side"):
+            verdict(dataclasses.replace(inv, regulator=far), eps)
+        # R rounded from the exact sqrt(D) T_D / (2h): R (1 +- 2^-52) straddles T_D
+        with mpmath.workdps(50):
+            on = float(mpmath.sqrt(D) * t.numerator / (2 * inv.h * t.denominator))
+        with pytest.raises(NumericalAgreementError, match="same side"):
+            verdict(dataclasses.replace(inv, regulator=on), eps)

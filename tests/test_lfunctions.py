@@ -202,7 +202,7 @@ def test_l_value_certificates_against_oracle():
     for _ in range(40):
         d = rng.choice(ds)
         tol = 10.0 ** rng.uniform(-9, -5)
-        lv = L_value(2, d, tol)
+        lv = L_value(d, tol)
         assert lv.error_bound <= tol
         oracle = float(mp_l_value(2, d))
         assert abs(lv.value - oracle) <= lv.error_bound, (d, tol)
@@ -217,23 +217,23 @@ def test_l_value_refinement_stays_in_interval():
     while checked < 200:
         d = rng.choice(ds)
         tol = 10.0 ** rng.uniform(-8, -4)
-        lv = L_value(2, d, tol)
-        fine = L_value(2, d, tol / 10.0)
+        lv = L_value(d, tol)
+        fine = L_value(d, tol / 10.0)
         assert abs(fine.value - lv.value) <= lv.error_bound + fine.error_bound
         checked += 1
 
 
 def test_l_value_budget_error():
     with pytest.raises(BudgetExceededError) as info:
-        L_value(2, 5, 1e-10, term_budget=10)
+        L_value(5, 1e-10, term_budget=10)
     assert info.value.needed > info.value.budget
 
 
 def test_l_value_known_points():
-    assert abs(L_value(2, 5, 1e-10).value - 0.7062114032597410) < 1e-9
+    assert abs(L_value(5, 1e-10).value - 0.7062114032597410) < 1e-9
     assert abs(closed_form_l1(-4)[0] - math.pi / 4) < 1e-12
     for d in (5, -4, 13, -8, 60):
-        assert L_value(2, d, 1e-8).value > 0
+        assert L_value(d, 1e-8).value > 0
 
 
 def test_closed_form_l1_matches_oracle():
@@ -311,8 +311,8 @@ def test_zeta_K2_rounding_bound():
     """zeta_K(2) = 4 pi^4 zeta_K(-1) / D^(3/2) within its rounding bound of a
     50-digit evaluation, and of the Hurwitz-zeta L(2) oracle."""
     for D in (5, 8, 12, 13, 229, 7057, 64277, 99996):
-        value, cert = zeta_K2(D)
         z = zeta_K_minus1(D)
+        value, cert = zeta_K2(D, z)
         with mpmath.workdps(50):
             exact = 4 * mpmath.pi ** 4 * z.numerator / (z.denominator * mpmath.mpf(D) ** 1.5)
             assert abs(value - exact) <= cert, D

@@ -9,7 +9,7 @@ import pytest
 from oracles import record_from_dict, scan_csv
 
 from hilbert_ggl.cli import main
-from hilbert_ggl.criteria import FieldInputs, verdict
+from hilbert_ggl.criteria import verdict
 from hilbert_ggl.cusps import cusp_cycle, verify_cusp_tangency
 from hilbert_ggl.elliptic import elliptic_summary
 from hilbert_ggl.errors import CacheError
@@ -353,10 +353,10 @@ def test_scan_cache_undecodable_record(tmp_path, capsys, key, value):
     assert captured.err.startswith("error: cache line 3 ")
 
 
-def _field_pipeline(D=5, n=2, eps=Fraction(1, 100)):
+def _field_pipeline(D=5, eps=Fraction(1, 100)):
     inv = invariants(D)
     ell = elliptic_summary(D)
-    rep = verdict(FieldInputs(D=D, hr=inv.hr, zeta2=inv.zeta2), n, eps, ell)
+    rep = verdict(inv, eps)
     cyc = cusp_cycle(D)
     tan = verify_cusp_tangency(cyc)
     return inv, rep, ell, cyc, tan
@@ -373,7 +373,8 @@ def test_build_field_document_and_text():
     assert rec["D"] == 5
     assert rec["invariants"]["h"] == 1
     assert rec["criterion"]["verdict"] == "CandidateExceptional"
-    assert len(rec["criterion"]["orbits"]) == len(rep.elliptic_detail)
+    assert list(rec["criterion"]) == ["n", "epsilon", "nu_max", "nu_required", "margin",
+                                      "rr_coefficient_at_required", "flags", "verdict"]
     assert len(rec["elliptic"]["classes"]) == 4
     assert rec["cusp"]["digits"] == [3]
     assert rec["cusp"]["tangency"]["ok"]

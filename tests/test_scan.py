@@ -1,15 +1,26 @@
 """Bulk scans: determinism, worker independence, caching hooks."""
 
 import dataclasses
+import hashlib
 import math
 from fractions import Fraction
 
 import pytest
 
+from hilbert_ggl.elliptic import elliptic_summary, make_l1_lookup
 from hilbert_ggl.errors import DomainError, NumericalAgreementError
-from hilbert_ggl.field_invariants import FundamentalUnit, class_number, exact_hr, regulator
+from hilbert_ggl.field_invariants import (
+    FundamentalUnit,
+    class_number,
+    exact_hr,
+    fundamental_discriminants_up_to,
+    regulator,
+)
 from hilbert_ggl.lfunctions import closed_form_l1
+from hilbert_ggl.reports import canonical_record_json, csv_rows
 from hilbert_ggl.scan import DyadicBlock, FieldRecord, _dyadic_blocks, scan, scan_field
+
+from oracles import float_rule_verdict
 
 # the first Satisfied field: its record always comes from the exact path
 FIRST_SATISFIED = 46373
@@ -150,3 +161,41 @@ def test_exact_recheck_disagreement_raises_specific_error(monkeypatch):
     monkeypatch.setattr(FundamentalUnit, "regulator", lambda unit: 2 * original(unit))
     with pytest.raises(NumericalAgreementError, match="class number formula residual"):
         scan_field(FIRST_SATISFIED, Fraction(1, 100))
+
+
+# sha256 of the records of every field in [64000, 65000] at epsilon 1/100,
+# built as a scan to 65000 builds them, as CSV and as canonical record JSON
+# lines; recorded when the verdict moved to one exact comparison, and the
+# band holds four exact-path records, which the scan --dmax 2000 golden lacks
+BAND_CSV_SHA256 = "a20da48a18a7f9608243346bfebac2cb3ef0cf3310e44db3f19c99ab877f4890"
+BAND_JSON_SHA256 = "848051c2f4e70f42abedea0a6aba57f7b11c927a13441667613c2980b60945db"
+BAND_SATISFIED = [64253, 64277, 64517, 64973]
+
+
+@pytest.fixture(scope="module")
+def band():
+    lookup = make_l1_lookup(4 * 65000 + 16)
+    ds = [int(d) for d in fundamental_discriminants_up_to(65000) if d >= 64000]
+    return [scan_field(D, Fraction(1, 100), l1_lookup=lookup) for D in ds], lookup
+
+
+def test_scan_band_bytes(band):
+    records, _lookup = band
+    assert len(records) == 304
+    assert [r.D for r in records if r.exact] == BAND_SATISFIED
+    csv = csv_rows([r.to_dict() for r in records])
+    assert hashlib.sha256(csv.encode("utf-8")).hexdigest() == BAND_CSV_SHA256
+    lines = "".join(canonical_record_json(r.to_dict()) + "\n" for r in records)
+    assert hashlib.sha256(lines.encode("utf-8")).hexdigest() == BAND_JSON_SHA256
+
+
+def test_verdict_matches_float_rule_on_the_band(band):
+    # the float rule the exact comparison replaced (margin > 0 and every
+    # elliptic orbit's rr > 0) gives the same verdict on every field
+    records, lookup = band
+    for rec in records:
+        n_orbits = len(elliptic_summary(rec.D, l1=lookup).bounds)
+        assert n_orbits > 0, rec.D
+        expected = float_rule_verdict(rec.D, rec.hr, rec.zeta2, Fraction(1, 100), n_orbits)
+        assert rec.verdict == expected, rec.D
+    assert [r.D for r in records if r.verdict == "Satisfied"] == BAND_SATISFIED
