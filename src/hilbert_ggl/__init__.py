@@ -81,7 +81,7 @@ from .lfunctions import (
     is_squarefree,
     kronecker_chi,
 )
-from .quadratic import QuadElem, QuadSurd
+from .quadratic import QuadElem
 from .scan import ScanResult
 from .reports import FieldRecord, ScanCache, SCHEMA_VERSION
 
@@ -108,7 +108,6 @@ __all__ = [
     "FieldRecord",
     "NumericalAgreementError",
     "QuadElem",
-    "QuadSurd",
     "QuadraticFieldInvariants",
     "SCHEMA_VERSION",
     "ScanCache",

@@ -107,16 +107,23 @@ class Thresholds:
     c_elliptic: tuple[Fraction, ...]
 
 
-def thresholds(n: int, epsilon, s_sums=()) -> Thresholds:
-    """Exact thresholds from degree, epsilon and per-orbit rotation sums."""
+def _degree_and_epsilon(n: int, epsilon) -> Fraction:
+    """epsilon as a Fraction, once n is an integer >= 2 and 0 < epsilon < 1/n."""
     if not isinstance(n, int) or n < 2:
         raise DomainError("degree n must be an integer >= 2, got %r" % (n,))
     eps = to_fraction(epsilon, "epsilon")
-    # eps = p/q in lowest terms; integer tests and one gcd each for b and
-    # nu_cusp, since a scan asks for the thresholds of every field
-    p, q = eps.numerator, eps.denominator
-    if not (0 < p and n * p < q):
+    # integer tests on eps = p/q in lowest terms, since a scan asks for the
+    # thresholds of every field
+    if not (0 < eps.numerator and n * eps.numerator < eps.denominator):
         raise DomainError("epsilon must lie in (0, 1/%d), got %s" % (n, eps))
+    return eps
+
+
+def thresholds(n: int, epsilon, s_sums=()) -> Thresholds:
+    """Exact thresholds from degree, epsilon and per-orbit rotation sums."""
+    eps = _degree_and_epsilon(n, epsilon)
+    # one gcd each for b and nu_cusp
+    p, q = eps.numerator, eps.denominator
     b = Fraction(q - n * p, q)
     ms = []
     cs = []
@@ -142,11 +149,7 @@ def thresholds(n: int, epsilon, s_sums=()) -> Thresholds:
 
 def beta_constant(epsilon, n: int, sup_norm) -> Fraction:
     """Scaling constant beta = (epsilon/2) / sup_norm for the cutoff metric."""
-    eps = to_fraction(epsilon, "epsilon")
-    if not isinstance(n, int) or n < 2:
-        raise DomainError("degree n must be an integer >= 2, got %r" % (n,))
-    if not (0 < eps < Fraction(1, n)):
-        raise DomainError("epsilon must lie in (0, 1/%d), got %s" % (n, eps))
+    eps = _degree_and_epsilon(n, epsilon)
     sup = to_fraction(sup_norm, "sup_norm")
     if sup <= 0:
         raise DomainError("sup_norm must be positive, got %s" % (sup,))

@@ -4,12 +4,12 @@ A cusp of the surface is described by a fractional module M = Z*alpha + Z*beta
 together with a finite-index subgroup V of the totally positive units
 preserving M.  The boundary of the minimal resolution is a cycle of rational
 curves whose combinatorics are read off from the periodic minus continued
-fraction ("HJ expansion", digits all >= 2) of a reduced quadratic surd
-attached to (M, V).
+fraction ("HJ expansion", digits all >= 2) of a reduced quadratic
+irrational w attached to (M, V).
 
-Everything here is exact: surds are tracked through their (P, Q) state,
-boundary rays are field elements held as integers (a + b*sqrt(D))/c with
-integer coordinates in the module basis, and the unit eta
+Everything here is exact: w, each tail of its expansion and the boundary
+rays are field elements held as integers (a + b*sqrt(D))/c (QuadElem), the
+rays with integer coordinates in the module basis, and the unit eta
 identified by the cycle is compared against the fundamental unit computed
 independently in field_invariants.
 """
@@ -23,78 +23,71 @@ from math import isqrt
 from .cyclic import _wedge_check
 from .errors import DomainError
 from .field_invariants import _check_field_discriminant, fundamental_unit
-from .quadratic import QuadElem, QuadSurd
+from .quadratic import QuadElem
 
 _MAX_PREPERIOD = 100_000
 _MAX_PERIOD = 100_000
 _MAX_V_POWER = 512
 
 
-def periodic_hj(w: QuadSurd) -> list[int]:
-    """Period word of the minus continued fraction of a reduced surd.
+def periodic_hj(w: QuadElem) -> list[int]:
+    """Period word of the minus continued fraction of a reduced irrational w.
 
-    Requires w > 1 and 0 < w' < 1 (purely periodic case).  For other surds
-    call find_equivalent_reduced first.
+    Requires w > 1 and 0 < w' < 1 (purely periodic case).  For other
+    irrationals call find_equivalent_reduced first.  The period closes when
+    the tail returns to w itself; equality of normal forms is exact.
     """
+    if w.b == 0:
+        raise DomainError("%s is rational and has no periodic continued fraction; "
+                          "find_equivalent_reduced rejects it too" % (w,))
     if not w.is_hj_reduced():
         raise DomainError(
-            "surd %s is not reduced (need w > 1 and 0 < w' < 1); "
+            "%s is not reduced (need w > 1 and 0 < w' < 1); "
             "apply find_equivalent_reduced first" % (w,)
         )
-    start = w.state()
     digits = []
     cur = w
     while True:
         b, cur = cur.hj_step()
         digits.append(b)
-        if cur.state() == start:
+        if cur == w:
             return digits
         if len(digits) > _MAX_PERIOD:
             raise RuntimeError("period of %s did not close within %d steps" % (w, _MAX_PERIOD))
 
 
-def find_equivalent_reduced(w: QuadSurd) -> QuadSurd:
-    """Iterate the expansion of w until the tail surd is reduced."""
-    cur = w
-    for _ in range(_MAX_PREPERIOD):
-        if cur.is_hj_reduced():
-            return cur
-        _, cur = cur.hj_step()
-    raise RuntimeError("no reduced surd equivalent to %s found within %d steps" % (w, _MAX_PREPERIOD))
+def find_equivalent_reduced(w: QuadElem) -> QuadElem:
+    """Iterate the expansion of an irrational w until the tail is reduced."""
+    return _expand_to_reduced(w)[0]
 
 
-def _expand_to_reduced(theta: QuadElem) -> tuple[QuadSurd, tuple[int, int, int, int]]:
+def _expand_to_reduced(theta: QuadElem) -> tuple[QuadElem, tuple[int, int, int, int]]:
     """Expand theta until reduced, tracking the Moebius head.
 
     Returns (w, (a, b, c, d)) with theta = (a*w + b) / (c*w + d) and
     a*d - b*c = 1.
     """
-    w = QuadSurd.from_elem(theta)
+    if theta.b == 0:
+        raise DomainError("find_equivalent_reduced: %s is rational and has no "
+                          "periodic continued fraction" % (theta,))
+    w = theta
     a, b, c, d = 1, 0, 0, 1
     for _ in range(_MAX_PREPERIOD):
         if w.is_hj_reduced():
             return w, (a, b, c, d)
         digit, w = w.hj_step()
         a, b, c, d = a * digit + b, -a, c * digit + d, -c
-    raise RuntimeError("expansion of %s did not reach a reduced surd" % (theta,))
+    raise RuntimeError("find_equivalent_reduced: no reduced number equivalent to %s "
+                       "found within %d steps" % (theta, _MAX_PREPERIOD))
 
 
-def _default_surd(D: int) -> QuadSurd:
-    """Reduced surd for the standard cusp module O_K with V = all totally
-    positive units.
-
-    For odd D this is (p + sqrt(D)) / 2 with p the unique odd (for D odd)
-    integer in (sqrt(D), sqrt(D) + 2); for D divisible by 4 it is
-    a + sqrt(D/4) with a = floor(sqrt(D/4)) + 1.
+def _default_surd(D: int) -> QuadElem:
+    """Reduced number for the standard cusp module O_K with V = all totally
+    positive units: (p + sqrt(D))/2 with p the least integer above sqrt(D)
+    of the parity of D, so that 0 < p - sqrt(D) < 2.
     """
     s = isqrt(D)
-    if D % 2:
-        p = s + 1 if (s + 1) % 2 else s + 2
-        w = QuadSurd(p, 2, D)
-    else:
-        m = D // 4
-        a = isqrt(m) + 1
-        w = QuadSurd(2 * a, 2, D)
+    w = QuadElem.from_pq(s + 1 + (s + 1 + D) % 2, 1, D)
     if not w.is_hj_reduced():
         raise RuntimeError("default surd %s for D=%d is not reduced" % (w, D))
     return w
@@ -110,8 +103,8 @@ def _coerce_elem(x, D: int, what: str) -> QuadElem:
     raise DomainError("%s must be a field element or a rational, got %r" % (what, x))
 
 
-def _module_multiplier(alpha: QuadElem, beta: QuadElem, D: int):
-    """Reduced surd and scaling factor for the module Z*alpha + Z*beta.
+def _module_multiplier(alpha: QuadElem, beta: QuadElem):
+    """Reduced number w and scaling factor for the module Z*alpha + Z*beta.
 
     Writes beta/alpha = (a*w + b)/(c*w + d) with w reduced, then lam =
     alpha / (c*w + d) turns the intrinsic rays mu_k of w into totally
@@ -127,7 +120,7 @@ def _module_multiplier(alpha: QuadElem, beta: QuadElem, D: int):
         if theta.b < 0:
             theta = -theta
         w, (_, _, c, d) = _expand_to_reduced(theta)
-        denom = c * w.elem(D) + QuadElem.from_rational(d, D)
+        denom = c * w + d
         if denom.is_zero():
             raise RuntimeError("degenerate Moebius head while reducing %s" % (theta,))
         lam = al / denom
@@ -171,10 +164,9 @@ def _coords_in_basis(e: QuadElem, alpha: QuadElem, beta: QuadElem) -> tuple[Frac
     return Fraction(nu, den), Fraction(nv, den)
 
 
-def _rays_from_cycle(w: QuadSurd, digits: list[int], count: int, D: int) -> list[QuadElem]:
+def _rays_from_cycle(w: QuadElem, digits: list[int], count: int) -> list[QuadElem]:
     """mu_0 .. mu_count from the three-term recurrence mu_{k+1} = b_k mu_k - mu_{k-1}."""
-    w_elem = w.elem(D)
-    mus = [QuadElem.from_rational(1, D), digits[0] - w_elem]
+    mus = [QuadElem.from_rational(1, w.D), digits[0] - w]
     for k in range(1, count):
         b = digits[k % len(digits)]
         mus.append(b * mus[k] - mus[k - 1])
@@ -244,11 +236,11 @@ def cusp_cycle(D: int, module=None, v=None) -> CuspCycle:
         beta = _coerce_elem(raw_beta, D, "beta")
         if alpha.is_zero() or beta.is_zero():
             raise DomainError("module generators must be nonzero")
-        lam, w = _module_multiplier(alpha, beta, D)
+        lam, w = _module_multiplier(alpha, beta)
 
     digits = periodic_hj(w)
     r = len(digits)
-    mus = _rays_from_cycle(w, digits, r, D)
+    mus = _rays_from_cycle(w, digits, r)
     eta_period = mus[r].inverse()
     if not eta_period.is_totally_positive() or not eta_period.is_unit():
         raise RuntimeError("cycle of %s closed on %s, not a totally positive unit" % (w, eta_period))
@@ -284,7 +276,7 @@ def cusp_cycle(D: int, module=None, v=None) -> CuspCycle:
     digits_v = digits * f
     total = f * r
     if f > 1:
-        mus = _rays_from_cycle(w, digits, total, D)
+        mus = _rays_from_cycle(w, digits, total)
     eta = eta_period ** f
 
     rays, closing = mus[:total], mus[total]

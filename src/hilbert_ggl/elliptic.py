@@ -285,10 +285,6 @@ class EllipticSummary:
     total_bound: float
     exponent_record: float
 
-    @property
-    def traces(self) -> tuple[EllipticTrace, ...]:
-        return tuple(b.trace for b in self.bounds)
-
 
 def elliptic_summary(D: int, l1=None) -> EllipticSummary:
     """Enumerate traces and aggregate the per-trace bounds.

@@ -352,14 +352,14 @@ def _invsq_h2(limit: int) -> tuple[np.ndarray, np.ndarray]:
     return cached
 
 
-def ideal_norm_counts(D: int, limit: int) -> np.ndarray:
+def ideal_norm_counts(chi: np.ndarray) -> np.ndarray:
     """r(n) = number of integral ideals of norm n, n = 0..limit.
 
-    Divisor convolution of the Euler-criterion character array: small divisors
-    by strided scalar adds, large ones (quotient <= 64) by gathered index adds.
+    Divisor convolution of the Euler-criterion character array chi[0..limit]
+    of the field: small divisors by strided scalar adds, large ones
+    (quotient <= 64) by gathered index adds.
     """
-    _check_field_discriminant(D)
-    chi = euler_chi_array(D, limit)
+    limit = len(chi) - 1
     r = np.zeros(limit + 1, dtype=np.int32)
     k_split = 64
     cut = limit // k_split
@@ -391,7 +391,7 @@ def zeta2_ideal_route(D: int) -> tuple[float, float]:
     z2 = zeta2_constant()
     invsq, h2 = _invsq_h2(limit)
     chi = euler_chi_array(D, limit)
-    r = ideal_norm_counts(D, limit)
+    r = ideal_norm_counts(chi)
     s1 = float(np.sum(r[1:].astype(np.float64) * invsq[1:]))
     quot = limit // np.arange(1, limit + 1, dtype=np.int64)
     comp = float(np.sum(chi[1:].astype(np.float64) * invsq[1:] * (z2 - h2[quot])))

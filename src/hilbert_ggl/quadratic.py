@@ -1,22 +1,17 @@
 """Exact arithmetic in real quadratic fields Q(sqrt(D)).
 
-Two value types:
-
-* ``QuadElem``: an element x + y*sqrt(D) with rational x, y, stored as
-  integers in the normal form (a + b*sqrt(D))/c, c > 0, gcd(a, b, c) = 1.
-  All ring operations, norms, conjugation and sign/positivity predicates
-  work on those integers, normalized by one gcd per result (no floating
-  point in any comparison).
-* ``QuadSurd``: a quadratic irrational (P + sqrt(D))/Q with the classical
-  invariant Q | D - P^2, supporting exact minus-continued-fraction steps
-  w -> 1/(ceil(w) - w).
+``QuadElem`` is an element x + y*sqrt(D) with rational x, y, stored as
+integers in the normal form (a + b*sqrt(D))/c, c > 0, gcd(a, b, c) = 1.
+All ring operations, norms, conjugation and sign/positivity predicates
+work on those integers, normalized by one gcd per result (no floating
+point in any comparison).  The same integers carry the exact
+minus-continued-fraction step w -> 1/(ceil(w) - w) of an irrational w.
 """
 
 from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DomainError
@@ -216,9 +211,6 @@ class QuadElem:
     def is_zero(self) -> bool:
         return self.a == 0 and self.b == 0
 
-    def is_rational(self) -> bool:
-        return self.b == 0
-
     def sign(self) -> int:
         """Exact sign of the embedding x + y*sqrt(D)."""
         return _sign_a_plus_b_sqrtD(self.a, self.b, self.D)
@@ -242,6 +234,34 @@ class QuadElem:
             return True
         return self.c == 2 and (self.a - self.b * self.D) % 2 == 0
 
+    # -- minus continued fraction -----------------------------------------
+
+    def ceil(self) -> int:
+        """Least integer >= w; one isqrt when w is irrational."""
+        a, b, c = self.a, self.b, self.c
+        if b == 0:
+            return -(-a // c)
+        # floor(b*sqrt(D)) for irrational b*sqrt(D)
+        r = math.isqrt(b * b * self.D)
+        if b < 0:
+            r = -r - 1
+        return (a + r) // c + 1
+
+    def is_hj_reduced(self) -> bool:
+        """w > 1 and 0 < w' < 1 (the minus-CF purely periodic window)."""
+        a, b, c, D = self.a, self.b, self.c, self.D
+        return (_sign_a_plus_b_sqrtD(a - c, b, D) > 0
+                and _sign_a_plus_b_sqrtD(a, -b, D) > 0
+                and _sign_a_plus_b_sqrtD(a - c, -b, D) < 0)
+
+    def hj_step(self) -> tuple[int, "QuadElem"]:
+        """One minus-continued-fraction step of an irrational w: (k, 1/(k - w)), k = ceil(w)."""
+        k = self.ceil()
+        a, b, c, D = self.a, self.b, self.c, self.D
+        # c / (m - b sqrt D) = c (m + b sqrt D) / (m^2 - b^2 D), m = kc - a
+        m = k * c - a
+        return k, _elem(c * m, c * b, m * m - b * b * D, D)
+
     def __float__(self) -> float:
         return self.a / self.c + self.b / self.c * math.sqrt(self.D)
 
@@ -262,90 +282,3 @@ _set_a = QuadElem.a.__set__
 _set_b = QuadElem.b.__set__
 _set_c = QuadElem.c.__set__
 _set_D = QuadElem.D.__set__
-
-
-@dataclass(frozen=True)
-class QuadSurd:
-    """(P + sqrt(D))/Q with Q | D - P^2 (classical surd normal form)."""
-
-    P: int
-    Q: int
-    D: int
-
-    def __post_init__(self):
-        if self.Q == 0:
-            raise DomainError("Q must be nonzero")
-        if self.D <= 0 or is_square(self.D):
-            raise DomainError(f"D must be a positive non-square, got {self.D}")
-        if (self.D - self.P * self.P) % self.Q != 0:
-            raise DomainError(f"surd invariant Q | D - P^2 violated for {self}")
-
-    @classmethod
-    def from_elem(cls, e: QuadElem) -> "QuadSurd":
-        """Normalize (a + b*sqrt(D))/c, b > 0, to (P + sqrt(D'))/Q with D' = b^2 D."""
-        if e.b <= 0:
-            raise DomainError("surd requires positive sqrt coefficient")
-        P, t, Q = e.a, e.b, e.c
-        D2 = t * t * e.D
-        if (D2 - P * P) % Q != 0:
-            # enforce the surd invariant by scaling numerator and denominator by Q
-            P, D2, Q = P * Q, D2 * Q * Q, Q * Q
-        return cls(P, Q, D2)
-
-    def value(self) -> float:
-        return (self.P + math.sqrt(self.D)) / self.Q
-
-    def elem(self, D0: int | None = None) -> QuadElem:
-        """As a QuadElem over Q(sqrt(D0)) where D = t^2 * D0."""
-        if D0 is None:
-            D0 = self.D
-        t2, r = divmod(self.D, D0)
-        if r != 0 or not is_square(t2):
-            raise DomainError("D is not a square multiple of D0")
-        t = math.isqrt(t2)
-        return _elem(self.P, t, self.Q, D0)
-
-    # exact comparisons of (P + sqrt(D))/Q against a rational r
-    def cmp_rational(self, r) -> int:
-        r = Fraction(r)
-        # sign of (P - rQ + sqrt(D)) / Q, numerator scaled by r's denominator
-        num = self.P * r.denominator - r.numerator * self.Q
-        s = _sign_a_plus_b_sqrtD(num, r.denominator, self.D)
-        return s if self.Q > 0 else -s
-
-    def conj_cmp_rational(self, r) -> int:
-        r = Fraction(r)
-        num = self.P * r.denominator - r.numerator * self.Q
-        s = _sign_a_plus_b_sqrtD(num, -r.denominator, self.D)
-        return s if self.Q > 0 else -s
-
-    def is_hj_reduced(self) -> bool:
-        """w > 1 and 0 < conjugate(w) < 1 (the minus-CF purely periodic window)."""
-        return (
-            self.cmp_rational(1) > 0
-            and self.conj_cmp_rational(0) > 0
-            and self.conj_cmp_rational(1) < 0
-        )
-
-    def floor(self) -> int:
-        s = math.isqrt(self.D)
-        if self.Q > 0:
-            return (self.P + s) // self.Q
-        # floor of a negative-denominator surd: floor(-z) = -floor(z) - 1 (z irrational)
-        return -((self.P + s) // (-self.Q)) - 1
-
-    def ceil(self) -> int:
-        return self.floor() + 1  # irrational, never an integer
-
-    def hj_step(self) -> tuple[int, "QuadSurd"]:
-        """One minus-continued-fraction step: returns (b, 1/(b - w)) for b = ceil(w)."""
-        b = self.ceil()
-        P1 = b * self.Q - self.P
-        Q1 = (P1 * P1 - self.D) // self.Q
-        return b, QuadSurd(P1, Q1, self.D)
-
-    def state(self) -> tuple[int, int]:
-        return (self.P, self.Q)
-
-    def __str__(self) -> str:
-        return f"({self.P} + sqrt({self.D}))/{self.Q}"

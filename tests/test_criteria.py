@@ -115,6 +115,20 @@ def test_beta_constant_examples():
         beta_constant(Fraction(1, 2), 2, 1)
 
 
+@pytest.mark.parametrize("n, epsilon", [
+    (1, Fraction(1, 10)), (2.0, Fraction(1, 10)), ("2", Fraction(1, 10)),
+    (2, 0), (2, Fraction(-1, 10)), (2, Fraction(1, 2)), (3, Fraction(1, 3)),
+    (2, "one tenth"), (2, None),
+])
+def test_thresholds_and_beta_constant_reject_alike(n, epsilon):
+    # one validation of (n, epsilon) serves both, with the same message
+    with pytest.raises(DomainError) as from_thresholds:
+        thresholds(n, epsilon)
+    with pytest.raises(DomainError) as from_beta:
+        beta_constant(epsilon, n, 1)
+    assert str(from_thresholds.value) == str(from_beta.value)
+
+
 def _inputs(D, l1, zeta_m1, l1_cert=None):
     """Consistent fast-path inputs: hR from L(1), zeta_K(2) from zeta_K(-1)."""
     return FieldInputs(D=D, hr=math.sqrt(D) * l1 / 2.0, zeta2=zeta_K2(D, zeta_m1)[0],

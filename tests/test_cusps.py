@@ -1,5 +1,8 @@
 """Cusp resolution cycles: period words, rays, units, and wedge checks."""
 
+import contextlib
+import hashlib
+import io
 from fractions import Fraction
 
 import pytest
@@ -23,40 +26,48 @@ from hilbert_ggl.field_invariants import (
     fundamental_unit,
 )
 from hilbert_ggl.lfunctions import primes_up_to
-from hilbert_ggl.quadratic import QuadElem, QuadSurd
+from hilbert_ggl.quadratic import QuadElem
 
 from oracles import cyclically_equal
 
 
 def test_periodic_hj_known_surds():
     # (3 + sqrt5)/2 = 2.618...: ceil 3, and 1/(3 - w) = w again
-    assert periodic_hj(QuadSurd(3, 2, 5)) == [3]
-    # 2 + sqrt2 stored as (4 + sqrt8)/2
-    assert cyclically_equal(periodic_hj(QuadSurd(4, 2, 8)), [4, 2])
+    assert periodic_hj(QuadElem.from_pq(3, 1, 5)) == [3]
+    # 2 + sqrt2 as (4 + sqrt8)/2
+    assert cyclically_equal(periodic_hj(QuadElem.from_pq(4, 1, 8)), [4, 2])
     # (5 + sqrt21)/2 is purely periodic with word [5]
-    assert periodic_hj(QuadSurd(5, 2, 21)) == [5]
+    assert periodic_hj(QuadElem.from_pq(5, 1, 21)) == [5]
 
 
 def test_periodic_hj_word_reconstructs_fixed_point():
     # iterating x -> b0 - 1/(b1 - 1/(... - 1/x)) from the period word must
-    # converge back to the surd value
-    for surd in (QuadSurd(3, 2, 5), QuadSurd(4, 2, 8), QuadSurd(5, 2, 21)):
-        word = periodic_hj(surd)
-        x = float(surd.value())
+    # converge back to the value of w
+    for w in (QuadElem.from_pq(3, 1, 5), QuadElem.from_pq(4, 1, 8), QuadElem.from_pq(5, 1, 21)):
+        word = periodic_hj(w)
+        x = float(w)
         for _ in range(60):
             for b in reversed(word):
                 x = b - 1 / x
-        assert abs(x - float(surd.value())) < 1e-9
+        assert abs(x - float(w)) < 1e-9
 
 
 def test_periodic_hj_rejects_non_reduced():
-    golden = QuadSurd(1, 2, 5)  # (1 + sqrt5)/2: conjugate negative
+    golden = QuadElem.from_pq(1, 1, 5)  # (1 + sqrt5)/2: conjugate negative
     with pytest.raises(DomainError, match="find_equivalent_reduced"):
         periodic_hj(golden)
     red = find_equivalent_reduced(golden)
     assert red.is_hj_reduced()
-    assert red.state() == (3, 2)
+    assert red == QuadElem.from_pq(3, 1, 5)
     assert periodic_hj(red) == [3]
+
+
+def test_continued_fraction_rejects_rational_input():
+    for r in (QuadElem(3, 0, 5), QuadElem(Fraction(7, 2), 0, 13)):
+        for expand in (periodic_hj, find_equivalent_reduced, cusps_mod._expand_to_reduced):
+            with pytest.raises(DomainError, match="rational") as info:
+                expand(r)
+            assert "find_equivalent_reduced" in str(info.value)
 
 
 def test_cusp_cycle_frozen_small_fields():
@@ -306,3 +317,33 @@ def test_fault_v_not_preserving_module_raises(monkeypatch):
     monkeypatch.setattr(cusps_mod, "_cramer", _off_module(len(cyc.rays) + 1))
     with pytest.raises(DomainError, match="does not preserve the module"):
         cusp_cycle(5, v=cyc.eta)
+
+
+# sha256 of the stdout of `cusp D --json` over the 607 fundamental D <= 2000
+CUSP_JSON_SHA256 = "9df6a8fedf0d64bbff79067ff395e5bdc34970d57cbe0374fc123a4c347af643"
+# sha256 of one line per (D <= 600, module) for four modules, some of whose
+# reductions start from elements (a + b sqrt(D))/c with b > 1
+CUSP_MODULES_SHA256 = "360ecee00a4f912280f48005fa7f9bc469351da1833353c7f7fe11f8b92eeefb"
+
+
+def test_cusp_json_pin_up_to_2000():
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        for D in fundamental_discriminants_up_to(2000):
+            assert main(["cusp", str(D), "--json"]) == 0
+    assert hashlib.sha256(out.getvalue().encode()).hexdigest() == CUSP_JSON_SHA256
+
+
+def test_cusp_module_pin_up_to_600():
+    lines = []
+    for D in map(int, fundamental_discriminants_up_to(600)):
+        root = QuadElem(0, 1, D)
+        for module in ((1, root), (2, QuadElem(1, 1, D)), (3, QuadElem(1, 2, D)), (root, 5)):
+            c = cusp_cycle(D, module=module)
+            lines.append(" ".join([
+                str(D), str(c.digits), str(c.eta), "; ".join(map(str, c.rays)),
+                str(c.closing_ray), ",".join(map(str, c.coord_dets)),
+                ",".join(str(ch.sqrt_coeff) for ch in verify_cusp_tangency(c).charts),
+            ]))
+    assert len(lines) == 728
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == CUSP_MODULES_SHA256

@@ -1,4 +1,4 @@
-"""Exact arithmetic on quadratic field elements and surds."""
+"""Exact arithmetic on quadratic field elements and their minus continued fraction."""
 
 import copy
 import math
@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 
 from hilbert_ggl.errors import DomainError
-from hilbert_ggl.quadratic import QuadElem, QuadSurd
+from hilbert_ggl.quadratic import QuadElem
 
 
 def close(a: float, b: float, tol: float = 1e-12) -> bool:
@@ -224,52 +224,57 @@ def test_comparisons():
     assert e > QuadElem(1, 0, 5)
 
 
-def test_surd_invariant_enforced():
-    with pytest.raises(DomainError):
-        QuadSurd(1, 3, 5)  # 3 does not divide 5 - 1
-    QuadSurd(1, 4, 5)  # 4 | 4
-
-
-def test_surd_floor_ceil_both_denominator_signs():
+def test_ceil_both_signs_of_b():
     rng = random.Random(99)
     for _ in range(400):
         D = rng.choice([5, 8, 13, 21, 60, 124])
-        P = rng.randint(-40, 40)
-        Q = rng.choice([q for q in range(-12, 13) if q and (D - P * P) % q == 0]
-                       or [None])
-        if Q is None:
-            continue
-        w = QuadSurd(P, Q, D)
-        v = w.value()
-        assert w.floor() == math.floor(v)
-        assert w.ceil() == math.ceil(v)
-        r = Fraction(rng.randint(-40, 40), rng.randint(1, 5))
-        if abs(v - r) > 1e-9:
-            assert w.cmp_rational(r) == (1 if v > r else -1)
-        v_conj = (P - math.sqrt(D)) / Q
-        if abs(v_conj - r) > 1e-9:
-            assert w.conj_cmp_rational(r) == (1 if v_conj > r else -1)
+        b = rng.choice([-1, 1]) * rng.randint(1, 12)
+        w = QuadElem(Fraction(rng.randint(-40, 40), rng.randint(1, 12)),
+                     Fraction(b, rng.randint(1, 12)), D)
+        assert w.ceil() == math.ceil(float(w)), w
+    # a rational element has its ordinary ceiling
+    assert QuadElem(Fraction(7, 2), 0, 5).ceil() == 4
+    assert QuadElem(-3, 0, 5).ceil() == -3
 
 
 def test_hj_step_is_exact_moebius_step():
-    w = QuadSurd(3, 2, 5)  # (3+sqrt5)/2
+    w = QuadElem.from_pq(3, 1, 5)  # (3+sqrt5)/2
     b, w1 = w.hj_step()
-    assert b == 3
-    # w = b - 1/w1 exactly: check numerically to float precision
-    assert close(w.value(), b - 1 / w1.value())
-
-
-def test_is_hj_reduced_window():
-    assert QuadSurd(3, 2, 5).is_hj_reduced()       # (3+sqrt5)/2, conj ~0.38
-    assert QuadSurd(4, 2, 8).is_hj_reduced()       # 2+sqrt2 as (4+sqrt8)/2
-    assert not QuadSurd(2, 1, 8).is_hj_reduced()   # 2+sqrt8: conjugate < 0
-    assert not QuadSurd(1, 2, 5).is_hj_reduced()   # (1+sqrt5)/2: conjugate < 0
+    assert b == 3 and w1 == w
+    rng = random.Random(3)
+    for _ in range(200):
+        D = rng.choice([5, 8, 13, 21, 60, 124])
+        w = QuadElem(Fraction(rng.randint(-40, 40), rng.randint(1, 12)),
+                     Fraction(rng.choice([-1, 1]) * rng.randint(1, 12), rng.randint(1, 12)), D)
+        b, w1 = w.hj_step()
+        assert b == w.ceil()
+        assert w == b - w1.inverse()  # w = b - 1/w1 exactly
+        assert w1 > 1
 
 
 def test_from_elem_normalizes_denominators():
-    e = QuadElem(Fraction(5, 2), Fraction(1, 2), 21)  # (5 + sqrt 21)/2
-    w = QuadSurd.from_elem(e)
-    assert close(w.value(), float(e))
-    assert w.elem(21) == e
-    with pytest.raises(DomainError):
-        QuadSurd.from_elem(QuadElem(1, Fraction(-1, 2), 21))
+    # (5 + sqrt 21)/2 is held over one common denominator, whatever the inputs' were
+    e = QuadElem(Fraction(5, 2), Fraction(1, 2), 21)
+    assert (e.a, e.b, e.c) == (5, 1, 2)
+    assert QuadElem(Fraction(10, 4), Fraction(3, 6), 21) == e
+    assert close(float(e), (5 + math.sqrt(21)) / 2)
+    m = QuadElem(Fraction(1, 3), Fraction(-1, 2), 21)
+    assert (m.a, m.b, m.c) == (2, -3, 6)
+    # the expansion steps such elements as they are, with no D' = b^2 D rescaling,
+    # and each step's result is in normal form again
+    k, w1 = e.hj_step()
+    assert k == 5 and w1 == e  # (5 + sqrt 21)/2 has period [5]
+    for w in (e, m, QuadElem(Fraction(7, 4), Fraction(5, 6), 21)):
+        k, w1 = w.hj_step()
+        assert w1.D == 21 and w1.c > 0 and math.gcd(w1.a, w1.b, w1.c) == 1
+        assert w == k - w1.inverse()
+
+
+def test_is_hj_reduced_window():
+    assert QuadElem.from_pq(3, 1, 5).is_hj_reduced()    # (3+sqrt5)/2, conj ~0.38
+    assert QuadElem(2, 1, 2).is_hj_reduced()            # 2+sqrt2, conj ~0.59
+    assert not QuadElem(2, 2, 2).is_hj_reduced()        # 2+sqrt8: conjugate < 0
+    assert not QuadElem.from_pq(1, 1, 5).is_hj_reduced()  # (1+sqrt5)/2: conjugate < 0
+    assert not QuadElem(Fraction(1, 2), 1, 2).is_hj_reduced()  # conjugate < 0
+    assert not QuadElem(Fraction(1, 3), Fraction(1, 3), 2).is_hj_reduced()  # w < 1
+    assert not QuadElem(2, 0, 5).is_hj_reduced()        # rational: w = w'
