@@ -66,8 +66,6 @@ from .field_invariants import (
     DualZeta,
     QuadraticFieldInvariants,
     class_number,
-    fundamental_discriminant,
-    fundamental_discriminant_signed,
     fundamental_discriminants_up_to,
     fundamental_unit,
     invariants,
@@ -77,6 +75,8 @@ from .field_invariants import (
 from .hj import hj_expand, hj_reconstruct
 from .lfunctions import (
     closed_form_l1,
+    fundamental_discriminant,
+    fundamental_discriminant_signed,
     is_fundamental_discriminant,
     is_squarefree,
     kronecker_chi,

@@ -21,9 +21,9 @@ from .cusps import cusp_cycle, verify_cusp_tangency
 from .cyclic import parse_matrices, tangency_divisor
 from .elliptic import elliptic_summary
 from .errors import DomainError
-from .field_invariants import DEGREE, fundamental_discriminant, invariants
+from .field_invariants import DEGREE, invariants
 from .hj import hj_expand
-from .lfunctions import is_fundamental_discriminant, is_squarefree
+from .lfunctions import fundamental_discriminant, is_fundamental_discriminant, is_squarefree
 from .reports import (
     ScanCache,
     build_field_document,

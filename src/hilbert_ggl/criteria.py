@@ -207,20 +207,11 @@ def _l1_below(inv, t_num: int, t_den: int) -> bool:
     return below
 
 
-def l1_below_threshold(inv, epsilon) -> bool:
-    """Whether the certified L(1, chi_D) lies below T_D = b^2 zeta_K(-1)/(2D),
-    b = 1 - 2 epsilon, which is the criterion at n = 2.
-
-    inv needs D, zeta_m1 (exact zeta_K(-1)), l1_value and l1_cert.  Raises
-    NumericalAgreementError if l1_value +- l1_cert straddles T_D.
-    """
-    return _l1_below(inv, *_threshold(inv, thresholds(DEGREE, epsilon).b))
-
-
 def verdict(inv, epsilon) -> CriterionReport:
     """Decide Satisfied vs CandidateExceptional for one real quadratic field.
 
-    inv carries D, zeta_m1, l1_value and l1_cert (see l1_below_threshold),
+    inv carries D, zeta_m1 (the exact zeta_K(-1)), l1_value and l1_cert,
+    which decide L(1) < T_D = b^2 zeta_K(-1)/(2D), b = 1 - 2 epsilon,
     hr and zeta2 for the reported floats, and h and regulator, or None for
     both where they are unknown.  With hR = sqrt(D) L(1)/2 the criterion
     L(1) < T_D reads 16 D (hR)^2 < b^4 zeta_K(-1)^2, so known h and R decide

@@ -217,7 +217,7 @@ def cusp_cycle(D: int, module=None, v=None) -> CuspCycle:
             integer f meaning V = eta^f for the cycle unit eta; default the
             full totally positive unit group (f = 1)
     """
-    _check_field_discriminant(D)
+    D = _check_field_discriminant(D)
     unit = fundamental_unit(D)
     eta_field = unit.totally_positive_generator()
 

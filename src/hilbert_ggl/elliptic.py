@@ -34,8 +34,9 @@ from math import isqrt
 import numpy as np
 
 from .errors import DomainError
-from .field_invariants import _check_field_discriminant, fundamental_discriminant_signed
-from .lfunctions import _l1_odd, closed_form_l1, is_fundamental_discriminant
+from .field_invariants import _check_field_discriminant
+from .lfunctions import (_l1_odd, closed_form_l1, fundamental_discriminant_signed,
+                         is_fundamental_discriminant)
 from .quadratic import QuadElem
 
 
@@ -88,7 +89,7 @@ def elliptic_traces(D: int) -> list[EllipticTrace]:
     embeddings lie in (-2, 2) iff p^2 + q^2 D < 16 and
     (16 - p^2 - q^2 D)^2 > 4 p^2 q^2 D, all checked in integers.
     """
-    _check_field_discriminant(D)
+    D = _check_field_discriminant(D)
     out = []
     q_max = isqrt(15 // D)
     for p in range(0, 4):
@@ -181,7 +182,7 @@ def cm_extension_invariants(D: int, s: int, l1=None) -> CMExtensionInvariants:
     asked only for d2 and d3, both negative.  By default each factor is
     evaluated by its finite closed form.
     """
-    _check_field_discriminant(D)
+    D = _check_field_discriminant(D)
     if s not in (0, 1, -1):
         raise DomainError("rational elliptic traces are 0 and +-1, got %r" % (s,))
     d2 = -4 if s == 0 else -3
@@ -244,6 +245,7 @@ def prestel_bound(D: int, s, l1=None) -> TraceBound:
     s may be an EllipticTrace or a rational integer trace; l1 is passed on to
     cm_extension_invariants.
     """
+    D = _check_field_discriminant(D)
     if isinstance(s, EllipticTrace):
         trace = s
         if trace.D != D:
@@ -293,6 +295,7 @@ def elliptic_summary(D: int, l1=None) -> EllipticSummary:
     two traces share none of them except at D = 12 (d = -3 and -4 both
     twice), so nothing is memoized.
     """
+    D = _check_field_discriminant(D)
     bounds = tuple(prestel_bound(D, t, l1=l1) for t in elliptic_traces(D))
     total = float(sum(b.value for b in bounds))
     if total <= 0:

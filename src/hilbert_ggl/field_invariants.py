@@ -10,8 +10,9 @@ Everything discrete is integer arithmetic:
   operation.  The narrow number h+ is the cycle count; the unit norm is read
   off the principal cycle (it contains a form with a = -1 iff norm -1), which
   cross-checks the continued-fraction parity by an independent route.
-* regulator: log of the exact unit at working precision scaled to the size
-  of t, so the float64 result is correctly rounded.
+* regulator: log of the exact unit in 40-digit decimal arithmetic (the
+  standard library's ``decimal``), so the float64 result is correctly
+  rounded.
 
 ``invariants`` computes the exact zeta_K(-1) once and takes zeta_K(2) from it
 (lfunctions.zeta_K2); the criterion compares L(1, chi_D) with it.
@@ -25,12 +26,13 @@ Disagreement beyond the combined certificates raises.
 
 from __future__ import annotations
 
+import decimal
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
 
-import mpmath as mp
 import numpy as np
 
 from .errors import DomainError, NumericalAgreementError
@@ -40,13 +42,14 @@ from .lfunctions import (
     closed_form_l1,
     euler_chi_array,
     is_fundamental_discriminant,
-    is_squarefree,
     kronecker_table,
     primes_up_to,
     zeta2_constant,
     zeta_K2,
     zeta_K_minus1,
 )
+# re-exported: the discriminant of Q(sqrt(m)) is computed in lfunctions
+from .lfunctions import fundamental_discriminant, fundamental_discriminant_signed  # noqa: F401
 
 # degree n of the totally real fields handled here: every invariant below is
 # quadratic, so the criterion is evaluated at n = 2
@@ -54,41 +57,13 @@ DEGREE = 2
 
 _invsq_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
-
-def fundamental_discriminant(m: int) -> int:
-    """Discriminant of Q(sqrt(m)) for squarefree m >= 2."""
-    if m < 2 or not is_squarefree(m):
-        raise DomainError(f"need a squarefree integer >= 2, got {m}")
-    return m if m % 4 == 1 else 4 * m
+_REGULATOR_CONTEXT = decimal.Context(prec=40, Emax=decimal.MAX_EMAX)
 
 
-def fundamental_discriminant_signed(r: int) -> int:
-    """Discriminant of Q(sqrt(r)) for any nonsquare integer r."""
-    if r == 0:
-        raise DomainError("radicand must be nonzero")
-    n = abs(r)
-    kern = 1
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            e = 0
-            while n % p == 0:
-                n //= p
-                e += 1
-            if e % 2:
-                kern *= p
-        p += 1 if p == 2 else 2
-    kern *= n
-    k = kern if r > 0 else -kern
-    if k == 1:
-        raise DomainError(f"{r} is a perfect square")
-    return k if k % 4 == 1 else 4 * k
-
-
-def fundamental_discriminants_up_to(limit: int) -> np.ndarray:
+def fundamental_discriminants_up_to(limit: int) -> list[int]:
     """All real quadratic field discriminants D <= limit, ascending."""
     if limit < 5:
-        return np.zeros(0, dtype=np.int64)
+        return []
     m = np.arange(limit + 1, dtype=np.int64)
     sf = np.ones(limit + 1, dtype=bool)
     sf[0] = False
@@ -97,17 +72,20 @@ def fundamental_discriminants_up_to(limit: int) -> np.ndarray:
         sf[p2::p2] = False
     d_odd = m[sf & (m % 4 == 1) & (m >= 5)]
     m_even = m[sf & ((m % 4 == 2) | (m % 4 == 3)) & (4 * m <= limit)]
-    return np.sort(np.concatenate([d_odd, 4 * m_even]))
+    return np.sort(np.concatenate([d_odd, 4 * m_even])).tolist()
 
 
-def _check_field_discriminant(D: int) -> None:
+def _check_field_discriminant(D) -> int:
+    """D as a Python int, once it is a real quadratic field discriminant."""
+    D = operator.index(D)
     if D <= 0 or not is_fundamental_discriminant(D):
         raise DomainError(f"{D} is not a real quadratic field discriminant")
+    return D
 
 
 def continued_fraction_unit(D: int) -> tuple[int, int, int]:
     """(t, u, norm) with epsilon = (t + u sqrt(D))/2 fundamental, t^2 - D u^2 = 4 norm."""
-    _check_field_discriminant(D)
+    D = _check_field_discriminant(D)
     s = isqrt(D)
     sigma = D % 2
     P, Q = sigma, 2
@@ -155,12 +133,17 @@ class FundamentalUnit:
         return e if self.norm == 1 else e * e
 
     def regulator(self) -> float:
-        prec = max(80, self.t.bit_length() + self.u.bit_length() + 40)
-        with mp.workprec(prec):
-            return float(mp.log((self.t + self.u * mp.sqrt(self.D)) / 2))
+        # t + u sqrt(D) adds two positive terms, so no digits cancel: each
+        # step errs by a few units in the 40th digit, and R >= 0.48 then has
+        # a relative error near 1e-39 whatever the size of t, far below
+        # float precision, so float() rounds it correctly
+        ctx = _REGULATOR_CONTEXT
+        x = ctx.add(self.t, ctx.multiply(self.u, ctx.sqrt(self.D)))
+        return float(ctx.ln(ctx.divide(x, 2)))
 
 
 def fundamental_unit(D: int) -> FundamentalUnit:
+    D = _check_field_discriminant(D)
     t, u, norm = continued_fraction_unit(D)
     return FundamentalUnit(D=D, t=t, u=u, norm=norm)
 
@@ -183,7 +166,7 @@ def _divisors(n: int) -> list[int]:
 
 def reduced_forms(D: int) -> list[tuple[int, int, int]]:
     """Reduced indefinite forms (a, b, c) of discriminant D: sqrt(D)-b < 2|a| < sqrt(D)+b."""
-    _check_field_discriminant(D)
+    D = _check_field_discriminant(D)
     s = isqrt(D)
     out = []
     b = 1 if D % 2 else 2
@@ -257,6 +240,7 @@ def class_number(D: int) -> ClassData:
     iff the fundamental unit has norm -1), not from the continued fraction,
     so callers can compare the two routes.
     """
+    D = _check_field_discriminant(D)
     cycles = form_cycles(D)
     h_plus = len(cycles)
     pf = principal_form(D)
@@ -325,7 +309,7 @@ def exact_hr(D: int, l1: float, l1_cert: float
 
 def invariants(D: int) -> QuadraticFieldInvariants:
     """All field data for the criterion, with the exact_hr checks enforced."""
-    _check_field_discriminant(D)
+    D = _check_field_discriminant(D)
     table = character_table(D)
     l1, l1_cert = closed_form_l1(D, table)
     unit, cd, reg, residual = exact_hr(D, l1, l1_cert)
@@ -384,7 +368,7 @@ def zeta2_ideal_route(D: int) -> tuple[float, float]:
     b > X//d are restored via sum chi(d)/d^2 (zeta(2) - H2(X//d)), leaving
     only the d > X tail, which Abel-bounds by 2 M zeta(2)/(X+1)^2.
     """
-    _check_field_discriminant(D)
+    D = _check_field_discriminant(D)
     limit = 300_000  # the cutoff X
     if limit < D:
         raise DomainError(f"cutoff {limit} below conductor {D}")
@@ -412,7 +396,7 @@ class DualZeta:
 
 def zeta_K2_dual(D: int) -> DualZeta:
     """zeta_K(2) by two routes sharing no character code; raises on disagreement."""
-    _check_field_discriminant(D)
+    D = _check_field_discriminant(D)
     z2 = zeta2_constant()
     lv = L_value(D, 2e-9, table=kronecker_table(D))
     char_value = z2 * lv.value

@@ -1,5 +1,10 @@
 """Dirichlet L-values for quadratic characters, and zeta_K(-1) exactly.
 
+Discriminants: one trial division, ``_prime_factors``, serves
+``is_squarefree``, ``is_fundamental_discriminant`` (x not 0 or 1 and equal
+to the discriminant of Q(sqrt(x))), ``factor_fundamental``,
+``fundamental_discriminant`` and ``fundamental_discriminant_signed``.
+
 Evaluation routes:
 
 * ``zeta_K_minus1``: zeta_K(-1) = B_{2,chi}/24 as a Fraction, and from it
@@ -62,18 +67,34 @@ _W_IMAG = {-3: 6, -4: 4}
 _INT64_SQUARES = 3_024_617
 
 
-def is_squarefree(n: int) -> bool:
+def _prime_factors(n: int) -> list[tuple[int, int]]:
+    """(p, e) for each prime power p^e exactly dividing |n| != 0, p ascending."""
     n = abs(n)
-    if n == 0:
-        return False
+    out = []
     p = 2
     while p * p <= n:
-        if n % (p * p) == 0:
-            return False
         if n % p == 0:
-            n //= p
+            e = 0
+            while n % p == 0:
+                n //= p
+                e += 1
+            out.append((p, e))
         p += 1 if p == 2 else 2
-    return True
+    if n > 1:
+        out.append((n, 1))
+    return out
+
+
+def _field_discriminant(r: int) -> int:
+    """Discriminant of Q(sqrt(r)), r != 0, or 1 if r is a square."""
+    k = math.prod(p for p, e in _prime_factors(r) if e % 2)
+    if r < 0:
+        k = -k
+    return k if k % 4 == 1 else 4 * k
+
+
+def is_squarefree(n: int) -> bool:
+    return n != 0 and all(e == 1 for _p, e in _prime_factors(n))
 
 
 @functools.lru_cache(maxsize=1024)
@@ -82,14 +103,24 @@ def is_fundamental_discriminant(x: int) -> bool:
 
     Memoized: a scan re-checks the discriminants its own sieve produced.
     """
-    if x == 0 or x == 1:
-        return False
-    if x % 4 == 1:
-        return is_squarefree(x)
-    if x % 4 == 0:
-        m = x // 4
-        return m % 4 in (2, 3) and is_squarefree(m)
-    return False
+    return x not in (0, 1) and x == _field_discriminant(x)
+
+
+def fundamental_discriminant(m: int) -> int:
+    """Discriminant of Q(sqrt(m)) for squarefree m >= 2."""
+    if m < 2 or not is_squarefree(m):
+        raise DomainError(f"need a squarefree integer >= 2, got {m}")
+    return m if m % 4 == 1 else 4 * m
+
+
+def fundamental_discriminant_signed(r: int) -> int:
+    """Discriminant of Q(sqrt(r)) for any nonsquare integer r."""
+    if r == 0:
+        raise DomainError("radicand must be nonzero")
+    d = _field_discriminant(r)
+    if d == 1:
+        raise DomainError(f"{r} is a perfect square")
+    return d
 
 
 def kronecker_chi(d: int, n: int) -> int:
@@ -156,28 +187,13 @@ def _legendre_table(p: int) -> np.ndarray:
 
 
 def factor_fundamental(d: int) -> list[int]:
-    """Prime-discriminant factorization, raising DomainError unless d is
-    fundamental: d != 1, no odd p^2 divides d, and d / prod(p* = +-p = 1 mod 4)
-    is 1, -4, 8 or -8."""
-    if d in (0, 1):
+    """Prime-discriminant factorization p* = +-p = 1 mod 4 over the odd primes
+    p | d, times the 2-part (-4, 8 or -8) if d is even; raises DomainError
+    unless d is fundamental."""
+    if not is_fundamental_discriminant(d):
         raise DomainError(f"{d} is not a fundamental discriminant")
-    rest = abs(d)
-    while rest % 2 == 0:
-        rest //= 2
-    parts = []
-    p = 3
-    while p * p <= rest:
-        if rest % p == 0:
-            rest //= p
-            if rest % p == 0:
-                raise DomainError(f"{d} is not a fundamental discriminant")
-            parts.append(p if p % 4 == 1 else -p)
-        p += 2
-    if rest > 1:
-        parts.append(rest if rest % 4 == 1 else -rest)
+    parts = [p if p % 4 == 1 else -p for p, _e in _prime_factors(d) if p > 2]
     two_part = d // math.prod(parts)
-    if two_part not in (1, -4, 8, -8):
-        raise DomainError(f"{d} is not a fundamental discriminant")
     return parts if two_part == 1 else parts + [two_part]
 
 

@@ -22,10 +22,10 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
-from .criteria import FieldInputs, l1_below_threshold, to_fraction, verdict
+from .criteria import FieldInputs, to_fraction, verdict
 from .elliptic import elliptic_summary, make_l1_lookup
 from .errors import DomainError
-from .field_invariants import exact_hr, fundamental_discriminants_up_to
+from .field_invariants import _check_field_discriminant, exact_hr, fundamental_discriminants_up_to
 from .lfunctions import character_table, closed_form_l1, zeta_K2, zeta_K_minus1
 from .reports import FieldRecord
 
@@ -44,6 +44,7 @@ def scan_field(D: int, epsilon, l1_lookup=None) -> FieldRecord:
     discriminants (a scan shares one class-number sieve); without it each
     value falls back to the closed form.
     """
+    D = _check_field_discriminant(D)
     table = character_table(D)
     l1_val, l1_cert = closed_form_l1(D, table)
     zeta_m1 = zeta_K_minus1(D, table)
@@ -51,11 +52,12 @@ def scan_field(D: int, epsilon, l1_lookup=None) -> FieldRecord:
     ell = elliptic_summary(D, l1=l1_lookup)
     inputs = FieldInputs(D=D, hr=math.sqrt(D) * l1_val / 2.0, zeta2=zeta2,
                          zeta_m1=zeta_m1, l1_value=l1_val, l1_cert=l1_cert)
-    exact = l1_below_threshold(inputs, epsilon)
+    rep = verdict(inputs, epsilon)
+    exact = rep.verdict == "Satisfied"
     if exact:
         _unit, classes, reg, _residual = exact_hr(D, l1_val, l1_cert)
         inputs = replace(inputs, hr=classes.h * reg, h=classes.h, regulator=reg)
-    rep = verdict(inputs, epsilon)
+        rep = verdict(inputs, epsilon)
     return FieldRecord(
         D=D,
         h=inputs.h,
@@ -140,7 +142,7 @@ def scan(dmax: int, epsilon="0.01", workers: int = 1,
     if workers < 1:
         raise DomainError("worker count must be >= 1, got %d" % workers)
     eps = to_fraction(epsilon, "epsilon")
-    ds = [int(d) for d in fundamental_discriminants_up_to(dmax)]
+    ds = fundamental_discriminants_up_to(dmax)
     done = dict(precomputed) if precomputed else {}
     todo = [d for d in ds if d not in done]
 

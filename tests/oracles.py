@@ -1,13 +1,15 @@
 """Independent brute-force oracles used only by the test suite.
 
 Every oracle recomputes a quantity through a route that shares no code with
-the package: the unit search ascends u directly, class numbers come from the
-analytic formula with a digamma L-value, L-values go through mpmath digamma
-and Hurwitz zeta identities, zeta_K(-1) comes from Siegel's divisor sums,
-elliptic traces come from a floating point box search on both embeddings,
-determinants come from the Leibniz permutation sum, scan records are
-decoded key by key and rendered to CSV cell by cell, and the verdict is
-taken by the float sign tests that the exact comparison replaced.
+the package: fundamental discriminants come from their definition, with
+every square divisor tried, the unit search ascends u directly, class
+numbers come from the analytic formula with a digamma L-value, L-values go
+through mpmath digamma and Hurwitz zeta identities, zeta_K(-1) comes from
+Siegel's divisor sums, elliptic traces come from a floating point box
+search on both embeddings, determinants come from the Leibniz permutation
+sum, scan records are decoded key by key and rendered to CSV cell by cell,
+and the verdict is taken by the float sign tests that the exact comparison
+replaced.
 """
 
 from __future__ import annotations
@@ -63,6 +65,28 @@ def brute_fundamental_unit(D: int, u_limit: int = 10_000_000) -> tuple[int, int,
                 if t * t == t2:
                     return t, u, norm
     raise AssertionError(f"no unit with u <= {u_limit} for D={D}")
+
+
+def brute_squarefree(n: int) -> bool:
+    """No k^2 > 1 divides n != 0, trying every k."""
+    n = abs(n)
+    return n != 0 and all(n % (k * k) for k in range(2, math.isqrt(n) + 1))
+
+
+def brute_is_fundamental(d: int) -> bool:
+    """The definition: d = 1 mod 4 squarefree, d != 1, or d = 4m with
+    m = 2, 3 mod 4 squarefree."""
+    if d % 4 == 1:
+        return d != 1 and brute_squarefree(d)
+    return d % 4 == 0 and (d // 4) % 4 in (2, 3) and brute_squarefree(d // 4)
+
+
+def brute_field_discriminant(r: int) -> int:
+    """Discriminant of Q(sqrt(r)) for nonsquare r: divide out the largest
+    square k^2 | r, trying every k."""
+    k = max(k for k in range(1, math.isqrt(abs(r)) + 1) if r % (k * k) == 0)
+    m = r // (k * k)
+    return m if m % 4 == 1 else 4 * m
 
 
 def mp_regulator(D: int, t: int | None = None, u: int | None = None) -> mpmath.mpf:

@@ -5,10 +5,13 @@ import json
 import os
 import random
 import re
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
+import hilbert_ggl
 from hilbert_ggl import elliptic, field_invariants, lfunctions
 from hilbert_ggl.cli import main
 from hilbert_ggl.elliptic import elliptic_summary, make_l1_lookup
@@ -27,6 +30,17 @@ def golden_text(name: str) -> str:
 def test_field_5_golden(capsys):
     assert main(["field", "5"]) == 0
     assert capsys.readouterr().out == golden_text("field_5.txt")
+
+
+def test_cli_import_leaves_out_mpmath():
+    # mpmath is a test dependency only; the package must not import it
+    src = os.path.dirname(os.path.dirname(hilbert_ggl.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    code = "import sys, hilbert_ggl.cli; print('mpmath' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=60)
+    assert out.stdout.strip() == "False"
 
 
 def test_hj_12_5_golden(capsys):

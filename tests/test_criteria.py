@@ -12,7 +12,6 @@ import pytest
 from hilbert_ggl.criteria import (
     FieldInputs,
     beta_constant,
-    l1_below_threshold,
     nu_max,
     rr_leading_coeff,
     thresholds,
@@ -159,7 +158,6 @@ def test_verdict_synthetic_satisfied():
         assert rep.verdict == "Satisfied"
         assert rep.margin > 0 and rep.rr_coefficient_at_required > 0
         assert rep.flags == ("rotation_defaulted", "joint_existence_assumed")
-    assert l1_below_threshold(fast, Fraction(1, 100))
     # a larger epsilon lowers T_D below L(1)
     assert verdict(inv, Fraction(1, 10)).verdict == "CandidateExceptional"
 
@@ -198,8 +196,6 @@ def test_verdict_straddle_raises():
     on = _inputs(64277, float(t), zeta_m1, l1_cert=1e-15)
     with pytest.raises(NumericalAgreementError, match="straddles"):
         verdict(on, eps)
-    with pytest.raises(NumericalAgreementError, match="straddles"):
-        l1_below_threshold(on, eps)
     # a certificate that reaches T_D from either side
     for l1 in (float(t) * (1 - 1e-6), float(t) * (1 + 1e-6)):
         with pytest.raises(NumericalAgreementError):

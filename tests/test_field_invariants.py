@@ -2,10 +2,14 @@
 
 import math
 import random
+from fractions import Fraction
 
 import mpmath
+import numpy as np
 import pytest
 
+from hilbert_ggl.cusps import cusp_cycle
+from hilbert_ggl.elliptic import elliptic_summary
 from hilbert_ggl.errors import DomainError, NumericalAgreementError
 from hilbert_ggl.field_invariants import (
     FundamentalUnit,
@@ -23,8 +27,15 @@ from hilbert_ggl.field_invariants import (
     zeta_K2_dual,
 )
 from hilbert_ggl.lfunctions import closed_form_l1
+from hilbert_ggl.scan import scan_field
 
-from oracles import brute_class_number, brute_fundamental_unit, mp_l_value, mp_regulator
+from oracles import (
+    brute_class_number,
+    brute_field_discriminant,
+    brute_fundamental_unit,
+    mp_l_value,
+    mp_regulator,
+)
 
 # (D, t, u, norm, h, h_plus): unit data cross-checked against the ascending-u
 # brute force oracle below; h from the analytic-formula oracle.
@@ -62,12 +73,15 @@ def test_fundamental_discriminant_signed():
         fundamental_discriminant_signed(0)
     with pytest.raises(DomainError):
         fundamental_discriminant_signed(9)
+    for r in range(-2000, 2001):
+        if r != 0 and not (r > 0 and math.isqrt(r) ** 2 == r):
+            assert fundamental_discriminant_signed(r) == brute_field_discriminant(r), r
 
 
 def test_fundamental_discriminants_up_to():
     ds = fundamental_discriminants_up_to(50)
     assert list(ds) == [5, 8, 12, 13, 17, 21, 24, 28, 29, 33, 37, 40, 41, 44]
-    assert fundamental_discriminants_up_to(4).size == 0
+    assert fundamental_discriminants_up_to(4) == []
 
 
 def test_known_units_and_class_numbers():
@@ -107,6 +121,26 @@ def test_regulator_high_precision():
     assert abs(regulator(1093) - r) < 1e-14 * r
     assert abs(regulator(5) - 0.4812118250596034) < 1e-15
     assert abs(regulator(8) - math.log(1 + math.sqrt(2))) < 1e-15
+
+
+def test_regulator_is_correctly_rounded():
+    # decimal logarithm against mpmath's, at every field D <= 10^4
+    for D in fundamental_discriminants_up_to(10_000):
+        eps = fundamental_unit(D)
+        assert regulator(D) == float(mp_regulator(D, eps.t, eps.u)), D
+
+
+def test_field_functions_take_numpy_integers():
+    # fundamental_discriminants_up_to once handed out np.int64, whose fixed
+    # width wrapped in the unit recurrence; every entry point takes the D it
+    # is given as a Python int
+    eps = Fraction(1, 100)
+    for D in (5, 409, 64277, 99996):
+        for f in (fundamental_unit, regulator, class_number, invariants,
+                  elliptic_summary, cusp_cycle, lambda d: scan_field(d, eps)):
+            assert f(np.int64(D)) == f(D), (f, D)
+    assert type(fundamental_unit(np.int64(409)).t) is int
+    assert type(cusp_cycle(np.int64(5)).digits[0]) is int
 
 
 def test_unit_is_minimal():

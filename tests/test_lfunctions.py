@@ -29,7 +29,7 @@ from hilbert_ggl.lfunctions import (
     zeta_K_minus1,
 )
 
-from oracles import kronecker, mp_l_value, siegel_zeta_minus1
+from oracles import brute_is_fundamental, kronecker, mp_l_value, siegel_zeta_minus1
 
 
 def negative_fundamental_discriminants(limit: int) -> list[int]:
@@ -47,6 +47,13 @@ def test_is_fundamental_discriminant():
     bad = [0, 1, 2, 3, 4, 6, 7, 9, -1, -2, -5, -6, -9, -12, 16, 25, 45]
     assert all(is_fundamental_discriminant(d) for d in good)
     assert not any(is_fundamental_discriminant(d) for d in bad)
+    # factor_fundamental decides by the same factorization, so the definition
+    # and the sieve are the independent routes
+    for m in range(1, 5001):
+        for d in (m, -m):
+            assert is_fundamental_discriminant(d) == brute_is_fundamental(d), d
+    assert fundamental_discriminants_up_to(5000) == [
+        d for d in range(1, 5001) if is_fundamental_discriminant(d)]
 
 
 def test_kronecker_chi_examples():
