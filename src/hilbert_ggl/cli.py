@@ -55,6 +55,14 @@ def _epsilon_fraction(text: str, parser: argparse.ArgumentParser) -> Fraction:
         raise AssertionError("unreachable")
 
 
+def _tangency_exit(tan, D: int) -> int:
+    """Exit code of a command that verified the cusp tangency of field D."""
+    if tan.ok:
+        return 0
+    print("error: cusp tangency verification failed for D=%d" % D, file=sys.stderr)
+    return 1
+
+
 def cmd_field(args, parser) -> int:
     D = _normalize_field_value(args.value, parser)
     eps = _epsilon_fraction(args.epsilon, parser)
@@ -84,10 +92,7 @@ def cmd_field(args, parser) -> int:
         print(json_dumps(doc))
     else:
         sys.stdout.write(render_field_text(doc))
-    if not tan.ok:
-        print("error: cusp tangency verification failed for D=%d" % D, file=sys.stderr)
-        return 1
-    return 0
+    return _tangency_exit(tan, D)
 
 
 def cmd_scan(args, parser) -> int:
@@ -100,7 +105,6 @@ def cmd_scan(args, parser) -> int:
     t0 = time.perf_counter()
     cache = ScanCache(args.cache, params) if args.cache else None
     precomputed = cache.load() if cache is not None else None
-    fresh = []
 
     t1 = time.perf_counter()
     result = scan(
@@ -108,11 +112,9 @@ def cmd_scan(args, parser) -> int:
         epsilon=eps,
         workers=args.workers,
         precomputed=precomputed,
-        on_record=fresh.append if cache is not None else None,
+        # one open and one write per finished run, so a killed scan keeps it
+        on_records=(lambda run: cache.append(*run)) if cache is not None else None,
     )
-    if fresh:
-        # one open and one write for the whole run
-        cache.append(*fresh)
     t2 = time.perf_counter()
     timings = {"load": t1 - t0, "scan": t2 - t1} if args.timings else None
 
@@ -139,13 +141,12 @@ def cmd_scan(args, parser) -> int:
                 result.largest_failing_D,
             )
         )
-        if args.timings:
-            print("timing load=%.3fs scan=%.3fs" % (t1 - t0, t2 - t1))
     else:
         sys.stdout.write(payload)
-        if args.timings and args.format == "csv":
-            # stderr, so that stdout holds the CSV bytes alone
-            print("timing load=%.3fs scan=%.3fs" % (t1 - t0, t2 - t1), file=sys.stderr)
+    if timings is not None and (args.out or args.format == "csv"):
+        # after the summary, or on stderr so that stdout holds the CSV bytes alone
+        print("timing load=%(load).3fs scan=%(scan).3fs" % timings,
+              file=sys.stdout if args.out else sys.stderr)
     return 0
 
 
@@ -188,10 +189,7 @@ def cmd_cusp(args, parser) -> int:
                 ", ".join(str(c.sqrt_coeff) for c in tan.charts),
             )
         )
-    if not tan.ok:
-        print("error: cusp tangency verification failed for D=%d" % D, file=sys.stderr)
-        return 1
-    return 0
+    return _tangency_exit(tan, D)
 
 
 def cmd_tangency(args, parser) -> int:

@@ -188,15 +188,7 @@ def cm_extension_invariants(D: int, s: int, l1=None) -> CMExtensionInvariants:
     d2 = -4 if s == 0 else -3
     d3 = fundamental_discriminant_signed(D * (s * s - 4))
     d_kp = abs(D * d2 * d3)
-    present = {d2, d3}
-    if -3 in present and -4 in present:
-        w_prime = 12
-    elif -4 in present:
-        w_prime = 4
-    elif -3 in present:
-        w_prime = 6
-    else:
-        w_prime = 2
+    w_prime = 12 if d3 in (-3, -4) else {-4: 4, -3: 6}[d2]
     if d_kp % (D * D):
         raise RuntimeError("d_K' = %d is not divisible by D^2 = %d" % (d_kp, D * D))
     n_rel = d_kp // (D * D)

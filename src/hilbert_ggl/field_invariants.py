@@ -187,6 +187,7 @@ def reduced_forms(D: int) -> list[tuple[int, int, int]]:
 def rho_step(form: tuple[int, int, int], D: int) -> tuple[int, int, int]:
     """Right neighbor: (a, b, c) -> (c, r, (r^2 - D)/(4c)), r = -b mod 2|c| nearest sqrt(D)."""
     _a, b, c = form
+    D = operator.index(D)
     s = isqrt(D)
     r = s - ((s + b) % (2 * abs(c)))
     num = r * r - D
@@ -196,12 +197,14 @@ def rho_step(form: tuple[int, int, int], D: int) -> tuple[int, int, int]:
 
 
 def principal_form(D: int) -> tuple[int, int, int]:
+    D = _check_field_discriminant(D)
     s = isqrt(D)
     b0 = s if (s - D) % 2 == 0 else s - 1
     return (1, b0, (b0 * b0 - D) // 4)
 
 
 def form_cycles(D: int) -> list[list[tuple[int, int, int]]]:
+    D = _check_field_discriminant(D)
     forms = reduced_forms(D)
     fset = set(forms)
     visited: set[tuple[int, int, int]] = set()

@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -351,6 +352,7 @@ def euler_chi_array(D: int, limit: int) -> np.ndarray:
     Independent of both kronecker_chi and character_table; feeds the
     ideal-counting route.
     """
+    D = operator.index(D)
     chi = np.ones(limit + 1, dtype=np.int8)
     chi[0] = 0
     for p in primes_up_to(limit):

@@ -10,13 +10,17 @@ unit-norm and class number formula checks as a single-field report, and the
 verdict then decides them by h R as well; none occur below D = 5000, and 458
 of the 30394 fields up to D = 1e5 do.
 
-Scans are deterministic: per-field work is a pure function of (D, parameters),
-records are merged sorted by D, and the same code path runs serially or under
-a process pool (the workers argument).
+Scans are deterministic: per-field work is a pure function of (D, parameters).
+The fields still to compute are split into contiguous ascending runs, and one
+loop maps the runs in order, in-process or over a process pool (the workers
+argument); each finished run reaches the caller as soon as it lands, so the
+CLI's cache grows run by run and a killed scan keeps the runs it finished.
 """
 
 from __future__ import annotations
 
+import contextlib
+import itertools
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
@@ -29,10 +33,10 @@ from .field_invariants import _check_field_discriminant, exact_hr, fundamental_d
 from .lfunctions import character_table, closed_form_l1, zeta_K2, zeta_K_minus1
 from .reports import FieldRecord
 
-# a pool scan hands out this many interleaved slices of the fields per
-# worker, so a worker that finishes early takes the next slice instead of
-# waiting for a fixed half of the work on the other one
-_SLICES_PER_WORKER = 8
+# a scan computes its missing fields in contiguous ascending runs of this
+# many: small enough that a pool stays balanced and a killed scan loses
+# little, large enough that each run's cache append stays cheap
+_RUN = 64
 
 
 def scan_field(D: int, epsilon, l1_lookup=None) -> FieldRecord:
@@ -129,13 +133,14 @@ def _dyadic_blocks(records) -> tuple[DyadicBlock, ...]:
 
 
 def scan(dmax: int, epsilon="0.01", workers: int = 1,
-         precomputed: dict[int, FieldRecord] | None = None, on_record=None) -> ScanResult:
+         precomputed: dict[int, FieldRecord] | None = None, on_records=None) -> ScanResult:
     """Scan all fundamental discriminants D <= dmax.
 
-    precomputed maps D to already-known records (cache hits); on_record, if
-    given, is called with each freshly computed record in ascending D order,
-    but only once every field has been computed (the CLI appends them to the
-    cache file then, so an interrupted scan leaves no new records).
+    precomputed maps D to already-known records (cache hits).  The other
+    fields are computed in runs of _RUN consecutive fields, in ascending
+    order; on_records, if given, is called with each run's records (a list
+    in ascending D) as soon as that run is done, so the CLI appends them to
+    the cache run by run.
     """
     if dmax < 5:
         raise DomainError("dmax must be at least 5, got %d" % dmax)
@@ -145,31 +150,24 @@ def scan(dmax: int, epsilon="0.01", workers: int = 1,
     ds = fundamental_discriminants_up_to(dmax)
     done = dict(precomputed) if precomputed else {}
     todo = [d for d in ds if d not in done]
+    runs = [todo[i:i + _RUN] for i in range(0, len(todo), _RUN)]
 
-    sieve_limit = 4 * dmax + 16
-    fresh: list[FieldRecord] = []
-    if todo:
-        if workers == 1:
-            _init_worker(sieve_limit)
-            fresh = _scan_chunk(todo, eps)
-        else:
-            k = workers * _SLICES_PER_WORKER
-            chunks = [todo[i::k] for i in range(k)]
-            chunks = [c for c in chunks if c]
-            with ProcessPoolExecutor(
-                max_workers=min(workers, len(chunks)), initializer=_init_worker,
-                initargs=(sieve_limit,),
-            ) as pool:
-                out = pool.map(_scan_chunk, chunks, [eps] * len(chunks))
-                fresh = [rec for sub in out for rec in sub]
-    fresh.sort(key=lambda r: r.D)
-    if on_record is not None:
-        for rec in fresh:
-            on_record(rec)
-
-    merged = {r.D: r for r in fresh}
-    merged.update(done)
-    records = tuple(merged[d] for d in ds)
+    if runs:  # a complete cache needs neither the sieve nor a pool
+        sieve_limit = 4 * dmax + 16
+        with contextlib.ExitStack() as stack:
+            if workers > 1 and len(runs) > 1:
+                mapper = stack.enter_context(ProcessPoolExecutor(
+                    max_workers=min(workers, len(runs)), initializer=_init_worker,
+                    initargs=(sieve_limit,))).map
+            else:
+                _init_worker(sieve_limit)
+                mapper = map
+            # both maps yield the runs in submission order
+            for run in mapper(_scan_chunk, runs, itertools.repeat(eps)):
+                done.update((r.D, r) for r in run)
+                if on_records is not None:
+                    on_records(run)
+    records = tuple(done[d] for d in ds)
 
     satisfied = tuple(r.D for r in records if r.verdict == "Satisfied")
     failing = [r.D for r in records if r.verdict != "Satisfied"]

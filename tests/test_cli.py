@@ -7,6 +7,7 @@ import random
 import re
 import subprocess
 import sys
+import textwrap
 from fractions import Fraction
 
 import pytest
@@ -17,7 +18,7 @@ from hilbert_ggl.cli import main
 from hilbert_ggl.elliptic import elliptic_summary, make_l1_lookup
 from hilbert_ggl.field_invariants import fundamental_discriminants_up_to
 from hilbert_ggl.lfunctions import closed_form_l1
-from hilbert_ggl.scan import scan_field
+from hilbert_ggl.scan import _RUN, scan_field
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 
@@ -32,14 +33,19 @@ def test_field_5_golden(capsys):
     assert capsys.readouterr().out == golden_text("field_5.txt")
 
 
-def test_cli_import_leaves_out_mpmath():
-    # mpmath is a test dependency only; the package must not import it
+def _run_python(code: str, *args: str, **kwargs) -> subprocess.CompletedProcess:
+    """Run code in a fresh interpreter that imports this hilbert_ggl."""
     src = os.path.dirname(os.path.dirname(hilbert_ggl.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    return subprocess.run([sys.executable, "-c", code, *args], env=env,
+                          capture_output=True, text=True, **kwargs)
+
+
+def test_cli_import_leaves_out_mpmath():
+    # mpmath is a test dependency only; the package must not import it
     code = "import sys, hilbert_ggl.cli; print('mpmath' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, check=True, timeout=60)
+    out = _run_python(code, check=True, timeout=60)
     assert out.stdout.strip() == "False"
 
 
@@ -250,18 +256,53 @@ SCAN_2000_CSV_SHA256 = "a3cfe0c8ec4a40f9b28b1c218871c38d79b8fe1c2889dffbdd501284
 SCAN_2000_CACHE_SHA256 = "b402ab899988a2cb1fca89e27d15878595124ce05057d14c22eaa91837847248"
 
 
-def test_scan_2000_csv_and_cache_golden(tmp_path, capsys):
+def _assert_scan_2000_golden(out, cache):
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == SCAN_2000_CSV_SHA256
+    assert hashlib.sha256(cache.read_bytes()).hexdigest() == SCAN_2000_CACHE_SHA256
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_scan_2000_csv_and_cache_golden(workers, tmp_path, capsys):
     cache = tmp_path / "scan.cache"
     out = tmp_path / "scan.csv"
-    assert main(["scan", "--dmax", "2000", "--cache", str(cache), "--out", str(out)]) == 0
+    argv = ["scan", "--dmax", "2000", "--cache", str(cache), "--out", str(out),
+            "--workers", workers]
+    assert main(argv) == 0
     assert capsys.readouterr().out.startswith("scanned 607 fields to D<=2000 (0 from cache)")
-    assert hashlib.sha256(out.read_bytes()).hexdigest() == SCAN_2000_CSV_SHA256
-    assert hashlib.sha256(cache.read_bytes()).hexdigest() == SCAN_2000_CACHE_SHA256
+    _assert_scan_2000_golden(out, cache)
     # a resume reads every record back from those bytes and writes nothing
-    assert main(["scan", "--dmax", "2000", "--cache", str(cache), "--out", str(out)]) == 0
+    assert main(argv) == 0
     assert capsys.readouterr().out.startswith("scanned 607 fields to D<=2000 (607 from cache)")
-    assert hashlib.sha256(out.read_bytes()).hexdigest() == SCAN_2000_CSV_SHA256
-    assert hashlib.sha256(cache.read_bytes()).hexdigest() == SCAN_2000_CACHE_SHA256
+    _assert_scan_2000_golden(out, cache)
+
+
+def test_scan_killed_mid_run_keeps_finished_runs(tmp_path, capsys):
+    # a scan killed after its third cache append has written three whole runs;
+    # the rerun takes them from the cache and ends with the golden bytes
+    cache = tmp_path / "scan.cache"
+    out = tmp_path / "scan.csv"
+    argv = ["scan", "--dmax", "2000", "--cache", str(cache), "--out", str(out)]
+    code = textwrap.dedent("""
+        import os, sys
+        from hilbert_ggl.cli import main
+        from hilbert_ggl.reports import ScanCache
+        append, calls = ScanCache.append, []
+        def dying_append(self, *records):
+            append(self, *records)
+            calls.append(len(records))
+            if len(calls) == 3:
+                os._exit(3)
+        ScanCache.append = dying_append
+        sys.exit(main(sys.argv[1:]))
+    """)
+    killed = _run_python(code, *argv, timeout=120)
+    assert killed.returncode == 3, killed.stderr
+    assert not out.exists()
+    assert len(cache.read_text(encoding="utf-8").splitlines()) == 1 + 3 * _RUN
+    assert main(argv) == 0
+    assert capsys.readouterr().out.startswith(
+        "scanned 607 fields to D<=2000 (%d from cache)" % (3 * _RUN))
+    _assert_scan_2000_golden(out, cache)
 
 
 # sha256 of `field D --json`: these pin the chart det strings, sqrt_coeff,

@@ -21,12 +21,13 @@ from hilbert_ggl.field_invariants import (
     fundamental_discriminants_up_to,
     fundamental_unit,
     invariants,
+    principal_form,
     reduced_forms,
     regulator,
     rho_step,
     zeta_K2_dual,
 )
-from hilbert_ggl.lfunctions import closed_form_l1
+from hilbert_ggl.lfunctions import closed_form_l1, euler_chi_array
 from hilbert_ggl.scan import scan_field
 
 from oracles import (
@@ -141,6 +142,16 @@ def test_field_functions_take_numpy_integers():
             assert f(np.int64(D)) == f(D), (f, D)
     assert type(fundamental_unit(np.int64(409)).t) is int
     assert type(cusp_cycle(np.int64(5)).digits[0]) is int
+    # the reduced-form cycle and the Euler-criterion character, too
+    for D in (5, 409):
+        cycles = form_cycles(np.int64(D))
+        assert cycles == form_cycles(D)
+        assert all(type(x) is int for cyc in cycles for form in cyc for x in form), D
+        pf = principal_form(np.int64(D))
+        assert pf == principal_form(D) and all(type(x) is int for x in pf), D
+        step = rho_step(pf, np.int64(D))
+        assert step == rho_step(pf, D) and all(type(x) is int for x in step), D
+        assert np.array_equal(euler_chi_array(np.int64(D), 1000), euler_chi_array(D, 1000)), D
 
 
 def test_unit_is_minimal():

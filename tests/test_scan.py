@@ -3,10 +3,12 @@
 import dataclasses
 import hashlib
 import math
+import multiprocessing
 from fractions import Fraction
 
 import pytest
 
+import hilbert_ggl.scan as scan_module
 from hilbert_ggl.elliptic import elliptic_summary, make_l1_lookup
 from hilbert_ggl.errors import DomainError, NumericalAgreementError
 from hilbert_ggl.field_invariants import (
@@ -18,7 +20,7 @@ from hilbert_ggl.field_invariants import (
 )
 from hilbert_ggl.lfunctions import closed_form_l1
 from hilbert_ggl.reports import canonical_record_json, csv_rows
-from hilbert_ggl.scan import DyadicBlock, FieldRecord, _dyadic_blocks, scan, scan_field
+from hilbert_ggl.scan import _RUN, DyadicBlock, FieldRecord, _dyadic_blocks, scan, scan_field
 
 from oracles import float_rule_verdict
 
@@ -65,27 +67,45 @@ def test_scan_deterministic_reruns():
 
 
 def test_scan_worker_count_does_not_change_records():
-    serial = scan(150, workers=1)
-    pooled = scan(150, workers=2)
+    serial = scan(1000, workers=1)
+    assert len(serial.records) > 2 * _RUN  # several runs, so a pool starts
+    pooled = scan(1000, workers=2)
     assert serial.records == pooled.records
-    # fewer fields than pool slices: empty slices are dropped
+    assert multiprocessing.active_children() == []  # the pool is shut down
+    # a single run is computed in-process, whatever the worker count
     assert scan(20, workers=3).records == scan(20, workers=1).records
 
 
 def test_scan_precomputed_and_streaming():
-    base = scan(150)
-    seen = []
+    base = scan(500)
     done = {r.D: r for r in base.records[:10]}
-    resumed = scan(150, precomputed=done, on_record=lambda r: seen.append(r.D))
-    assert resumed.records == base.records
-    fresh_ds = [r.D for r in base.records[10:]]
-    assert seen == fresh_ds  # ascending, only the non-cached fields
+    for workers in (1, 2):
+        runs = []
+        resumed = scan(500, workers=workers, precomputed=done, on_records=runs.append)
+        assert resumed.records == base.records
+        # one call per finished run, in ascending D, only the non-cached fields
+        assert len(runs) > 1 and all(0 < len(run) <= _RUN for run in runs)
+        assert [r.D for run in runs for r in run] == [r.D for r in base.records[10:]]
     # records handed in via precomputed are trusted verbatim
     doctored = base.records[0].to_dict()
     doctored["verdict"] = "Satisfied"
     injected = scan(150, precomputed={doctored["D"]: FieldRecord.from_dict(doctored)})
     assert injected.records[0].verdict == "Satisfied"
     assert doctored["D"] in injected.satisfied
+
+
+def test_scan_with_every_record_cached_builds_no_sieve_or_pool(monkeypatch):
+    base = scan(500)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a complete cache needs no sieve and no pool")
+
+    monkeypatch.setattr(scan_module, "_init_worker", refuse)
+    monkeypatch.setattr(scan_module, "ProcessPoolExecutor", refuse)
+    runs = []
+    resumed = scan(500, workers=2, precomputed={r.D: r for r in base.records},
+                   on_records=runs.append)
+    assert resumed.records == base.records and runs == []
 
 
 def _brute_dyadic(records):
