@@ -23,7 +23,6 @@ from .cusps import (
     CuspChartCheck,
     CuspCycle,
     CuspTangencyReport,
-    chart_tangency,
     cusp_cycle,
     find_equivalent_reduced,
     periodic_hj,
@@ -116,7 +115,6 @@ __all__ = [
     "Thresholds",
     "TraceBound",
     "beta_constant",
-    "chart_tangency",
     "class_number",
     "closed_form_l1",
     "cm_extension_invariants",

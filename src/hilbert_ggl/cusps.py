@@ -16,6 +16,7 @@ independently in field_invariants.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
@@ -103,6 +104,25 @@ def _coerce_elem(x, D: int, what: str) -> QuadElem:
     raise DomainError("%s must be a field element or a rational, got %r" % (what, x))
 
 
+def _v_index(v) -> int | None:
+    """The index f of V = eta^f when v is an integer, None when v is not.
+
+    Integers of any type go through operator.index; bool is refused, and f
+    is capped at _MAX_V_POWER like the unit path.
+    """
+    if isinstance(v, bool):
+        raise DomainError("v must be an integer index or a totally positive unit, got %r" % (v,))
+    try:
+        f = operator.index(v)
+    except TypeError:
+        return None
+    if f < 1:
+        raise DomainError("v as an index must be a positive integer, got %d" % f)
+    if f > _MAX_V_POWER:
+        raise DomainError("v = %d exceeds the largest supported index %d" % (f, _MAX_V_POWER))
+    return f
+
+
 def _module_multiplier(alpha: QuadElem, beta: QuadElem):
     """Reduced number w and scaling factor for the module Z*alpha + Z*beta.
 
@@ -185,9 +205,12 @@ class CuspCycle:
     eta         generator of V picked out by the cycle (mu_0 / mu_{fr})
     eta_period  generator for v_power = 1 (eta = eta_period ** v_power)
     module      the basis (alpha, beta) the rays live in
-    coord_dets  determinant of each consecutive ray pair (mu_k, mu_{k+1}),
-                closing ray included, in module coordinates (integral
-                Fractions); verify_cusp_tangency reports them per chart
+    coord_dets  determinant x_k y_{k+1} - y_k x_{k+1} of each consecutive ray
+                pair (mu_k, mu_{k+1}), closing ray included, in module
+                coordinates mu = x alpha + y beta (integral Fractions);
+                chart k's determinant mu_k mu'_{k+1} - mu'_k mu_{k+1} is
+                coord_dets[k] * (alpha beta' - alpha' beta), which is how
+                verify_cusp_tangency checks it
     unimodular  True when every entry of coord_dets is +-1
     """
 
@@ -214,10 +237,12 @@ def cusp_cycle(D: int, module=None, v=None) -> CuspCycle:
     module  pair (alpha, beta) of field elements spanning the cusp module,
             default the full ring of integers (1, (D + sqrt(D))/2)
     v       generator of V: either a totally positive unit (QuadElem) or an
-            integer f meaning V = eta^f for the cycle unit eta; default the
-            full totally positive unit group (f = 1)
+            integer 1 <= f <= _MAX_V_POWER meaning V = eta^f for the cycle
+            unit eta; default the full totally positive unit group (f = 1)
     """
     D = _check_field_discriminant(D)
+    # an integer v is validated before any work; a unit v is resolved below
+    f = 1 if v is None else _v_index(v)
     unit = fundamental_unit(D)
     eta_field = unit.totally_positive_generator()
 
@@ -250,28 +275,23 @@ def cusp_cycle(D: int, module=None, v=None) -> CuspCycle:
             % (eta_period, eta_field)
         )
 
-    f = 1
-    if v is not None:
-        if isinstance(v, int):
-            if v < 1:
-                raise DomainError("v as an index must be a positive integer, got %d" % v)
-            f = v
-        else:
-            gen = _coerce_elem(v, D, "v")
-            if not gen.is_unit() or not gen.is_totally_positive():
-                raise DomainError("v = %s is not a totally positive unit" % (gen,))
-            acc = QuadElem.from_rational(1, D)
-            f = 0
-            for k in range(1, _MAX_V_POWER + 1):
-                acc = acc * eta_period
-                if gen == acc or gen == acc.inverse():
-                    f = k
-                    break
-            if f == 0:
-                raise DomainError(
-                    "v = %s is not a power of the cycle unit eta = %s (checked up to eta^%d)"
-                    % (gen, eta_period, _MAX_V_POWER)
-                )
+    v_unit = f is None
+    if v_unit:
+        gen = _coerce_elem(v, D, "v")
+        if not gen.is_unit() or not gen.is_totally_positive():
+            raise DomainError("v = %s is not a totally positive unit" % (gen,))
+        acc = QuadElem.from_rational(1, D)
+        f = 0
+        for k in range(1, _MAX_V_POWER + 1):
+            acc = acc * eta_period
+            if gen == acc or gen == acc.inverse():
+                f = k
+                break
+        if f == 0:
+            raise DomainError(
+                "v = %s is not a power of the cycle unit eta = %s (checked up to eta^%d)"
+                % (gen, eta_period, _MAX_V_POWER)
+            )
 
     digits_v = digits * f
     total = f * r
@@ -311,7 +331,7 @@ def cusp_cycle(D: int, module=None, v=None) -> CuspCycle:
                                % ((mu,) + _coords_in_basis(mu, alpha, beta)))
         coords.append((u_c, v_c))
 
-    if v is not None and not isinstance(v, int):
+    if v_unit:
         for gen_img in (eta * alpha, eta * beta):
             nu, nv, den = _cramer(gen_img, alpha, beta)
             if nu % den or nv % den:
@@ -336,13 +356,13 @@ def cusp_cycle(D: int, module=None, v=None) -> CuspCycle:
 
 @dataclass(frozen=True)
 class CuspChartCheck:
-    """Wedge check for one toric chart (mu_k, mu_{k+1}) of a cusp cycle.
+    """Tangency check for one toric chart (mu_k, mu_{k+1}) of a cusp cycle.
 
     det          exact chart determinant mu_k mu'_{k+1} - mu'_k mu_{k+1}
     sqrt_coeff   det = sqrt_coeff * sqrt(D); rational part is always zero
     multiplicities  exponent of each boundary coordinate in the wedge
     coord_det    determinant of the two rays in module coordinates (if known)
-    degenerate   True when the wedge vanished (rays proportional)
+    degenerate   True when det, and so the wedge, vanishes (rays proportional)
     """
 
     index: int
@@ -357,20 +377,16 @@ class CuspChartCheck:
         return not self.degenerate
 
 
-def chart_tangency(mu1: QuadElem, mu2: QuadElem, index: int = 0, coord_det=None) -> CuspChartCheck:
-    """Wedge the two logarithmic boundary forms of a chart spanned by mu1, mu2.
+def _chart_check(mu1: QuadElem, mu2: QuadElem, index: int, coord_det) -> CuspChartCheck:
+    """Wedge the two logarithmic boundary forms of the chart spanned by mu1, mu2.
 
-    The rows fed to the wedge engine are the embeddings of each ray, so the
-    wedge coefficient is the exact determinant mu1 mu2' - mu1' mu2, a pure
-    sqrt(D) multiple.  A vanishing wedge means the rays are proportional and
-    the chart is degenerate; that is reported, not raised.
+    The rows fed to the generic wedge engine are the embeddings (mu, mu') of
+    each ray, so the wedge coefficient is the exact determinant
+    mu1 mu2' - mu1' mu2, a pure sqrt(D) multiple.  A vanishing wedge means
+    the rays are proportional and the chart is degenerate; that is
+    reported, not raised.
     """
-    return _chart_check((mu1, mu1.conjugate()), (mu2, mu2.conjugate()), index, coord_det)
-
-
-def _chart_check(row1, row2, index, coord_det) -> CuspChartCheck:
-    # the wedge check of chart_tangency on the embedding rows (mu, mu')
-    lam, mult, degenerate = _wedge_check([row1, row2])
+    lam, mult, degenerate = _wedge_check([(mu1, mu1.conjugate()), (mu2, mu2.conjugate())])
     if not degenerate and lam.a != 0:
         raise RuntimeError("chart determinant %s has a rational part" % (lam,))
     return CuspChartCheck(
@@ -392,19 +408,46 @@ class CuspTangencyReport:
 
 
 def verify_cusp_tangency(cycle: CuspCycle) -> CuspTangencyReport:
-    """Run the wedge check on every chart of a resolved cusp cycle.
+    """Check every chart of a resolved cusp cycle by the module-determinant identity.
 
-    Each consecutive ray pair (including the seam pair ending in
-    eta^{-1} mu_0) spans a chart; the wedge of its two logarithmic forms
-    must be a single monomial with multiplicity one in each coordinate and
-    coefficient equal to the exact ray determinant.  The module-coordinate
-    determinants come from cycle.coord_dets, formed once by cusp_cycle.
+    Each consecutive ray pair (mu_k, mu_{k+1}), the seam pair ending in
+    eta^{-1} mu_0 included, spans a chart.  With mu = x alpha + y beta in the
+    module basis, its determinant is
+
+        mu_k mu'_{k+1} - mu'_k mu_{k+1} = coord_det_k * delta,
+        delta = alpha beta' - alpha' beta,
+
+    where coord_det_k = x_k y_{k+1} - y_k x_{k+1} is cycle.coord_dets[k].
+    delta is formed once and must be a pure sqrt(D) multiple.  For a 2x2
+    exponent matrix the wedge of the two logarithmic forms is
+    det * u_0 u_1 du_0 ^ du_1, so every chart has multiplicities (1, 1) and
+    is degenerate exactly when det = 0.
+
+    The generic wedge engine (_chart_check) still runs on chart 0 and on the
+    seam chart, whatever the period; a disagreement with the identity raises
+    RuntimeError.
     """
-    # each ray is conjugated once, though it spans two charts
-    rows = [(mu, mu.conjugate()) for mu in cycle.rays + (cycle.closing_ray,)]
-    checks = tuple(
-        _chart_check(rows[k], rows[k + 1], k, cycle.coord_dets[k])
-        for k in range(len(cycle.rays))
-    )
+    alpha, beta = cycle.module
+    delta = alpha * beta.conjugate() - alpha.conjugate() * beta
+    if delta.a != 0:
+        raise RuntimeError("module determinant %s has a rational part" % (delta,))
+    checks = []
+    last = None
+    for k in range(len(cycle.rays)):
+        coord_det = cycle.coord_dets[k]
+        # the recurrence keeps coord_det constant along a cycle, so in practice
+        # this is one product per cycle
+        if coord_det != last:
+            last = coord_det
+            det = delta * coord_det
+            sqrt_coeff, degenerate = det.y, det.is_zero()
+        checks.append(CuspChartCheck(index=k, det=det, sqrt_coeff=sqrt_coeff, multiplicities=(1, 1),
+                                     coord_det=coord_det, degenerate=degenerate))
+    rays = cycle.rays + (cycle.closing_ray,)
+    for k in sorted({0, len(checks) - 1}):
+        wedge = _chart_check(rays[k], rays[k + 1], k, checks[k].coord_det)
+        if wedge != checks[k]:
+            raise RuntimeError("chart %d: the wedge engine gives det %s, the module identity %s"
+                               % (k, wedge.det, checks[k].det))
     ok = all(c.ok for c in checks) and cycle.unimodular
-    return CuspTangencyReport(D=cycle.D, charts=checks, unimodular=cycle.unimodular, ok=ok)
+    return CuspTangencyReport(D=cycle.D, charts=tuple(checks), unimodular=cycle.unimodular, ok=ok)

@@ -7,9 +7,10 @@ numbers come from the analytic formula with a digamma L-value, L-values go
 through mpmath digamma and Hurwitz zeta identities, zeta_K(-1) comes from
 Siegel's divisor sums, elliptic traces come from a floating point box
 search on both embeddings, determinants come from the Leibniz permutation
-sum, scan records are decoded key by key and rendered to CSV cell by cell,
-and the verdict is taken by the float sign tests that the exact comparison
-replaced.
+sum, every cusp chart goes through the generic wedge engine (which the
+package runs on two charts per cycle only), scan records are decoded key by
+key and rendered to CSV cell by cell, and the verdict is taken by the float
+sign tests that the exact comparison replaced.
 """
 
 from __future__ import annotations
@@ -20,6 +21,9 @@ import math
 from fractions import Fraction
 
 import mpmath
+
+from hilbert_ggl.cusps import CuspChartCheck
+from hilbert_ggl.cyclic import _wedge_check
 
 
 def kronecker(a: int, n: int) -> int:
@@ -210,6 +214,21 @@ def leibniz_det(rows):
         else:
             total = total - term if inversions % 2 else total + term
     return total
+
+
+def wedge_cusp_charts(cycle) -> tuple:
+    """The CuspChartCheck of every chart (mu_k, mu_{k+1}) of a cusp cycle, by
+    the generic wedge engine on the embedding rows (mu, mu') of its rays: a
+    symbolic wedge of the two logarithmic forms, checked against a Bareiss
+    determinant, instead of the module-determinant identity."""
+    rows = [(mu, mu.conjugate()) for mu in cycle.rays + (cycle.closing_ray,)]
+    out = []
+    for k, coord_det in enumerate(cycle.coord_dets):
+        lam, mult, degenerate = _wedge_check(rows[k:k + 2])
+        assert degenerate or lam.a == 0, (cycle.D, k, lam)
+        out.append(CuspChartCheck(index=k, det=lam, sqrt_coeff=lam.y, multiplicities=mult,
+                                  coord_det=coord_det, degenerate=degenerate))
+    return tuple(out)
 
 
 # the JSON types each FieldRecord key accepts; every key not listed holds a float

@@ -1,18 +1,20 @@
 """Cusp resolution cycles: period words, rays, units, and wedge checks."""
 
 import contextlib
+import dataclasses
 import hashlib
 import io
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 import hilbert_ggl.cusps as cusps_mod
 import hilbert_ggl.cyclic as cyclic_mod
 from hilbert_ggl.cli import main
 from hilbert_ggl.cusps import (
+    _MAX_V_POWER,
     _coords_in_basis,
-    chart_tangency,
     cusp_cycle,
     find_equivalent_reduced,
     periodic_hj,
@@ -28,7 +30,7 @@ from hilbert_ggl.field_invariants import (
 from hilbert_ggl.lfunctions import primes_up_to
 from hilbert_ggl.quadratic import QuadElem
 
-from oracles import cyclically_equal
+from oracles import cyclically_equal, wedge_cusp_charts
 
 
 def test_periodic_hj_known_surds():
@@ -157,6 +159,23 @@ def test_cusp_cycle_v_validation():
     # 2 is not a unit
     with pytest.raises(DomainError):
         cusp_cycle(5, v=QuadElem.from_rational(2, 5))
+    with pytest.raises(DomainError, match="got True"):
+        cusp_cycle(5, v=True)
+
+
+def test_cusp_cycle_integer_v_through_operator_index():
+    c = cusp_cycle(5, v=np.int64(2))
+    assert c == cusp_cycle(5, v=2)
+    assert type(c.v_power) is int and c.v_power == 2
+
+
+def test_cusp_cycle_v_above_cap_raises_before_building_rays(monkeypatch):
+    def no_rays(*args):
+        raise AssertionError("rays built for an index above the cap")
+
+    monkeypatch.setattr(cusps_mod, "_rays_from_cycle", no_rays)
+    with pytest.raises(DomainError, match="exceeds the largest supported index"):
+        cusp_cycle(5, v=_MAX_V_POWER + 1)
 
 
 def test_cusp_cycle_module_validation():
@@ -173,10 +192,12 @@ def test_cusp_cycle_module_validation():
 
 
 def test_chart_tangency_degenerate_reported():
+    # the generic wedge engine behind verify_cusp_tangency's spot checks
     mu = QuadElem(1, 1, 5)
-    rep = chart_tangency(mu, 3 * mu)
+    rep = cusps_mod._chart_check(mu, 3 * mu, 0, None)
     assert rep.degenerate and not rep.ok
-    good = chart_tangency(QuadElem.from_rational(1, 5), QuadElem.from_pq(3, -1, 5))
+    assert rep.det.is_zero() and rep.multiplicities == (1, 1)
+    good = cusps_mod._chart_check(QuadElem.from_rational(1, 5), QuadElem.from_pq(3, -1, 5), 0, None)
     assert good.ok
     # det = 1 * (3 + sqrt5)/2 - 1 * (3 - sqrt5)/2 = sqrt5
     assert good.det.x == 0 and good.sqrt_coeff == 1
@@ -207,6 +228,48 @@ def test_coord_dets_formed_once_match_recomputation():
             assert isinstance(got, Fraction)
             assert got == u1 * v2 - v1 * u2, (cyc.D, k)
         assert cyc.unimodular == all(abs(d) == 1 for d in cyc.coord_dets)
+
+
+def _all_fields_up_to_2000():
+    return [cusp_cycle(D) for D in map(int, fundamental_discriminants_up_to(2000))]
+
+
+def _pinned_modules_up_to_600():
+    # the four modules of test_cusp_module_pin_up_to_600, with V of index 1 and 2
+    cycles = []
+    for D in map(int, fundamental_discriminants_up_to(600)):
+        root = QuadElem(0, 1, D)
+        for module in ((1, root), (2, QuadElem(1, 1, D)), (3, QuadElem(1, 2, D)), (root, 5)):
+            for v in (None, 2):
+                cycles.append(cusp_cycle(D, module=module, v=v))
+    return cycles
+
+
+@pytest.mark.parametrize("cycles, count", [(_all_fields_up_to_2000, 21331),
+                                           (_pinned_modules_up_to_600, 86184)],
+                         ids=["fields_2000", "modules_600"])
+def test_chart_identity_matches_wedge_oracle(cycles, count):
+    """Every chart det = delta * coord_det equals the CuspChartCheck of the
+    generic wedge engine run on that chart."""
+    charts = 0
+    for cyc in cycles():
+        got = verify_cusp_tangency(cyc).charts
+        assert got == wedge_cusp_charts(cyc), (cyc.D, cyc.module, cyc.v_power)
+        charts += len(got)
+    assert charts == count
+
+
+def test_wedge_engine_runs_on_a_fixed_number_of_charts(monkeypatch):
+    calls = []
+    wedge = cusps_mod._wedge_check
+    monkeypatch.setattr(cusps_mod, "_wedge_check", lambda rows: calls.append(rows) or wedge(rows))
+    for D, spot_checks in ((5, 1), (229, 2), (9997, 2), (40801, 2)):
+        calls.clear()
+        cyc = cusp_cycle(D)
+        assert verify_cusp_tangency(cyc).ok
+        assert len(calls) == spot_checks, (D, len(cyc.rays))
+    # the count stays at 2 for a period of 1683
+    assert len(cyc.rays) == 1683
 
 
 # Fault injection: each check of the cusp path must still fire when the
@@ -250,6 +313,15 @@ def test_fault_identity_conjugate_gives_degenerate_charts(monkeypatch, capsys):
     assert not rep.ok
     assert main(["field", "229"]) == 1
     assert "cusp tangency verification failed for D=229" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("chart", [0, -1])
+def test_fault_corrupted_coord_det_at_spot_checked_chart_raises(chart):
+    cyc = cusp_cycle(229)
+    dets = list(cyc.coord_dets)
+    dets[chart] += 1
+    with pytest.raises(RuntimeError, match="module identity"):
+        verify_cusp_tangency(dataclasses.replace(cyc, coord_dets=tuple(dets)))
 
 
 @pytest.mark.parametrize("k, message", [(0, "did not close"), (1, "recurrence broken at position 0"),
