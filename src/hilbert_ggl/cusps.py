@@ -7,11 +7,14 @@ curves whose combinatorics are read off from the periodic minus continued
 fraction ("HJ expansion", digits all >= 2) of a reduced quadratic
 irrational w attached to (M, V).
 
-Everything here is exact: w, each tail of its expansion and the boundary
-rays are field elements held as integers (a + b*sqrt(D))/c (QuadElem), the
-rays with integer coordinates in the module basis, and the unit eta
-identified by the cycle is compared against the fundamental unit computed
-independently in field_invariants.
+Everything here is exact.  The period word and the rays run on integers:
+the rays mu_k = X_k + Y_k*w of M = lam*(Z + Z*w) are integer pairs, with
+module coordinates X_k*coords(lam) + Y_k*coords(lam*w).  Each ray is built
+as a QuadElem (a + b*sqrt(D))/c once, for total positivity, the closing ray,
+the recurrence at the two seams (where eta enters) and Cramer's rule, which
+must give back its coordinates; the unit eta identified by the cycle is
+compared against the fundamental unit computed independently in
+field_invariants.  Only the preperiod steps QuadElem.hj_step.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from math import isqrt
 from .cyclic import _wedge_check
 from .errors import DomainError
 from .field_invariants import _check_field_discriminant, fundamental_unit
-from .quadratic import QuadElem
+from .quadratic import QuadElem, _elem
 
 _MAX_PREPERIOD = 100_000
 _MAX_PERIOD = 100_000
@@ -35,8 +38,11 @@ def periodic_hj(w: QuadElem) -> list[int]:
     """Period word of the minus continued fraction of a reduced irrational w.
 
     Requires w > 1 and 0 < w' < 1 (purely periodic case).  For other
-    irrationals call find_equivalent_reduced first.  The period closes when
-    the tail returns to w itself; equality of normal forms is exact.
+    irrationals call find_equivalent_reduced first.  On integers: each tail
+    is (P + sqrt(Delta))/Q, from P = a*c, Q = c^2, Delta = b^2 c^2 D for
+    w = (a + b*sqrt(D))/c (b > 0); a step is k = (P + isqrt(Delta))//Q + 1,
+    P <- k*Q - P, Q <- (P^2 - Delta)/Q, and the period closes when (P, Q)
+    returns to its start.
     """
     if w.b == 0:
         raise DomainError("%s is rational and has no periodic continued fraction; "
@@ -46,12 +52,17 @@ def periodic_hj(w: QuadElem) -> list[int]:
             "%s is not reduced (need w > 1 and 0 < w' < 1); "
             "apply find_equivalent_reduced first" % (w,)
         )
+    P, Q, delta = w.a * w.c, w.c * w.c, (w.b * w.c) ** 2 * w.D
+    P0, Q0, s = P, Q, isqrt(delta)
     digits = []
-    cur = w
     while True:
-        b, cur = cur.hj_step()
-        digits.append(b)
-        if cur == w:
+        k = (P + s) // Q + 1
+        P = k * Q - P
+        Q, rem = divmod(P * P - delta, Q)
+        if rem:
+            raise RuntimeError("tail of %s left the form (P + sqrt(Delta))/Q" % (w,))
+        digits.append(k)
+        if P == P0 and Q == Q0:
             return digits
         if len(digits) > _MAX_PERIOD:
             raise RuntimeError("period of %s did not close within %d steps" % (w, _MAX_PERIOD))
@@ -184,13 +195,19 @@ def _coords_in_basis(e: QuadElem, alpha: QuadElem, beta: QuadElem) -> tuple[Frac
     return Fraction(nu, den), Fraction(nv, den)
 
 
-def _rays_from_cycle(w: QuadElem, digits: list[int], count: int) -> list[QuadElem]:
-    """mu_0 .. mu_count from the three-term recurrence mu_{k+1} = b_k mu_k - mu_{k-1}."""
-    mus = [QuadElem.from_rational(1, w.D), digits[0] - w]
+def _rays_from_cycle(digits: list[int], count: int) -> list[tuple[int, int]]:
+    """mu_0 .. mu_count of the reduced w with period word digits, as integer
+    pairs (X_k, Y_k) with mu_k = X_k + Y_k*w.
+
+    mu_0 = 1 and mu_1 = b_0 - w are (1, 0) and (b_0, -1), and both follow
+    mu_{k+1} = b_k mu_k - mu_{k-1}, the digits read cyclically.
+    """
+    pairs = [(1, 0), (digits[0], -1)]
     for k in range(1, count):
         b = digits[k % len(digits)]
-        mus.append(b * mus[k] - mus[k - 1])
-    return mus
+        (x0, y0), (x1, y1) = pairs[k - 1], pairs[k]
+        pairs.append((b * x1 - x0, b * y1 - y0))
+    return pairs
 
 
 @dataclass(frozen=True)
@@ -207,8 +224,9 @@ class CuspCycle:
     module      the basis (alpha, beta) the rays live in
     coord_dets  determinant x_k y_{k+1} - y_k x_{k+1} of each consecutive ray
                 pair (mu_k, mu_{k+1}), closing ray included, in module
-                coordinates mu = x alpha + y beta (integral Fractions);
-                chart k's determinant mu_k mu'_{k+1} - mu'_k mu_{k+1} is
+                coordinates mu = x alpha + y beta (integral Fractions, one
+                object per distinct value); chart k's determinant
+                mu_k mu'_{k+1} - mu'_k mu_{k+1} is
                 coord_dets[k] * (alpha beta' - alpha' beta), which is how
                 verify_cusp_tangency checks it
     unimodular  True when every entry of coord_dets is +-1
@@ -239,6 +257,9 @@ def cusp_cycle(D: int, module=None, v=None) -> CuspCycle:
     v       generator of V: either a totally positive unit (QuadElem) or an
             integer 1 <= f <= _MAX_V_POWER meaning V = eta^f for the cycle
             unit eta; default the full totally positive unit group (f = 1)
+
+    The period word and the rays run on integers (see the module docstring);
+    every check of the QuadElem route is kept.
     """
     D = _check_field_discriminant(D)
     # an integer v is validated before any work; a unit v is resolved below
@@ -246,12 +267,12 @@ def cusp_cycle(D: int, module=None, v=None) -> CuspCycle:
     unit = fundamental_unit(D)
     eta_field = unit.totally_positive_generator()
 
-    omega = QuadElem.from_pq(D, 1, D)
     if module is None:
-        alpha = QuadElem.from_rational(1, D)
-        beta = omega
+        alpha = lam = QuadElem.from_rational(1, D)
+        beta = QuadElem.from_pq(D, 1, D)
         w = _default_surd(D)
-        lam = None  # the rays of O_K need no scaling
+        # lam = 1 and w = (p + sqrt(D))/2 = (p - D)/2 + beta
+        basis_coords = ((1, 0), ((w.a - D) // 2, 1))
     else:
         try:
             raw_alpha, raw_beta = module
@@ -262,11 +283,16 @@ def cusp_cycle(D: int, module=None, v=None) -> CuspCycle:
         if alpha.is_zero() or beta.is_zero():
             raise DomainError("module generators must be nonzero")
         lam, w = _module_multiplier(alpha, beta)
+        basis_coords = [_coords_in_basis(e, alpha, beta) for e in (lam, lam * w)]
+        if any(c.denominator != 1 for xy in basis_coords for c in xy):
+            raise RuntimeError("lam = %s or lam*w does not lie in the module" % (lam,))
+        basis_coords = [(int(x), int(y)) for x, y in basis_coords]
 
     digits = periodic_hj(w)
     r = len(digits)
-    mus = _rays_from_cycle(w, digits, r)
-    eta_period = mus[r].inverse()
+    pairs = _rays_from_cycle(digits, (f or 1) * r)
+    x_r, y_r = pairs[r]
+    eta_period = (y_r * w + x_r).inverse()
     if not eta_period.is_totally_positive() or not eta_period.is_unit():
         raise RuntimeError("cycle of %s closed on %s, not a totally positive unit" % (w, eta_period))
     if module is None and eta_period != eta_field:
@@ -292,44 +318,50 @@ def cusp_cycle(D: int, module=None, v=None) -> CuspCycle:
                 "v = %s is not a power of the cycle unit eta = %s (checked up to eta^%d)"
                 % (gen, eta_period, _MAX_V_POWER)
             )
+        if f > 1:
+            pairs = _rays_from_cycle(digits, f * r)
 
     digits_v = digits * f
     total = f * r
-    if f > 1:
-        mus = _rays_from_cycle(w, digits, total)
     eta = eta_period ** f
 
-    rays, closing = mus[:total], mus[total]
-    if lam is not None:
-        rays = [lam * mu for mu in rays]
-        closing = lam * closing
+    # lam*(X + Y*w) = ((X*la + Y*ma) + (X*lb + Y*mb)*sqrt(D)) / den
+    lam_w = lam * w
+    den = lam.c * lam_w.c
+    la, lb = lam.a * lam_w.c, lam.b * lam_w.c
+    ma, mb = lam_w.a * lam.c, lam_w.b * lam.c
+    (u1, v1), (u2, v2) = basis_coords
+    coords = [(X * u1 + Y * u2, X * v1 + Y * v2) for X, Y in pairs]
+    built = [_elem(X * la + Y * ma, X * lb + Y * mb, den, D) for X, Y in pairs]
+    rays, closing = built[:total], built[total]
     for mu in rays:
         if not mu.is_totally_positive():
             raise RuntimeError("ray %s is not totally positive" % (mu,))
     if closing != eta.inverse() * rays[0]:
         raise RuntimeError("cycle did not close: mu_%d != eta^-1 * mu_0" % total)
 
-    # three-term recurrence holds cyclically with the eta twist at the seam
-    for k in range(total):
-        prev = eta * rays[total - 1] if k == 0 else rays[k - 1]
-        nxt = closing if k == total - 1 else rays[k + 1]
-        if digits_v[k] * rays[k] != prev + nxt:
+    # the recurrence on QuadElem at the seams 0 (where eta enters) and
+    # total - 1, on module coordinates between them
+    if digits_v[0] * rays[0] != eta * rays[-1] + (rays[1] if total > 1 else closing):
+        raise RuntimeError("ray recurrence broken at position 0")
+    for k, b, (x0, y0), (x1, y1), (x2, y2) in zip(range(1, total - 1), digits_v[1:],
+                                                  coords, coords[1:], coords[2:]):
+        if b * x1 != x0 + x2 or b * y1 != y0 + y2:
             raise RuntimeError("ray recurrence broken at position %d" % k)
+    if total > 1 and digits_v[-1] * rays[-1] != rays[-2] + closing:
+        raise RuntimeError("ray recurrence broken at position %d" % (total - 1))
 
     if any(b < 2 for b in digits_v):
         raise RuntimeError("period word %s has a digit below 2" % (digits_v,))
     if all(b == 2 for b in digits_v):
         raise RuntimeError("period word is all 2s, which no quadratic surd produces")
 
-    # module membership: both Cramer numerators divide by the denominator
-    coords = []
-    for mu in rays + [closing]:
+    # module membership: Cramer's rule on each built ray gives its coordinates
+    for mu, (x, y) in zip(built, coords):
         nu, nv, den = _cramer(mu, alpha, beta)
-        (u_c, ru), (v_c, rv) = divmod(nu, den), divmod(nv, den)
-        if ru or rv:
-            raise RuntimeError("ray %s does not lie in the module (coords %s, %s)"
-                               % ((mu,) + _coords_in_basis(mu, alpha, beta)))
-        coords.append((u_c, v_c))
+        if nu != x * den or nv != y * den:
+            raise RuntimeError("ray %s does not lie in the module at (%d, %d) (coords %s, %s)"
+                               % ((mu, x, y) + _coords_in_basis(mu, alpha, beta)))
 
     if v_unit:
         for gen_img in (eta * alpha, eta * beta):
@@ -337,7 +369,8 @@ def cusp_cycle(D: int, module=None, v=None) -> CuspCycle:
             if nu % den or nv % den:
                 raise DomainError("v = eta^%d does not preserve the module" % f)
 
-    dets = [u1 * v2 - v1 * u2 for (u1, v1), (u2, v2) in zip(coords, coords[1:])]
+    dets = [x1 * y2 - y1 * x2 for (x1, y1), (x2, y2) in zip(coords, coords[1:])]
+    as_fraction = {d: Fraction(d) for d in set(dets)}
 
     return CuspCycle(
         D=D,
@@ -349,8 +382,8 @@ def cusp_cycle(D: int, module=None, v=None) -> CuspCycle:
         eta=eta,
         eta_period=eta_period,
         module=(alpha, beta),
-        coord_dets=tuple(map(Fraction, dets)),
-        unimodular=all(abs(d) == 1 for d in dets),
+        coord_dets=tuple(map(as_fraction.__getitem__, dets)),
+        unimodular=all(abs(d) == 1 for d in as_fraction),
     )
 
 
@@ -433,21 +466,24 @@ def verify_cusp_tangency(cycle: CuspCycle) -> CuspTangencyReport:
         raise RuntimeError("module determinant %s has a rational part" % (delta,))
     checks = []
     last = None
-    for k in range(len(cycle.rays)):
-        coord_det = cycle.coord_dets[k]
-        # the recurrence keeps coord_det constant along a cycle, so in practice
-        # this is one product per cycle
-        if coord_det != last:
-            last = coord_det
-            det = delta * coord_det
-            sqrt_coeff, degenerate = det.y, det.is_zero()
-        checks.append(CuspChartCheck(index=k, det=det, sqrt_coeff=sqrt_coeff, multiplicities=(1, 1),
-                                     coord_det=coord_det, degenerate=degenerate))
+    degenerate_runs = False
+    for k, coord_det in enumerate(cycle.coord_dets):
+        # coord_det is constant along a cycle, one Fraction shared by cusp_cycle,
+        # so in practice this is one product per cycle
+        if coord_det is not last:
+            last, det = coord_det, delta * coord_det
+            run = {"index": None, "det": det, "sqrt_coeff": det.y, "multiplicities": (1, 1),
+                   "coord_det": coord_det, "degenerate": det.is_zero()}
+            degenerate_runs = degenerate_runs or run["degenerate"]
+        # straight into the instance dict: the frozen __init__ pays a setattr per field
+        chart = object.__new__(CuspChartCheck)
+        chart.__dict__.update(run, index=k)
+        checks.append(chart)
     rays = cycle.rays + (cycle.closing_ray,)
     for k in sorted({0, len(checks) - 1}):
         wedge = _chart_check(rays[k], rays[k + 1], k, checks[k].coord_det)
         if wedge != checks[k]:
             raise RuntimeError("chart %d: the wedge engine gives det %s, the module identity %s"
                                % (k, wedge.det, checks[k].det))
-    ok = all(c.ok for c in checks) and cycle.unimodular
+    ok = not degenerate_runs and cycle.unimodular
     return CuspTangencyReport(D=cycle.D, charts=tuple(checks), unimodular=cycle.unimodular, ok=ok)

@@ -350,26 +350,28 @@ def euler_chi_array(D: int, limit: int) -> np.ndarray:
     """chi_D(n) for n = 0..limit via Euler's criterion at primes + multiplicativity.
 
     Independent of both kronecker_chi and character_table; feeds the
-    ideal-counting route.
+    ideal-counting route.  Euler's criterion D^((p-1)/2) mod p runs over all
+    primes at once by int64 square-and-multiply (exact while p < 2^31); then
+    chi(n) = chi(spf(n)) chi(n / spf(n)) from a smallest-prime-factor table.
     """
     D = operator.index(D)
-    chi = np.ones(limit + 1, dtype=np.int8)
-    chi[0] = 0
-    for p in primes_up_to(limit):
-        p = int(p)
-        if p == 2:
-            val = 0 if D % 2 == 0 else (1 if D % 8 == 1 else -1)
-        elif D % p == 0:
-            val = 0
-        else:
-            val = 1 if pow(D % p, (p - 1) >> 1, p) == 1 else -1
-        if val == 1:
-            continue
-        if val == 0:
-            chi[p::p] = 0
-        else:
-            pk = p
-            while pk <= limit:
-                chi[pk::pk] *= -1
-                pk *= p
+    primes = primes_up_to(limit).astype(np.int64)
+    base, exponent, power = D % primes, (primes - 1) >> 1, np.ones_like(primes)
+    for bit in range(int(exponent.max(initial=0)).bit_length()):
+        power = np.where((exponent >> bit) & 1, power * base % primes, power)
+        base = base * base % primes
+    chi = np.zeros(limit + 1, dtype=np.int8)
+    chi[1:2] = 1
+    # power is 1 at residues, p - 1 at non-residues and 0 where p | D
+    chi[primes] = np.where(power == primes - 1, -1, power)
+    if limit >= 2:
+        chi[2] = 0 if D % 2 == 0 else (1 if D % 8 == 1 else -1)
+    n = np.arange(limit + 1, dtype=np.int64)
+    spf = n.copy()
+    for p in primes[primes * primes <= limit][::-1]:  # the smallest prime writes last
+        spf[p * p :: p] = p
+    # n / spf(n) <= n / 2 lies in an earlier dyadic block than n
+    for j in range(1, int(limit).bit_length()):
+        block = slice(1 << j, 2 << j)
+        chi[block] = chi[spf[block]] * chi[n[block] // spf[block]]
     return chi

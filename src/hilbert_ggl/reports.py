@@ -207,7 +207,8 @@ class ScanCache:
     where text is the record's canonical JSON and crc the CRC32 of that text
     as stored.  A parameter mismatch, a checksum mismatch, a line in any other
     layout or a record holding NaN or Infinity raises CacheError naming the
-    file and offending key.
+    file and offending key, except a last line without its newline (a torn
+    append): load stops before it, and the next append cuts it off.
     """
 
     CACHE_VERSION = 1
@@ -215,6 +216,7 @@ class ScanCache:
     def __init__(self, path: str, params: dict):
         self.path = path
         self.params = _jsonable(params)
+        self._resume_at: int | None = None  # where a torn last line starts
 
     def _header(self) -> dict:
         return {
@@ -226,6 +228,7 @@ class ScanCache:
 
     def load(self) -> dict[int, FieldRecord]:
         """Records already present, or {} when the file does not exist yet."""
+        self._resume_at = None
         if not os.path.exists(self.path):
             return {}
         out: dict[int, FieldRecord] = {}
@@ -255,7 +258,7 @@ class ScanCache:
                         raise ValueError("not a cache entry line")
                     start = prefix.end()
                     record, end = _CACHE_DECODER.raw_decode(line, start)
-                    if line[end:] not in ("}\n", "}"):
+                    if line[end:] != "}\n":
                         raise ValueError("unexpected text after the record: %r" % line[end:])
                     d, crc = int(prefix[1]), int(prefix[2])
                     actual = zlib.crc32(line[start:end].encode("ascii"))
@@ -268,6 +271,11 @@ class ScanCache:
                         )
                     rec = FieldRecord.from_dict(record)
                 except (KeyError, TypeError, ValueError) as exc:
+                    if not line.endswith("\n"):
+                        # only the last line can lack its newline: a torn
+                        # write, whose record the scan computes again
+                        self._resume_at = os.fstat(fh.fileno()).st_size - len(line.encode("utf-8"))
+                        break
                     raise CacheError(
                         "cache line %d is corrupt: %s: %s" % (lineno, type(exc).__name__, exc),
                         path=self.path,
@@ -285,8 +293,11 @@ class ScanCache:
 
     def append(self, *records: FieldRecord) -> None:
         """Append records in the given order, writing the header first if the
-        file is new."""
+        file is new and cutting off a torn last line that load found."""
         new = not os.path.exists(self.path)
+        if self._resume_at is not None:
+            os.truncate(self.path, self._resume_at)
+            self._resume_at = None
         with open(self.path, "a", encoding="utf-8") as fh:
             if new:
                 fh.write(json.dumps(self._header(), sort_keys=True) + "\n")
@@ -328,6 +339,15 @@ def build_field_document(params: dict, inv, rep, ell, cyc, tan, timings=None) ->
                 "cm": cm,
             }
         )
+    charts = []
+    last = None
+    for c in tan.charts:
+        # a run of charts shares one det (verify_cusp_tangency); format it once
+        if c.det is not last:
+            last, det_text = c.det, str(c.det)
+        charts.append({"index": c.index, "det": det_text, "sqrt_coeff": c.sqrt_coeff,
+                       "multiplicities": list(c.multiplicities), "coord_det": c.coord_det,
+                       "degenerate": c.degenerate})
     record = {
         "D": inv.D,
         "invariants": {
@@ -370,17 +390,7 @@ def build_field_document(params: dict, inv, rep, ell, cyc, tan, timings=None) ->
             "tangency": {
                 "ok": tan.ok,
                 "unimodular": tan.unimodular,
-                "charts": [
-                    {
-                        "index": c.index,
-                        "det": str(c.det),
-                        "sqrt_coeff": c.sqrt_coeff,
-                        "multiplicities": list(c.multiplicities),
-                        "coord_det": c.coord_det,
-                        "degenerate": c.degenerate,
-                    }
-                    for c in tan.charts
-                ],
+                "charts": charts,
             },
         },
     }

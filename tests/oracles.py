@@ -8,9 +8,11 @@ through mpmath digamma and Hurwitz zeta identities, zeta_K(-1) comes from
 Siegel's divisor sums, elliptic traces come from a floating point box
 search on both embeddings, determinants come from the Leibniz permutation
 sum, every cusp chart goes through the generic wedge engine (which the
-package runs on two charts per cycle only), scan records are decoded key by
-key and rendered to CSV cell by cell, and the verdict is taken by the float
-sign tests that the exact comparison replaced.
+package runs on two charts per cycle only), cusp cycles are rebuilt with a
+QuadElem at every continued-fraction and recurrence step (the package runs
+both on integers), scan records are decoded key by key and rendered to CSV
+cell by cell, and the verdict is taken by the float sign tests that the
+exact comparison replaced.
 """
 
 from __future__ import annotations
@@ -22,8 +24,9 @@ from fractions import Fraction
 
 import mpmath
 
-from hilbert_ggl.cusps import CuspChartCheck
+from hilbert_ggl.cusps import CuspChartCheck, CuspCycle, _default_surd, _module_multiplier
 from hilbert_ggl.cyclic import _wedge_check
+from hilbert_ggl.quadratic import QuadElem
 
 
 def kronecker(a: int, n: int) -> int:
@@ -229,6 +232,52 @@ def wedge_cusp_charts(cycle) -> tuple:
         out.append(CuspChartCheck(index=k, det=lam, sqrt_coeff=lam.y, multiplicities=mult,
                                   coord_det=coord_det, degenerate=degenerate))
     return tuple(out)
+
+
+
+def quadelem_cusp_cycle(D: int, module=None, v=None):
+    """The CuspCycle of cusp_cycle by QuadElem arithmetic at every step: the
+    period word by QuadElem.hj_step until the tail returns to w, the rays by
+    the three-term recurrence on QuadElem, and each ray's module coordinates
+    by Cramer's rule in Fractions.  The reduced w and the scaling lam come
+    from the package (_default_surd, _module_multiplier); nothing is checked."""
+    if module is None:
+        alpha, beta = QuadElem.from_rational(1, D), QuadElem.from_pq(D, 1, D)
+        lam, w = alpha, _default_surd(D)
+    else:
+        alpha, beta = (g if isinstance(g, QuadElem) else QuadElem.from_rational(g, D)
+                       for g in module)
+        lam, w = _module_multiplier(alpha, beta)
+    digits, tail = [], w
+    while True:
+        b, tail = tail.hj_step()
+        digits.append(b)
+        if tail == w:
+            break
+    r = len(digits)
+
+    def rays(count):
+        mus = [QuadElem.from_rational(1, D), digits[0] - w]
+        for k in range(1, count):
+            mus.append(digits[k % r] * mus[k] - mus[k - 1])
+        return mus
+
+    eta_period = rays(r)[r].inverse()
+    if v is None:
+        f = 1
+    elif isinstance(v, QuadElem):
+        f = next(k for k in itertools.count(1) if v in (eta_period ** k, eta_period ** -k))
+    else:
+        f = v
+    mus = [lam * mu for mu in rays(f * r)]
+    den = alpha.x * beta.y - alpha.y * beta.x
+    coords = [((mu.x * beta.y - mu.y * beta.x) / den, (alpha.x * mu.y - alpha.y * mu.x) / den)
+              for mu in mus]
+    dets = tuple(x1 * y2 - y1 * x2 for (x1, y1), (x2, y2) in zip(coords, coords[1:]))
+    return CuspCycle(D=D, digits=tuple(digits * f), period=r, v_power=f, rays=tuple(mus[:-1]),
+                     closing_ray=mus[-1], eta=eta_period ** f, eta_period=eta_period,
+                     module=(alpha, beta), coord_dets=dets,
+                     unimodular=all(abs(d) == 1 for d in dets))
 
 
 # the JSON types each FieldRecord key accepts; every key not listed holds a float

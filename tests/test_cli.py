@@ -15,9 +15,11 @@ import pytest
 import hilbert_ggl
 from hilbert_ggl import elliptic, field_invariants, lfunctions
 from hilbert_ggl.cli import main
+from hilbert_ggl.errors import CacheError
 from hilbert_ggl.elliptic import elliptic_summary, make_l1_lookup
 from hilbert_ggl.field_invariants import fundamental_discriminants_up_to
 from hilbert_ggl.lfunctions import closed_form_l1
+from hilbert_ggl.reports import ScanCache
 from hilbert_ggl.scan import _RUN, scan_field
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
@@ -305,6 +307,63 @@ def test_scan_killed_mid_run_keeps_finished_runs(tmp_path, capsys):
     _assert_scan_2000_golden(out, cache)
 
 
+@pytest.fixture(scope="module")
+def scan_2000_cache(tmp_path_factory):
+    """The bytes of the `scan --dmax 2000` golden cache."""
+    tmp = tmp_path_factory.mktemp("scan_2000")
+    cache, out = tmp / "scan.cache", tmp / "scan.csv"
+    assert main(["scan", "--dmax", "2000", "--cache", str(cache), "--out", str(out)]) == 0
+    _assert_scan_2000_golden(out, cache)
+    return cache.read_bytes()
+
+
+@pytest.mark.parametrize("part", range(3))
+def test_scan_resumes_from_a_torn_last_line(part, scan_2000_cache, tmp_path, capsys):
+    # a scan killed while it appends leaves a prefix of its last line; cut at
+    # every byte of that line (a third of them per part), the rerun drops the
+    # torn record, computes it again and ends with the golden bytes
+    cache, out = tmp_path / "scan.cache", tmp_path / "scan.csv"
+    argv = ["scan", "--dmax", "2000", "--cache", str(cache), "--out", str(out)]
+    start = scan_2000_cache.rindex(b"\n", 0, -1) + 1
+    cuts = range(start + part, len(scan_2000_cache), 3)
+    assert len(cuts) > 100
+    for cut in cuts:
+        cache.write_bytes(scan_2000_cache[:cut])
+        assert main(argv) == 0, cut
+        assert capsys.readouterr().out.startswith("scanned 607 fields to D<=2000 (606 from cache)")
+        _assert_scan_2000_golden(out, cache)
+
+
+def test_scan_resumes_twice_after_a_lost_newline(scan_2000_cache, tmp_path, capsys):
+    # the last entry and the newline before it gone: the entry before lost
+    # only its newline, and the next append once wrote onto that line, so
+    # that the second resume failed on "unexpected text after the record"
+    cache, out = tmp_path / "scan.cache", tmp_path / "scan.csv"
+    argv = ["scan", "--dmax", "2000", "--cache", str(cache), "--out", str(out)]
+    cache.write_bytes(scan_2000_cache[:scan_2000_cache.rindex(b"\n", 0, -1)])
+    for _ in range(2):
+        assert main(argv) == 0
+        capsys.readouterr()
+        _assert_scan_2000_golden(out, cache)
+
+
+def test_scan_cache_damage_before_the_last_line_still_raises(scan_2000_cache, tmp_path):
+    # a line that lost its newline inside the file is joined to the next
+    # one, and a damaged last line that kept its newline is no tear
+    lines = scan_2000_cache.split(b"\n")
+    cache = tmp_path / "scan.cache"
+    params = {"n": 2, "epsilon": "1/100"}
+    for k in (1, 300, len(lines) - 3):
+        cache.write_bytes(b"\n".join(lines[:k] + [lines[k] + lines[k + 1]] + lines[k + 2:]))
+        with pytest.raises(CacheError) as err:
+            ScanCache(str(cache), params).load()
+        assert err.value.key == "line %d" % (k + 1)
+    cache.write_bytes(scan_2000_cache[:-2] + b"\n")
+    with pytest.raises(CacheError) as err:
+        ScanCache(str(cache), params).load()
+    assert err.value.key == "line %d" % (len(lines) - 1)
+
+
 # sha256 of `field D --json`: these pin the chart det strings, sqrt_coeff,
 # coord_det and rays, which the cusp_*.txt goldens omit; recorded when the
 # criterion block lost its per-orbit rows (the documents of the elliptic
@@ -321,6 +380,29 @@ def test_field_json_bytes_golden(D, capsys):
     assert main(["field", str(D), "--json"]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == FIELD_JSON_SHA256[D]
+
+
+# `field D` text, the layout the field benchmark reads, up to 1e5: the 40
+# fundamental D <= 1e5 with the longest cusp periods (3323 to 3769 rays), then
+# every 1000th fundamental D from 5; 71 reports, about 83 MB of text
+FIELD_TEXT_LONGEST_PERIODS = (
+    80809, 81649, 82009, 83449, 85009, 85201, 85369, 87049, 87481, 87649,
+    87721, 88321, 89041, 89209, 90841, 91009, 91081, 91129, 91249, 91921,
+    92041, 92761, 93529, 93889, 94201, 95089, 95881, 95929, 96001, 96289,
+    96601, 96769, 97441, 97561, 97729, 98641, 99241, 99289, 99409, 99529,
+)
+FIELD_TEXT_SHA256 = "ce52fc3b38559b0f42e739c13eff0fb9aae33066575055d168937dbe99242d63"
+
+
+def test_field_text_pin_up_to_1e5(capsys):
+    every_1000th = [int(D) for D in fundamental_discriminants_up_to(100000)[::1000]]
+    assert len(every_1000th) == 31
+    digest = hashlib.sha256()
+    for D in sorted(FIELD_TEXT_LONGEST_PERIODS + tuple(every_1000th)):
+        assert main(["field", str(D)]) == 0
+        # one report at a time, so that the 83 MB are never held at once
+        digest.update(capsys.readouterr().out.encode("utf-8"))
+    assert digest.hexdigest() == FIELD_TEXT_SHA256
 
 
 STANDARD_D = (5, 8, 12, 13, 24, 229, 401, 997, 9997, 12345, 64277, 99996)

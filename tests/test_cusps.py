@@ -30,7 +30,7 @@ from hilbert_ggl.field_invariants import (
 from hilbert_ggl.lfunctions import primes_up_to
 from hilbert_ggl.quadratic import QuadElem
 
-from oracles import cyclically_equal, wedge_cusp_charts
+from oracles import cyclically_equal, quadelem_cusp_cycle, wedge_cusp_charts
 
 
 def test_periodic_hj_known_surds():
@@ -230,19 +230,29 @@ def test_coord_dets_formed_once_match_recomputation():
         assert cyc.unimodular == all(abs(d) == 1 for d in cyc.coord_dets)
 
 
+def _pinned_modules(D):
+    # the four modules of test_cusp_module_pin_up_to_600
+    root = QuadElem(0, 1, D)
+    return ((1, root), (2, QuadElem(1, 1, D)), (3, QuadElem(1, 2, D)), (root, 5))
+
+
+def _fields_up_to_2000_as_cases():
+    return [(D, None) for D in map(int, fundamental_discriminants_up_to(2000))]
+
+
+def _pinned_modules_up_to_600_as_cases():
+    return [(D, module) for D in map(int, fundamental_discriminants_up_to(600))
+            for module in _pinned_modules(D)]
+
+
 def _all_fields_up_to_2000():
     return [cusp_cycle(D) for D in map(int, fundamental_discriminants_up_to(2000))]
 
 
 def _pinned_modules_up_to_600():
-    # the four modules of test_cusp_module_pin_up_to_600, with V of index 1 and 2
-    cycles = []
-    for D in map(int, fundamental_discriminants_up_to(600)):
-        root = QuadElem(0, 1, D)
-        for module in ((1, root), (2, QuadElem(1, 1, D)), (3, QuadElem(1, 2, D)), (root, 5)):
-            for v in (None, 2):
-                cycles.append(cusp_cycle(D, module=module, v=v))
-    return cycles
+    # the pinned modules with V of index 1 and 2
+    return [cusp_cycle(D, module=module, v=v)
+            for D, module in _pinned_modules_up_to_600_as_cases() for v in (None, 2)]
 
 
 @pytest.mark.parametrize("cycles, count", [(_all_fields_up_to_2000, 21331),
@@ -270,6 +280,32 @@ def test_wedge_engine_runs_on_a_fixed_number_of_charts(monkeypatch):
         assert len(calls) == spot_checks, (D, len(cyc.rays))
     # the count stays at 2 for a period of 1683
     assert len(cyc.rays) == 1683
+
+
+@pytest.mark.parametrize("v", [None, 2, "eta"], ids=["v_none", "v_2", "v_eta"])
+@pytest.mark.parametrize("cases, count", [(_fields_up_to_2000_as_cases, 607),
+                                          (_pinned_modules_up_to_600_as_cases, 728)],
+                         ids=["fields_2000", "modules_600"])
+def test_cusp_cycle_matches_quadelem_oracle(cases, count, v):
+    """The integer period word, rays and module coordinates give the
+    CuspCycle of the QuadElem route; v = "eta" hands over the cycle's own
+    unit."""
+    n = 0
+    for D, module in cases():
+        given = quadelem_cusp_cycle(D, module=module).eta if v == "eta" else v
+        want = quadelem_cusp_cycle(D, module=module, v=given)
+        assert cusp_cycle(D, module=module, v=given) == want, (D, module, v)
+        n += 1
+    assert n == count
+
+
+def test_cusp_cycle_unit_v_of_higher_index_matches_quadelem_oracle():
+    # a unit v = eta^2 or eta^-3 builds the rays of one period, then of f periods
+    for D in (5, 8, 229, 1009):
+        eta = cusp_cycle(D).eta
+        for v, f in ((eta ** 2, 2), (eta ** -3, 3)):
+            c = cusp_cycle(D, v=v)
+            assert c.v_power == f and c == cusp_cycle(D, v=f) == quadelem_cusp_cycle(D, v=v), D
 
 
 # Fault injection: each check of the cusp path must still fire when the
@@ -330,9 +366,11 @@ def test_fault_perturbed_ray_breaks_cusp_cycle(monkeypatch, k, message):
     rays = cusps_mod._rays_from_cycle
 
     def perturbed(*args):
-        mus = rays(*args)
-        mus[k] = mus[k] + 1
-        return mus
+        # mu_k = X_k + Y_k w: adding 1 to X_k adds 1 to the ray
+        pairs = rays(*args)
+        x, y = pairs[k]
+        pairs[k] = (x + 1, y)
+        return pairs
 
     monkeypatch.setattr(cusps_mod, "_rays_from_cycle", perturbed)
     with pytest.raises(RuntimeError, match=message):
