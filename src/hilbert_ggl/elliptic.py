@@ -25,8 +25,8 @@ integer N(4 - s^2) and the ratio is flagged unresolved.
 
 from __future__ import annotations
 
-import functools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
@@ -34,9 +34,8 @@ from math import isqrt
 import numpy as np
 
 from .errors import DomainError
-from .field_invariants import _check_field_discriminant
-from .lfunctions import (_l1_odd, closed_form_l1, fundamental_discriminant_signed,
-                         is_fundamental_discriminant)
+from .field_invariants import _check_field_discriminant, _squarefree_sieve
+from .lfunctions import _l1_odd, closed_form_l1
 from .quadratic import QuadElem
 
 
@@ -116,30 +115,21 @@ def imag_class_numbers(limit: int) -> np.ndarray:
     """h[k] = class number of discriminant -k, for all 0 < k <= limit.
 
     Counts reduced positive binary quadratic forms (a, b, c): |b| <= a <= c
-    with b >= 0 whenever |b| = a or a = c, vectorized over c.  Entries at
-    non-discriminant indices are 0; entries at non-fundamental discriminants
-    are the form counts of the non-maximal order and must not be used.
+    with b >= 0 whenever |b| = a or a = c.  For fixed (a, b) the discriminant
+    -(4ac - b^2) steps by 4a as c runs up from its least value c0, so each
+    pair adds 1 along one strided slice.  Entries at non-discriminant indices
+    are 0; entries at non-fundamental discriminants are the form counts of
+    the non-maximal order and must not be used.  Scans read L(1, chi_d) off
+    this table (make_l1_lookup); single-field reports take the closed form.
     """
     h = np.zeros(limit + 1, dtype=np.int64)
     a_max = isqrt(limit // 3)
     for a in range(1, a_max + 1):
+        step = 4 * a
         for b in range(-a + 1, a + 1):
             c0 = a if b >= 0 else a + 1
-            c_hi = (limit + b * b) // (4 * a)
-            if c_hi < c0:
-                continue
-            cs = np.arange(c0, c_hi + 1, dtype=np.int64)
-            h[4 * a * cs - b * b] += 1
+            h[step * c0 - b * b :: step] += 1
     return h
-
-
-def l1_imag(d: int, h_table: np.ndarray) -> float:
-    """L(1, chi_d) for fundamental d < 0 from the class number formula."""
-    if d >= 0 or not is_fundamental_discriminant(d):
-        raise DomainError("need a fundamental discriminant < 0, got %d" % d)
-    if -d >= len(h_table):
-        raise DomainError("class number table too short for discriminant %d" % d)
-    return _l1_odd(d, int(h_table[-d]))
 
 
 def _closed_l1(d: int) -> float:
@@ -149,8 +139,29 @@ def _closed_l1(d: int) -> float:
 
 def make_l1_lookup(limit: int):
     """L(1, chi_d) callable for fundamental d < 0, |d| <= limit, backed by one
-    class-number sieve."""
-    return functools.partial(l1_imag, h_table=imag_class_numbers(limit))
+    class-number sieve (imag_class_numbers); scans build it once per worker,
+    and single-field reports take the closed form, which gives the same bits.
+
+    d is validated by a mask of the fundamental -k, k <= limit, built from
+    the squarefree sieve of fundamental_discriminants_up_to: k = 3 (mod 4)
+    squarefree, or k = 4m with m = 1, 2 (mod 4) squarefree.  A positive d, a
+    non-fundamental d and a |d| past the table raise DomainError.
+    """
+    h = imag_class_numbers(limit)
+    sf = _squarefree_sieve(limit)
+    k = np.arange(limit + 1, dtype=np.int64)
+    fundamental = sf & (k % 4 == 3)
+    m = k[: limit // 4 + 1]
+    fundamental[4 * m] = sf[m] & ((m % 4 == 1) | (m % 4 == 2))
+
+    def l1(d: int) -> float:
+        if -d > limit:
+            raise DomainError("class number table too short for discriminant %d" % d)
+        if d >= 0 or not fundamental[-d]:
+            raise DomainError("need a fundamental discriminant < 0, got %d" % d)
+        return _l1_odd(d, int(h[-d]))
+
+    return l1
 
 
 @dataclass(frozen=True)
@@ -175,18 +186,36 @@ class CMExtensionInvariants:
     N_U0_sq: int
 
 
+def _integer_trace(s, expected: str) -> int:
+    """s as a Python int by operator.index; bool and every other type raise
+    DomainError(expected)."""
+    if isinstance(s, bool):
+        raise DomainError("%s, got %r" % (expected, s))
+    try:
+        return operator.index(s)
+    except TypeError:
+        raise DomainError("%s, got %r" % (expected, s)) from None
+
+
 def cm_extension_invariants(D: int, s: int, l1=None) -> CMExtensionInvariants:
     """Invariants of the CM extension attached to a rational elliptic trace.
 
-    l1 optionally supplies L(1, chi_d) values (callable d -> float); it is
-    asked only for d2 and d3, both negative.  By default each factor is
-    evaluated by its finite closed form.
+    s is an integer of any type but bool.  l1 optionally supplies L(1, chi_d)
+    values (callable d -> float); it is asked only for d2 and d3, both
+    negative.  By default each factor is evaluated by its finite closed form.
+
+    d3, the discriminant of Q(sqrt(D (s^2 - 4))), needs no factoring: with
+    D = m or 4m, m squarefree, the squarefree part of -(4 - s^2) D is -m
+    for s = 0, and -m/3 or -3m for s = +-1 as 3 does or does not divide m.
     """
     D = _check_field_discriminant(D)
+    s = _integer_trace(s, "rational elliptic traces are 0 and +-1")
     if s not in (0, 1, -1):
         raise DomainError("rational elliptic traces are 0 and +-1, got %r" % (s,))
     d2 = -4 if s == 0 else -3
-    d3 = fundamental_discriminant_signed(D * (s * s - 4))
+    m = D if D % 4 == 1 else D // 4
+    core = -m if s == 0 else (-m // 3 if m % 3 == 0 else -3 * m)
+    d3 = core if core % 4 == 1 else 4 * core
     d_kp = abs(D * d2 * d3)
     w_prime = 12 if d3 in (-3, -4) else {-4: 4, -3: 6}[d2]
     if d_kp % (D * D):
@@ -234,18 +263,17 @@ class TraceBound:
 def prestel_bound(D: int, s, l1=None) -> TraceBound:
     """Bound the count of elliptic points with trace s.
 
-    s may be an EllipticTrace or a rational integer trace; l1 is passed on to
-    cm_extension_invariants.
+    s may be an EllipticTrace or a rational integer trace of any integer type
+    but bool; l1 is passed on to cm_extension_invariants.
     """
     D = _check_field_discriminant(D)
     if isinstance(s, EllipticTrace):
         trace = s
         if trace.D != D:
             raise DomainError("trace %s belongs to D=%d, not D=%d" % (trace, trace.D, D))
-    elif isinstance(s, int):
-        trace = EllipticTrace(D=D, p=2 * s, q=0)
     else:
-        raise DomainError("s must be an EllipticTrace or a rational integer, got %r" % (s,))
+        s = _integer_trace(s, "s must be an EllipticTrace or a rational integer")
+        trace = EllipticTrace(D=D, p=2 * s, q=0)
 
     if not trace.is_rational:
         return TraceBound(

@@ -60,16 +60,22 @@ _invsq_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 _REGULATOR_CONTEXT = decimal.Context(prec=40, Emax=decimal.MAX_EMAX)
 
 
-def fundamental_discriminants_up_to(limit: int) -> list[int]:
-    """All real quadratic field discriminants D <= limit, ascending."""
-    if limit < 5:
-        return []
-    m = np.arange(limit + 1, dtype=np.int64)
+def _squarefree_sieve(limit: int) -> np.ndarray:
+    """sf[m] = m is squarefree, for 0 <= m <= limit (0 is not)."""
     sf = np.ones(limit + 1, dtype=bool)
     sf[0] = False
     for p in primes_up_to(isqrt(limit)):
         p2 = int(p) * int(p)
         sf[p2::p2] = False
+    return sf
+
+
+def fundamental_discriminants_up_to(limit: int) -> list[int]:
+    """All real quadratic field discriminants D <= limit, ascending."""
+    if limit < 5:
+        return []
+    m = np.arange(limit + 1, dtype=np.int64)
+    sf = _squarefree_sieve(limit)
     d_odd = m[sf & (m % 4 == 1) & (m >= 5)]
     m_even = m[sf & ((m % 4 == 2) | (m % 4 == 3)) & (4 * m <= limit)]
     return np.sort(np.concatenate([d_odd, 4 * m_even])).tolist()

@@ -7,8 +7,10 @@ to the discriminant of Q(sqrt(x))), ``factor_fundamental``,
 
 Evaluation routes:
 
-* ``zeta_K_minus1``: zeta_K(-1) = B_{2,chi}/24 as a Fraction, and from it
-  ``zeta_K2``: zeta_K(2) to float rounding, the route of scans and reports.
+* ``zeta_K_minus1``: zeta_K(-1) = B_{2,chi}/24 as a Fraction, the route of
+  single-field reports and the cross-check of the one scans take (Siegel's
+  divisor sums, in ``scan``); from either, ``zeta_K2``: zeta_K(2) to float
+  rounding.
 
 * ``L_value``: L(2, chi) as a truncated character sum with an Abel-summation
   tail certificate.  For non-principal chi mod q every partial sum
@@ -64,8 +66,7 @@ _primes_cache: dict[int, np.ndarray] = {}
 # roots of unity of the imaginary quadratic fields; w = 2 for all others
 _W_IMAG = {-3: 6, -4: 4}
 
-# largest D with sum_{a<D} a^2 < 2^63: sum chi(a) a^2 stays in int64 up to it
-_INT64_SQUARES = 3_024_617
+_INT64_MAX = 2**63 - 1
 
 
 def _prime_factors(n: int) -> list[tuple[int, int]]:
@@ -212,9 +213,11 @@ def character_table(d: int) -> np.ndarray:
             tbl = _TABLE_M8
         else:
             tbl = _legendre_table(abs(part))
-        # the factor moduli multiply to q, so each table repeats a whole
-        # number of times
-        arr *= np.tile(tbl, q // len(tbl))
+        # the factor moduli multiply to q, so q // len(tbl) whole copies of
+        # each table fill a period; repeating it as rows is np.tile without
+        # its per-call overhead, and a broadcast multiply into
+        # arr.reshape(-1, len(tbl)) is slower for short tables at large q
+        arr *= tbl.reshape(1, -1).repeat(q // len(tbl), axis=0).reshape(-1)
     return arr
 
 
@@ -317,15 +320,26 @@ def closed_form_l1(d: int, table: np.ndarray | None = None) -> tuple[float, floa
 
 
 def zeta_K_minus1(D: int, table: np.ndarray | None = None) -> Fraction:
-    """zeta_K(-1) = B_{2,chi}/24 = sum_{a<D} chi_D(a) a^2 / (24 D), D > 1."""
+    """zeta_K(-1) = B_{2,chi}/24 = sum_{a<D} chi_D(a) a^2 / (24 D), D > 1.
+
+    The route of single-field reports and the cross-check of the Siegel
+    route of scans.  The sum is taken as int64 dot products over blocks of k
+    terms, k (D - 1)^2 < 2^63, added as Python ints: a single block up to
+    D = 2^21, a few past it.
+    """
     if D <= 1:
         raise DomainError(f"need a real quadratic field discriminant, got {D}")
     if table is None:
         table = character_table(D)
-    if D > _INT64_SQUARES:  # past the int64 range: Python ints cannot wrap
-        return Fraction(sum(c * a * a for a, c in enumerate(table.tolist())), 24 * D)
     a = np.arange(D, dtype=np.int64)
-    return Fraction(int(np.dot(table, a * a)), 24 * D)
+    k = _INT64_MAX // (D - 1) ** 2
+    if k < 1:
+        raise DomainError(f"D = {D} is past the int64 range of a^2")
+    total = 0
+    for start in range(0, D, k):
+        block = a[start:start + k]
+        total += int(np.dot(table[start:start + k], block * block))
+    return Fraction(total, 24 * D)
 
 
 def zeta_K2(D: int, zeta_m1: Fraction) -> tuple[float, float]:

@@ -3,6 +3,14 @@
 The per-field fast path never computes h and R separately: the class number
 formula gives hR = sqrt(D) L(1, chi_D) / 2 from the finite closed form, and
 zeta_K(2) comes from the exact zeta_K(-1), rounded once (lfunctions.zeta_K2).
+A scan takes zeta_K(-1) from Siegel's divisor sums (C. L. Siegel, 1969),
+
+    zeta_K(-1) = (1/60) sum sigma_1((D - b^2)/4),  b^2 < D, b = D (mod 2),
+
+O(sqrt D) lookups in a table of sigma_1 that each worker builds once, next
+to the class-number sieve its elliptic bounds read; scan_field without the
+tables (and every single-field report) takes B_{2,chi}/24 instead
+(lfunctions.zeta_K_minus1), the cross-check of the same Fraction.
 The criterion is one exact comparison of the certified L(1, chi_D) with
 T_D = b^2 zeta_K(-1) / (2D).  Fields below T_D, the Satisfied ones, are
 recomputed on the exact path (field_invariants.exact_hr), which runs the same
@@ -25,6 +33,9 @@ import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from math import isqrt
+
+import numpy as np
 
 from .criteria import FieldInputs, to_fraction, verdict
 from .elliptic import elliptic_summary, make_l1_lookup
@@ -39,19 +50,45 @@ from .reports import FieldRecord
 _RUN = 64
 
 
-def scan_field(D: int, epsilon, l1_lookup=None) -> FieldRecord:
+def _divisor_sums(limit: int) -> np.ndarray:
+    """sigma_1(n) for 0 <= n <= limit (sigma_1(0) = 0), by strided adds."""
+    sigma = np.zeros(limit + 1, dtype=np.int64)
+    for k in range(1, limit + 1):
+        sigma[k::k] += k
+    return sigma
+
+
+def _siegel_zeta_minus1(D: int, sigma: np.ndarray) -> Fraction:
+    """zeta_K(-1) of the real quadratic field of discriminant D by Siegel's
+    formula, from a sigma_1 table (_divisor_sums) reaching D // 4; b and -b
+    count once each."""
+    if len(sigma) <= D // 4:
+        raise DomainError("divisor sum table too short for discriminant %d" % D)
+    b = np.arange(D % 2, isqrt(D) + 1, 2, dtype=np.int64)
+    vals = sigma[(D - b * b) // 4]
+    total = 2 * int(vals.sum()) - (int(vals[0]) if D % 2 == 0 else 0)
+    return Fraction(total, 60)
+
+
+def scan_field(D: int, epsilon, l1_lookup=None, sigma=None) -> FieldRecord:
     """Evaluate the criterion for one field; a Satisfied field is rechecked
     on the exact path.
 
     L(1, chi_D) is evaluated once, for hR; the elliptic bounds do not use it.
     l1_lookup optionally supplies L(1, chi_d) for their negative CM
     discriminants (a scan shares one class-number sieve); without it each
-    value falls back to the closed form.
+    value falls back to the closed form.  sigma optionally supplies the
+    sigma_1 table of Siegel's formula for zeta_K(-1); without it zeta_K(-1)
+    is B_{2,chi}/24.  Both routes give the same Fraction, so the record is
+    the same either way.
     """
     D = _check_field_discriminant(D)
     table = character_table(D)
     l1_val, l1_cert = closed_form_l1(D, table)
-    zeta_m1 = zeta_K_minus1(D, table)
+    if sigma is None:
+        zeta_m1 = zeta_K_minus1(D, table)
+    else:
+        zeta_m1 = _siegel_zeta_minus1(D, sigma)
     zeta2, zeta2_cert = zeta_K2(D, zeta_m1)
     ell = elliptic_summary(D, l1=l1_lookup)
     inputs = FieldInputs(D=D, hr=math.sqrt(D) * l1_val / 2.0, zeta2=zeta2,
@@ -108,15 +145,18 @@ class ScanResult:
 _WORKER_STATE: dict = {}
 
 
-def _init_worker(limit: int) -> None:
-    if _WORKER_STATE.get("limit", -1) < limit:
-        _WORKER_STATE["l1_lookup"] = make_l1_lookup(limit)
-        _WORKER_STATE["limit"] = limit
+def _init_worker(dmax: int) -> None:
+    """Build the tables every field D <= dmax looks up: the class-number
+    sieve for |d3| <= 4 D and the sigma_1 table for (D - b^2)/4 <= D // 4."""
+    if _WORKER_STATE.get("dmax", -1) < dmax:
+        _WORKER_STATE["l1_lookup"] = make_l1_lookup(4 * dmax + 16)
+        _WORKER_STATE["sigma"] = _divisor_sums(dmax // 4 + 1)
+        _WORKER_STATE["dmax"] = dmax
 
 
 def _scan_chunk(ds: list[int], epsilon: Fraction) -> list[FieldRecord]:
-    lookup = _WORKER_STATE["l1_lookup"]
-    return [scan_field(D, epsilon, l1_lookup=lookup) for D in ds]
+    lookup, sigma = _WORKER_STATE["l1_lookup"], _WORKER_STATE["sigma"]
+    return [scan_field(D, epsilon, l1_lookup=lookup, sigma=sigma) for D in ds]
 
 
 def _dyadic_blocks(records) -> tuple[DyadicBlock, ...]:
@@ -152,15 +192,14 @@ def scan(dmax: int, epsilon="0.01", workers: int = 1,
     todo = [d for d in ds if d not in done]
     runs = [todo[i:i + _RUN] for i in range(0, len(todo), _RUN)]
 
-    if runs:  # a complete cache needs neither the sieve nor a pool
-        sieve_limit = 4 * dmax + 16
+    if runs:  # a complete cache needs neither the tables nor a pool
         with contextlib.ExitStack() as stack:
             if workers > 1 and len(runs) > 1:
                 mapper = stack.enter_context(ProcessPoolExecutor(
                     max_workers=min(workers, len(runs)), initializer=_init_worker,
-                    initargs=(sieve_limit,))).map
+                    initargs=(dmax,))).map
             else:
-                _init_worker(sieve_limit)
+                _init_worker(dmax)
                 mapper = map
             # both maps yield the runs in submission order
             for run in mapper(_scan_chunk, runs, itertools.repeat(eps)):

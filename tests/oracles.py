@@ -5,14 +5,16 @@ the package: fundamental discriminants come from their definition, with
 every square divisor tried, the unit search ascends u directly, class
 numbers come from the analytic formula with a digamma L-value, L-values go
 through mpmath digamma and Hurwitz zeta identities, zeta_K(-1) comes from
-Siegel's divisor sums, elliptic traces come from a floating point box
+Siegel's divisor sums with each sigma_1 by trial division (scans sum a
+sieved sigma_1 table), elliptic traces come from a floating point box
 search on both embeddings, determinants come from the Leibniz permutation
 sum, every cusp chart goes through the generic wedge engine (which the
 package runs on two charts per cycle only), cusp cycles are rebuilt with a
 QuadElem at every continued-fraction and recurrence step (the package runs
-both on integers), scan records are decoded key by key and rendered to CSV
-cell by cell, and the verdict is taken by the float sign tests that the
-exact comparison replaced.
+both on integers), the class-number sieve adds through a fancy index (the
+package adds along strided slices), scan records are decoded key by key
+and rendered to CSV cell by cell, and the verdict is taken by the float
+sign tests that the exact comparison replaced.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ import math
 from fractions import Fraction
 
 import mpmath
+import numpy as np
 
 from hilbert_ggl.cusps import CuspChartCheck, CuspCycle, _default_surd, _module_multiplier
 from hilbert_ggl.cyclic import _wedge_check
@@ -160,6 +163,22 @@ def siegel_zeta_minus1(D: int) -> Fraction:
         total += s if b == 0 else 2 * s
         b += 2
     return Fraction(total, 60)
+
+
+def arange_imag_class_numbers(limit: int) -> np.ndarray:
+    """h[k] = the number of reduced forms (a, b, c) of discriminant -k, for
+    0 <= k <= limit, with every c of each (a, b) listed by np.arange and added
+    through one fancy index (the package adds along a strided slice)."""
+    h = np.zeros(limit + 1, dtype=np.int64)
+    for a in range(1, math.isqrt(limit // 3) + 1):
+        for b in range(-a + 1, a + 1):
+            c0 = a if b >= 0 else a + 1
+            c_hi = (limit + b * b) // (4 * a)
+            if c_hi < c0:
+                continue
+            cs = np.arange(c0, c_hi + 1, dtype=np.int64)
+            h[4 * a * cs - b * b] += 1
+    return h
 
 
 def brute_elliptic_traces(D: int) -> set[tuple[int, int]]:

@@ -4,6 +4,7 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from hilbert_ggl.elliptic import (
@@ -13,15 +14,15 @@ from hilbert_ggl.elliptic import (
     elliptic_traces,
     fit_growth_exponent,
     imag_class_numbers,
-    l1_imag,
     make_l1_lookup,
     prestel_bound,
 )
 from hilbert_ggl.errors import DomainError
 from hilbert_ggl.field_invariants import fundamental_discriminants_up_to
-from hilbert_ggl.lfunctions import closed_form_l1
+from hilbert_ggl.lfunctions import (closed_form_l1, fundamental_discriminant_signed,
+                                    is_fundamental_discriminant)
 
-from oracles import brute_elliptic_traces, mp_l_value
+from oracles import arange_imag_class_numbers, brute_elliptic_traces, mp_l_value
 
 # class numbers of imaginary quadratic fields, textbook values
 KNOWN_IMAG_H = {3: 1, 4: 1, 7: 1, 8: 1, 11: 1, 15: 2, 19: 1, 20: 2, 23: 3,
@@ -72,14 +73,59 @@ def test_imag_class_numbers_against_known_values():
         assert int(h[k]) == hk, -k
 
 
-def test_l1_imag_matches_digamma_oracle():
-    h = imag_class_numbers(600)
+def test_strided_class_number_sieve_equals_arange_sieve():
+    for limit in (20016, 40016):
+        assert np.array_equal(imag_class_numbers(limit), arange_imag_class_numbers(limit)), limit
+
+
+def test_l1_lookup_matches_digamma_oracle():
+    l1 = make_l1_lookup(600)
     for d in (-3, -4, -7, -8, -15, -20, -23, -24, -84, -163, -427, -499):
-        assert abs(l1_imag(d, h) - float(mp_l_value(1, d))) < 1e-12, d
-    with pytest.raises(DomainError):
-        l1_imag(-12, h)  # not fundamental
-    with pytest.raises(DomainError):
-        l1_imag(5, h)
+        assert abs(l1(d) - float(mp_l_value(1, d))) < 1e-12, d
+    with pytest.raises(DomainError, match="fundamental"):
+        l1(-12)  # not fundamental
+    with pytest.raises(DomainError, match="fundamental"):
+        l1(5)
+    with pytest.raises(DomainError, match="too short"):
+        l1(-607)  # fundamental, past the table
+
+
+def test_l1_lookup_mask_equals_fundamental_predicate():
+    # the lookup answers exactly for the fundamental -k; everything else it
+    # refuses, by its mask and without factoring
+    limit = 40016
+    l1 = make_l1_lookup(limit)
+    for k in range(limit + 1):
+        try:
+            l1(-k)
+            answered = True
+        except DomainError:
+            answered = False
+        assert answered == is_fundamental_discriminant(-k), k
+    for d in (-limit - 1, -4 * limit - 3, -(10**12) - 3):
+        with pytest.raises(DomainError, match="too short"):
+            l1(d)
+
+
+def test_cm_d3_equals_field_discriminant_up_to_1e5():
+    # d3 is read off the squarefree kernel of D; the factoring route agrees
+    unit_l1 = lambda d: 1.0
+    for D in fundamental_discriminants_up_to(100_000):
+        for s in (0, 1):
+            d3 = cm_extension_invariants(D, s, l1=unit_l1).subfield_discs[2]
+            assert d3 == fundamental_discriminant_signed(D * (s * s - 4)), (D, s)
+
+
+def test_trace_argument_types():
+    for bad in (1.0, True, False, "1", None):
+        with pytest.raises(DomainError):
+            cm_extension_invariants(13, bad)
+        with pytest.raises(DomainError):
+            prestel_bound(13, bad)
+    cm = cm_extension_invariants(13, np.int64(1))
+    assert cm == cm_extension_invariants(13, 1)
+    assert type(cm.s) is int and all(type(d) is int for d in cm.subfield_discs)
+    assert prestel_bound(13, np.int64(1)) == prestel_bound(13, 1)
 
 
 def test_make_l1_lookup_both_signs():

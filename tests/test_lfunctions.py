@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from hilbert_ggl import lfunctions
-from hilbert_ggl.elliptic import imag_class_numbers, l1_imag
+from hilbert_ggl.elliptic import make_l1_lookup
 from hilbert_ggl.errors import BudgetExceededError, DomainError
 from hilbert_ggl.field_invariants import fundamental_discriminants_up_to
 from hilbert_ggl.lfunctions import (
@@ -257,11 +257,11 @@ def test_closed_form_l1_matches_oracle():
 def test_closed_form_l1_odd_equals_class_number_sieve():
     # d < 0 has one float expression, 2 pi h / (w sqrt|d|): the closed form
     # reads h off its integer sum, the sieve counts reduced forms
-    h = imag_class_numbers(40016)
+    l1 = make_l1_lookup(40016)
     ds = negative_fundamental_discriminants(40016)
     assert len(ds) == 12166
     for d in ds:
-        assert closed_form_l1(d)[0] == l1_imag(d, h), d
+        assert closed_form_l1(d)[0] == l1(d), d
 
 
 def test_closed_form_l1_rejects_a_flipped_odd_character():
@@ -299,19 +299,28 @@ def test_zeta_K_minus1_rejects_non_real_fields():
 
 
 def test_zeta_K_minus1_past_the_int64_bound():
-    n = lfunctions._INT64_SQUARES
-    # the largest D whose squares a^2, a < D, sum below 2^63
+    n = 3_024_617
+    # the largest D whose squares a^2, a < D, sum below 2^63: past it one
+    # int64 dot product over the period would wrap
     assert (n - 1) * n * (2 * n - 1) // 6 < 2**63 <= n * (n + 1) * (2 * n + 1) // 6
-    D = 3024620  # the first real discriminant above the bound
-    assert D > n and is_fundamental_discriminant(D)
-    assert zeta_K_minus1(D) == siegel_zeta_minus1(D)
+    # the first real discriminant above the bound, and one near 4e6: several
+    # int64 blocks each
+    for D in (3024620, 4000037):
+        assert D > n and is_fundamental_discriminant(D)
+        assert lfunctions._INT64_MAX // (D - 1) ** 2 < D // 2
+        assert zeta_K_minus1(D) == siegel_zeta_minus1(D), D
 
 
-def test_zeta_K_minus1_python_int_route(monkeypatch):
-    # a tiny bound sends small fields through the Python-int sum as well
-    monkeypatch.setattr(lfunctions, "_INT64_SQUARES", 7)
+def test_zeta_K_minus1_blocked_route(monkeypatch):
+    # a small int64 ceiling cuts small fields into several blocks as well
+    # (of 40 terms at D = 4997)
+    monkeypatch.setattr(lfunctions, "_INT64_MAX", 10**9)
     for D in (5, 8, 12, 13, 229, 1001, 4997):
         assert zeta_K_minus1(D) == siegel_zeta_minus1(D), D
+    # a ceiling below (D - 1)^2 leaves no block size
+    monkeypatch.setattr(lfunctions, "_INT64_MAX", 15)
+    with pytest.raises(DomainError):
+        zeta_K_minus1(5)
 
 
 def test_zeta_K2_rounding_bound():

@@ -18,9 +18,10 @@ from hilbert_ggl.field_invariants import (
     fundamental_discriminants_up_to,
     regulator,
 )
-from hilbert_ggl.lfunctions import closed_form_l1
+from hilbert_ggl.lfunctions import closed_form_l1, zeta_K_minus1
 from hilbert_ggl.reports import canonical_record_json, csv_rows
-from hilbert_ggl.scan import _RUN, DyadicBlock, FieldRecord, _dyadic_blocks, scan, scan_field
+from hilbert_ggl.scan import (_RUN, DyadicBlock, FieldRecord, _divisor_sums, _dyadic_blocks,
+                              _siegel_zeta_minus1, scan, scan_field)
 
 from oracles import float_rule_verdict
 
@@ -55,6 +56,31 @@ def test_scan_field_exact_path_consistent():
         _unit, classes, reg, _residual = exact_hr(D, fast.l1, fast.l1_cert)
         assert classes.h == class_number(D).h
         assert abs(classes.h * reg - fast.hr) <= 1e-9 * fast.hr
+
+
+def test_siegel_route_equals_bernoulli_route():
+    # the scan route to zeta_K(-1) (Siegel's divisor sums on a sieved sigma_1
+    # table) and the report route (B_{2,chi}/24) give the same Fraction
+    sigma = _divisor_sums(100_000 // 4 + 1)
+    ds = fundamental_discriminants_up_to(100_000)
+    sample = sorted(set(d for d in ds if d <= 20_000) | set(ds[::10]))
+    for D in sample:
+        assert _siegel_zeta_minus1(D, sigma) == zeta_K_minus1(D), D
+
+
+def test_siegel_route_refuses_a_short_table():
+    sigma = _divisor_sums(100)
+    assert _siegel_zeta_minus1(401, sigma) == zeta_K_minus1(401)  # needs sigma_1(100)
+    for D in (404, 405, 99996):
+        with pytest.raises(DomainError, match="too short"):
+            _siegel_zeta_minus1(D, sigma)
+
+
+def test_scan_field_tables_give_the_same_record():
+    lookup, sigma = make_l1_lookup(4 * 2000 + 16), _divisor_sums(2000 // 4 + 1)
+    for D in (5, 8, 12, 13, 229, 1001, 1997):
+        assert scan_field(D, Fraction(1, 100), l1_lookup=lookup, sigma=sigma) == \
+            scan_field(D, Fraction(1, 100)), D
 
 
 def test_scan_deterministic_reruns():
