@@ -21,6 +21,13 @@ the two CM L-values alone:
 
 For irrational traces h'R'/hR is not computed; the reported number is the
 integer N(4 - s^2) and the ratio is flagged unresolved.
+
+For d < 0, L(1, chi_d) = 2 pi h / (w sqrt|d|) needs only the class number
+h(d), and it has three sources that give the same integer and so the same
+bits: a scan reads it off one class-number sieve per worker
+(make_l1_lookup), a single-field report counts the reduced forms of each d
+(_reduced_form_count, the default), and lfunctions.closed_form_l1 reads it
+off its character sum, the independent cross-check.
 """
 
 from __future__ import annotations
@@ -35,8 +42,11 @@ import numpy as np
 
 from .errors import DomainError
 from .field_invariants import _check_field_discriminant, _squarefree_sieve
-from .lfunctions import _l1_odd, closed_form_l1
+from .lfunctions import _l1_odd, is_fundamental_discriminant
 from .quadratic import QuadElem
+
+# cells of one block of the reduced-form count (_reduced_form_count)
+_FORM_CELLS = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -120,7 +130,8 @@ def imag_class_numbers(limit: int) -> np.ndarray:
     pair adds 1 along one strided slice.  Entries at non-discriminant indices
     are 0; entries at non-fundamental discriminants are the form counts of
     the non-maximal order and must not be used.  Scans read L(1, chi_d) off
-    this table (make_l1_lookup); single-field reports take the closed form.
+    this table (make_l1_lookup); single-field reports count the reduced forms
+    of each d alone (_reduced_form_count).
     """
     h = np.zeros(limit + 1, dtype=np.int64)
     a_max = isqrt(limit // 3)
@@ -132,15 +143,55 @@ def imag_class_numbers(limit: int) -> np.ndarray:
     return h
 
 
-def _closed_l1(d: int) -> float:
-    """L(1, chi_d) from the finite closed form, the default L(1) source."""
-    return closed_form_l1(d)[0]
+def _reduced_form_count(d: int) -> int:
+    """h(d) for a fundamental d < 0, counted as reduced forms (H. Cohen, A
+    Course in Computational Algebraic Number Theory, 5.3).
+
+    With q = -d, a reduced form (a, b, c) has b = q (mod 2) and
+    |b| <= a <= c, so a <= sqrt(q/3).  For b >= 0, (a, b, c) is reduced iff
+    a | n = (b^2 + q)/4, b <= a and a^2 <= n (c = n/a >= a); then (a, -b, c)
+    is another reduced form iff 0 < b < a < c.  The pairs (b, a), about
+    q/6 exact divisibility tests, are tested in blocks of about _FORM_CELLS
+    cells whose a starts at the block's least b, so memory stays flat for
+    any q.  The forms of a fundamental discriminant are primitive, so the
+    count is h(d): the integer closed_form_l1 reads off its character sum.
+    A d >= 0 or a non-fundamental d raises DomainError.
+    """
+    if d >= 0 or not is_fundamental_discriminant(d):
+        raise DomainError("need a fundamental discriminant < 0, got %d" % d)
+    q = -d
+    a_max = isqrt(q // 3)
+    # b^2 + q <= 4q/3, so below q = 3 * 2^30 every term fits (the faster) uint32
+    dtype = np.uint32 if q < 3 << 30 else np.uint64
+    a_all = np.arange(1, a_max + 1, dtype=dtype)
+    h = 0
+    b0 = q % 2
+    while b0 <= a_max:
+        a = a_all[max(b0, 1) - 1 :]
+        rows = max(1, _FORM_CELLS // len(a))
+        b = np.arange(b0, min(b0 + 2 * rows, a_max + 1), 2, dtype=dtype)
+        b0 += 2 * rows
+        n = (b * b + q) >> 2
+        # a flat index is cheaper to find than a 2-d one
+        bi, ai = np.divmod(np.flatnonzero(n[:, None] % a == 0), len(a))
+        b, a, n = b[bi], a[ai], n[bi]
+        a2 = a * a
+        # (a, b, c) reduced, and (a, -b, c) reduced and distinct: 0 < b < a < c
+        h += int(np.count_nonzero((b <= a) & (a2 <= n)))
+        h += int(np.count_nonzero((0 < b) & (b < a) & (a2 < n)))
+    return h
+
+
+def _reduced_form_l1(d: int) -> float:
+    """L(1, chi_d) from the reduced-form count, the default L(1) source."""
+    return _l1_odd(d, _reduced_form_count(d))
 
 
 def make_l1_lookup(limit: int):
     """L(1, chi_d) callable for fundamental d < 0, |d| <= limit, backed by one
     class-number sieve (imag_class_numbers); scans build it once per worker,
-    and single-field reports take the closed form, which gives the same bits.
+    and single-field reports count the reduced forms of each d, which gives
+    the same h and so the same bits.
 
     d is validated by a mask of the fundamental -k, k <= limit, built from
     the squarefree sieve of fundamental_discriminants_up_to: k = 3 (mod 4)
@@ -202,7 +253,8 @@ def cm_extension_invariants(D: int, s: int, l1=None) -> CMExtensionInvariants:
 
     s is an integer of any type but bool.  l1 optionally supplies L(1, chi_d)
     values (callable d -> float); it is asked only for d2 and d3, both
-    negative.  By default each factor is evaluated by its finite closed form.
+    negative.  By default each factor is 2 pi h / (w sqrt|d|) with h(d)
+    counted as reduced forms (_reduced_form_count).
 
     d3, the discriminant of Q(sqrt(D (s^2 - 4))), needs no factoring: with
     D = m or 4m, m squarefree, the squarefree part of -(4 - s^2) D is -m
@@ -228,7 +280,7 @@ def cm_extension_invariants(D: int, s: int, l1=None) -> CMExtensionInvariants:
     if n_u0 < 1:
         raise RuntimeError("N(U0)^2 = %d below 1" % n_u0)
     if l1 is None:
-        l1 = _closed_l1
+        l1 = _reduced_form_l1
     hr_ratio = w_prime * math.sqrt(abs(d2 * d3)) * l1(d2) * l1(d3) / (2.0 * math.pi ** 2)
     return CMExtensionInvariants(
         D=D,

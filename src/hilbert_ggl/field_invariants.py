@@ -27,6 +27,7 @@ Disagreement beyond the combined certificates raises.
 from __future__ import annotations
 
 import decimal
+import functools
 import math
 import operator
 from dataclasses import dataclass
@@ -149,7 +150,13 @@ class FundamentalUnit:
 
 
 def fundamental_unit(D: int) -> FundamentalUnit:
-    D = _check_field_discriminant(D)
+    return _fundamental_unit(_check_field_discriminant(D))
+
+
+@functools.lru_cache(maxsize=4)
+def _fundamental_unit(D: int) -> FundamentalUnit:
+    """The unit of a validated D, memoized: a field report asks for it twice,
+    in exact_hr and in cusps.cusp_cycle, and runs the continued fraction once."""
     t, u, norm = continued_fraction_unit(D)
     return FundamentalUnit(D=D, t=t, u=u, norm=norm)
 

@@ -23,13 +23,16 @@ Evaluation routes:
   The number of terms needed is (2M/tol)^(1/2); when that exceeds the term
   budget a BudgetExceededError is raised instead of silently degrading.
 
-* ``closed_form_l1``: exact finite evaluation of L(1, chi_d) used by the
-  analytic class-number checks and bulk scans, where the partial-sum route
-  would need ~2M/tol terms.  For odd characters (d < 0) the integer sum
-  gives the class number h = -w sum a chi(a) / (2q) (RuntimeError unless a
-  positive integer), and the value is 2 pi h / (w sqrt(q)), the expression
-  the class-number sieve of ``elliptic`` shares; for even ones (d > 0) it is
-  -(1/sqrt(q)) sum chi(a) log sin(pi a / q).
+* ``closed_form_l1``: exact finite evaluation of L(1, chi_d), where the
+  partial-sum route would need ~2M/tol terms.  For even characters (d > 0)
+  it is the route of L(1, chi_D) in every report and scan:
+  -(1/sqrt(q)) sum chi(a) log sin(pi a / q).  For odd ones (d < 0) the
+  integer sum gives the class number h = -w sum a chi(a) / (2q)
+  (RuntimeError unless a positive integer), and the value is
+  2 pi h / (w sqrt(q)), the expression that the elliptic bounds share; they
+  take h from the class-number sieve of a scan or the reduced-form count of
+  a single-field report (both in ``elliptic``), and this route is their
+  independent cross-check.
 
 Character tables are built two independent ways: ``kronecker_chi`` (the
 reciprocity algorithm) and ``character_table`` (product of prime-discriminant

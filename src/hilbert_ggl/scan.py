@@ -77,10 +77,11 @@ def scan_field(D: int, epsilon, l1_lookup=None, sigma=None) -> FieldRecord:
     L(1, chi_D) is evaluated once, for hR; the elliptic bounds do not use it.
     l1_lookup optionally supplies L(1, chi_d) for their negative CM
     discriminants (a scan shares one class-number sieve); without it each
-    value falls back to the closed form.  sigma optionally supplies the
-    sigma_1 table of Siegel's formula for zeta_K(-1); without it zeta_K(-1)
-    is B_{2,chi}/24.  Both routes give the same Fraction, so the record is
-    the same either way.
+    value comes from the count of reduced forms of d (the elliptic default).
+    sigma optionally supplies the sigma_1 table of Siegel's formula for
+    zeta_K(-1); without it zeta_K(-1) is B_{2,chi}/24.  Both routes give the
+    same Fraction, and both L(1) routes the same h, so the record is the
+    same either way.
     """
     D = _check_field_discriminant(D)
     table = character_table(D)

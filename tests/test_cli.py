@@ -13,7 +13,7 @@ from fractions import Fraction
 import pytest
 
 import hilbert_ggl
-from hilbert_ggl import elliptic, field_invariants, lfunctions
+from hilbert_ggl import field_invariants, lfunctions
 from hilbert_ggl.cli import main
 from hilbert_ggl.errors import CacheError
 from hilbert_ggl.elliptic import elliptic_summary, make_l1_lookup
@@ -131,7 +131,8 @@ def test_scan_stdout_csv(capsys):
 
 
 def test_field_evaluates_l1_of_d_once(monkeypatch, capsys):
-    # hR needs L(1, chi_D); the elliptic bounds cancel it and must not ask
+    # hR needs L(1, chi_D); the elliptic bounds cancel it and must not ask,
+    # and they count their CM class numbers, so no d < 0 takes the closed form
     for D in (5, 229, 9997):
         asked = []
 
@@ -139,11 +140,31 @@ def test_field_evaluates_l1_of_d_once(monkeypatch, capsys):
             asked.append(d)
             return closed_form_l1(d, table)
 
-        for module in (lfunctions, field_invariants, elliptic):
+        for module in (lfunctions, field_invariants):
             monkeypatch.setattr(module, "closed_form_l1", counting)
         assert main(["field", str(D)]) == 0
         capsys.readouterr()
         assert asked.count(D) == 1, (D, asked)
+        assert all(d > 0 for d in asked), (D, asked)
+        monkeypatch.undo()
+
+
+def test_field_runs_the_continued_fraction_once(monkeypatch, capsys):
+    # exact_hr and cusp_cycle both need the fundamental unit; one continued
+    # fraction serves both, and cusp_cycle still checks its cycle unit by it
+    original = field_invariants.continued_fraction_unit
+    for D in (5, 229, 9997):
+        runs = []
+
+        def counting(d):
+            runs.append(d)
+            return original(d)
+
+        monkeypatch.setattr(field_invariants, "continued_fraction_unit", counting)
+        field_invariants._fundamental_unit.cache_clear()
+        assert main(["field", str(D)]) == 0
+        capsys.readouterr()
+        assert runs == [D], (D, runs)
         monkeypatch.undo()
 
 
@@ -410,8 +431,8 @@ STANDARD_D = (5, 8, 12, 13, 24, 229, 401, 997, 9997, 12345, 64277, 99996)
 
 def test_field_json_elliptic_block_equals_scan_record(capsys):
     # the elliptic bounds use only L(1, chi_d) for the CM discriminants d < 0,
-    # which has one float expression whether it comes from the closed form or
-    # the sieve, so a report and a sieve-backed scan record agree bit for bit
+    # which has one float expression whether h(d) comes from a report's
+    # reduced-form count or the scan sieve, so the two agree bit for bit
     rng = random.Random(4242)
     ds = [int(d) for d in fundamental_discriminants_up_to(100_000)]
     sample = sorted(set(STANDARD_D) | set(rng.sample(ds, 20)))

@@ -2,13 +2,17 @@
 
 import math
 import random
+import tracemalloc
 from fractions import Fraction
+from math import isqrt
 
 import numpy as np
 import pytest
 
 from hilbert_ggl.elliptic import (
+    _FORM_CELLS,
     EllipticTrace,
+    _reduced_form_count,
     cm_extension_invariants,
     elliptic_summary,
     elliptic_traces,
@@ -19,7 +23,7 @@ from hilbert_ggl.elliptic import (
 )
 from hilbert_ggl.errors import DomainError
 from hilbert_ggl.field_invariants import fundamental_discriminants_up_to
-from hilbert_ggl.lfunctions import (closed_form_l1, fundamental_discriminant_signed,
+from hilbert_ggl.lfunctions import (_l1_odd, closed_form_l1, fundamental_discriminant_signed,
                                     is_fundamental_discriminant)
 
 from oracles import arange_imag_class_numbers, brute_elliptic_traces, mp_l_value
@@ -105,6 +109,58 @@ def test_l1_lookup_mask_equals_fundamental_predicate():
     for d in (-limit - 1, -4 * limit - 3, -(10**12) - 3):
         with pytest.raises(DomainError, match="too short"):
             l1(d)
+
+
+def test_reduced_form_count_equals_class_number_sieve():
+    limit = 40016
+    h = imag_class_numbers(limit)
+    n = 0
+    for k in range(3, limit + 1):
+        if is_fundamental_discriminant(-k):
+            assert _reduced_form_count(-k) == h[k], -k
+            n += 1
+    assert n == 12166
+
+
+def test_reduced_form_l1_equals_closed_form_across_blocks():
+    # the count and the character sum give the same h, so the same L(1) bits;
+    # at these |d| the (b, a) grid takes several blocks
+    for d in (-3999971, -4000036, -15999923):
+        assert isqrt(-d // 3) ** 2 // 4 > _FORM_CELLS, d
+        assert _l1_odd(d, _reduced_form_count(d)) == closed_form_l1(d)[0], d
+
+
+def test_reduced_form_count_refuses_what_the_closed_form_refuses():
+    # d >= 0 is the closed form's other branch; the count serves only d < 0
+    for d in (0, 5, -12, -16):
+        with pytest.raises(DomainError, match="fundamental"):
+            _reduced_form_count(d)
+    for d in (0, -12, -16):
+        with pytest.raises(DomainError, match="fundamental"):
+            closed_form_l1(d)
+
+
+def test_elliptic_summary_memory_stays_flat():
+    # |d3| = 4e7 and 3e7; one character table of that size is about 0.5 GB
+    tracemalloc.start()
+    try:
+        summary = elliptic_summary(10_000_001)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert summary.total_bound > 0
+    assert peak < 32 * 2**20, peak
+
+
+def test_field_and_scan_elliptic_bounds_agree_up_to_20000():
+    # the default count and the scan's sieve lookup give the same bits
+    dmax = 20_000
+    lookup = make_l1_lookup(4 * dmax + 16)
+    for D in fundamental_discriminants_up_to(dmax):
+        own, sieve = elliptic_summary(int(D)), elliptic_summary(int(D), l1=lookup)
+        assert [b.value for b in own.bounds] == [b.value for b in sieve.bounds], D
+        assert own.total_bound == sieve.total_bound, D
+        assert own.exponent_record == sieve.exponent_record, D
 
 
 def test_cm_d3_equals_field_discriminant_up_to_1e5():
