@@ -27,7 +27,8 @@ h(d), and it has three sources that give the same integer and so the same
 bits: a scan reads it off one class-number sieve per worker
 (make_l1_lookup), a single-field report counts the reduced forms of each d
 (_reduced_form_count, the default), and lfunctions.closed_form_l1 reads it
-off its character sum, the independent cross-check.
+off its character sum, the independent cross-check.  The count shares its
+divisor grid with the real reduced forms; neither uses trial division.
 """
 
 from __future__ import annotations
@@ -41,12 +42,9 @@ from math import isqrt
 import numpy as np
 
 from .errors import DomainError
-from .field_invariants import _check_field_discriminant, _squarefree_sieve
+from .field_invariants import _check_field_discriminant, _divisor_windows, _squarefree_sieve
 from .lfunctions import _l1_odd, is_fundamental_discriminant
 from .quadratic import QuadElem
-
-# cells of one block of the reduced-form count (_reduced_form_count)
-_FORM_CELLS = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -150,10 +148,10 @@ def _reduced_form_count(d: int) -> int:
     With q = -d, a reduced form (a, b, c) has b = q (mod 2) and
     |b| <= a <= c, so a <= sqrt(q/3).  For b >= 0, (a, b, c) is reduced iff
     a | n = (b^2 + q)/4, b <= a and a^2 <= n (c = n/a >= a); then (a, -b, c)
-    is another reduced form iff 0 < b < a < c.  The pairs (b, a), about
-    q/6 exact divisibility tests, are tested in blocks of about _FORM_CELLS
-    cells whose a starts at the block's least b, so memory stays flat for
-    any q.  The forms of a fundamental discriminant are primitive, so the
+    is another reduced form iff 0 < b < a < c.  The pairs b <= a <= sqrt(q/3),
+    about q/6 divisibility tests, go through the divisor grid of the real
+    reduced forms (field_invariants._divisor_windows), so memory stays flat
+    for any q.  The forms of a fundamental discriminant are primitive, so the
     count is h(d): the integer closed_form_l1 reads off its character sum.
     A d >= 0 or a non-fundamental d raises DomainError.
     """
@@ -162,19 +160,9 @@ def _reduced_form_count(d: int) -> int:
     q = -d
     a_max = isqrt(q // 3)
     # b^2 + q <= 4q/3, so below q = 3 * 2^30 every term fits (the faster) uint32
-    dtype = np.uint32 if q < 3 << 30 else np.uint64
-    a_all = np.arange(1, a_max + 1, dtype=dtype)
+    b = np.arange(q % 2, a_max + 1, 2, dtype=np.uint32 if q < 3 << 30 else np.uint64)
     h = 0
-    b0 = q % 2
-    while b0 <= a_max:
-        a = a_all[max(b0, 1) - 1 :]
-        rows = max(1, _FORM_CELLS // len(a))
-        b = np.arange(b0, min(b0 + 2 * rows, a_max + 1), 2, dtype=dtype)
-        b0 += 2 * rows
-        n = (b * b + q) >> 2
-        # a flat index is cheaper to find than a 2-d one
-        bi, ai = np.divmod(np.flatnonzero(n[:, None] % a == 0), len(a))
-        b, a, n = b[bi], a[ai], n[bi]
+    for b, a, n in _divisor_windows(b, (b * b + q) >> 2, lambda b0, b1: (max(b0, 1), a_max)):
         a2 = a * a
         # (a, b, c) reduced, and (a, -b, c) reduced and distinct: 0 < b < a < c
         h += int(np.count_nonzero((b <= a) & (a2 <= n)))

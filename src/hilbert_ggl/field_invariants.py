@@ -9,7 +9,9 @@ Everything discrete is integer arithmetic:
 * class numbers: cycles of reduced indefinite forms (a, b, c) under the rho
   operation.  The narrow number h+ is the cycle count; the unit norm is read
   off the principal cycle (it contains a form with a = -1 iff norm -1), which
-  cross-checks the continued-fraction parity by an independent route.
+  cross-checks the continued-fraction parity by an independent route.  One
+  windowed divisor grid (_divisor_windows) finds the reduced forms of both
+  signs, these and elliptic._reduced_form_count's; no trial division is left.
 * regulator: log of the exact unit in 40-digit decimal arithmetic (the
   standard library's ``decimal``), so the float64 result is correctly
   rounded.
@@ -49,8 +51,6 @@ from .lfunctions import (
     zeta_K2,
     zeta_K_minus1,
 )
-# re-exported: the discriminant of Q(sqrt(m)) is computed in lfunctions
-from .lfunctions import fundamental_discriminant, fundamental_discriminant_signed  # noqa: F401
 
 # degree n of the totally real fields handled here: every invariant below is
 # quadratic, so the criterion is evaluated at n = 2
@@ -59,6 +59,9 @@ DEGREE = 2
 _invsq_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
 _REGULATOR_CONTEXT = decimal.Context(prec=40, Emax=decimal.MAX_EMAX)
+
+# cells of one block of the divisor grid (_divisor_windows)
+_FORM_CELLS = 1 << 18
 
 
 def _squarefree_sieve(limit: int) -> np.ndarray:
@@ -69,6 +72,26 @@ def _squarefree_sieve(limit: int) -> np.ndarray:
         p2 = int(p) * int(p)
         sf[p2::p2] = False
     return sf
+
+
+def _divisor_windows(b: np.ndarray, n: np.ndarray, span):
+    """Yield, block by block of rows, the arrays (b, a, n) of every a | n(b)
+    with lo <= a <= hi, where span(b0, b1) = (lo, hi), lo >= 1, covers the
+    windows of a of the block's rows b0 <= b <= b1.
+
+    b ascends and n(b) > 0 shares its dtype.  A block tests about
+    _FORM_CELLS cells, so memory stays flat; the caller drops each a outside
+    its own row's window.  This grid finds the reduced forms of both signs.
+    """
+    lo, hi = span(int(b[0]), int(b[-1]))
+    rows = max(1, _FORM_CELLS // (hi - lo + 1))
+    for i in range(0, len(b), rows):
+        bb, nb = b[i : i + rows], n[i : i + rows]
+        lo, hi = span(int(bb[0]), int(bb[-1]))
+        a = np.arange(lo, hi + 1, dtype=n.dtype)
+        # a flat index is cheaper to find than a 2-d one
+        bi, ai = np.divmod(np.flatnonzero(nb[:, None] % a == 0), len(a))
+        yield bb[bi], a[ai], nb[bi]
 
 
 def fundamental_discriminants_up_to(limit: int) -> list[int]:
@@ -165,35 +188,20 @@ def regulator(D: int) -> float:
     return fundamental_unit(D).regulator()
 
 
-def _divisors(n: int) -> list[int]:
-    small, large = [], []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            small.append(d)
-            if d * d != n:
-                large.append(n // d)
-        d += 1
-    return small + large[::-1]
-
-
 def reduced_forms(D: int) -> list[tuple[int, int, int]]:
-    """Reduced indefinite forms (a, b, c) of discriminant D: sqrt(D)-b < 2|a| < sqrt(D)+b."""
+    """Reduced indefinite forms (a, b, c) of discriminant D: sqrt(D)-b < 2|a| < sqrt(D)+b,
+    in integers s < 2|a| + b and 2|a| - b <= s, s = isqrt(D) (D is not a square)."""
     D = _check_field_discriminant(D)
     s = isqrt(D)
+    # b^2 <= D, so below D = 2^32 every term fits (the faster) uint32
+    b = np.arange(2 - D % 2, s + 1, 2, dtype=np.uint32 if D < 1 << 32 else np.uint64)
     out = []
-    b = 1 if D % 2 else 2
-    while b <= s:
-        n4 = D - b * b
-        if n4 % 4:
-            raise RuntimeError(f"parity broken for D={D}, b={b}")
-        n = n4 // 4
-        for a in _divisors(n):
-            two_a = 2 * a
-            if (two_a + b) ** 2 > D and (two_a - b < 0 or (two_a - b) ** 2 < D):
-                out.append((a, b, -(n // a)))
-                out.append((-a, b, n // a))
-        b += 2
+    # the windows widen with b, so the last row's holds a block's others
+    for b, a, n in _divisor_windows(b, (D - b * b) >> 2,
+                                    lambda b0, b1: ((s + 2 - b1) // 2, (s + b1) // 2)):
+        keep = (s < 2 * a + b) & (2 * a <= s + b)
+        for a, b, c in zip(a[keep].tolist(), b[keep].tolist(), (n[keep] // a[keep]).tolist()):
+            out += [(a, b, -c), (-a, b, c)]
     return sorted(out)
 
 

@@ -312,14 +312,15 @@ def closed_form_l1(d: int, table: np.ndarray | None = None) -> tuple[float, floa
                                "not a positive integer" % (Fraction(w_sum, 2 * q), d))
         value = _l1_odd(d, h)
         return value, 4e-15 * (abs(value) + 1.0)
-    # chi even: fold around q/2, log sin symmetric
+    # chi even: fold around q/2, log sin symmetric; one array, in place
     half = (q - 1) // 2
-    a = np.arange(1, half + 1, dtype=np.float64)
-    logsin = np.log(np.sin(math.pi / q * a))
-    terms = table[1 : half + 1].astype(np.float64) * logsin
-    value = -2.0 * float(np.sum(terms)) / math.sqrt(q)
-    cert = 2.0 ** -50 * float(np.sum(np.abs(logsin))) / math.sqrt(q) + 1e-14
-    return value, cert
+    x = np.arange(1, half + 1, dtype=np.float64)
+    x *= math.pi / q
+    np.log(np.sin(x, out=x), out=x)
+    # every log sin is <= 0, so -sum(x) is exactly the sum of their absolute values
+    cert = 2.0 ** -50 * -float(np.sum(x)) / math.sqrt(q) + 1e-14
+    x *= table[1 : half + 1]
+    return -2.0 * float(np.sum(x)) / math.sqrt(q), cert
 
 
 def zeta_K_minus1(D: int, table: np.ndarray | None = None) -> Fraction:

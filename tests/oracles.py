@@ -6,15 +6,18 @@ every square divisor tried, the unit search ascends u directly, class
 numbers come from the analytic formula with a digamma L-value, L-values go
 through mpmath digamma and Hurwitz zeta identities, zeta_K(-1) comes from
 Siegel's divisor sums with each sigma_1 by trial division (scans sum a
-sieved sigma_1 table), elliptic traces come from a floating point box
-search on both embeddings, determinants come from the Leibniz permutation
-sum, every cusp chart goes through the generic wedge engine (which the
-package runs on two charts per cycle only), cusp cycles are rebuilt with a
-QuadElem at every continued-fraction and recurrence step (the package runs
-both on integers), the class-number sieve adds through a fancy index (the
-package adds along strided slices), scan records are decoded key by key
-and rendered to CSV cell by cell, and the verdict is taken by the float
-sign tests that the exact comparison replaced.
+sieved sigma_1 table), reduced indefinite forms come from the trial
+divisors of each (D - b^2)/4, tested for reducedness on squares (the
+package searches an integer window of a divisor grid), elliptic traces
+come from a floating point box search on both embeddings, determinants
+come from the Leibniz permutation sum, every cusp chart goes through the
+generic wedge engine (which the package runs on two charts per cycle
+only), cusp cycles are rebuilt with a QuadElem at every continued-fraction
+and recurrence step (the package runs both on integers), the class-number
+sieve adds through a fancy index (the package adds along strided slices),
+scan records are decoded key by key and rendered to CSV cell by cell, and
+the verdict is taken by the float sign tests that the exact comparison
+replaced.
 """
 
 from __future__ import annotations
@@ -163,6 +166,26 @@ def siegel_zeta_minus1(D: int) -> Fraction:
         total += s if b == 0 else 2 * s
         b += 2
     return Fraction(total, 60)
+
+
+def trial_division_reduced_forms(D: int) -> list[tuple[int, int, int]]:
+    """Sorted reduced forms (a, b, c) of discriminant D > 0, not a square:
+    every divisor a of n = (D - b^2)/4 by trial division, for each
+    0 < b < sqrt(D), b = D (mod 2), kept iff sqrt(D) - b < 2a < sqrt(D) + b,
+    tested on squares, as (a, b, -n/a) and (-a, b, n/a)."""
+    out = []
+    b = 2 - D % 2
+    while b * b < D:
+        n = (D - b * b) // 4
+        d = 1
+        while d * d <= n:
+            if n % d == 0:
+                for a in {d, n // d}:
+                    if (2 * a + b) ** 2 > D and (2 * a - b < 0 or (2 * a - b) ** 2 < D):
+                        out += [(a, b, -(n // a)), (-a, b, n // a)]
+            d += 1
+        b += 2
+    return sorted(out)
 
 
 def arange_imag_class_numbers(limit: int) -> np.ndarray:

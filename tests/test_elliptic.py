@@ -10,7 +10,6 @@ import numpy as np
 import pytest
 
 from hilbert_ggl.elliptic import (
-    _FORM_CELLS,
     EllipticTrace,
     _reduced_form_count,
     cm_extension_invariants,
@@ -22,7 +21,7 @@ from hilbert_ggl.elliptic import (
     prestel_bound,
 )
 from hilbert_ggl.errors import DomainError
-from hilbert_ggl.field_invariants import fundamental_discriminants_up_to
+from hilbert_ggl.field_invariants import _FORM_CELLS, fundamental_discriminants_up_to
 from hilbert_ggl.lfunctions import (_l1_odd, closed_form_l1, fundamental_discriminant_signed,
                                     is_fundamental_discriminant)
 

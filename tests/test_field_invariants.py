@@ -2,6 +2,7 @@
 
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import mpmath
@@ -16,8 +17,6 @@ from hilbert_ggl.field_invariants import (
     class_number,
     exact_hr,
     form_cycles,
-    fundamental_discriminant,
-    fundamental_discriminant_signed,
     fundamental_discriminants_up_to,
     fundamental_unit,
     invariants,
@@ -27,7 +26,12 @@ from hilbert_ggl.field_invariants import (
     rho_step,
     zeta_K2_dual,
 )
-from hilbert_ggl.lfunctions import closed_form_l1, euler_chi_array
+from hilbert_ggl.lfunctions import (
+    closed_form_l1,
+    euler_chi_array,
+    fundamental_discriminant,
+    fundamental_discriminant_signed,
+)
 from hilbert_ggl.scan import scan_field
 
 from oracles import (
@@ -36,6 +40,7 @@ from oracles import (
     brute_fundamental_unit,
     mp_l_value,
     mp_regulator,
+    trial_division_reduced_forms,
 )
 
 # (D, t, u, norm, h, h_plus): unit data cross-checked against the ascending-u
@@ -188,6 +193,25 @@ def test_reduced_forms_are_reduced_and_closed_under_rho():
         fset = set(forms)
         for f in forms:
             assert rho_step(f, D) in fset
+
+
+def test_reduced_forms_equal_trial_division_oracle():
+    # every fundamental D <= 5000, and past it where the grid takes blocks
+    Ds = [int(D) for D in fundamental_discriminants_up_to(5000)]
+    for D in Ds + [1_000_005, 1_000_013, 1_000_037, 4_000_037]:
+        assert reduced_forms(D) == trial_division_reduced_forms(D), D
+
+
+def test_class_number_memory_stays_flat():
+    # the divisor grid of D = 4000037 has about 1e6 cells, tested in blocks
+    tracemalloc.start()
+    try:
+        cd = class_number(4_000_037)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert cd.h >= 1
+    assert peak < 32 * 2**20, peak
 
 
 def test_form_cycles_partition():

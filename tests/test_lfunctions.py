@@ -3,6 +3,7 @@ constructions."""
 
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import mpmath
@@ -252,6 +253,20 @@ def test_closed_form_l1_matches_oracle():
         oracle = float(mp_l_value(1, d))
         assert abs(value - oracle) <= cert, (d, value, oracle, cert)
         assert cert < 1e-10
+
+
+def test_closed_form_l1_even_memory_stays_at_one_array():
+    # the even branch needs one float64 array of (D - 1)/2 entries, 38 MiB here
+    D = 10_000_001
+    table = character_table(D)
+    tracemalloc.start()
+    try:
+        value, cert = closed_form_l1(D, table)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert value > 0 and cert < 1e-11
+    assert peak < 48 * 2**20, peak
 
 
 def test_closed_form_l1_odd_equals_class_number_sieve():
