@@ -224,12 +224,13 @@ class CuspCycle:
     module      the basis (alpha, beta) the rays live in
     coord_dets  determinant x_k y_{k+1} - y_k x_{k+1} of each consecutive ray
                 pair (mu_k, mu_{k+1}), closing ray included, in module
-                coordinates mu = x alpha + y beta (integral Fractions, one
-                object per distinct value); chart k's determinant
+                coordinates mu = x alpha + y beta: one integral Fraction
+                repeated, since the recurrence mu_{k-1} + mu_{k+1} = b_k mu_k
+                holds it constant along the cycle; chart k's determinant
                 mu_k mu'_{k+1} - mu'_k mu_{k+1} is
                 coord_dets[k] * (alpha beta' - alpha' beta), which is how
                 verify_cusp_tangency checks it
-    unimodular  True when every entry of coord_dets is +-1
+    unimodular  True when that determinant is +-1
     """
 
     D: int
@@ -369,8 +370,10 @@ def cusp_cycle(D: int, module=None, v=None) -> CuspCycle:
             if nu % den or nv % den:
                 raise DomainError("v = eta^%d does not preserve the module" % f)
 
-    dets = [x1 * y2 - y1 * x2 for (x1, y1), (x2, y2) in zip(coords, coords[1:])]
-    as_fraction = {d: Fraction(d) for d in set(dets)}
+    # one determinant per cycle: the recurrence checked above at every position
+    # gives det(c_k, b_k c_k - c_{k-1}) = det(c_{k-1}, c_k) on module coordinates
+    (x0, y0), (x1, y1) = coords[0], coords[1]
+    coord_det = Fraction(x0 * y1 - y0 * x1)
 
     return CuspCycle(
         D=D,
@@ -382,8 +385,8 @@ def cusp_cycle(D: int, module=None, v=None) -> CuspCycle:
         eta=eta,
         eta_period=eta_period,
         module=(alpha, beta),
-        coord_dets=tuple(map(as_fraction.__getitem__, dets)),
-        unimodular=all(abs(d) == 1 for d in as_fraction),
+        coord_dets=(coord_det,) * total,
+        unimodular=abs(coord_det) == 1,
     )
 
 
@@ -447,12 +450,14 @@ def verify_cusp_tangency(cycle: CuspCycle) -> CuspTangencyReport:
     eta^{-1} mu_0 included, spans a chart.  With mu = x alpha + y beta in the
     module basis, its determinant is
 
-        mu_k mu'_{k+1} - mu'_k mu_{k+1} = coord_det_k * delta,
+        mu_k mu'_{k+1} - mu'_k mu_{k+1} = coord_det * delta,
         delta = alpha beta' - alpha' beta,
 
-    where coord_det_k = x_k y_{k+1} - y_k x_{k+1} is cycle.coord_dets[k].
-    delta is formed once and must be a pure sqrt(D) multiple.  For a 2x2
-    exponent matrix the wedge of the two logarithmic forms is
+    where coord_det = x_k y_{k+1} - y_k x_{k+1} is the same for every k (the
+    recurrence holds it constant), so cycle.coord_dets must be one value
+    repeated; any other entry raises RuntimeError.  delta and the chart
+    determinant are formed once, and delta must be a pure sqrt(D) multiple.
+    For a 2x2 exponent matrix the wedge of the two logarithmic forms is
     det * u_0 u_1 du_0 ^ du_1, so every chart has multiplicities (1, 1) and
     is degenerate exactly when det = 0.
 
@@ -464,26 +469,25 @@ def verify_cusp_tangency(cycle: CuspCycle) -> CuspTangencyReport:
     delta = alpha * beta.conjugate() - alpha.conjugate() * beta
     if delta.a != 0:
         raise RuntimeError("module determinant %s has a rational part" % (delta,))
+    coord_det = cycle.coord_dets[0]
+    if cycle.coord_dets.count(coord_det) != len(cycle.coord_dets):
+        k = next(k for k, d in enumerate(cycle.coord_dets) if d != coord_det)
+        raise RuntimeError("chart %d: coordinate determinant %s, chart 0: %s; the module "
+                           "identity needs one value per cycle" % (k, cycle.coord_dets[k], coord_det))
+    det = delta * coord_det
+    fields = {"index": None, "det": det, "sqrt_coeff": det.y, "multiplicities": (1, 1),
+              "coord_det": coord_det, "degenerate": det.is_zero()}
     checks = []
-    last = None
-    degenerate_runs = False
-    for k, coord_det in enumerate(cycle.coord_dets):
-        # coord_det is constant along a cycle, one Fraction shared by cusp_cycle,
-        # so in practice this is one product per cycle
-        if coord_det is not last:
-            last, det = coord_det, delta * coord_det
-            run = {"index": None, "det": det, "sqrt_coeff": det.y, "multiplicities": (1, 1),
-                   "coord_det": coord_det, "degenerate": det.is_zero()}
-            degenerate_runs = degenerate_runs or run["degenerate"]
+    for k in range(len(cycle.coord_dets)):
         # straight into the instance dict: the frozen __init__ pays a setattr per field
         chart = object.__new__(CuspChartCheck)
-        chart.__dict__.update(run, index=k)
+        chart.__dict__.update(fields, index=k)
         checks.append(chart)
     rays = cycle.rays + (cycle.closing_ray,)
     for k in sorted({0, len(checks) - 1}):
-        wedge = _chart_check(rays[k], rays[k + 1], k, checks[k].coord_det)
+        wedge = _chart_check(rays[k], rays[k + 1], k, coord_det)
         if wedge != checks[k]:
             raise RuntimeError("chart %d: the wedge engine gives det %s, the module identity %s"
-                               % (k, wedge.det, checks[k].det))
-    ok = not degenerate_runs and cycle.unimodular
+                               % (k, wedge.det, det))
+    ok = not fields["degenerate"] and cycle.unimodular
     return CuspTangencyReport(D=cycle.D, charts=tuple(checks), unimodular=cycle.unimodular, ok=ok)

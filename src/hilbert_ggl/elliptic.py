@@ -42,7 +42,7 @@ from math import isqrt
 import numpy as np
 
 from .errors import DomainError
-from .field_invariants import _check_field_discriminant, _divisor_windows, _squarefree_sieve
+from .field_invariants import _check_field_discriminant, _divisor_windows, _fundamental_mask
 from .lfunctions import _l1_odd, is_fundamental_discriminant
 from .quadratic import QuadElem
 
@@ -181,17 +181,13 @@ def make_l1_lookup(limit: int):
     and single-field reports count the reduced forms of each d, which gives
     the same h and so the same bits.
 
-    d is validated by a mask of the fundamental -k, k <= limit, built from
-    the squarefree sieve of fundamental_discriminants_up_to: k = 3 (mod 4)
-    squarefree, or k = 4m with m = 1, 2 (mod 4) squarefree.  A positive d, a
+    d is validated by the mask of the fundamental -k, k <= limit, that
+    fundamental_discriminants_up_to reads for the positive side
+    (field_invariants._fundamental_mask with sign -1).  A positive d, a
     non-fundamental d and a |d| past the table raise DomainError.
     """
     h = imag_class_numbers(limit)
-    sf = _squarefree_sieve(limit)
-    k = np.arange(limit + 1, dtype=np.int64)
-    fundamental = sf & (k % 4 == 3)
-    m = k[: limit // 4 + 1]
-    fundamental[4 * m] = sf[m] & ((m % 4 == 1) | (m % 4 == 2))
+    fundamental = _fundamental_mask(limit, -1)
 
     def l1(d: int) -> float:
         if -d > limit:

@@ -74,6 +74,19 @@ def _squarefree_sieve(limit: int) -> np.ndarray:
     return sf
 
 
+def _fundamental_mask(limit: int, sign: int) -> np.ndarray:
+    """mask[k] = sign*k is a fundamental discriminant, for 0 <= k <= limit and
+    sign = +-1: k > 1 squarefree with sign*k = 1 (mod 4), or k = 4m with m
+    squarefree and sign*m = 2, 3 (mod 4)."""
+    sf = _squarefree_sieve(limit)
+    k = np.arange(limit + 1, dtype=np.int64)
+    mask = sf & ((sign * k) % 4 == 1)
+    mask[:2] = False
+    m = k[: limit // 4 + 1]
+    mask[4 * m] = sf[m] & ((sign * m) % 4 >= 2)
+    return mask
+
+
 def _divisor_windows(b: np.ndarray, n: np.ndarray, span):
     """Yield, block by block of rows, the arrays (b, a, n) of every a | n(b)
     with lo <= a <= hi, where span(b0, b1) = (lo, hi), lo >= 1, covers the
@@ -98,11 +111,7 @@ def fundamental_discriminants_up_to(limit: int) -> list[int]:
     """All real quadratic field discriminants D <= limit, ascending."""
     if limit < 5:
         return []
-    m = np.arange(limit + 1, dtype=np.int64)
-    sf = _squarefree_sieve(limit)
-    d_odd = m[sf & (m % 4 == 1) & (m >= 5)]
-    m_even = m[sf & ((m % 4 == 2) | (m % 4 == 3)) & (4 * m <= limit)]
-    return np.sort(np.concatenate([d_odd, 4 * m_even])).tolist()
+    return np.flatnonzero(_fundamental_mask(limit, 1)).tolist()
 
 
 def _check_field_discriminant(D) -> int:

@@ -137,21 +137,15 @@ def fmt10(x) -> str:
     return str(x)
 
 
-def _jsonable(x):
+def _fraction_str(x):
     if isinstance(x, Fraction):
         return str(x)
-    if isinstance(x, tuple):
-        return [_jsonable(v) for v in x]
-    if isinstance(x, list):
-        return [_jsonable(v) for v in x]
-    if isinstance(x, dict):
-        return {k: _jsonable(v) for k, v in x.items()}
-    return x
+    raise TypeError("Object of type %s is not JSON serializable" % type(x).__name__)
 
 
 def json_dumps(doc, indent: int | None = 2) -> str:
     """JSON with full-precision floats and Fractions rendered as 'p/q'."""
-    return json.dumps(_jsonable(doc), indent=indent, allow_nan=False)
+    return json.dumps(doc, indent=indent, allow_nan=False, default=_fraction_str)
 
 
 def csv_rows(records) -> str:
@@ -215,7 +209,8 @@ class ScanCache:
 
     def __init__(self, path: str, params: dict):
         self.path = path
-        self.params = _jsonable(params)
+        # JSON-native, as load reads the header back
+        self.params = json.loads(json_dumps(params, indent=None))
         self._resume_at: int | None = None  # where a torn last line starts
 
     def _header(self) -> dict:

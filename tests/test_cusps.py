@@ -360,6 +360,17 @@ def test_fault_corrupted_coord_det_at_spot_checked_chart_raises(chart):
         verify_cusp_tangency(dataclasses.replace(cyc, coord_dets=tuple(dets)))
 
 
+def test_fault_unimodular_coord_det_at_interior_chart_raises():
+    # chart 7 of the 15 is neither spot-checked chart, and -1 + 2 = 1 is still
+    # unimodular: only the one-value check sees its det -sqrt(229) against +sqrt(229)
+    cyc = cusp_cycle(229)
+    assert len(cyc.coord_dets) == 15 and cyc.coord_dets[0] == -1
+    dets = list(cyc.coord_dets)
+    dets[7] += 2
+    with pytest.raises(RuntimeError, match="module identity"):
+        verify_cusp_tangency(dataclasses.replace(cyc, coord_dets=tuple(dets)))
+
+
 @pytest.mark.parametrize("k, message", [(0, "did not close"), (1, "recurrence broken at position 0"),
                                         (3, "recurrence broken at position 2")])
 def test_fault_perturbed_ray_breaks_cusp_cycle(monkeypatch, k, message):
