@@ -194,7 +194,10 @@ def cmd_cusp(args, parser) -> int:
 
 def cmd_tangency(args, parser) -> int:
     with open(args.file, "r", encoding="utf-8") as fh:
-        text = fh.read()
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise DomainError("%s is not UTF-8 text: %s" % (args.file, exc)) from None
     mats = parse_matrices(text)
     checks = tangency_divisor(mats, m=args.m)
     degenerate = False

@@ -189,12 +189,6 @@ def _cramer(e: QuadElem, alpha: QuadElem, beta: QuadElem) -> tuple[int, int, int
             (alpha.a * e.b - alpha.b * e.a) * beta.c, den)
 
 
-def _coords_in_basis(e: QuadElem, alpha: QuadElem, beta: QuadElem) -> tuple[Fraction, Fraction]:
-    """Coordinates of e in the basis (alpha, beta), solved exactly."""
-    nu, nv, den = _cramer(e, alpha, beta)
-    return Fraction(nu, den), Fraction(nv, den)
-
-
 def _rays_from_cycle(digits: list[int], count: int) -> list[tuple[int, int]]:
     """mu_0 .. mu_count of the reduced w with period word digits, as integer
     pairs (X_k, Y_k) with mu_k = X_k + Y_k*w.
@@ -222,13 +216,13 @@ class CuspCycle:
     eta         generator of V picked out by the cycle (mu_0 / mu_{fr})
     eta_period  generator for v_power = 1 (eta = eta_period ** v_power)
     module      the basis (alpha, beta) the rays live in
-    coord_dets  determinant x_k y_{k+1} - y_k x_{k+1} of each consecutive ray
-                pair (mu_k, mu_{k+1}), closing ray included, in module
-                coordinates mu = x alpha + y beta: one integral Fraction
-                repeated, since the recurrence mu_{k-1} + mu_{k+1} = b_k mu_k
-                holds it constant along the cycle; chart k's determinant
-                mu_k mu'_{k+1} - mu'_k mu_{k+1} is
-                coord_dets[k] * (alpha beta' - alpha' beta), which is how
+    coord_det   determinant x_k y_{k+1} - y_k x_{k+1} of the consecutive ray
+                pairs (mu_k, mu_{k+1}), closing ray included, in module
+                coordinates mu = x alpha + y beta, as an integral Fraction: one
+                value for the whole cycle, since the recurrence
+                mu_{k-1} + mu_{k+1} = b_k mu_k holds it constant; every chart's
+                determinant mu_k mu'_{k+1} - mu'_k mu_{k+1} is
+                coord_det * (alpha beta' - alpha' beta), which is how
                 verify_cusp_tangency checks it
     unimodular  True when that determinant is +-1
     """
@@ -242,7 +236,7 @@ class CuspCycle:
     eta: QuadElem
     eta_period: QuadElem
     module: tuple[QuadElem, QuadElem]
-    coord_dets: tuple[Fraction, ...]
+    coord_det: Fraction
     unimodular: bool
 
     def self_intersections(self) -> tuple[int, ...]:
@@ -284,10 +278,12 @@ def cusp_cycle(D: int, module=None, v=None) -> CuspCycle:
         if alpha.is_zero() or beta.is_zero():
             raise DomainError("module generators must be nonzero")
         lam, w = _module_multiplier(alpha, beta)
-        basis_coords = [_coords_in_basis(e, alpha, beta) for e in (lam, lam * w)]
-        if any(c.denominator != 1 for xy in basis_coords for c in xy):
-            raise RuntimeError("lam = %s or lam*w does not lie in the module" % (lam,))
-        basis_coords = [(int(x), int(y)) for x, y in basis_coords]
+        basis_coords = []
+        for e in (lam, lam * w):
+            nu, nv, den = _cramer(e, alpha, beta)
+            if nu % den or nv % den:
+                raise RuntimeError("lam = %s or lam*w does not lie in the module" % (lam,))
+            basis_coords.append((nu // den, nv // den))
 
     digits = periodic_hj(w)
     r = len(digits)
@@ -362,7 +358,7 @@ def cusp_cycle(D: int, module=None, v=None) -> CuspCycle:
         nu, nv, den = _cramer(mu, alpha, beta)
         if nu != x * den or nv != y * den:
             raise RuntimeError("ray %s does not lie in the module at (%d, %d) (coords %s, %s)"
-                               % ((mu, x, y) + _coords_in_basis(mu, alpha, beta)))
+                               % (mu, x, y, Fraction(nu, den), Fraction(nv, den)))
 
     if v_unit:
         for gen_img in (eta * alpha, eta * beta):
@@ -385,7 +381,7 @@ def cusp_cycle(D: int, module=None, v=None) -> CuspCycle:
         eta=eta,
         eta_period=eta_period,
         module=(alpha, beta),
-        coord_dets=(coord_det,) * total,
+        coord_det=coord_det,
         unimodular=abs(coord_det) == 1,
     )
 
@@ -401,7 +397,6 @@ class CuspChartCheck:
     degenerate   True when det, and so the wedge, vanishes (rays proportional)
     """
 
-    index: int
     det: QuadElem
     sqrt_coeff: Fraction
     multiplicities: tuple[int, ...]
@@ -413,7 +408,7 @@ class CuspChartCheck:
         return not self.degenerate
 
 
-def _chart_check(mu1: QuadElem, mu2: QuadElem, index: int, coord_det) -> CuspChartCheck:
+def _chart_check(mu1: QuadElem, mu2: QuadElem, coord_det) -> CuspChartCheck:
     """Wedge the two logarithmic boundary forms of the chart spanned by mu1, mu2.
 
     The rows fed to the generic wedge engine are the embeddings (mu, mu') of
@@ -426,7 +421,6 @@ def _chart_check(mu1: QuadElem, mu2: QuadElem, index: int, coord_det) -> CuspCha
     if not degenerate and lam.a != 0:
         raise RuntimeError("chart determinant %s has a rational part" % (lam,))
     return CuspChartCheck(
-        index=index,
         det=lam,
         sqrt_coeff=lam.y,
         multiplicities=mult,
@@ -454,12 +448,12 @@ def verify_cusp_tangency(cycle: CuspCycle) -> CuspTangencyReport:
         delta = alpha beta' - alpha' beta,
 
     where coord_det = x_k y_{k+1} - y_k x_{k+1} is the same for every k (the
-    recurrence holds it constant), so cycle.coord_dets must be one value
-    repeated; any other entry raises RuntimeError.  delta and the chart
-    determinant are formed once, and delta must be a pure sqrt(D) multiple.
-    For a 2x2 exponent matrix the wedge of the two logarithmic forms is
-    det * u_0 u_1 du_0 ^ du_1, so every chart has multiplicities (1, 1) and
-    is degenerate exactly when det = 0.
+    recurrence holds it constant), so the cycle carries it once.  delta must
+    be a pure sqrt(D) multiple.  For a 2x2 exponent matrix the wedge of the
+    two logarithmic forms is det * u_0 u_1 du_0 ^ du_1, so every chart has
+    multiplicities (1, 1) and is degenerate exactly when det = 0: the charts
+    share one check, and the report lists it once per ray, chart k at
+    position k.
 
     The generic wedge engine (_chart_check) still runs on chart 0 and on the
     seam chart, whatever the period; a disagreement with the identity raises
@@ -469,25 +463,15 @@ def verify_cusp_tangency(cycle: CuspCycle) -> CuspTangencyReport:
     delta = alpha * beta.conjugate() - alpha.conjugate() * beta
     if delta.a != 0:
         raise RuntimeError("module determinant %s has a rational part" % (delta,))
-    coord_det = cycle.coord_dets[0]
-    if cycle.coord_dets.count(coord_det) != len(cycle.coord_dets):
-        k = next(k for k, d in enumerate(cycle.coord_dets) if d != coord_det)
-        raise RuntimeError("chart %d: coordinate determinant %s, chart 0: %s; the module "
-                           "identity needs one value per cycle" % (k, cycle.coord_dets[k], coord_det))
-    det = delta * coord_det
-    fields = {"index": None, "det": det, "sqrt_coeff": det.y, "multiplicities": (1, 1),
-              "coord_det": coord_det, "degenerate": det.is_zero()}
-    checks = []
-    for k in range(len(cycle.coord_dets)):
-        # straight into the instance dict: the frozen __init__ pays a setattr per field
-        chart = object.__new__(CuspChartCheck)
-        chart.__dict__.update(fields, index=k)
-        checks.append(chart)
+    det = delta * cycle.coord_det
+    check = CuspChartCheck(det=det, sqrt_coeff=det.y, multiplicities=(1, 1),
+                           coord_det=cycle.coord_det, degenerate=det.is_zero())
     rays = cycle.rays + (cycle.closing_ray,)
-    for k in sorted({0, len(checks) - 1}):
-        wedge = _chart_check(rays[k], rays[k + 1], k, coord_det)
-        if wedge != checks[k]:
+    for k in sorted({0, len(cycle.rays) - 1}):
+        wedge = _chart_check(rays[k], rays[k + 1], cycle.coord_det)
+        if wedge != check:
             raise RuntimeError("chart %d: the wedge engine gives det %s, the module identity %s"
                                % (k, wedge.det, det))
-    ok = not fields["degenerate"] and cycle.unimodular
-    return CuspTangencyReport(D=cycle.D, charts=tuple(checks), unimodular=cycle.unimodular, ok=ok)
+    ok = not check.degenerate and cycle.unimodular
+    return CuspTangencyReport(D=cycle.D, charts=(check,) * len(cycle.rays),
+                              unimodular=cycle.unimodular, ok=ok)

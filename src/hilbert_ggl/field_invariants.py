@@ -56,7 +56,8 @@ from .lfunctions import (
 # quadratic, so the criterion is evaluated at n = 2
 DEGREE = 2
 
-_invsq_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+# the cutoff X of zeta2_ideal_route
+_IDEAL_LIMIT = 300_000
 
 _REGULATOR_CONTEXT = decimal.Context(prec=40, Emax=decimal.MAX_EMAX)
 
@@ -356,17 +357,13 @@ def invariants(D: int) -> QuadraticFieldInvariants:
     )
 
 
-def _invsq_h2(limit: int) -> tuple[np.ndarray, np.ndarray]:
-    cached = _invsq_cache.get(limit)
-    if cached is None:
-        invsq = np.zeros(limit + 1, dtype=np.float64)
-        n = np.arange(1, limit + 1, dtype=np.float64)
-        invsq[1:] = 1.0 / (n * n)
-        h2 = np.cumsum(invsq)
-        _invsq_cache.clear()
-        _invsq_cache[limit] = (invsq, h2)
-        cached = (invsq, h2)
-    return cached
+@functools.cache
+def _invsq_h2() -> tuple[np.ndarray, np.ndarray]:
+    """1/n^2 and its partial sums H2(n), n = 0.._IDEAL_LIMIT (0 at n = 0)."""
+    invsq = np.zeros(_IDEAL_LIMIT + 1, dtype=np.float64)
+    n = np.arange(1, _IDEAL_LIMIT + 1, dtype=np.float64)
+    invsq[1:] = 1.0 / (n * n)
+    return invsq, np.cumsum(invsq)
 
 
 def ideal_norm_counts(chi: np.ndarray) -> np.ndarray:
@@ -402,11 +399,11 @@ def zeta2_ideal_route(D: int) -> tuple[float, float]:
     only the d > X tail, which Abel-bounds by 2 M zeta(2)/(X+1)^2.
     """
     D = _check_field_discriminant(D)
-    limit = 300_000  # the cutoff X
+    limit = _IDEAL_LIMIT
     if limit < D:
         raise DomainError(f"cutoff {limit} below conductor {D}")
     z2 = zeta2_constant()
-    invsq, h2 = _invsq_h2(limit)
+    invsq, h2 = _invsq_h2()
     chi = euler_chi_array(D, limit)
     r = ideal_norm_counts(chi)
     s1 = float(np.sum(r[1:].astype(np.float64) * invsq[1:]))

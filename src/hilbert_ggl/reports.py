@@ -227,13 +227,15 @@ class ScanCache:
         if not os.path.exists(self.path):
             return {}
         out: dict[int, FieldRecord] = {}
-        with open(self.path, "r", encoding="utf-8") as fh:
+        # bytes, decoded line by line: a text layer decodes whole chunks, so a
+        # stray non-ASCII byte would fail outside the line that holds it
+        with open(self.path, "rb") as fh:
             header_line = fh.readline()
             if not header_line.strip():
                 raise CacheError("cache file is empty", path=self.path, key="header")
             try:
-                header = json.loads(header_line)
-            except json.JSONDecodeError as exc:
+                header = json.loads(header_line.decode("ascii"))
+            except ValueError as exc:
                 raise CacheError(
                     "cache header is not valid JSON: %s" % exc, path=self.path, key="header"
                 ) from exc
@@ -244,10 +246,11 @@ class ScanCache:
                     path=self.path,
                     key="header",
                 )
-            for lineno, line in enumerate(fh, start=2):
-                if not line.strip():
+            for lineno, raw in enumerate(fh, start=2):
+                if not raw.strip():
                     continue
                 try:
+                    line = raw.decode("ascii")
                     prefix = _ENTRY_PREFIX.match(line)
                     if prefix is None:
                         raise ValueError("not a cache entry line")
@@ -256,7 +259,8 @@ class ScanCache:
                     if line[end:] != "}\n":
                         raise ValueError("unexpected text after the record: %r" % line[end:])
                     d, crc = int(prefix[1]), int(prefix[2])
-                    actual = zlib.crc32(line[start:end].encode("ascii"))
+                    # ASCII: the character offsets are byte offsets
+                    actual = zlib.crc32(raw[start:end])
                     if actual != crc:
                         raise CacheError(
                             "checksum mismatch for D=%s (stored %s, computed %s)"
@@ -266,10 +270,10 @@ class ScanCache:
                         )
                     rec = FieldRecord.from_dict(record)
                 except (KeyError, TypeError, ValueError) as exc:
-                    if not line.endswith("\n"):
+                    if not raw.endswith(b"\n"):
                         # only the last line can lack its newline: a torn
                         # write, whose record the scan computes again
-                        self._resume_at = os.fstat(fh.fileno()).st_size - len(line.encode("utf-8"))
+                        self._resume_at = os.fstat(fh.fileno()).st_size - len(raw)
                         break
                     raise CacheError(
                         "cache line %d is corrupt: %s: %s" % (lineno, type(exc).__name__, exc),
@@ -293,10 +297,11 @@ class ScanCache:
         if self._resume_at is not None:
             os.truncate(self.path, self._resume_at)
             self._resume_at = None
-        with open(self.path, "a", encoding="utf-8") as fh:
+        # bytes, as load reads them: every line is ASCII and ends in "\n" alone
+        with open(self.path, "ab") as fh:
             if new:
-                fh.write(json.dumps(self._header(), sort_keys=True) + "\n")
-            fh.write("".join(self._entry_line(rec) for rec in records))
+                fh.write((json.dumps(self._header(), sort_keys=True) + "\n").encode("ascii"))
+            fh.write("".join(self._entry_line(rec) for rec in records).encode("ascii"))
 
     def _entry_line(self, record: FieldRecord) -> str:
         # the sorted, compact dump of {"D", "crc", "record"}, spliced around
@@ -334,15 +339,11 @@ def build_field_document(params: dict, inv, rep, ell, cyc, tan, timings=None) ->
                 "cm": cm,
             }
         )
-    charts = []
-    last = None
-    for c in tan.charts:
-        # a run of charts shares one det (verify_cusp_tangency); format it once
-        if c.det is not last:
-            last, det_text = c.det, str(c.det)
-        charts.append({"index": c.index, "det": det_text, "sqrt_coeff": c.sqrt_coeff,
-                       "multiplicities": list(c.multiplicities), "coord_det": c.coord_det,
-                       "degenerate": c.degenerate})
+    # every chart of the cycle shares one check (verify_cusp_tangency)
+    c = tan.charts[0]
+    chart = {"det": str(c.det), "sqrt_coeff": c.sqrt_coeff,
+             "multiplicities": list(c.multiplicities), "coord_det": c.coord_det,
+             "degenerate": c.degenerate}
     record = {
         "D": inv.D,
         "invariants": {
@@ -385,7 +386,7 @@ def build_field_document(params: dict, inv, rep, ell, cyc, tan, timings=None) ->
             "tangency": {
                 "ok": tan.ok,
                 "unimodular": tan.unimodular,
-                "charts": charts,
+                "charts": [{"index": k, **chart} for k in range(len(tan.charts))],
             },
         },
     }

@@ -268,11 +268,11 @@ def wedge_cusp_charts(cycle) -> tuple:
     determinant, instead of the module-determinant identity."""
     rows = [(mu, mu.conjugate()) for mu in cycle.rays + (cycle.closing_ray,)]
     out = []
-    for k, coord_det in enumerate(cycle.coord_dets):
+    for k in range(len(cycle.rays)):
         lam, mult, degenerate = _wedge_check(rows[k:k + 2])
         assert degenerate or lam.a == 0, (cycle.D, k, lam)
-        out.append(CuspChartCheck(index=k, det=lam, sqrt_coeff=lam.y, multiplicities=mult,
-                                  coord_det=coord_det, degenerate=degenerate))
+        out.append(CuspChartCheck(det=lam, sqrt_coeff=lam.y, multiplicities=mult,
+                                  coord_det=cycle.coord_det, degenerate=degenerate))
     return tuple(out)
 
 
@@ -282,7 +282,9 @@ def quadelem_cusp_cycle(D: int, module=None, v=None):
     period word by QuadElem.hj_step until the tail returns to w, the rays by
     the three-term recurrence on QuadElem, and each ray's module coordinates
     by Cramer's rule in Fractions.  The reduced w and the scaling lam come
-    from the package (_default_surd, _module_multiplier); nothing is checked."""
+    from the package (_default_surd, _module_multiplier).  The determinant of
+    every consecutive coordinate pair is formed, and the one check made here
+    is that they are a single value, which becomes coord_det."""
     if module is None:
         alpha, beta = QuadElem.from_rational(1, D), QuadElem.from_pq(D, 1, D)
         lam, w = alpha, _default_surd(D)
@@ -315,11 +317,13 @@ def quadelem_cusp_cycle(D: int, module=None, v=None):
     den = alpha.x * beta.y - alpha.y * beta.x
     coords = [((mu.x * beta.y - mu.y * beta.x) / den, (alpha.x * mu.y - alpha.y * mu.x) / den)
               for mu in mus]
-    dets = tuple(x1 * y2 - y1 * x2 for (x1, y1), (x2, y2) in zip(coords, coords[1:]))
+    dets = {x1 * y2 - y1 * x2 for (x1, y1), (x2, y2) in zip(coords, coords[1:])}
+    assert len(dets) == 1, (D, module, v, dets)
+    (coord_det,) = dets
     return CuspCycle(D=D, digits=tuple(digits * f), period=r, v_power=f, rays=tuple(mus[:-1]),
                      closing_ray=mus[-1], eta=eta_period ** f, eta_period=eta_period,
-                     module=(alpha, beta), coord_dets=dets,
-                     unimodular=all(abs(d) == 1 for d in dets))
+                     module=(alpha, beta), coord_det=coord_det,
+                     unimodular=abs(coord_det) == 1)
 
 
 # the JSON types each FieldRecord key accepts; every key not listed holds a float

@@ -270,6 +270,13 @@ def test_tangency_file_flows(tmp_path, capsys):
     assert "chart 0: degenerate (det=0)" in captured.out
     assert "degenerate chart" in captured.err
 
+    binary = tmp_path / "binary.txt"
+    binary.write_bytes(b"1 0\n0 \xff\n")
+    assert main(["tangency", str(binary)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: %s is not UTF-8 text" % binary)
+
 
 # sha256 of `scan --dmax 2000 --cache C --out O`: the CSV digest was recorded
 # when zeta_K(2) moved to the exact zeta_K(-1) (schema 2), the cache digest

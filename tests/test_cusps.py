@@ -14,7 +14,6 @@ import hilbert_ggl.cyclic as cyclic_mod
 from hilbert_ggl.cli import main
 from hilbert_ggl.cusps import (
     _MAX_V_POWER,
-    _coords_in_basis,
     cusp_cycle,
     find_equivalent_reduced,
     periodic_hj,
@@ -194,10 +193,10 @@ def test_cusp_cycle_module_validation():
 def test_chart_tangency_degenerate_reported():
     # the generic wedge engine behind verify_cusp_tangency's spot checks
     mu = QuadElem(1, 1, 5)
-    rep = cusps_mod._chart_check(mu, 3 * mu, 0, None)
+    rep = cusps_mod._chart_check(mu, 3 * mu, None)
     assert rep.degenerate and not rep.ok
     assert rep.det.is_zero() and rep.multiplicities == (1, 1)
-    good = cusps_mod._chart_check(QuadElem.from_rational(1, 5), QuadElem.from_pq(3, -1, 5), 0, None)
+    good = cusps_mod._chart_check(QuadElem.from_rational(1, 5), QuadElem.from_pq(3, -1, 5), None)
     assert good.ok
     # det = 1 * (3 + sqrt5)/2 - 1 * (3 - sqrt5)/2 = sqrt5
     assert good.det.x == 0 and good.sqrt_coeff == 1
@@ -218,16 +217,26 @@ def test_coord_dets_formed_once_match_recomputation():
     cycles.append(cusp_cycle(5, module=(1, QuadElem(0, 1, 5))))
     cycles.append(cusp_cycle(5, v=2))
     for cyc in cycles:
-        assert len(cyc.coord_dets) == len(cyc.rays)
+        assert isinstance(cyc.coord_det, Fraction)
         charts = verify_cusp_tangency(cyc).charts
-        assert [c.coord_det for c in charts] == list(cyc.coord_dets)
-        # recompute the determinants from scratch, closing ray included
-        coords = [_coords_in_basis(mu, *cyc.module) for mu in cyc.rays + (cyc.closing_ray,)]
-        for k, got in enumerate(cyc.coord_dets):
+        assert [c.coord_det for c in charts] == [cyc.coord_det] * len(cyc.rays)
+        # recompute the determinant of every chart from scratch, closing ray included
+        alpha, beta = cyc.module
+        den = alpha.x * beta.y - alpha.y * beta.x
+        coords = [((mu.x * beta.y - mu.y * beta.x) / den, (alpha.x * mu.y - alpha.y * mu.x) / den)
+                  for mu in cyc.rays + (cyc.closing_ray,)]
+        for k in range(len(cyc.rays)):
             (u1, v1), (u2, v2) = coords[k], coords[k + 1]
-            assert isinstance(got, Fraction)
-            assert got == u1 * v2 - v1 * u2, (cyc.D, k)
-        assert cyc.unimodular == all(abs(d) == 1 for d in cyc.coord_dets)
+            assert cyc.coord_det == u1 * v2 - v1 * u2, (cyc.D, k)
+        assert cyc.unimodular == (abs(cyc.coord_det) == 1)
+
+
+def test_charts_share_one_check():
+    # the period of D = 95881 is 3769: one chart per ray, all one object
+    cyc = cusp_cycle(95881)
+    charts = verify_cusp_tangency(cyc).charts
+    assert len(charts) == len(cyc.rays) == 3769
+    assert all(c is charts[0] for c in charts)
 
 
 def _pinned_modules(D):
@@ -351,24 +360,11 @@ def test_fault_identity_conjugate_gives_degenerate_charts(monkeypatch, capsys):
     assert "cusp tangency verification failed for D=229" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("chart", [0, -1])
-def test_fault_corrupted_coord_det_at_spot_checked_chart_raises(chart):
+def test_fault_corrupted_coord_det_raises():
+    # the spot-checked charts see the wrong determinant
     cyc = cusp_cycle(229)
-    dets = list(cyc.coord_dets)
-    dets[chart] += 1
     with pytest.raises(RuntimeError, match="module identity"):
-        verify_cusp_tangency(dataclasses.replace(cyc, coord_dets=tuple(dets)))
-
-
-def test_fault_unimodular_coord_det_at_interior_chart_raises():
-    # chart 7 of the 15 is neither spot-checked chart, and -1 + 2 = 1 is still
-    # unimodular: only the one-value check sees its det -sqrt(229) against +sqrt(229)
-    cyc = cusp_cycle(229)
-    assert len(cyc.coord_dets) == 15 and cyc.coord_dets[0] == -1
-    dets = list(cyc.coord_dets)
-    dets[7] += 2
-    with pytest.raises(RuntimeError, match="module identity"):
-        verify_cusp_tangency(dataclasses.replace(cyc, coord_dets=tuple(dets)))
+        verify_cusp_tangency(dataclasses.replace(cyc, coord_det=cyc.coord_det + 1))
 
 
 @pytest.mark.parametrize("k, message", [(0, "did not close"), (1, "recurrence broken at position 0"),
@@ -463,7 +459,7 @@ def test_cusp_module_pin_up_to_600():
             c = cusp_cycle(D, module=module)
             lines.append(" ".join([
                 str(D), str(c.digits), str(c.eta), "; ".join(map(str, c.rays)),
-                str(c.closing_ray), ",".join(map(str, c.coord_dets)),
+                str(c.closing_ray), ",".join([str(c.coord_det)] * len(c.rays)),
                 ",".join(str(ch.sqrt_coeff) for ch in verify_cusp_tangency(c).charts),
             ]))
     assert len(lines) == 728

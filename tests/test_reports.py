@@ -322,6 +322,35 @@ def test_scan_cache_mis_keyed_line(tmp_path, capsys):
     assert "error: cache line 3" in captured.err
 
 
+def test_scan_cache_non_ascii_byte(tmp_path, capsys):
+    # a stray 0xff is a corrupt line, found in the line that holds it, or the
+    # tear of a last line without its newline
+    path, _lines = _scan_cache_lines(tmp_path, 60)
+    capsys.readouterr()
+    with open(path, "rb") as fh:
+        good = fh.read()
+    lines = good.split(b"\n")
+
+    def load_with(body):
+        with open(path, "wb") as fh:
+            fh.write(body)
+        return ScanCache(path, CLI_PARAMS).load()
+
+    for k, key in ((0, "header"), (2, "line 3")):
+        mid = len(lines[k]) // 2
+        damaged = lines[:k] + [lines[k][:mid] + b"\xff" + lines[k][mid + 1:]] + lines[k + 1:]
+        with pytest.raises(CacheError) as err:
+            load_with(b"\n".join(damaged))
+        assert err.value.key == key
+
+    torn = good[:-30] + b"\xff"
+    assert len(load_with(torn)) == len(lines) - 3
+    assert main(["scan", "--dmax", "60", "--cache", path]) == 0
+    capsys.readouterr()
+    with open(path, "rb") as fh:
+        assert fh.read() == good
+
+
 _DROP = object()
 
 
