@@ -360,11 +360,20 @@ def test_fault_identity_conjugate_gives_degenerate_charts(monkeypatch, capsys):
     assert "cusp tangency verification failed for D=229" in capsys.readouterr().err
 
 
-def test_fault_corrupted_coord_det_raises():
-    # the spot-checked charts see the wrong determinant
+@pytest.mark.parametrize("chart", [0, -1])
+def test_fault_corrupted_coord_det_at_spot_checked_chart_raises(chart):
+    # each spot-checked chart, 0 and the seam, sees the wrong determinant on its own
     cyc = cusp_cycle(229)
+    bad = dataclasses.replace(cyc, coord_det=cyc.coord_det + 1)
+    alpha, beta = cyc.module
+    delta = alpha * beta.conjugate() - alpha.conjugate() * beta
+    rays = cyc.rays + (cyc.closing_ray,)
+    k = chart % len(cyc.rays)
+    wedge = cusps_mod._chart_check(rays[k], rays[k + 1], bad.coord_det)
+    assert wedge.det == verify_cusp_tangency(cyc).charts[k].det
+    assert wedge.det != delta * bad.coord_det
     with pytest.raises(RuntimeError, match="module identity"):
-        verify_cusp_tangency(dataclasses.replace(cyc, coord_det=cyc.coord_det + 1))
+        verify_cusp_tangency(bad)
 
 
 @pytest.mark.parametrize("k, message", [(0, "did not close"), (1, "recurrence broken at position 0"),
