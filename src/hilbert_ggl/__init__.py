@@ -54,7 +54,6 @@ from .elliptic import (
     prestel_bound,
 )
 from .errors import (
-    BudgetExceededError,
     CacheError,
     DomainError,
     NumericalAgreementError,
@@ -87,7 +86,6 @@ from .reports import FieldRecord, ScanCache, SCHEMA_VERSION
 __version__ = "0.1.0"
 
 __all__ = [
-    "BudgetExceededError",
     "CMExtensionInvariants",
     "CacheError",
     "ChartAtlas",

@@ -393,14 +393,15 @@ class CuspChartCheck:
     det          exact chart determinant mu_k mu'_{k+1} - mu'_k mu_{k+1}
     sqrt_coeff   det = sqrt_coeff * sqrt(D); rational part is always zero
     multiplicities  exponent of each boundary coordinate in the wedge
-    coord_det    determinant of the two rays in module coordinates (if known)
+    coord_det    determinant of the two rays in module coordinates, one for
+                 every chart of the cycle (CuspCycle.coord_det)
     degenerate   True when det, and so the wedge, vanishes (rays proportional)
     """
 
     det: QuadElem
     sqrt_coeff: Fraction
     multiplicities: tuple[int, ...]
-    coord_det: Fraction | None
+    coord_det: Fraction
     degenerate: bool
 
     @property
@@ -408,7 +409,7 @@ class CuspChartCheck:
         return not self.degenerate
 
 
-def _chart_check(mu1: QuadElem, mu2: QuadElem, coord_det) -> CuspChartCheck:
+def _chart_check(mu1: QuadElem, mu2: QuadElem, coord_det: Fraction) -> CuspChartCheck:
     """Wedge the two logarithmic boundary forms of the chart spanned by mu1, mu2.
 
     The rows fed to the generic wedge engine are the embeddings (mu, mu') of

@@ -9,15 +9,6 @@ class NumericalAgreementError(RuntimeError):
     """Two independent evaluations of the same quantity disagree beyond combined tolerance."""
 
 
-class BudgetExceededError(RuntimeError):
-    """Requested tolerance is not reachable within the configured term budget."""
-
-    def __init__(self, message, needed=None, budget=None):
-        super().__init__(message)
-        self.needed = needed
-        self.budget = budget
-
-
 class CacheError(RuntimeError):
     """Scan cache file unusable; carries the offending path and key."""
 

@@ -19,9 +19,10 @@ Everything discrete is integer arithmetic:
 ``invariants`` computes the exact zeta_K(-1) once and takes zeta_K(2) from it
 (lfunctions.zeta_K2); the criterion compares L(1, chi_D) with it.
 ``zeta_K2_dual`` cross-checks it as zeta(2) L(2, chi_D) by two independent
-float routes: characters (reciprocity-built table, partial sums with Abel
-certificate) and ideal counts (divisor convolution of an Euler-criterion
-character sieve, truncation completed exactly through the identity
+float routes: characters (_zeta2_char_route: reciprocity-built table,
+partial sums with Abel certificate) and ideal counts (zeta2_ideal_route:
+divisor convolution of an Euler-criterion character sieve, truncation
+completed exactly through the identity
 sum_{d<=X} chi(d)/d^2 * (zeta(2) - H2(X//d)) and an Abel remainder).
 Disagreement beyond the combined certificates raises.
 """
@@ -40,12 +41,12 @@ import numpy as np
 
 from .errors import DomainError, NumericalAgreementError
 from .lfunctions import (
-    L_value,
     character_table,
     closed_form_l1,
     euler_chi_array,
     is_fundamental_discriminant,
     kronecker_table,
+    max_partial_sum,
     primes_up_to,
     zeta2_constant,
     zeta_K2,
@@ -58,6 +59,15 @@ DEGREE = 2
 
 # the cutoff X of zeta2_ideal_route
 _IDEAL_LIMIT = 300_000
+
+# the Abel tail that _zeta2_char_route aims its term count N at: with the
+# rounding guard 5e-15 log(N + 1) added, its L(2) certificate stays within
+# 2e-9 for every N <= 1e7, and D <= _IDEAL_LIMIT needs fewer than 3e6 terms
+# (N^2 >= 2 M / target, M < sqrt(D) log D by Polya-Vinogradov)
+_L2_TAIL_TARGET = 2e-9 - 5e-15 * math.log(10**7 + 1)
+
+# terms per chunk of that sum, fixed so the float result is reproducible
+_L2_CHUNK = 1 << 18
 
 _REGULATOR_CONTEXT = decimal.Context(prec=40, Emax=decimal.MAX_EMAX)
 
@@ -409,7 +419,7 @@ def zeta2_ideal_route(D: int) -> tuple[float, float]:
     s1 = float(np.sum(r[1:].astype(np.float64) * invsq[1:]))
     quot = limit // np.arange(1, limit + 1, dtype=np.int64)
     comp = float(np.sum(chi[1:].astype(np.float64) * invsq[1:] * (z2 - h2[quot])))
-    m_bound = int(np.max(np.abs(np.cumsum(chi[1 : D + 1], dtype=np.int64))))
+    m_bound = max_partial_sum(chi[1 : D + 1])
     cert = z2 * 2.0 * m_bound / float(limit + 1) ** 2 + 3e-13
     return s1 + comp, cert
 
@@ -424,14 +434,34 @@ class DualZeta:
     difference: float
 
 
-def zeta_K2_dual(D: int) -> DualZeta:
-    """zeta_K(2) by two routes sharing no character code; raises on disagreement."""
-    D = _check_field_discriminant(D)
+def _zeta2_char_route(D: int) -> tuple[float, float]:
+    """zeta_K(2) as zeta(2) L(2, chi_D), L(2) summed to N terms of the
+    reciprocity-built character table.
+
+    Summation by parts bounds the tail past N by 2 M/(N+1)^2, M the largest
+    partial sum over a period (lfunctions.max_partial_sum); 5e-15 log(N + 1)
+    guards the float rounding of the chunked sum.
+    """
+    chi = kronecker_table(D)
+    m_bound = max_partial_sum(chi)
+    n_terms = math.ceil((2.0 * m_bound / _L2_TAIL_TARGET) ** 0.5)
+    total = 0.0
+    for start in range(1, n_terms + 1, _L2_CHUNK):
+        idx = np.arange(start, min(start + _L2_CHUNK, n_terms + 1), dtype=np.int64)
+        total += float(np.sum(chi[idx % D].astype(np.float64) / (idx.astype(np.float64) ** 2)))
+    cert = 2.0 * m_bound / float(n_terms + 1) ** 2 + 5e-15 * math.log(n_terms + 1)
     z2 = zeta2_constant()
-    lv = L_value(D, 2e-9, table=kronecker_table(D))
-    char_value = z2 * lv.value
-    char_cert = z2 * lv.error_bound + 1e-15
+    return z2 * total, z2 * cert + 1e-15
+
+
+def zeta_K2_dual(D: int) -> DualZeta:
+    """zeta_K(2) by two routes sharing no character code; raises on disagreement.
+
+    The ideal route goes first, as it refuses D > _IDEAL_LIMIT before any work.
+    """
+    D = _check_field_discriminant(D)
     ideal_value, ideal_cert = zeta2_ideal_route(D)
+    char_value, char_cert = _zeta2_char_route(D)
     diff = abs(char_value - ideal_value)
     if diff > char_cert + ideal_cert + 1e-12:
         raise NumericalAgreementError(

@@ -12,19 +12,8 @@ Evaluation routes:
   divisor sums, in ``scan``); from either, ``zeta_K2``: zeta_K(2) to float
   rounding.
 
-* ``L_value``: L(2, chi) as a truncated character sum with an Abel-summation
-  tail certificate.  For non-principal chi mod q every partial sum
-  S(x) = sum_{n<=x} chi(n) is bounded by M = max over one period (S is
-  q-periodic since the full period sums to zero), and summation by parts
-  gives
-
-      | sum_{n>N} chi(n) n^(-2) |  <=  2 M (N+1)^(-2).
-
-  The number of terms needed is (2M/tol)^(1/2); when that exceeds the term
-  budget a BudgetExceededError is raised instead of silently degrading.
-
-* ``closed_form_l1``: exact finite evaluation of L(1, chi_d), where the
-  partial-sum route would need ~2M/tol terms.  For even characters (d > 0)
+* ``closed_form_l1``: exact finite evaluation of L(1, chi_d), where partial
+  sums would need ~2M/tol terms.  For even characters (d > 0)
   it is the route of L(1, chi_D) in every report and scan:
   -(1/sqrt(q)) sum chi(a) log sin(pi a / q).  For odd ones (d < 0) the
   integer sum gives the class number h = -w sum a chi(a) / (2q)
@@ -33,6 +22,11 @@ Evaluation routes:
   take h from the class-number sieve of a scan or the reduced-form count of
   a single-field report (both in ``elliptic``), and this route is their
   independent cross-check.
+
+* ``max_partial_sum``: M = max |sum_{n<=x} chi(n)| over one period, which
+  bounds every partial sum (they are q-periodic, as a full period sums to
+  zero), so summation by parts bounds a tail of L(s, chi) at s = 2 by
+  2 M (N+1)^(-2); both zeta_K(2) routes of ``field_invariants`` read it.
 
 Character tables are built two independent ways: ``kronecker_chi`` (the
 reciprocity algorithm) and ``character_table`` (product of prime-discriminant
@@ -46,14 +40,11 @@ from __future__ import annotations
 import functools
 import math
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .errors import BudgetExceededError, DomainError
-
-_CHUNK = 1 << 18
+from .errors import DomainError
 
 # fixed tables for the even-conductor prime discriminants, index n mod q
 _TABLE_M4 = np.array([0, 1, 0, -1], dtype=np.int8)
@@ -234,60 +225,6 @@ def kronecker_table(d: int) -> np.ndarray:
 def max_partial_sum(table: np.ndarray) -> int:
     """Exact max |sum_{n<=x} chi(n)| over a period; valid for all x by periodicity."""
     return int(np.max(np.abs(np.cumsum(table, dtype=np.int64))))
-
-
-@dataclass(frozen=True)
-class LValue:
-    value: float
-    error_bound: float
-    terms: int
-    d: int
-
-
-def _tail_sum(table: np.ndarray, n_terms: int) -> float:
-    """sum_{n<=N} chi(n)/n^2, fixed-chunk order so results are reproducible."""
-    q = len(table)
-    total = 0.0
-    for start in range(1, n_terms + 1, _CHUNK):
-        stop = min(start + _CHUNK, n_terms + 1)
-        idx = np.arange(start, stop, dtype=np.int64)
-        vals = table[idx % q].astype(np.float64)
-        total += float(np.sum(vals / (idx.astype(np.float64) ** 2)))
-    return total
-
-
-def L_value(d: int, tol: float, term_budget: int = 10**7,
-            table: np.ndarray | None = None) -> LValue:
-    """L(2, chi_d) by partial sums, absolute error <= tol certified by Abel tail."""
-    if tol <= 0:
-        raise DomainError("tol must be positive")
-    if table is None:
-        table = character_table(d)
-    m_bound = max_partial_sum(table)
-    # the certificate is Abel tail + float rounding guard; aim the tail at
-    # tol minus the worst-case guard so the total stays within tol
-    round_guard = 5e-15 * max(1.0, math.log(term_budget + 1))
-    tail_target = tol - round_guard
-    if tail_target <= 0:
-        raise BudgetExceededError(
-            f"L(2, chi_{d}) tolerance {tol} is below the float rounding floor "
-            f"{round_guard:.1e}",
-            needed=term_budget + 1, budget=term_budget,
-        )
-    n_needed = math.ceil((2.0 * m_bound / tail_target) ** 0.5)
-    if n_needed > term_budget:
-        raise BudgetExceededError(
-            f"L(2, chi_{d}) to tol {tol} needs {n_needed} terms, budget {term_budget}",
-            needed=n_needed, budget=term_budget,
-        )
-    value = _tail_sum(table, n_needed)
-    cert = 2.0 * m_bound / float(n_needed + 1) ** 2 + 5e-15 * max(1.0, math.log(n_needed + 1))
-    if cert > tol:
-        raise BudgetExceededError(
-            f"L(2, chi_{d}) certificate {cert:.3e} exceeds requested {tol:.3e}",
-            needed=n_needed + 1, budget=term_budget,
-        )
-    return LValue(value=value, error_bound=cert, terms=n_needed, d=d)
 
 
 def _l1_odd(d: int, h: int) -> float:

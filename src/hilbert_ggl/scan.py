@@ -8,8 +8,8 @@ A scan takes zeta_K(-1) from Siegel's divisor sums (C. L. Siegel, 1969),
     zeta_K(-1) = (1/60) sum sigma_1((D - b^2)/4),  b^2 < D, b = D (mod 2),
 
 O(sqrt D) lookups in a table of sigma_1 that each worker builds once, next
-to the class-number sieve its elliptic bounds read; scan_field without the
-tables (and every single-field report) takes B_{2,chi}/24 instead
+to the class-number sieve its elliptic bounds read (scan_tables builds the
+pair); single-field reports take B_{2,chi}/24 instead
 (lfunctions.zeta_K_minus1), the cross-check of the same Fraction.
 The criterion is one exact comparison of the certified L(1, chi_D) with
 T_D = b^2 zeta_K(-1) / (2D).  Fields below T_D, the Satisfied ones, are
@@ -41,7 +41,7 @@ from .criteria import FieldInputs, to_fraction, verdict
 from .elliptic import elliptic_summary, make_l1_lookup
 from .errors import DomainError
 from .field_invariants import _check_field_discriminant, exact_hr, fundamental_discriminants_up_to
-from .lfunctions import character_table, closed_form_l1, zeta_K2, zeta_K_minus1
+from .lfunctions import closed_form_l1, zeta_K2
 from .reports import FieldRecord
 
 # a scan computes its missing fields in contiguous ascending runs of this
@@ -70,26 +70,26 @@ def _siegel_zeta_minus1(D: int, sigma: np.ndarray) -> Fraction:
     return Fraction(total, 60)
 
 
-def scan_field(D: int, epsilon, l1_lookup=None, sigma=None) -> FieldRecord:
+def scan_tables(dmax: int):
+    """(l1_lookup, sigma), the tables scan_field reads for every field
+    D <= dmax: the class-number sieve of the CM discriminants |d3| <= 4 D
+    (elliptic.make_l1_lookup) and the sigma_1 table of Siegel's formula up to
+    D // 4 (_divisor_sums)."""
+    return make_l1_lookup(4 * dmax + 16), _divisor_sums(dmax // 4 + 1)
+
+
+def scan_field(D: int, epsilon, l1_lookup, sigma) -> FieldRecord:
     """Evaluate the criterion for one field; a Satisfied field is rechecked
     on the exact path.
 
-    L(1, chi_D) is evaluated once, for hR; the elliptic bounds do not use it.
-    l1_lookup optionally supplies L(1, chi_d) for their negative CM
-    discriminants (a scan shares one class-number sieve); without it each
-    value comes from the count of reduced forms of d (the elliptic default).
-    sigma optionally supplies the sigma_1 table of Siegel's formula for
-    zeta_K(-1); without it zeta_K(-1) is B_{2,chi}/24.  Both routes give the
-    same Fraction, and both L(1) routes the same h, so the record is the
-    same either way.
+    L(1, chi_D) is evaluated once, for hR; the elliptic bounds do not use it
+    and read L(1, chi_d) for their negative CM discriminants off l1_lookup.
+    zeta_K(-1) comes from Siegel's formula on sigma.  Both tables come from
+    scan_tables and must reach D; a short one raises DomainError.
     """
     D = _check_field_discriminant(D)
-    table = character_table(D)
-    l1_val, l1_cert = closed_form_l1(D, table)
-    if sigma is None:
-        zeta_m1 = zeta_K_minus1(D, table)
-    else:
-        zeta_m1 = _siegel_zeta_minus1(D, sigma)
+    l1_val, l1_cert = closed_form_l1(D)
+    zeta_m1 = _siegel_zeta_minus1(D, sigma)
     zeta2, zeta2_cert = zeta_K2(D, zeta_m1)
     ell = elliptic_summary(D, l1=l1_lookup)
     inputs = FieldInputs(D=D, hr=math.sqrt(D) * l1_val / 2.0, zeta2=zeta2,
@@ -147,17 +147,16 @@ _WORKER_STATE: dict = {}
 
 
 def _init_worker(dmax: int) -> None:
-    """Build the tables every field D <= dmax looks up: the class-number
-    sieve for |d3| <= 4 D and the sigma_1 table for (D - b^2)/4 <= D // 4."""
+    """Build the tables every field D <= dmax looks up (scan_tables), unless
+    this process holds them already."""
     if _WORKER_STATE.get("dmax", -1) < dmax:
-        _WORKER_STATE["l1_lookup"] = make_l1_lookup(4 * dmax + 16)
-        _WORKER_STATE["sigma"] = _divisor_sums(dmax // 4 + 1)
+        _WORKER_STATE["tables"] = scan_tables(dmax)
         _WORKER_STATE["dmax"] = dmax
 
 
 def _scan_chunk(ds: list[int], epsilon: Fraction) -> list[FieldRecord]:
-    lookup, sigma = _WORKER_STATE["l1_lookup"], _WORKER_STATE["sigma"]
-    return [scan_field(D, epsilon, l1_lookup=lookup, sigma=sigma) for D in ds]
+    lookup, sigma = _WORKER_STATE["tables"]
+    return [scan_field(D, epsilon, lookup, sigma) for D in ds]
 
 
 def _dyadic_blocks(records) -> tuple[DyadicBlock, ...]:

@@ -16,7 +16,7 @@ import hilbert_ggl
 from hilbert_ggl import field_invariants, lfunctions
 from hilbert_ggl.cli import main
 from hilbert_ggl.errors import CacheError
-from hilbert_ggl.elliptic import elliptic_summary, make_l1_lookup
+from hilbert_ggl.elliptic import elliptic_summary
 from hilbert_ggl.field_invariants import fundamental_discriminants_up_to
 from hilbert_ggl.lfunctions import closed_form_l1
 from hilbert_ggl.reports import ScanCache
@@ -436,7 +436,7 @@ def test_field_text_pin_up_to_1e5(capsys):
 STANDARD_D = (5, 8, 12, 13, 24, 229, 401, 997, 9997, 12345, 64277, 99996)
 
 
-def test_field_json_elliptic_block_equals_scan_record(capsys):
+def test_field_json_elliptic_block_equals_scan_record(capsys, tables):
     # the elliptic bounds use only L(1, chi_d) for the CM discriminants d < 0,
     # which has one float expression whether h(d) comes from a report's
     # reduced-form count or the scan sieve, so the two agree bit for bit
@@ -444,11 +444,11 @@ def test_field_json_elliptic_block_equals_scan_record(capsys):
     ds = [int(d) for d in fundamental_discriminants_up_to(100_000)]
     sample = sorted(set(STANDARD_D) | set(rng.sample(ds, 20)))
     # the sieve of the largest scan holds the same class numbers as 4 D + 16
-    lookup = make_l1_lookup(4 * max(sample) + 16)
+    lookup, sigma = tables
     for D in sample:
         assert main(["field", str(D), "--json"]) == 0
         ell = json.loads(capsys.readouterr().out)["records"][0]["elliptic"]
-        rec = scan_field(D, Fraction(1, 100), l1_lookup=lookup)
+        rec = scan_field(D, Fraction(1, 100), lookup, sigma)
         assert ell["total_bound"] == rec.elliptic_total_bound, D
         assert ell["exponent_record"] == rec.elliptic_exponent, D
         summary = elliptic_summary(D, l1=lookup)

@@ -1,5 +1,6 @@
 """Units, class numbers, regulators and the analytic cross-checks."""
 
+import itertools
 import math
 import random
 import tracemalloc
@@ -9,6 +10,7 @@ import mpmath
 import numpy as np
 import pytest
 
+from hilbert_ggl import field_invariants
 from hilbert_ggl.cusps import cusp_cycle
 from hilbert_ggl.elliptic import elliptic_summary
 from hilbert_ggl.errors import DomainError, NumericalAgreementError
@@ -31,6 +33,7 @@ from hilbert_ggl.lfunctions import (
     euler_chi_array,
     fundamental_discriminant,
     fundamental_discriminant_signed,
+    is_fundamental_discriminant,
 )
 from hilbert_ggl.scan import scan_field
 
@@ -136,14 +139,14 @@ def test_regulator_is_correctly_rounded():
         assert regulator(D) == float(mp_regulator(D, eps.t, eps.u)), D
 
 
-def test_field_functions_take_numpy_integers():
+def test_field_functions_take_numpy_integers(tables):
     # fundamental_discriminants_up_to once handed out np.int64, whose fixed
     # width wrapped in the unit recurrence; every entry point takes the D it
     # is given as a Python int
     eps = Fraction(1, 100)
     for D in (5, 409, 64277, 99996):
         for f in (fundamental_unit, regulator, class_number, invariants,
-                  elliptic_summary, cusp_cycle, lambda d: scan_field(d, eps)):
+                  elliptic_summary, cusp_cycle, lambda d: scan_field(d, eps, *tables)):
             assert f(np.int64(D)) == f(D), (f, D)
     assert type(fundamental_unit(np.int64(409)).t) is int
     assert type(cusp_cycle(np.int64(5)).digits[0]) is int
@@ -251,12 +254,25 @@ def test_exact_hr_catches_a_regulator_off_by_1e_12(monkeypatch):
 
 
 def test_zeta_k2_dual_agreement():
-    for D in (5, 8, 12, 13, 229):
+    # both certificates against mpmath, the character route's included
+    for D in fundamental_discriminants_up_to(120) + [229]:
         dual = zeta_K2_dual(D)
         assert dual.difference <= dual.char_cert + dual.ideal_cert
         oracle = float(mpmath.zeta(2)) * float(mp_l_value(2, D))
         assert abs(dual.char_value - oracle) <= dual.char_cert + 1e-12
         assert abs(dual.ideal_value - oracle) <= dual.ideal_cert + 1e-12
+
+
+def test_zeta_k2_dual_refuses_past_the_cutoff_before_any_work(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a character table was built past the cutoff")
+
+    monkeypatch.setattr(field_invariants, "kronecker_table", refuse)
+    monkeypatch.setattr(field_invariants, "euler_chi_array", refuse)
+    D = next(d for d in itertools.count(field_invariants._IDEAL_LIMIT + 1)
+             if is_fundamental_discriminant(d))
+    with pytest.raises(DomainError, match="cutoff"):
+        zeta_K2_dual(D)
 
 
 def test_unit_norm_two_routes_agree():

@@ -12,10 +12,9 @@ import pytest
 
 from hilbert_ggl import lfunctions
 from hilbert_ggl.elliptic import make_l1_lookup
-from hilbert_ggl.errors import BudgetExceededError, DomainError
+from hilbert_ggl.errors import DomainError
 from hilbert_ggl.field_invariants import fundamental_discriminants_up_to
 from hilbert_ggl.lfunctions import (
-    L_value,
     character_table,
     closed_form_l1,
     euler_chi_array,
@@ -203,45 +202,8 @@ def test_max_partial_sum_exact():
     assert max_partial_sum(character_table(-4)) == 1
 
 
-def test_l_value_certificates_against_oracle():
-    rng = random.Random(2718)
-    ds = [int(x) for x in fundamental_discriminants_up_to(120)]
-    ds += negative_fundamental_discriminants(120)
-    for _ in range(40):
-        d = rng.choice(ds)
-        tol = 10.0 ** rng.uniform(-9, -5)
-        lv = L_value(d, tol)
-        assert lv.error_bound <= tol
-        oracle = float(mp_l_value(2, d))
-        assert abs(lv.value - oracle) <= lv.error_bound, (d, tol)
-
-
-def test_l_value_refinement_stays_in_interval():
-    # a 10x tighter evaluation never leaves the previously certified interval
-    rng = random.Random(1618)
-    ds = [int(x) for x in fundamental_discriminants_up_to(200)]
-    ds += negative_fundamental_discriminants(200)
-    checked = 0
-    while checked < 200:
-        d = rng.choice(ds)
-        tol = 10.0 ** rng.uniform(-8, -4)
-        lv = L_value(d, tol)
-        fine = L_value(d, tol / 10.0)
-        assert abs(fine.value - lv.value) <= lv.error_bound + fine.error_bound
-        checked += 1
-
-
-def test_l_value_budget_error():
-    with pytest.raises(BudgetExceededError) as info:
-        L_value(5, 1e-10, term_budget=10)
-    assert info.value.needed > info.value.budget
-
-
 def test_l_value_known_points():
-    assert abs(L_value(5, 1e-10).value - 0.7062114032597410) < 1e-9
     assert abs(closed_form_l1(-4)[0] - math.pi / 4) < 1e-12
-    for d in (5, -4, 13, -8, 60):
-        assert L_value(d, 1e-8).value > 0
 
 
 def test_closed_form_l1_matches_oracle():

@@ -51,14 +51,14 @@ def test_json_dumps_fractions_and_floats():
     assert "\n" not in json_dumps({"a": 1}, indent=None)
 
 
-def test_csv_rows_frozen_layout():
-    fast = scan_field(5, Fraction(1, 100))
+def test_csv_rows_frozen_layout(tables):
+    fast = scan_field(5, Fraction(1, 100), *tables)
     assert csv_rows([fast.to_dict()]) == (
         "D,h,R,hR,zeta2,nu_max,nu_required,margin,elliptic_total_bound,verdict\n"
         "5,,,0.4812118251,1.161671196,0.1760065078,2.040816327,"
         "-1.864809819,14,CandidateExceptional\n"
     )
-    exact = scan_field(46373, Fraction(1, 100))  # Satisfied: the exact path fills h and R
+    exact = scan_field(46373, Fraction(1, 100), *tables)  # Satisfied: the exact path fills h and R
     assert csv_rows([exact.to_dict()]).splitlines()[1] == (
         "46373,1,31.146314,31.146314,1.092508677,2.043205146,2.040816327,"
         "0.002388819678,532,Satisfied"
@@ -76,11 +76,11 @@ def test_canonical_record_json_is_stable():
         canonical_record_json({"a": Fraction(1, 2)})
 
 
-def test_scan_cache_round_trip(tmp_path):
+def test_scan_cache_round_trip(tmp_path, tables):
     path = str(tmp_path / "scan.cache")
     cache = ScanCache(path, params={"n": 2, "epsilon": "1/100"})
     assert cache.load() == {}
-    records = [scan_field(D, Fraction(1, 100)) for D in (5, 8, 12)]
+    records = [scan_field(D, Fraction(1, 100), *tables) for D in (5, 8, 12)]
     cache.append(records[0])
     cache.append(records[1])
     assert cache.load() == {5: records[0], 8: records[1]}
@@ -91,9 +91,9 @@ def test_scan_cache_round_trip(tmp_path):
     assert again.load() == cache.load()
 
 
-def test_scan_cache_append_many_matches_one_by_one(tmp_path):
+def test_scan_cache_append_many_matches_one_by_one(tmp_path, tables):
     params = {"n": 2, "epsilon": "1/100"}
-    records = [scan_field(D, Fraction(1, 100)) for D in (5, 8, 12)]
+    records = [scan_field(D, Fraction(1, 100), *tables) for D in (5, 8, 12)]
     one_by_one = ScanCache(str(tmp_path / "a.cache"), params)
     for rec in records:
         one_by_one.append(rec)
@@ -103,9 +103,9 @@ def test_scan_cache_append_many_matches_one_by_one(tmp_path):
     assert (tmp_path / "a.cache").read_bytes() == (tmp_path / "b.cache").read_bytes()
 
 
-def test_scan_cache_header_mismatch(tmp_path, capsys):
+def test_scan_cache_header_mismatch(tmp_path, capsys, tables):
     path = str(tmp_path / "scan.cache")
-    ScanCache(path, params={"epsilon": "1/100"}).append(scan_field(5, Fraction(1, 100)))
+    ScanCache(path, params={"epsilon": "1/100"}).append(scan_field(5, Fraction(1, 100), *tables))
     other = ScanCache(path, params={"epsilon": "1/20"})
     with pytest.raises(CacheError) as err:
         other.load()
@@ -129,8 +129,8 @@ def test_scan_cache_header_mismatch(tmp_path, capsys):
         assert "error: cache header" in capsys.readouterr().err
 
 
-def test_field_record_from_dict_checks_types():
-    good = scan_field(46373, Fraction(1, 100)).to_dict()  # exact path: Satisfied
+def test_field_record_from_dict_checks_types(tables):
+    good = scan_field(46373, Fraction(1, 100), *tables).to_dict()  # exact path: Satisfied
     # a JSON int is a valid float value
     assert FieldRecord.from_dict({**good, "margin": -2}).margin == -2.0
     assert FieldRecord.from_dict({**good, "h": None, "R": None}).h is None
@@ -162,8 +162,8 @@ WRONG_VALUES = (True, False, "1.5", None, [1], ["flag"], 1.0, -2, {})
 
 
 @pytest.mark.parametrize("D", [5, 46373])  # fast path, and exact path (Satisfied)
-def test_field_record_from_dict_matches_key_by_key_oracle(D):
-    good = scan_field(D, Fraction(1, 100))
+def test_field_record_from_dict_matches_key_by_key_oracle(D, tables):
+    good = scan_field(D, Fraction(1, 100), *tables)
     rec = good.to_dict()
     assert list(rec) == [f.name for f in dataclasses.fields(FieldRecord)]
     new, old = _decoded(rec)
@@ -177,10 +177,10 @@ def test_field_record_from_dict_matches_key_by_key_oracle(D):
         assert new == old == (KeyError, repr(key)), key
 
 
-def test_csv_rows_matches_cell_by_cell_oracle():
+def test_csv_rows_matches_cell_by_cell_oracle(tables):
     # exact-path (Satisfied) records fill h and R; R = 8.251403133 at D = 50837
     # takes all 10 digits
-    exact = [scan_field(D, Fraction(1, 100)) for D in (46373, 50837)]
+    exact = [scan_field(D, Fraction(1, 100), *tables) for D in (46373, 50837)]
     assert all(r.h is not None and r.R is not None for r in exact)
     records = list(scan(3000).records) + exact
     exact = exact[-1]
@@ -193,10 +193,10 @@ def test_csv_rows_matches_cell_by_cell_oracle():
     assert csv_rows(map(vars, records)) == expected
 
 
-def test_scan_cache_corruption(tmp_path):
+def test_scan_cache_corruption(tmp_path, tables):
     path = str(tmp_path / "scan.cache")
     cache = ScanCache(path, params={"epsilon": "1/100"})
-    cache.append(scan_field(5, Fraction(1, 100)))
+    cache.append(scan_field(5, Fraction(1, 100), *tables))
 
     with open(path, "a", encoding="utf-8") as fh:
         fh.write("this is not json\n")
@@ -247,7 +247,7 @@ def _load_error_key(path):
     return err.value.key
 
 
-def test_scan_cache_load_reads_the_stored_record_text(tmp_path, monkeypatch):
+def test_scan_cache_load_reads_the_stored_record_text(tmp_path, monkeypatch, tables):
     # the CRC is checked against the record text as written, so loading
     # serializes nothing
     path, _lines = _scan_cache_lines(tmp_path, 20)
@@ -257,7 +257,7 @@ def test_scan_cache_load_reads_the_stored_record_text(tmp_path, monkeypatch):
 
     monkeypatch.setattr("hilbert_ggl.reports.canonical_record_json", no_serializing)
     loaded = ScanCache(path, CLI_PARAMS).load()
-    assert loaded == {D: scan_field(D, Fraction(1, 100)) for D in (5, 8, 12, 13, 17)}
+    assert loaded == {D: scan_field(D, Fraction(1, 100), *tables) for D in (5, 8, 12, 13, 17)}
 
 
 @pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])

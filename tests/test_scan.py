@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 
 import hilbert_ggl.scan as scan_module
-from hilbert_ggl.elliptic import elliptic_summary, make_l1_lookup
+from hilbert_ggl.elliptic import elliptic_summary
 from hilbert_ggl.errors import DomainError, NumericalAgreementError
 from hilbert_ggl.field_invariants import (
     FundamentalUnit,
@@ -21,7 +21,7 @@ from hilbert_ggl.field_invariants import (
 from hilbert_ggl.lfunctions import closed_form_l1, zeta_K_minus1
 from hilbert_ggl.reports import canonical_record_json, csv_rows
 from hilbert_ggl.scan import (_RUN, DyadicBlock, FieldRecord, _divisor_sums, _dyadic_blocks,
-                              _siegel_zeta_minus1, scan, scan_field)
+                              _siegel_zeta_minus1, scan, scan_field, scan_tables)
 
 from oracles import float_rule_verdict
 
@@ -29,8 +29,8 @@ from oracles import float_rule_verdict
 FIRST_SATISFIED = 46373
 
 
-def test_scan_field_fast_path_matches_closed_form():
-    rec = scan_field(5, Fraction(1, 100))
+def test_scan_field_fast_path_matches_closed_form(tables):
+    rec = scan_field(5, Fraction(1, 100), *tables)
     assert rec.h is None and rec.R is None and not rec.exact
     assert rec.hr == math.sqrt(5) * closed_form_l1(5)[0] / 2.0
     # zeta_K(2) is exact up to rounding, so nu_max is too
@@ -42,9 +42,9 @@ def test_scan_field_fast_path_matches_closed_form():
     assert abs(rec.elliptic_total_bound - 14.0) < 1e-9
 
 
-def test_scan_field_exact_path_consistent():
+def test_scan_field_exact_path_consistent(tables):
     D = FIRST_SATISFIED
-    exact = scan_field(D, Fraction(1, 100))
+    exact = scan_field(D, Fraction(1, 100), *tables)
     assert exact.exact and exact.verdict == "Satisfied"
     assert exact.h == class_number(D).h
     assert exact.R == regulator(D)
@@ -52,7 +52,7 @@ def test_scan_field_exact_path_consistent():
     assert abs(exact.hr - math.sqrt(D) * exact.l1 / 2.0) <= 1e-9 * exact.hr
     # the fast records of other fields agree with the exact h*R check
     for D in (5, 8, 40, 229):
-        fast = scan_field(D, Fraction(1, 100))
+        fast = scan_field(D, Fraction(1, 100), *tables)
         _unit, classes, reg, _residual = exact_hr(D, fast.l1, fast.l1_cert)
         assert classes.h == class_number(D).h
         assert abs(classes.h * reg - fast.hr) <= 1e-9 * fast.hr
@@ -74,13 +74,6 @@ def test_siegel_route_refuses_a_short_table():
     for D in (404, 405, 99996):
         with pytest.raises(DomainError, match="too short"):
             _siegel_zeta_minus1(D, sigma)
-
-
-def test_scan_field_tables_give_the_same_record():
-    lookup, sigma = make_l1_lookup(4 * 2000 + 16), _divisor_sums(2000 // 4 + 1)
-    for D in (5, 8, 12, 13, 229, 1001, 1997):
-        assert scan_field(D, Fraction(1, 100), l1_lookup=lookup, sigma=sigma) == \
-            scan_field(D, Fraction(1, 100)), D
 
 
 def test_scan_deterministic_reruns():
@@ -188,8 +181,8 @@ def test_scan_validation_and_workers():
         scan(100, workers=0)
 
 
-def test_field_record_round_trip():
-    rec = scan_field(FIRST_SATISFIED, Fraction(1, 100))
+def test_field_record_round_trip(tables):
+    rec = scan_field(FIRST_SATISFIED, Fraction(1, 100), *tables)
     assert rec.exact
     assert FieldRecord.from_dict(rec.to_dict()) == rec
     assert list(rec.to_dict()) == [
@@ -198,15 +191,15 @@ def test_field_record_round_trip():
         "verdict", "flags", "exact",
     ]
     assert rec.to_dict()["flags"] == list(rec.flags)
-    fast = scan_field(13, Fraction(1, 100))
+    fast = scan_field(13, Fraction(1, 100), *tables)
     assert FieldRecord.from_dict(fast.to_dict()) == fast
 
 
-def test_exact_recheck_disagreement_raises_specific_error(monkeypatch):
+def test_exact_recheck_disagreement_raises_specific_error(monkeypatch, tables):
     original = FundamentalUnit.regulator
     monkeypatch.setattr(FundamentalUnit, "regulator", lambda unit: 2 * original(unit))
     with pytest.raises(NumericalAgreementError, match="class number formula residual"):
-        scan_field(FIRST_SATISFIED, Fraction(1, 100))
+        scan_field(FIRST_SATISFIED, Fraction(1, 100), *tables)
 
 
 # sha256 of the records of every field in [64000, 65000] at epsilon 1/100,
@@ -220,9 +213,9 @@ BAND_SATISFIED = [64253, 64277, 64517, 64973]
 
 @pytest.fixture(scope="module")
 def band():
-    lookup = make_l1_lookup(4 * 65000 + 16)
+    lookup, sigma = scan_tables(65000)
     ds = [int(d) for d in fundamental_discriminants_up_to(65000) if d >= 64000]
-    return [scan_field(D, Fraction(1, 100), l1_lookup=lookup) for D in ds], lookup
+    return [scan_field(D, Fraction(1, 100), lookup, sigma) for D in ds], lookup
 
 
 def test_scan_band_bytes(band):
