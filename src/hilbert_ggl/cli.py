@@ -125,8 +125,9 @@ def cmd_scan(args, parser) -> int:
         payload = json_dumps(build_scan_document(result, params, timings=timings)) + "\n"
 
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(payload)
+        # bytes, so every line ends in "\n" alone on any platform
+        with open(args.out, "wb") as fh:
+            fh.write(payload.encode("utf-8"))
         # the cache may hold fields above --dmax; count only this scan's
         hits = sum(r.D in precomputed for r in result.records) if precomputed else 0
         print(

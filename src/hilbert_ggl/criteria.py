@@ -27,6 +27,7 @@ known, against h R; nu_max and the margin are reported floats only.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -44,7 +45,7 @@ def to_fraction(x, what: str = "value") -> Fraction:
     if isinstance(x, (int, str, float)):
         try:
             return Fraction(x)
-        except (ValueError, ZeroDivisionError) as exc:
+        except (ValueError, ZeroDivisionError, OverflowError) as exc:
             raise DomainError(f"cannot parse {what} {x!r} as a rational") from exc
     raise DomainError(f"{what} must be rational, got {type(x).__name__}")
 
@@ -147,6 +148,13 @@ def thresholds(n: int, epsilon, s_sums=()) -> Thresholds:
     )
 
 
+@functools.lru_cache(maxsize=8)
+def _cusp_thresholds(eps: Fraction) -> Thresholds:
+    """thresholds(DEGREE, eps) with no elliptic orbits, memoized: verdict
+    asks for them once per field, and a scan has one epsilon."""
+    return thresholds(DEGREE, eps)
+
+
 def beta_constant(epsilon, n: int, sup_norm) -> Fraction:
     """Scaling constant beta = (epsilon/2) / sup_norm for the cutoff metric."""
     eps = _degree_and_epsilon(n, epsilon)
@@ -224,7 +232,9 @@ def verdict(inv, epsilon) -> CriterionReport:
     ASSUMPTION_FLAGS: an elliptic orbit with rotation sum at least 1 needs
     the cusp ratio nu_required, and its forms are assumed to be the cusp ones.
     """
-    th = thresholds(DEGREE, epsilon)
+    # to_fraction first: the memo is keyed by exact value, never by a type
+    # that thresholds would refuse
+    th = _cusp_thresholds(to_fraction(epsilon, "epsilon"))
     t_num, t_den = _threshold(inv, th.b)
     below = _l1_below(inv, t_num, t_den)
     if inv.h is not None:

@@ -94,7 +94,8 @@ def elliptic_traces(D: int) -> list[EllipticTrace]:
 
     s = (p + q sqrt(D))/2 is integral (parity constraints below) and both
     embeddings lie in (-2, 2) iff p^2 + q^2 D < 16 and
-    (16 - p^2 - q^2 D)^2 > 4 p^2 q^2 D, all checked in integers.
+    (16 - p^2 - q^2 D)^2 > 4 p^2 q^2 D, all checked in integers.  The
+    loops run p, then q, upward, so the classes come in (p, q) order.
     """
     D = _check_field_discriminant(D)
     out = []
@@ -115,7 +116,6 @@ def elliptic_traces(D: int) -> list[EllipticTrace]:
             if v * v <= 4 * p * p * q * q * D:
                 continue
             out.append(EllipticTrace(D=D, p=p, q=q))
-    out.sort(key=lambda t: (t.p, t.q))
     return out
 
 

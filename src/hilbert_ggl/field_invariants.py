@@ -113,8 +113,9 @@ def _divisor_windows(b: np.ndarray, n: np.ndarray, span):
         bb, nb = b[i : i + rows], n[i : i + rows]
         lo, hi = span(int(bb[0]), int(bb[-1]))
         a = np.arange(lo, hi + 1, dtype=n.dtype)
-        # a flat index is cheaper to find than a 2-d one
-        bi, ai = np.divmod(np.flatnonzero(nb[:, None] % a == 0), len(a))
+        # a flat index is cheaper to find than a 2-d one; ravel().nonzero()
+        # is np.flatnonzero without its wrapper's cost
+        bi, ai = np.divmod((nb[:, None] % a == 0).ravel().nonzero()[0], len(a))
         yield bb[bi], a[ai], nb[bi]
 
 

@@ -9,8 +9,9 @@ Evaluation routes:
 
 * ``zeta_K_minus1``: zeta_K(-1) = B_{2,chi}/24 as a Fraction, the route of
   single-field reports and the cross-check of the one scans take (Siegel's
-  divisor sums, in ``scan``); from either, ``zeta_K2``: zeta_K(2) to float
-  rounding.
+  divisor sums, in ``scan``); the even character folds its sum onto half a
+  period, taken in int64 blocks of bounded length, so memory stays flat in
+  D; from either, ``zeta_K2``: zeta_K(2) to float rounding.
 
 * ``closed_form_l1``: exact finite evaluation of L(1, chi_d), where partial
   sums would need ~2M/tol terms.  For even characters (d > 0)
@@ -61,6 +62,10 @@ _primes_cache: dict[int, np.ndarray] = {}
 _W_IMAG = {-3: 6, -4: 4}
 
 _INT64_MAX = 2**63 - 1
+# the longest block of zeta_K_minus1's weights, 128 KiB of int64; with
+# blocks twice as long, glibc's malloc maps and unmaps fresh pages for each
+# one, 160 minor page faults per call at D = 99989
+_DOT_BLOCK = 1 << 14
 
 
 def _prime_factors(n: int) -> list[tuple[int, int]]:
@@ -197,7 +202,7 @@ def character_table(d: int) -> np.ndarray:
     """Values chi_d(n), n = 0..|d|-1, as the product of prime-discriminant
     tables; the returned array belongs to the caller."""
     q = abs(d)
-    arr = np.ones(q, dtype=np.int8)
+    arr = None
     for part in factor_fundamental(d):
         if part == -4:
             tbl = _TABLE_M4
@@ -210,8 +215,14 @@ def character_table(d: int) -> np.ndarray:
         # the factor moduli multiply to q, so q // len(tbl) whole copies of
         # each table fill a period; repeating it as rows is np.tile without
         # its per-call overhead, and a broadcast multiply into
-        # arr.reshape(-1, len(tbl)) is slower for short tables at large q
-        arr *= tbl.reshape(1, -1).repeat(q // len(tbl), axis=0).reshape(-1)
+        # arr.reshape(-1, len(tbl)) is slower for short tables at large q.
+        # repeat returns a fresh array, so the first factor's copies are the
+        # table the others multiply into
+        tiled = tbl.reshape(1, -1).repeat(q // len(tbl), axis=0).reshape(-1)
+        if arr is None:
+            arr = tiled
+        else:
+            arr *= tiled
     return arr
 
 
@@ -241,7 +252,7 @@ def closed_form_l1(d: int, table: np.ndarray | None = None) -> tuple[float, floa
         # fold a <-> q-a (chi odd): sum a*chi(a) = sum_{a<q/2} chi(a)(2a - q)
         half = (q - 1) // 2
         a = np.arange(1, half + 1, dtype=np.int64)
-        s_int = int(np.sum(table[1 : half + 1].astype(np.int64) * (2 * a - q)))
+        s_int = int((table[1 : half + 1].astype(np.int64) * (2 * a - q)).sum())
         w_sum = -_W_IMAG.get(d, 2) * s_int
         h, rem = divmod(w_sum, 2 * q)
         if rem or h < 1:
@@ -255,31 +266,39 @@ def closed_form_l1(d: int, table: np.ndarray | None = None) -> tuple[float, floa
     x *= math.pi / q
     np.log(np.sin(x, out=x), out=x)
     # every log sin is <= 0, so -sum(x) is exactly the sum of their absolute values
-    cert = 2.0 ** -50 * -float(np.sum(x)) / math.sqrt(q) + 1e-14
+    cert = 2.0 ** -50 * -float(x.sum()) / math.sqrt(q) + 1e-14
     x *= table[1 : half + 1]
-    return -2.0 * float(np.sum(x)) / math.sqrt(q), cert
+    return -2.0 * float(x.sum()) / math.sqrt(q), cert
 
 
 def zeta_K_minus1(D: int, table: np.ndarray | None = None) -> Fraction:
     """zeta_K(-1) = B_{2,chi}/24 = sum_{a<D} chi_D(a) a^2 / (24 D), D > 1.
 
     The route of single-field reports and the cross-check of the Siegel
-    route of scans.  The sum is taken as int64 dot products over blocks of k
-    terms, k (D - 1)^2 < 2^63, added as Python ints: a single block up to
-    D = 2^21, a few past it.
+    route of scans.  chi_D is even, so a and D - a pair up: the sum is
+    sum_{1 <= a <= (D-1)/2} chi_D(a) (a^2 + (D - a)^2), with chi_D(D/2) = 0
+    for even D.  It is taken as int64 dot products over blocks of k terms,
+    k at most _DOT_BLOCK and k ((D - 1)^2 + 1) < 2^63 (the largest weight
+    is at a = 1), added as Python ints; each block builds its own weights,
+    so memory stays flat in D.
     """
     if D <= 1:
         raise DomainError(f"need a real quadratic field discriminant, got {D}")
     if table is None:
         table = character_table(D)
-    a = np.arange(D, dtype=np.int64)
-    k = _INT64_MAX // (D - 1) ** 2
+    k = min(_DOT_BLOCK, _INT64_MAX // ((D - 1) ** 2 + 1))
     if k < 1:
-        raise DomainError(f"D = {D} is past the int64 range of a^2")
+        raise DomainError(f"D = {D} is past the int64 range of a^2 + (D - a)^2")
+    half = (D - 1) // 2
     total = 0
-    for start in range(0, D, k):
-        block = a[start:start + k]
-        total += int(np.dot(table[start:start + k], block * block))
+    for start in range(1, half + 1, k):
+        stop = min(start + k, half + 1)
+        a = np.arange(start, stop, dtype=np.int64)
+        b = D - a
+        a *= a
+        b *= b
+        a += b
+        total += int(np.dot(table[start:stop], a))
     return Fraction(total, 24 * D)
 
 

@@ -179,7 +179,11 @@ _CSV_ROW = {
 def canonical_record_json(record: dict) -> str:
     """Sorted, compact JSON of a JSON-native record (as from to_dict): the
     record text the cache writes, and whose CRC32 it stores beside it."""
-    return json.dumps(record, sort_keys=True, separators=(",", ":"), allow_nan=False)
+    return _CANONICAL_ENCODER.encode(record)
+
+
+# the encoder json.dumps would build for these arguments on every call
+_CANONICAL_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"), allow_nan=False)
 
 
 def _reject_constant(name: str):

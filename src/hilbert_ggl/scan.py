@@ -100,7 +100,11 @@ def scan_field(D: int, epsilon, l1_lookup, sigma) -> FieldRecord:
         _unit, classes, reg, _residual = exact_hr(D, l1_val, l1_cert)
         inputs = replace(inputs, hr=classes.h * reg, h=classes.h, regulator=reg)
         rep = verdict(inputs, epsilon)
-    return FieldRecord(
+    # the values go straight into the instance dict, in field order, as
+    # FieldRecord.from_dict writes them: the generated __init__ would pay one
+    # frozen setattr per field
+    record = object.__new__(FieldRecord)
+    record.__dict__.update(
         D=D,
         h=inputs.h,
         R=inputs.regulator,
@@ -118,6 +122,7 @@ def scan_field(D: int, epsilon, l1_lookup, sigma) -> FieldRecord:
         flags=rep.flags,
         exact=exact,
     )
+    return record
 
 
 @dataclass(frozen=True)

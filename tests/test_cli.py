@@ -13,6 +13,7 @@ from fractions import Fraction
 import pytest
 
 import hilbert_ggl
+import hilbert_ggl.cli as cli_module
 from hilbert_ggl import field_invariants, lfunctions
 from hilbert_ggl.cli import main
 from hilbert_ggl.errors import CacheError
@@ -184,6 +185,22 @@ def test_scan_out_file_and_json(tmp_path, capsys):
         doc = json.load(fh)
     assert doc["command"] == "scan"
     assert doc["summary"]["fields"] == 30
+
+
+def test_scan_out_file_has_no_newline_translation(monkeypatch, tmp_path, capsys):
+    # a text-mode file would write os.linesep for each "\n", "\r\n" on
+    # Windows; this open gives every text-mode file that translation
+    def windows_open(file, mode="r", *args, **kwargs):
+        if "b" not in mode:
+            kwargs["newline"] = "\r\n"
+        return open(file, mode, *args, **kwargs)
+
+    monkeypatch.setattr(cli_module, "open", windows_open, raising=False)
+    assert main(["scan", "--dmax", "100"]) == 0
+    expected = capsys.readouterr().out.encode("ascii")
+    out_csv = tmp_path / "scan.csv"
+    assert main(["scan", "--dmax", "100", "--out", str(out_csv)]) == 0
+    assert out_csv.read_bytes() == expected
 
 
 def test_scan_timings(tmp_path, capsys):

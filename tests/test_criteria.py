@@ -15,11 +15,13 @@ from hilbert_ggl.criteria import (
     nu_max,
     rr_leading_coeff,
     thresholds,
+    to_fraction,
     verdict,
 )
 from hilbert_ggl.errors import DomainError, NumericalAgreementError
 from hilbert_ggl.field_invariants import invariants
 from hilbert_ggl.lfunctions import zeta_K2, zeta_K_minus1
+from hilbert_ggl.scan import scan
 
 
 def bisect_root(f, lo: float, hi: float, tol: float) -> float:
@@ -126,6 +128,35 @@ def test_thresholds_and_beta_constant_reject_alike(n, epsilon):
     with pytest.raises(DomainError) as from_beta:
         beta_constant(epsilon, n, 1)
     assert str(from_thresholds.value) == str(from_beta.value)
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf])
+def test_infinite_values_raise_domain_error(value):
+    # Fraction(inf) raises OverflowError, which must not escape
+    with pytest.raises(DomainError, match="cannot parse epsilon"):
+        to_fraction(value, "epsilon")
+    with pytest.raises(DomainError, match="cannot parse sup_norm"):
+        beta_constant(0.01, 2, value)
+    with pytest.raises(DomainError, match="cannot parse epsilon"):
+        beta_constant(value, 2, 1)
+    with pytest.raises(DomainError, match="cannot parse epsilon"):
+        scan(10, epsilon=value)
+    with pytest.raises(DomainError, match="cannot parse epsilon"):
+        verdict(invariants(5), value)
+
+
+def test_verdict_thresholds_follow_the_exact_epsilon():
+    # the float 0.01 and the string "0.01" are different rationals, and each
+    # report carries its own, however often verdict is asked
+    inv = invariants(5)
+    for _ in range(2):
+        for eps in (0.01, "0.01", Fraction(1, 100), Fraction(1, 20)):
+            rep = verdict(inv, eps)
+            assert rep.epsilon == Fraction(eps)
+            assert rep.nu_required == float(thresholds(2, eps).nu_cusp)
+    assert verdict(inv, 0.01).epsilon != verdict(inv, "0.01").epsilon
+    with pytest.raises(DomainError):
+        verdict(inv, Fraction(1, 2))
 
 
 def _inputs(D, l1, zeta_m1, l1_cert=None):

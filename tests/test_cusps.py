@@ -393,6 +393,21 @@ def test_fault_perturbed_ray_breaks_cusp_cycle(monkeypatch, k, message):
         cusp_cycle(229)
 
 
+def test_fault_negated_ray_is_not_totally_positive(monkeypatch):
+    rays = cusps_mod._rays_from_cycle
+
+    def negated(*args):
+        # -mu_2 is totally negative
+        pairs = rays(*args)
+        x, y = pairs[2]
+        pairs[2] = (-x, -y)
+        return pairs
+
+    monkeypatch.setattr(cusps_mod, "_rays_from_cycle", negated)
+    with pytest.raises(RuntimeError, match="is not totally positive"):
+        cusp_cycle(229)
+
+
 def test_hirzebruch_class_number_identity():
     """Hirzebruch: for a prime p = 3 (mod 4), p > 3, with h(4p) = 1, the cusp
     cycle of Q(sqrt p) gives h(-p) = (1/3) sum (b_i - 3)."""

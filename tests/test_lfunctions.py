@@ -300,6 +300,20 @@ def test_zeta_K_minus1_blocked_route(monkeypatch):
         zeta_K_minus1(5)
 
 
+@pytest.mark.parametrize("D", [99989, 4000037])
+def test_zeta_K_minus1_memory_is_flat(D):
+    # blocks of folded weights, never a whole period of int64 squares
+    # (those alone would be 8 D bytes: 781 KiB and 31 MiB here)
+    table = character_table(D)
+    tracemalloc.start()
+    try:
+        zeta_K_minus1(D, table)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20, peak
+
+
 def test_zeta_K2_rounding_bound():
     """zeta_K(2) = 4 pi^4 zeta_K(-1) / D^(3/2) within its rounding bound of a
     50-digit evaluation, and of the Hurwitz-zeta L(2) oracle."""

@@ -193,6 +193,9 @@ def test_field_record_round_trip(tables):
     assert rec.to_dict()["flags"] == list(rec.flags)
     fast = scan_field(13, Fraction(1, 100), *tables)
     assert FieldRecord.from_dict(fast.to_dict()) == fast
+    # scan_field writes the instance dict itself: every field, in field order
+    names = [f.name for f in dataclasses.fields(FieldRecord)]
+    assert list(vars(rec)) == list(vars(fast)) == names
 
 
 def test_exact_recheck_disagreement_raises_specific_error(monkeypatch, tables):
