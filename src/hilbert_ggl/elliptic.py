@@ -29,6 +29,16 @@ bits: a scan reads it off one class-number sieve per worker
 (_reduced_form_count, the default), and lfunctions.closed_form_l1 reads it
 off its character sum, the independent cross-check.  The count shares its
 divisor grid with the real reduced forms; neither uses trial division.
+
+Every elliptic number has one code path, the private arithmetic core below:
+the canonical trace pairs (_trace_pairs), N(4 - s^2) (_norm_4_minus_s2), the
+CM numbers of a rational trace (_cm_numbers), each trace's value
+(_trace_value) and the total with its exponent record (_elliptic_bounds).  A
+scan field reads the core directly (scan.scan_field calls _elliptic_bounds)
+and builds no report object; the public entries elliptic_traces,
+cm_extension_invariants, prestel_bound and elliptic_summary validate their
+arguments and wrap the same numbers in EllipticTrace, CMExtensionInvariants,
+TraceBound and EllipticSummary for a single-field report.
 """
 
 from __future__ import annotations
@@ -45,6 +55,103 @@ from .errors import DomainError
 from .field_invariants import _check_field_discriminant, _divisor_windows, _fundamental_mask
 from .lfunctions import _l1_odd, is_fundamental_discriminant
 from .quadratic import QuadElem
+
+
+# the arithmetic core: one code path per elliptic number, over plain ints and
+# floats.  D is a validated field discriminant and s a rational elliptic
+# trace; the callers check both (scan.scan_field and the public entries).
+
+_TWO_PI_SQ = 2.0 * math.pi ** 2
+
+
+def _trace_pairs(D: int) -> list[tuple[int, int]]:
+    """(p, q) of every canonical elliptic trace class s = (p + q sqrt(D))/2.
+
+    s is integral iff p = q (mod 2) for odd D and p is even for even D.  Its
+    embeddings both lie in (-2, 2) iff 4 - s^2 is totally positive, i.e. its
+    trace (16 - p^2 - q^2 D)/2 and its norm (_norm_4_minus_s2) are positive;
+    both force p^2 + q^2 D < 16, so p < 4 and |q| <= sqrt(15/D).  The loops
+    run p, then q, upward, so the pairs come in (p, q) order.
+    """
+    out = []
+    q_max = isqrt(15 // D)
+    odd = D % 2
+    for p in range(0, 4):
+        for q in range(-q_max, q_max + 1):
+            if (p == 0 and q < 0) or ((p - q) % 2 if odd else p % 2):
+                continue
+            v = 16 - p * p - q * q * D
+            if v > 0 and v * v > 4 * p * p * q * q * D:
+                out.append((p, q))
+    return out
+
+
+def _norm_4_minus_s2(D: int, p: int, q: int) -> int:
+    """N(4 - s^2) = ((16 - p^2 - q^2 D)^2 - 4 p^2 q^2 D) / 16 for
+    s = (p + q sqrt(D))/2; RuntimeError unless it is a positive integer."""
+    v = 16 - p * p - q * q * D
+    num = v * v - 4 * p * p * q * q * D
+    if num % 16 or num <= 0:
+        raise RuntimeError("N(4 - s^2) = %s for s = %s is not a positive integer"
+                           % (Fraction(num, 16), _trace_text(D, p, q)))
+    return num // 16
+
+
+def _trace_text(D: int, p: int, q: int) -> str:
+    """The text of str(QuadElem.from_pq(p, q, D)), without building it."""
+    return "%s + %s*sqrt(%d)" % (Fraction(p, 2), Fraction(q, 2), D)
+
+
+def _cm_numbers(D: int, s: int, l1) -> tuple[int, int, int, int, int, int, float]:
+    """(d2, d3, d_K', w', N(rel disc), N(U0)^2, h'R'/hR) of the rational trace
+    s in {0, +-1}; l1 gives L(1, chi_d) for d = d2 and d3 (see
+    cm_extension_invariants).  The divisibility and positivity of the two
+    norm quotients are checked; a failure raises RuntimeError."""
+    d2 = -4 if s == 0 else -3
+    m = D if D % 4 == 1 else D // 4
+    core = -m if s == 0 else (-m // 3 if m % 3 == 0 else -3 * m)
+    d3 = core if core % 4 == 1 else 4 * core
+    d_kp = abs(D * d2 * d3)
+    w_prime = 12 if d3 in (-3, -4) else (4 if d2 == -4 else 6)
+    if d_kp % (D * D):
+        raise RuntimeError("d_K' = %d is not divisible by D^2 = %d" % (d_kp, D * D))
+    n_rel = d_kp // (D * D)
+    n4s = (4 - s * s) ** 2
+    if n4s % n_rel:
+        raise RuntimeError("N(4-s^2) = %d not divisible by N(rel disc) = %d" % (n4s, n_rel))
+    n_u0 = n4s // n_rel
+    if n_u0 < 1:
+        raise RuntimeError("N(U0)^2 = %d below 1" % n_u0)
+    hr_ratio = w_prime * math.sqrt(abs(d2 * d3)) * l1(d2) * l1(d3) / _TWO_PI_SQ
+    return d2, d3, d_kp, w_prime, n_rel, n_u0, hr_ratio
+
+
+def _trace_value(D: int, p: int, q: int, l1):
+    """(value, cm) for the trace class (p, q): a rational trace s = p/2 gives
+    (h'R'/hR) N(U0)^2 and its _cm_numbers, an irrational one the integer
+    N(4 - s^2) as a float and None."""
+    if q:
+        return float(_norm_4_minus_s2(D, p, q)), None
+    cm = _cm_numbers(D, p // 2, l1)
+    return cm[6] * cm[5], cm
+
+
+def _elliptic_bounds(D: int, l1):
+    """(rows, total_bound, exponent_record) of the field D, where rows holds
+    (p, q, value, cm) per canonical trace class in (p, q) order (_trace_value)
+    and exponent_record = log(total_bound) / log(D).  A total that is not a
+    positive finite number raises RuntimeError.
+
+    Each rational trace asks l1 for its two CM discriminants d2 and d3; the
+    two traces share none of them except at D = 12 (d = -3 and -4 both
+    twice), so nothing is memoized.
+    """
+    rows = [(p, q) + _trace_value(D, p, q, l1) for p, q in _trace_pairs(D)]
+    total = float(sum(row[2] for row in rows))
+    if not 0 < total < math.inf:
+        raise RuntimeError("total elliptic bound %g for D=%d is not a positive finite number"
+                           % (total, D))
+    return rows, total, math.log(total) / math.log(D)
 
 
 @dataclass(frozen=True)
@@ -73,50 +180,22 @@ class EllipticTrace:
     @property
     def s_rational(self) -> int:
         if self.q != 0 or self.p % 2:
-            raise DomainError("trace %s is not a rational integer" % (self.elem,))
+            raise DomainError("trace %s is not a rational integer" % (self,))
         return self.p // 2
 
     def norm_4_minus_s2(self) -> int:
         """N(4 - s^2), a positive integer for an elliptic trace."""
-        s = self.elem
-        val = (QuadElem.from_rational(4, self.D) - s * s).norm()
-        if val.denominator != 1 or val <= 0:
-            raise RuntimeError("N(4 - s^2) = %s for s = %s is not a positive integer" % (val, s))
-        return int(val)
+        return _norm_4_minus_s2(self.D, self.p, self.q)
 
     def __str__(self) -> str:
-        # the text of str(self.elem), without building the field element
-        return "%s + %s*sqrt(%d)" % (Fraction(self.p, 2), Fraction(self.q, 2), self.D)
+        return _trace_text(self.D, self.p, self.q)
 
 
 def elliptic_traces(D: int) -> list[EllipticTrace]:
-    """All canonical elliptic trace classes of the field of discriminant D.
-
-    s = (p + q sqrt(D))/2 is integral (parity constraints below) and both
-    embeddings lie in (-2, 2) iff p^2 + q^2 D < 16 and
-    (16 - p^2 - q^2 D)^2 > 4 p^2 q^2 D, all checked in integers.  The
-    loops run p, then q, upward, so the classes come in (p, q) order.
-    """
+    """All canonical elliptic trace classes of the field of discriminant D,
+    in (p, q) order (_trace_pairs)."""
     D = _check_field_discriminant(D)
-    out = []
-    q_max = isqrt(15 // D)
-    for p in range(0, 4):
-        for q in range(-q_max, q_max + 1):
-            if p == 0 and q < 0:
-                continue
-            if D % 2:
-                if (p - q) % 2:
-                    continue
-            else:
-                if p % 2:
-                    continue
-            v = 16 - p * p - q * q * D
-            if v <= 0:
-                continue
-            if v * v <= 4 * p * p * q * q * D:
-                continue
-            out.append(EllipticTrace(D=D, p=p, q=q))
-    return out
+    return [EllipticTrace(D=D, p=p, q=q) for p, q in _trace_pairs(D)]
 
 
 def imag_class_numbers(limit: int) -> np.ndarray:
@@ -129,8 +208,11 @@ def imag_class_numbers(limit: int) -> np.ndarray:
     are 0; entries at non-fundamental discriminants are the form counts of
     the non-maximal order and must not be used.  Scans read L(1, chi_d) off
     this table (make_l1_lookup); single-field reports count the reduced forms
-    of each d alone (_reduced_form_count).
+    of each d alone (_reduced_form_count).  A negative limit raises
+    DomainError.
     """
+    if limit < 0:
+        raise DomainError("class number table limit must be >= 0, got %d" % limit)
     h = np.zeros(limit + 1, dtype=np.int64)
     a_max = isqrt(limit // 3)
     for a in range(1, a_max + 1):
@@ -184,7 +266,8 @@ def make_l1_lookup(limit: int):
     d is validated by the mask of the fundamental -k, k <= limit, that
     fundamental_discriminants_up_to reads for the positive side
     (field_invariants._fundamental_mask with sign -1).  A positive d, a
-    non-fundamental d and a |d| past the table raise DomainError.
+    non-fundamental d and a |d| past the table raise DomainError, and so
+    does a negative limit (imag_class_numbers).
     """
     h = imag_class_numbers(limit)
     fundamental = _fundamental_mask(limit, -1)
@@ -221,15 +304,32 @@ class CMExtensionInvariants:
     N_U0_sq: int
 
 
-def _integer_trace(s, expected: str) -> int:
-    """s as a Python int by operator.index; bool and every other type raise
-    DomainError(expected)."""
+def _rational_trace(s, expected: str) -> int:
+    """s as a Python int in {0, 1, -1}: a type other than an integer (bool
+    included) raises DomainError(expected), another value DomainError."""
     if isinstance(s, bool):
         raise DomainError("%s, got %r" % (expected, s))
     try:
-        return operator.index(s)
+        s = operator.index(s)
     except TypeError:
         raise DomainError("%s, got %r" % (expected, s)) from None
+    if s not in (0, 1, -1):
+        raise DomainError("rational elliptic traces are 0 and +-1, got %r" % (s,))
+    return s
+
+
+def _cm_invariants(D: int, s: int, cm) -> CMExtensionInvariants:
+    d2, d3, d_kp, w_prime, n_rel, n_u0, hr_ratio = cm
+    return CMExtensionInvariants(
+        D=D,
+        s=s,
+        subfield_discs=(D, d2, d3),
+        d_Kprime=d_kp,
+        w_prime=w_prime,
+        hR_ratio=hr_ratio,
+        N_rel_disc=n_rel,
+        N_U0_sq=n_u0,
+    )
 
 
 def cm_extension_invariants(D: int, s: int, l1=None) -> CMExtensionInvariants:
@@ -243,39 +343,11 @@ def cm_extension_invariants(D: int, s: int, l1=None) -> CMExtensionInvariants:
     d3, the discriminant of Q(sqrt(D (s^2 - 4))), needs no factoring: with
     D = m or 4m, m squarefree, the squarefree part of -(4 - s^2) D is -m
     for s = 0, and -m/3 or -3m for s = +-1 as 3 does or does not divide m.
+    The numbers come from _cm_numbers.
     """
     D = _check_field_discriminant(D)
-    s = _integer_trace(s, "rational elliptic traces are 0 and +-1")
-    if s not in (0, 1, -1):
-        raise DomainError("rational elliptic traces are 0 and +-1, got %r" % (s,))
-    d2 = -4 if s == 0 else -3
-    m = D if D % 4 == 1 else D // 4
-    core = -m if s == 0 else (-m // 3 if m % 3 == 0 else -3 * m)
-    d3 = core if core % 4 == 1 else 4 * core
-    d_kp = abs(D * d2 * d3)
-    w_prime = 12 if d3 in (-3, -4) else {-4: 4, -3: 6}[d2]
-    if d_kp % (D * D):
-        raise RuntimeError("d_K' = %d is not divisible by D^2 = %d" % (d_kp, D * D))
-    n_rel = d_kp // (D * D)
-    n4s = (4 - s * s) ** 2
-    if n4s % n_rel:
-        raise RuntimeError("N(4-s^2) = %d not divisible by N(rel disc) = %d" % (n4s, n_rel))
-    n_u0 = n4s // n_rel
-    if n_u0 < 1:
-        raise RuntimeError("N(U0)^2 = %d below 1" % n_u0)
-    if l1 is None:
-        l1 = _reduced_form_l1
-    hr_ratio = w_prime * math.sqrt(abs(d2 * d3)) * l1(d2) * l1(d3) / (2.0 * math.pi ** 2)
-    return CMExtensionInvariants(
-        D=D,
-        s=s,
-        subfield_discs=(D, d2, d3),
-        d_Kprime=d_kp,
-        w_prime=w_prime,
-        hR_ratio=hr_ratio,
-        N_rel_disc=n_rel,
-        N_U0_sq=n_u0,
-    )
+    s = _rational_trace(s, "rational elliptic traces are 0 and +-1")
+    return _cm_invariants(D, s, _cm_numbers(D, s, _reduced_form_l1 if l1 is None else l1))
 
 
 @dataclass(frozen=True)
@@ -296,38 +368,34 @@ class TraceBound:
     cm: CMExtensionInvariants | None
 
 
+def _trace_bound(trace: EllipticTrace, value: float, cm) -> TraceBound:
+    """The TraceBound of one (value, cm) pair of _trace_value."""
+    if cm is None:
+        return TraceBound(trace=trace, value=value, exact=False,
+                          unresolved_unit_ratio=True, cm=None)
+    return TraceBound(trace=trace, value=value, exact=(cm[5] == 1), unresolved_unit_ratio=False,
+                      cm=_cm_invariants(trace.D, trace.p // 2, cm))
+
+
 def prestel_bound(D: int, s, l1=None) -> TraceBound:
     """Bound the count of elliptic points with trace s.
 
     s may be an EllipticTrace or a rational integer trace of any integer type
-    but bool; l1 is passed on to cm_extension_invariants.
+    but bool; l1 is read as by cm_extension_invariants.  The value comes from
+    _trace_value.
     """
     D = _check_field_discriminant(D)
     if isinstance(s, EllipticTrace):
         trace = s
         if trace.D != D:
             raise DomainError("trace %s belongs to D=%d, not D=%d" % (trace, trace.D, D))
+        if trace.is_rational:
+            _rational_trace(trace.s_rational, "rational elliptic traces are 0 and +-1")
     else:
-        s = _integer_trace(s, "s must be an EllipticTrace or a rational integer")
+        s = _rational_trace(s, "s must be an EllipticTrace or a rational integer")
         trace = EllipticTrace(D=D, p=2 * s, q=0)
-
-    if not trace.is_rational:
-        return TraceBound(
-            trace=trace,
-            value=float(trace.norm_4_minus_s2()),
-            exact=False,
-            unresolved_unit_ratio=True,
-            cm=None,
-        )
-
-    cm = cm_extension_invariants(D, trace.s_rational, l1=l1)
-    return TraceBound(
-        trace=trace,
-        value=cm.hR_ratio * cm.N_U0_sq,
-        exact=(cm.N_U0_sq == 1),
-        unresolved_unit_ratio=False,
-        cm=cm,
-    )
+    l1 = _reduced_form_l1 if l1 is None else l1
+    return _trace_bound(trace, *_trace_value(D, trace.p, trace.q, l1))
 
 
 @dataclass(frozen=True)
@@ -345,30 +413,35 @@ class EllipticSummary:
 
 
 def elliptic_summary(D: int, l1=None) -> EllipticSummary:
-    """Enumerate traces and aggregate the per-trace bounds.
-
-    Each rational trace asks l1 for its two CM discriminants d2 and d3; the
-    two traces share none of them except at D = 12 (d = -3 and -4 both
-    twice), so nothing is memoized.
-    """
+    """Enumerate traces and aggregate the per-trace bounds, the numbers of
+    _elliptic_bounds; l1 is read as by cm_extension_invariants."""
     D = _check_field_discriminant(D)
-    bounds = tuple(prestel_bound(D, t, l1=l1) for t in elliptic_traces(D))
-    total = float(sum(b.value for b in bounds))
-    if total <= 0:
-        raise RuntimeError("total elliptic bound %g for D=%d is not positive" % (total, D))
+    rows, total, exponent = _elliptic_bounds(D, _reduced_form_l1 if l1 is None else l1)
     return EllipticSummary(
         D=D,
-        bounds=bounds,
+        bounds=tuple(_trace_bound(EllipticTrace(D=D, p=p, q=q), value, cm)
+                     for p, q, value, cm in rows),
         total_bound=total,
-        exponent_record=math.log(total) / math.log(D),
+        exponent_record=exponent,
     )
 
 
 def fit_growth_exponent(ds, totals) -> float:
-    """Least-squares slope of log(total) against log(D)."""
-    xs = np.log(np.asarray(ds, dtype=np.float64))
-    ys = np.log(np.asarray(totals, dtype=np.float64))
-    if xs.shape != ys.shape or xs.size < 2:
-        raise DomainError("need matching arrays of at least two scan points")
-    slope, _ = np.polyfit(xs, ys, 1)
+    """Least-squares slope of log(total) against log(D).
+
+    ds and totals are matching 1-D sequences of positive finite numbers with
+    at least two distinct D; anything else raises DomainError.
+    """
+    try:
+        xs = np.asarray(ds, dtype=np.float64)
+        ys = np.asarray(totals, dtype=np.float64)
+    except (TypeError, ValueError):
+        raise DomainError("need 1-D arrays of numbers, got %r and %r" % (ds, totals)) from None
+    if xs.ndim != 1 or xs.shape != ys.shape:
+        raise DomainError("need matching 1-D arrays, got shapes %s and %s" % (xs.shape, ys.shape))
+    if not (np.isfinite(xs).all() and np.isfinite(ys).all() and (xs > 0).all() and (ys > 0).all()):
+        raise DomainError("every D and total must be positive and finite")
+    if np.unique(xs).size < 2:
+        raise DomainError("need scan points at two or more distinct D")
+    slope, _ = np.polyfit(np.log(xs), np.log(ys), 1)
     return float(slope)

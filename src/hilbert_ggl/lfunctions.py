@@ -159,6 +159,8 @@ def kronecker_chi(d: int, n: int) -> int:
 
 
 def primes_up_to(limit: int) -> np.ndarray:
+    """The primes p <= limit, ascending; empty for any limit below 2."""
+    limit = max(limit, 0)
     for cap, arr in _primes_cache.items():
         if cap >= limit:
             return arr[arr <= limit]

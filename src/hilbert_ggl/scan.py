@@ -38,7 +38,7 @@ from math import isqrt
 import numpy as np
 
 from .criteria import FieldInputs, to_fraction, verdict
-from .elliptic import elliptic_summary, make_l1_lookup
+from .elliptic import _elliptic_bounds, make_l1_lookup
 from .errors import DomainError
 from .field_invariants import _check_field_discriminant, exact_hr, fundamental_discriminants_up_to
 from .lfunctions import closed_form_l1, zeta_K2
@@ -84,14 +84,17 @@ def scan_field(D: int, epsilon, l1_lookup, sigma) -> FieldRecord:
 
     L(1, chi_D) is evaluated once, for hR; the elliptic bounds do not use it
     and read L(1, chi_d) for their negative CM discriminants off l1_lookup.
-    zeta_K(-1) comes from Siegel's formula on sigma.  Both tables come from
-    scan_tables and must reach D; a short one raises DomainError.
+    The bounds come from the arithmetic core of elliptic_summary
+    (elliptic._elliptic_bounds), which gives the same total and exponent
+    record and builds no report object.  zeta_K(-1) comes from Siegel's
+    formula on sigma.  Both tables come from scan_tables and must reach D; a
+    short one raises DomainError.  D is validated here once.
     """
     D = _check_field_discriminant(D)
     l1_val, l1_cert = closed_form_l1(D)
     zeta_m1 = _siegel_zeta_minus1(D, sigma)
     zeta2, zeta2_cert = zeta_K2(D, zeta_m1)
-    ell = elliptic_summary(D, l1=l1_lookup)
+    _rows, ell_total, ell_exponent = _elliptic_bounds(D, l1_lookup)
     inputs = FieldInputs(D=D, hr=math.sqrt(D) * l1_val / 2.0, zeta2=zeta2,
                          zeta_m1=zeta_m1, l1_value=l1_val, l1_cert=l1_cert)
     rep = verdict(inputs, epsilon)
@@ -116,8 +119,8 @@ def scan_field(D: int, epsilon, l1_lookup, sigma) -> FieldRecord:
         nu_max=rep.nu_max,
         nu_required=rep.nu_required,
         margin=rep.margin,
-        elliptic_total_bound=ell.total_bound,
-        elliptic_exponent=ell.exponent_record,
+        elliptic_total_bound=ell_total,
+        elliptic_exponent=ell_exponent,
         verdict=rep.verdict,
         flags=rep.flags,
         exact=exact,

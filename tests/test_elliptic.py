@@ -333,6 +333,37 @@ def test_growth_exponent_below_bound():
     assert slope <= 0.6, slope
     with pytest.raises(DomainError):
         fit_growth_exponent([5.0], [2.0])
+    # a total or D that is not positive and finite, fewer than two distinct
+    # D, and input that is not 1-D
+    nan, inf = float("nan"), float("inf")
+    for bad_ds, bad_totals in [([5, 8, 12], [1.0, 0.0, 2.0]), ([5, 8, 12], [1.0, -3.0, 2.0]),
+                               ([5, 8, 12], [1.0, nan, 2.0]), ([5, 8, 12], [1.0, inf, 2.0]),
+                               ([5, 0, 12], [1.0, 2.0, 3.0]), ([5, nan, 12], [1.0, 2.0, 3.0]),
+                               ([5, inf, 12], [1.0, 2.0, 3.0]), ([5, 5], [1.0, 2.0]),
+                               ([8, 8, 8], [1.0, 2.0, 3.0]),
+                               ([[5, 8], [12, 13]], [[1, 2], [3, 4]]),
+                               ([[5, 8], [12]], [1.0, 2.0]), ([5, 8], [1.0, 2.0, 3.0]),
+                               ("58", [1.0, 2.0])]:
+        with pytest.raises(DomainError):
+            fit_growth_exponent(bad_ds, bad_totals)
+
+
+def test_elliptic_total_must_be_finite_and_positive():
+    # NaN compares false with 0, so a bare "total <= 0" let these through
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(RuntimeError, match="total elliptic bound"):
+            elliptic_summary(13, l1=lambda d: bad)
+    with pytest.raises(RuntimeError, match="total elliptic bound"):
+        elliptic_summary(13, l1=lambda d: 0.0)
+
+
+def test_table_builders_refuse_a_negative_limit():
+    for build in (imag_class_numbers, make_l1_lookup):
+        with pytest.raises(DomainError, match="limit"):
+            build(-5)
+        with pytest.raises(DomainError, match="limit"):
+            build(-1)
+    assert imag_class_numbers(0).tolist() == [0]
 
 
 def test_trace_str_matches_field_element():

@@ -342,3 +342,15 @@ def test_euler_chi_array_multiplicative_route():
         tbl = character_table(D)
         for n in range(5 * D + 1):
             assert chi[n] == tbl[n % D], (D, n)
+
+
+def test_primes_up_to_negative_limit_whatever_the_cache(monkeypatch):
+    # a cold cache sieves, a warm one slices; both give no primes below 2
+    for warm in (False, True):
+        monkeypatch.setattr(lfunctions, "_primes_cache", {})
+        if warm:
+            lfunctions.primes_up_to(100)
+        for limit in (-1, -7, 0, 1):
+            assert lfunctions.primes_up_to(limit).tolist() == [], (warm, limit)
+        assert lfunctions.euler_chi_array(5, -1).tolist() == [], warm
+        assert lfunctions.primes_up_to(13).tolist() == [2, 3, 5, 7, 11, 13], warm

@@ -58,6 +58,40 @@ def test_scan_field_exact_path_consistent(tables):
         assert abs(classes.h * reg - fast.hr) <= 1e-9 * fast.hr
 
 
+def test_scan_field_elliptic_numbers_equal_elliptic_summary_up_to_20000():
+    # scan_field reads the arithmetic core; elliptic_summary wraps it in
+    # report objects: the same bits, irrational traces (D < 16) included
+    lookup, sigma = scan_tables(20_000)
+    ds = fundamental_discriminants_up_to(20_000)
+    assert ds[:4] == [5, 8, 12, 13]
+    for D in ds:
+        rec = scan_field(D, Fraction(1, 100), lookup, sigma)
+        ell = elliptic_summary(D, l1=lookup)
+        assert rec.elliptic_total_bound.hex() == ell.total_bound.hex(), D
+        assert rec.elliptic_exponent.hex() == ell.exponent_record.hex(), D
+
+
+def test_scan_field_builds_no_elliptic_report_object(monkeypatch, tables):
+    import hilbert_ggl.elliptic as elliptic_module
+
+    expected = [scan_field(D, Fraction(1, 100), *tables) for D in (5, 8, 12, 13, 229, 46373)]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("scan_field built an elliptic report object")
+
+    for name in ("EllipticTrace", "TraceBound", "CMExtensionInvariants", "EllipticSummary"):
+        monkeypatch.setattr(elliptic_module, name, refuse)
+    got = [scan_field(D, Fraction(1, 100), *tables) for D in (5, 8, 12, 13, 229, 46373)]
+    assert got == expected
+
+
+def test_scan_field_refuses_a_total_that_is_not_finite(tables):
+    _lookup, sigma = tables
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(RuntimeError, match="total elliptic bound"):
+            scan_field(13, Fraction(1, 100), lambda d: bad, sigma)
+
+
 def test_siegel_route_equals_bernoulli_route():
     # the scan route to zeta_K(-1) (Siegel's divisor sums on a sieved sigma_1
     # table) and the report route (B_{2,chi}/24) give the same Fraction
