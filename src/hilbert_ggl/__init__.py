@@ -24,7 +24,6 @@ from .cusps import (
     CuspCycle,
     CuspTangencyReport,
     cusp_cycle,
-    find_equivalent_reduced,
     periodic_hj,
     verify_cusp_tangency,
 )
@@ -74,7 +73,6 @@ from .hj import hj_expand, hj_reconstruct
 from .lfunctions import (
     closed_form_l1,
     fundamental_discriminant,
-    fundamental_discriminant_signed,
     is_fundamental_discriminant,
     is_squarefree,
     kronecker_chi,
@@ -120,10 +118,8 @@ __all__ = [
     "elliptic_summary",
     "elliptic_traces",
     "exact_det",
-    "find_equivalent_reduced",
     "fit_growth_exponent",
     "fundamental_discriminant",
-    "fundamental_discriminant_signed",
     "fundamental_discriminants_up_to",
     "fundamental_unit",
     "hj_expand",

@@ -14,7 +14,9 @@ as a QuadElem (a + b*sqrt(D))/c once, for total positivity, the closing ray,
 the recurrence at the two seams (where eta enters) and Cramer's rule, which
 must give back its coordinates; the unit eta identified by the cycle is
 compared against the fundamental unit computed independently in
-field_invariants.  Only the preperiod steps QuadElem.hj_step.
+field_invariants.  Only the preperiod steps QuadElem.hj_step: an irrational
+that is not reduced is expanded to its first reduced tail
+(_expand_to_reduced), whose period word periodic_hj reads.
 """
 
 from __future__ import annotations
@@ -37,20 +39,19 @@ _MAX_V_POWER = 512
 def periodic_hj(w: QuadElem) -> list[int]:
     """Period word of the minus continued fraction of a reduced irrational w.
 
-    Requires w > 1 and 0 < w' < 1 (purely periodic case).  For other
-    irrationals call find_equivalent_reduced first.  On integers: each tail
+    Requires w > 1 and 0 < w' < 1 (purely periodic case); other irrationals
+    reach a reduced tail by _expand_to_reduced.  On integers: each tail
     is (P + sqrt(Delta))/Q, from P = a*c, Q = c^2, Delta = b^2 c^2 D for
     w = (a + b*sqrt(D))/c (b > 0); a step is k = (P + isqrt(Delta))//Q + 1,
     P <- k*Q - P, Q <- (P^2 - Delta)/Q, and the period closes when (P, Q)
     returns to its start.
     """
     if w.b == 0:
-        raise DomainError("%s is rational and has no periodic continued fraction; "
-                          "find_equivalent_reduced rejects it too" % (w,))
+        raise DomainError("%s is rational and has no periodic continued fraction" % (w,))
     if not w.is_hj_reduced():
         raise DomainError(
             "%s is not reduced (need w > 1 and 0 < w' < 1); "
-            "apply find_equivalent_reduced first" % (w,)
+            "expand it to a reduced tail first" % (w,)
         )
     P, Q, delta = w.a * w.c, w.c * w.c, (w.b * w.c) ** 2 * w.D
     P0, Q0, s = P, Q, isqrt(delta)
@@ -68,11 +69,6 @@ def periodic_hj(w: QuadElem) -> list[int]:
             raise RuntimeError("period of %s did not close within %d steps" % (w, _MAX_PERIOD))
 
 
-def find_equivalent_reduced(w: QuadElem) -> QuadElem:
-    """Iterate the expansion of an irrational w until the tail is reduced."""
-    return _expand_to_reduced(w)[0]
-
-
 def _expand_to_reduced(theta: QuadElem) -> tuple[QuadElem, tuple[int, int, int, int]]:
     """Expand theta until reduced, tracking the Moebius head.
 
@@ -80,8 +76,8 @@ def _expand_to_reduced(theta: QuadElem) -> tuple[QuadElem, tuple[int, int, int, 
     a*d - b*c = 1.
     """
     if theta.b == 0:
-        raise DomainError("find_equivalent_reduced: %s is rational and has no "
-                          "periodic continued fraction" % (theta,))
+        raise DomainError("%s is rational and has no periodic continued fraction"
+                          % (theta,))
     w = theta
     a, b, c, d = 1, 0, 0, 1
     for _ in range(_MAX_PREPERIOD):
@@ -89,7 +85,7 @@ def _expand_to_reduced(theta: QuadElem) -> tuple[QuadElem, tuple[int, int, int, 
             return w, (a, b, c, d)
         digit, w = w.hj_step()
         a, b, c, d = a * digit + b, -a, c * digit + d, -c
-    raise RuntimeError("find_equivalent_reduced: no reduced number equivalent to %s "
+    raise RuntimeError("no reduced number equivalent to %s "
                        "found within %d steps" % (theta, _MAX_PREPERIOD))
 
 

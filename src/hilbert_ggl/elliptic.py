@@ -6,8 +6,8 @@ absolute value below 2, and there are finitely many such s up to sign.  For
 the rational traces s in {0, +-1} the fixed points biject, up to bounded
 fudge factors, with ideal-class data of the biquadratic CM extension
 K' = K(sqrt(s^2 - 4)), and the class number formula for K' turns the count
-into a product of three Dirichlet L-values at 1.  Irrational traces only
-occur for D < 16 and contribute bounded terms.
+into a product of three Dirichlet L-values at 1.  Irrational traces occur
+only for D = 5, 8 and 12 and contribute bounded terms.
 
 The per-trace bound implemented here is the chain
 
@@ -31,14 +31,15 @@ off its character sum, the independent cross-check.  The count shares its
 divisor grid with the real reduced forms; neither uses trial division.
 
 Every elliptic number has one code path, the private arithmetic core below:
-the canonical trace pairs (_trace_pairs), N(4 - s^2) (_norm_4_minus_s2), the
-CM numbers of a rational trace (_cm_numbers), each trace's value
-(_trace_value) and the total with its exponent record (_elliptic_bounds).  A
-scan field reads the core directly (scan.scan_field calls _elliptic_bounds)
-and builds no report object; the public entries elliptic_traces,
-cm_extension_invariants, prestel_bound and elliptic_summary validate their
-arguments and wrap the same numbers in EllipticTrace, CMExtensionInvariants,
-TraceBound and EllipticSummary for a single-field report.
+the canonical trace pairs (_trace_pairs, a table), N(4 - s^2)
+(_norm_4_minus_s2), the CM numbers of a rational trace (_cm_numbers), each
+trace's value (_trace_value) and the total with its exponent record
+(_elliptic_bounds).  A scan field reads the core directly (scan.scan_field
+calls _elliptic_bounds) and builds no report object; the public entries
+elliptic_traces, cm_extension_invariants, prestel_bound and elliptic_summary
+validate their arguments and wrap the same numbers in EllipticTrace,
+CMExtensionInvariants, TraceBound and EllipticSummary for a single-field
+report.
 """
 
 from __future__ import annotations
@@ -64,26 +65,27 @@ from .quadratic import QuadElem
 _TWO_PI_SQ = 2.0 * math.pi ** 2
 
 
-def _trace_pairs(D: int) -> list[tuple[int, int]]:
-    """(p, q) of every canonical elliptic trace class s = (p + q sqrt(D))/2.
+# canonical elliptic trace classes (p, q) of s = (p + q sqrt(D))/2, in (p, q)
+# order.  s is elliptic iff 4 - s^2 is totally positive: its trace
+# (16 - p^2 - q^2 D)/2 and its norm (_norm_4_minus_s2) are positive.  The
+# rational s = p/2 are 0 and 1 in every field.  An irrational one (q != 0)
+# needs q^2 D < 16, so D is 5, 8, 12 or 13, and at 13 the only integral
+# candidates, (1 +- sqrt(13))/2, have an embedding above 2 (Prestel 1968;
+# Hirzebruch, Hilbert modular surfaces, 1973).  tests/oracles.py's box search
+# is the check.
+_RATIONAL_TRACE_PAIRS = ((0, 0), (2, 0))
+_TRACE_PAIRS = {
+    5: ((0, 0), (1, -1), (1, 1), (2, 0)),
+    8: ((0, 0), (0, 1), (2, 0)),
+    12: ((0, 0), (0, 1), (2, 0)),
+}
 
-    s is integral iff p = q (mod 2) for odd D and p is even for even D.  Its
-    embeddings both lie in (-2, 2) iff 4 - s^2 is totally positive, i.e. its
-    trace (16 - p^2 - q^2 D)/2 and its norm (_norm_4_minus_s2) are positive;
-    both force p^2 + q^2 D < 16, so p < 4 and |q| <= sqrt(15/D).  The loops
-    run p, then q, upward, so the pairs come in (p, q) order.
-    """
-    out = []
-    q_max = isqrt(15 // D)
-    odd = D % 2
-    for p in range(0, 4):
-        for q in range(-q_max, q_max + 1):
-            if (p == 0 and q < 0) or ((p - q) % 2 if odd else p % 2):
-                continue
-            v = 16 - p * p - q * q * D
-            if v > 0 and v * v > 4 * p * p * q * q * D:
-                out.append((p, q))
-    return out
+
+def _trace_pairs(D: int) -> tuple[tuple[int, int], ...]:
+    """(p, q) of every canonical elliptic trace class s = (p + q sqrt(D))/2
+    of the field D, in (p, q) order: the table above, where only D = 5, 8
+    and 12 have irrational traces."""
+    return _TRACE_PAIRS.get(D, _RATIONAL_TRACE_PAIRS)
 
 
 def _norm_4_minus_s2(D: int, p: int, q: int) -> int:

@@ -1,9 +1,11 @@
 """Dirichlet L-values for quadratic characters, and zeta_K(-1) exactly.
 
 Discriminants: one trial division, ``_prime_factors``, serves
-``is_squarefree``, ``is_fundamental_discriminant`` (x not 0 or 1 and equal
-to the discriminant of Q(sqrt(x))), ``factor_fundamental``,
-``fundamental_discriminant`` and ``fundamental_discriminant_signed``.
+``is_squarefree`` (and so ``fundamental_discriminant``) and the memoized
+``_fundamental_parts``: the prime-discriminant factors of d, or None unless
+d is fundamental.  ``is_fundamental_discriminant`` and ``factor_fundamental``
+both read those parts, so validating a field discriminant and building its
+character table factor it once.
 
 Evaluation routes:
 
@@ -86,25 +88,34 @@ def _prime_factors(n: int) -> list[tuple[int, int]]:
     return out
 
 
-def _field_discriminant(r: int) -> int:
-    """Discriminant of Q(sqrt(r)), r != 0, or 1 if r is a square."""
-    k = math.prod(p for p, e in _prime_factors(r) if e % 2)
-    if r < 0:
-        k = -k
-    return k if k % 4 == 1 else 4 * k
-
-
 def is_squarefree(n: int) -> bool:
     return n != 0 and all(e == 1 for _p, e in _prime_factors(n))
 
 
 @functools.lru_cache(maxsize=1024)
-def is_fundamental_discriminant(x: int) -> bool:
-    """Discriminant of a quadratic field (positive or negative), excluding 1.
+def _fundamental_parts(d: int) -> tuple[int, ...] | None:
+    """Prime discriminants p* = +-p = 1 mod 4 over the odd primes p | d,
+    ascending, then the 2-part (-4, 8 or -8) if d is even; None unless d is
+    a fundamental discriminant (positive or negative, not 1).
 
-    Memoized: a scan re-checks the discriminants its own sieve produced.
+    d is fundamental iff d / prod(p*) is 1, -4, 8 or -8: no odd prime then
+    divides d twice, the odd part is 1 mod 4, and a 2-part of 4 leaves
+    d/4 = 3 mod 4.  Memoized on Python ints (the callers coerce d with
+    operator.index): a scan validates D and builds its character table from
+    one factorization.
     """
-    return x not in (0, 1) and x == _field_discriminant(x)
+    if d in (0, 1):
+        return None
+    parts = tuple(p if p % 4 == 1 else -p for p, _e in _prime_factors(d) if p > 2)
+    two_part = d // math.prod(parts)
+    if two_part == 1:
+        return parts
+    return parts + (two_part,) if two_part in (-4, 8, -8) else None
+
+
+def is_fundamental_discriminant(x: int) -> bool:
+    """Discriminant of a quadratic field (positive or negative), excluding 1."""
+    return _fundamental_parts(operator.index(x)) is not None
 
 
 def fundamental_discriminant(m: int) -> int:
@@ -112,16 +123,6 @@ def fundamental_discriminant(m: int) -> int:
     if m < 2 or not is_squarefree(m):
         raise DomainError(f"need a squarefree integer >= 2, got {m}")
     return m if m % 4 == 1 else 4 * m
-
-
-def fundamental_discriminant_signed(r: int) -> int:
-    """Discriminant of Q(sqrt(r)) for any nonsquare integer r."""
-    if r == 0:
-        raise DomainError("radicand must be nonzero")
-    d = _field_discriminant(r)
-    if d == 1:
-        raise DomainError(f"{r} is a perfect square")
-    return d
 
 
 def kronecker_chi(d: int, n: int) -> int:
@@ -190,14 +191,12 @@ def _legendre_table(p: int) -> np.ndarray:
 
 
 def factor_fundamental(d: int) -> list[int]:
-    """Prime-discriminant factorization p* = +-p = 1 mod 4 over the odd primes
-    p | d, times the 2-part (-4, 8 or -8) if d is even; raises DomainError
-    unless d is fundamental."""
-    if not is_fundamental_discriminant(d):
+    """The prime discriminants of d (_fundamental_parts), as Python ints;
+    raises DomainError unless d is fundamental."""
+    parts = _fundamental_parts(operator.index(d))
+    if parts is None:
         raise DomainError(f"{d} is not a fundamental discriminant")
-    parts = [p if p % 4 == 1 else -p for p, _e in _prime_factors(d) if p > 2]
-    two_part = d // math.prod(parts)
-    return parts if two_part == 1 else parts + [two_part]
+    return list(parts)
 
 
 def character_table(d: int) -> np.ndarray:

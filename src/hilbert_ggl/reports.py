@@ -251,8 +251,6 @@ class ScanCache:
                     key="header",
                 )
             for lineno, raw in enumerate(fh, start=2):
-                if not raw.strip():
-                    continue
                 try:
                     line = raw.decode("ascii")
                     prefix = _ENTRY_PREFIX.match(line)

@@ -94,14 +94,6 @@ def brute_is_fundamental(d: int) -> bool:
     return d % 4 == 0 and (d // 4) % 4 in (2, 3) and brute_squarefree(d // 4)
 
 
-def brute_field_discriminant(r: int) -> int:
-    """Discriminant of Q(sqrt(r)) for nonsquare r: divide out the largest
-    square k^2 | r, trying every k."""
-    k = max(k for k in range(1, math.isqrt(abs(r)) + 1) if r % (k * k) == 0)
-    m = r // (k * k)
-    return m if m % 4 == 1 else 4 * m
-
-
 def mp_regulator(D: int, t: int | None = None, u: int | None = None) -> mpmath.mpf:
     """log((t + u sqrt D)/2) at high precision; unit found by brute force
     unless supplied by the caller."""

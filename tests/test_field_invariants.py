@@ -29,17 +29,17 @@ from hilbert_ggl.field_invariants import (
     zeta_K2_dual,
 )
 from hilbert_ggl.lfunctions import (
+    _fundamental_parts,
     closed_form_l1,
     euler_chi_array,
+    factor_fundamental,
     fundamental_discriminant,
-    fundamental_discriminant_signed,
     is_fundamental_discriminant,
 )
 from hilbert_ggl.scan import scan_field
 
 from oracles import (
     brute_class_number,
-    brute_field_discriminant,
     brute_fundamental_unit,
     mp_l_value,
     mp_regulator,
@@ -68,23 +68,6 @@ def test_fundamental_discriminant_normalization():
     for bad in (1, 0, -5, 4, 12, 18):
         with pytest.raises(DomainError):
             fundamental_discriminant(bad)
-
-
-def test_fundamental_discriminant_signed():
-    assert fundamental_discriminant_signed(-1) == -4
-    assert fundamental_discriminant_signed(-3) == -3
-    assert fundamental_discriminant_signed(-2) == -8
-    assert fundamental_discriminant_signed(-20) == -20
-    assert fundamental_discriminant_signed(-12) == -3
-    assert fundamental_discriminant_signed(18) == 8
-    assert fundamental_discriminant_signed(5) == 5
-    with pytest.raises(DomainError):
-        fundamental_discriminant_signed(0)
-    with pytest.raises(DomainError):
-        fundamental_discriminant_signed(9)
-    for r in range(-2000, 2001):
-        if r != 0 and not (r > 0 and math.isqrt(r) ** 2 == r):
-            assert fundamental_discriminant_signed(r) == brute_field_discriminant(r), r
 
 
 def test_fundamental_discriminants_up_to():
@@ -160,6 +143,12 @@ def test_field_functions_take_numpy_integers(tables):
         step = rho_step(pf, np.int64(D))
         assert step == rho_step(pf, D) and all(type(x) is int for x in step), D
         assert np.array_equal(euler_chi_array(np.int64(D), 1000), euler_chi_array(D, 1000)), D
+    # the factorization memo is keyed on Python ints, so a numpy D gets the
+    # same Python-int parts
+    _fundamental_parts.cache_clear()
+    for D in (5, 409, 64277, 99996, -20):
+        parts = factor_fundamental(np.int64(D))
+        assert parts == factor_fundamental(D) and all(type(p) is int for p in parts), D
 
 
 def test_unit_is_minimal():

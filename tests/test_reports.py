@@ -293,6 +293,13 @@ def test_scan_cache_rejects_line_outside_writer_layout(tmp_path, rewrite):
     assert _load_error_key(path) == "line 3"
 
 
+def test_scan_cache_rejects_blank_line(tmp_path):
+    # the writer never writes a blank line, so load does not skip one
+    path, lines = _scan_cache_lines(tmp_path, 20)
+    _write_lines(path, lines[:3] + [""] + lines[3:])
+    assert _load_error_key(path) == "line 4"
+
+
 def test_scan_cache_one_digit_float_change_fails_checksum(tmp_path):
     path, lines = _scan_cache_lines(tmp_path, 20)
     entry = json.loads(lines[4])

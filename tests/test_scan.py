@@ -8,6 +8,7 @@ from fractions import Fraction
 
 import pytest
 
+import hilbert_ggl.lfunctions as lfunctions
 import hilbert_ggl.scan as scan_module
 from hilbert_ggl.elliptic import elliptic_summary
 from hilbert_ggl.errors import DomainError, NumericalAgreementError
@@ -40,6 +41,18 @@ def test_scan_field_fast_path_matches_closed_form(tables):
     assert abs(rec.margin - (rec.nu_max - rec.nu_required)) < 1e-15
     assert rec.verdict == "CandidateExceptional"
     assert abs(rec.elliptic_total_bound - 14.0) < 1e-9
+
+
+def test_scan_field_factors_its_discriminant_once(tables, monkeypatch):
+    # validating D and building its character table read one factorization
+    calls = []
+    factor = lfunctions._prime_factors
+    monkeypatch.setattr(lfunctions, "_prime_factors", lambda n: calls.append(n) or factor(n))
+    lfunctions._fundamental_parts.cache_clear()
+    for D in (5, 12, 4001, FIRST_SATISFIED, 99996):
+        calls.clear()
+        scan_field(D, Fraction(1, 100), *tables)
+        assert calls == [D], D
 
 
 def test_scan_field_exact_path_consistent(tables):
