@@ -23,7 +23,7 @@ from .elliptic import elliptic_summary
 from .errors import DomainError
 from .field_invariants import DEGREE, invariants
 from .hj import hj_expand
-from .lfunctions import fundamental_discriminant, is_fundamental_discriminant, is_squarefree
+from .lfunctions import _fundamental_parts
 from .reports import (
     ScanCache,
     build_field_document,
@@ -36,11 +36,16 @@ from .scan import scan
 
 
 def _normalize_field_value(value: int, parser: argparse.ArgumentParser) -> int:
-    """Accept a fundamental discriminant or a squarefree generator m >= 2."""
-    if value >= 2 and is_fundamental_discriminant(value):
-        return value
-    if value >= 2 and is_squarefree(value):
-        return fundamental_discriminant(value)
+    """Accept a fundamental discriminant or a squarefree generator m >= 2.
+
+    A value = 2 or 3 (mod 4) is no discriminant, and it is squarefree iff
+    4 value is fundamental; a value = 0 or 1 (mod 4) is either fundamental
+    or rejected (a squarefree m = 1 (mod 4) is its own discriminant).  So
+    one factorization, memoized for the field's own validation, decides.
+    """
+    D = value if value % 4 in (0, 1) else 4 * value
+    if value >= 2 and _fundamental_parts(D) is not None:
+        return D
     parser.error(
         "%d is neither a fundamental discriminant nor a squarefree integer >= 2" % value
     )

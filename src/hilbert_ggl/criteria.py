@@ -85,11 +85,15 @@ def nu_max(inv, n: int) -> float:
     """Supremum of admissible vanishing-order ratios, the positive rr root."""
     if n < 2:
         raise DomainError("degree n must be >= 2, got %r" % (n,))
-    if not (inv.hr > _HR_FLOOR):
+    return _nu_max(inv.D, inv.zeta2, inv.hr, n)
+
+
+def _nu_max(D: int, zeta2: float, hr: float, n: int) -> float:
+    if not (hr > _HR_FLOOR):
         raise NumericalAgreementError(
-            "regulator-class product hR = %r for D=%r is below tolerance" % (inv.hr, inv.D)
+            "regulator-class product hR = %r for D=%r is below tolerance" % (hr, D)
         )
-    return n / (8.0 * math.pi ** 2) * (4.0 * inv.D * inv.zeta2 / inv.hr) ** (1.0 / n)
+    return n / (8.0 * math.pi ** 2) * (4.0 * D * zeta2 / hr) ** (1.0 / n)
 
 
 @dataclass(frozen=True)
@@ -195,24 +199,39 @@ def _below(lo: int, hi: int, den: int, limit_num: int, limit_den: int) -> bool |
     return None
 
 
-def _threshold(inv, b: Fraction) -> tuple[int, int]:
-    """T_D = b^2 zeta_K(-1) / (2D) as (numerator, denominator)."""
-    z = inv.zeta_m1
-    return (b.numerator ** 2 * z.numerator,
-            2 * inv.D * b.denominator ** 2 * z.denominator)
-
-
-def _l1_below(inv, t_num: int, t_den: int) -> bool:
-    l1_num, l1_den = inv.l1_value.as_integer_ratio()
-    cert_num, cert_den = inv.l1_cert.as_integer_ratio()
+def _decide(D: int, zeta_m1: Fraction, l1_value: float, l1_cert: float, hr: float,
+            zeta2: float, b2: tuple[int, int], h: int | None = None,
+            regulator: float | None = None) -> tuple[bool, float]:
+    """(L(1) < T_D, nu_max) for one real quadratic field: the arithmetic core
+    of verdict, which scans call directly with b2 = (numerator^2,
+    denominator^2) of b, taken once per run.  It runs every check verdict
+    does: a straddle, known h and R that certify the other side, and hR
+    below the floor of nu_max raise NumericalAgreementError."""
+    # T_D = b^2 zeta_K(-1) / (2D)
+    t_num = b2[0] * zeta_m1.numerator
+    t_den = 2 * D * b2[1] * zeta_m1.denominator
+    l1_num, l1_den = l1_value.as_integer_ratio()
+    cert_num, cert_den = l1_cert.as_integer_ratio()
     mid, half = l1_num * cert_den, cert_num * l1_den
     below = _below(mid - half, mid + half, l1_den * cert_den, t_num, t_den)
     if below is None:
         raise NumericalAgreementError(
             "D=%d: L(1, chi_D) = %r +- %.1e straddles the threshold %.17g"
-            % (inv.D, inv.l1_value, inv.l1_cert, t_num / t_den)
+            % (D, l1_value, l1_cert, t_num / t_den)
         )
-    return below
+    if h is not None:
+        r_num, r_den = regulator.as_integer_ratio()
+        hr_int = h * r_num
+        # L(1) < T_D  <=>  4 (hR)^2 < D T_D^2
+        hr_below = _below(4 * (hr_int * (_R_SCALE - 1)) ** 2, 4 * (hr_int * (_R_SCALE + 1)) ** 2,
+                          (r_den * _R_SCALE) ** 2, D * t_num ** 2, t_den ** 2)
+        if hr_below is not below:
+            raise NumericalAgreementError(
+                "D=%d: h R = %d * %r and L(1, chi_D) = %r +- %.1e do not certify "
+                "the same side of the threshold %.17g"
+                % (D, h, regulator, l1_value, l1_cert, t_num / t_den)
+            )
+    return below, _nu_max(D, zeta2, hr, DEGREE)
 
 
 def verdict(inv, epsilon) -> CriterionReport:
@@ -235,21 +254,9 @@ def verdict(inv, epsilon) -> CriterionReport:
     # to_fraction first: the memo is keyed by exact value, never by a type
     # that thresholds would refuse
     th = _cusp_thresholds(to_fraction(epsilon, "epsilon"))
-    t_num, t_den = _threshold(inv, th.b)
-    below = _l1_below(inv, t_num, t_den)
-    if inv.h is not None:
-        r_num, r_den = inv.regulator.as_integer_ratio()
-        hr = inv.h * r_num
-        # L(1) < T_D  <=>  4 (hR)^2 < D T_D^2
-        hr_below = _below(4 * (hr * (_R_SCALE - 1)) ** 2, 4 * (hr * (_R_SCALE + 1)) ** 2,
-                          (r_den * _R_SCALE) ** 2, inv.D * t_num ** 2, t_den ** 2)
-        if hr_below is not below:
-            raise NumericalAgreementError(
-                "D=%d: h R = %d * %r and L(1, chi_D) = %r +- %.1e do not certify "
-                "the same side of the threshold %.17g"
-                % (inv.D, inv.h, inv.regulator, inv.l1_value, inv.l1_cert, t_num / t_den)
-            )
-    top = nu_max(inv, DEGREE)
+    b = th.b
+    below, top = _decide(inv.D, inv.zeta_m1, inv.l1_value, inv.l1_cert, inv.hr, inv.zeta2,
+                         (b.numerator ** 2, b.denominator ** 2), inv.h, inv.regulator)
     required = float(th.nu_cusp)
     return CriterionReport(
         D=inv.D,

@@ -34,7 +34,7 @@ Every elliptic number has one code path, the private arithmetic core below:
 the canonical trace pairs (_trace_pairs, a table), N(4 - s^2)
 (_norm_4_minus_s2), the CM numbers of a rational trace (_cm_numbers), each
 trace's value (_trace_value) and the total with its exponent record
-(_elliptic_bounds).  A scan field reads the core directly (scan.scan_field
+(_elliptic_bounds).  A scan field reads the core directly (scan._scan_run
 calls _elliptic_bounds) and builds no report object; the public entries
 elliptic_traces, cm_extension_invariants, prestel_bound and elliptic_summary
 validate their arguments and wrap the same numbers in EllipticTrace,
@@ -60,7 +60,7 @@ from .quadratic import QuadElem
 
 # the arithmetic core: one code path per elliptic number, over plain ints and
 # floats.  D is a validated field discriminant and s a rational elliptic
-# trace; the callers check both (scan.scan_field and the public entries).
+# trace; the callers check both (scan._scan_run and the public entries).
 
 _TWO_PI_SQ = 2.0 * math.pi ** 2
 

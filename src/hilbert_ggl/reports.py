@@ -5,7 +5,9 @@ so a written report parses back to identical values.  Human-facing numbers
 carry 10 significant digits (fmt10, and the CSV row templates).  The scan
 cache is a line-oriented file: one JSON header carrying the parameters that
 key the cache, then one JSON line per field record protected by a CRC32 of
-its canonical form.
+its canonical form, the sorted, compact JSON text that the writer fills in
+from one template generated from FieldRecord's fields (_record_text; the
+tests hold the stdlib encoder's text as its oracle).
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ import re
 import zlib
 from dataclasses import dataclass, fields
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 
 from .errors import CacheError
 
@@ -176,14 +179,43 @@ _CSV_ROW = {
 }
 
 
-def canonical_record_json(record: dict) -> str:
-    """Sorted, compact JSON of a JSON-native record (as from to_dict): the
-    record text the cache writes, and whose CRC32 it stores beside it."""
-    return _CANONICAL_ENCODER.encode(record)
+def _string_list(values) -> str:
+    return "[" + ",".join(map(encode_basestring_ascii, values)) + "]"
 
 
-# the encoder json.dumps would build for these arguments on every call
-_CANONICAL_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"), allow_nan=False)
+def _int_or_null(value) -> str:
+    return "null" if value is None else int.__repr__(value)
+
+
+def _float_or_null(value) -> str:
+    return "null" if value is None else float.__repr__(value)
+
+
+# The record text the cache writes and checksums: the sorted, compact JSON
+# of the record, as json.dumps(to_dict(), sort_keys=True, separators=(",",
+# ":"), allow_nan=False) writes it, from one template generated from
+# FieldRecord's fields.  Each key has the encoder of its JSON type; every
+# key not listed holds a float, written by float.__repr__ as the encoder
+# writes it.
+_SPECIAL_ENCODERS = {"D": int.__repr__, "h": _int_or_null, "R": _float_or_null,
+                     "verdict": encode_basestring_ascii, "flags": _string_list,
+                     "exact": {True: "true", False: "false"}.__getitem__}
+_TEXT_KEYS = sorted(_RECORD_KEYS)
+_TEXT_ENCODERS = tuple(_SPECIAL_ENCODERS.get(name, float.__repr__) for name in _TEXT_KEYS)
+_TEXT_VALUES = operator.itemgetter(*_TEXT_KEYS)
+_RECORD_TEMPLATE = "{%s}" % ",".join(encode_basestring_ascii(name) + ":%s" for name in _TEXT_KEYS)
+# what float.__repr__ writes for NaN and the infinities, which JSON lacks
+_NON_FINITE = frozenset(("nan", "inf", "-inf"))
+
+
+def _record_text(record: FieldRecord) -> str:
+    """The canonical JSON text of a record; a NaN or infinite value raises
+    ValueError, as the encoder with allow_nan=False does."""
+    parts = tuple([encode(value) for encode, value in
+                   zip(_TEXT_ENCODERS, _TEXT_VALUES(record.__dict__))])
+    if not _NON_FINITE.isdisjoint(parts):
+        raise ValueError("Out of range float values are not JSON compliant: D=%r" % record.D)
+    return _RECORD_TEMPLATE % parts
 
 
 def _reject_constant(name: str):
@@ -294,24 +326,26 @@ class ScanCache:
 
     def append(self, *records: FieldRecord) -> None:
         """Append records in the given order, writing the header first if the
-        file is new and cutting off a torn last line that load found."""
+        file is new and cutting off a torn last line that load found.  The
+        lines are built before the file is touched, so a record that cannot
+        be written (ValueError for a NaN) leaves the file as it was."""
+        # bytes, as load reads them: every line is ASCII and ends in "\n" alone
+        lines = "".join(map(_entry_line, records)).encode("ascii")
         new = not os.path.exists(self.path)
         if self._resume_at is not None:
             os.truncate(self.path, self._resume_at)
             self._resume_at = None
-        # bytes, as load reads them: every line is ASCII and ends in "\n" alone
         with open(self.path, "ab") as fh:
             if new:
                 fh.write((json.dumps(self._header(), sort_keys=True) + "\n").encode("ascii"))
-            fh.write("".join(self._entry_line(rec) for rec in records).encode("ascii"))
+            fh.write(lines)
 
-    def _entry_line(self, record: FieldRecord) -> str:
-        # the sorted, compact dump of {"D", "crc", "record"}, spliced around
-        # the canonical record text so the record is serialized once
-        canon = canonical_record_json(record.to_dict())
-        return '{"D":%d,"crc":%d,"record":%s}\n' % (
-            record.D, zlib.crc32(canon.encode("ascii")), canon
-        )
+
+def _entry_line(record: FieldRecord) -> str:
+    """The sorted, compact dump of {"D", "crc", "record"}, spliced around the
+    record text, so the record is serialized once."""
+    text = _record_text(record)
+    return '{"D":%d,"crc":%d,"record":%s}\n' % (record.D, zlib.crc32(text.encode("ascii")), text)
 
 
 def build_field_document(params: dict, inv, rep, ell, cyc, tan, timings=None) -> dict:

@@ -18,6 +18,13 @@ unit-norm and class number formula checks as a single-field report, and the
 verdict then decides them by h R as well; none occur below D = 5000, and 458
 of the 30394 fields up to D = 1e5 do.
 
+Records come from one path, _scan_run, which takes a run of fields at a
+time: one elementwise log-sin pass per batch of the run's characters for
+L(1) (lfunctions._even_l1, summed per field, so every bit is the one-field
+value of closed_form_l1), one gather of Siegel's terms per run, and the
+verdict's arithmetic core (criteria._decide) with the thresholds taken once
+per run.  scan_field is its one-field run.
+
 Scans are deterministic: per-field work is a pure function of (D, parameters).
 The fields still to compute are split into contiguous ascending runs, and one
 loop maps the runs in order, in-process or over a process pool (the workers
@@ -31,17 +38,18 @@ import contextlib
 import itertools
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
 
 import numpy as np
 
-from .criteria import FieldInputs, to_fraction, verdict
+from .criteria import (ASSUMPTION_FLAGS, FieldInputs, _cusp_thresholds, _decide, to_fraction,
+                       verdict)
 from .elliptic import _elliptic_bounds, make_l1_lookup
 from .errors import DomainError
 from .field_invariants import _check_field_discriminant, exact_hr, fundamental_discriminants_up_to
-from .lfunctions import closed_form_l1, zeta_K2
+from .lfunctions import _even_l1, character_table, zeta_K2
 from .reports import FieldRecord
 
 # a scan computes its missing fields in contiguous ascending runs of this
@@ -58,16 +66,33 @@ def _divisor_sums(limit: int) -> np.ndarray:
     return sigma
 
 
-def _siegel_zeta_minus1(D: int, sigma: np.ndarray) -> Fraction:
-    """zeta_K(-1) of the real quadratic field of discriminant D by Siegel's
-    formula, from a sigma_1 table (_divisor_sums) reaching D // 4; b and -b
-    count once each."""
-    if len(sigma) <= D // 4:
-        raise DomainError("divisor sum table too short for discriminant %d" % D)
-    b = np.arange(D % 2, isqrt(D) + 1, 2, dtype=np.int64)
-    vals = sigma[(D - b * b) // 4]
-    total = 2 * int(vals.sum()) - (int(vals[0]) if D % 2 == 0 else 0)
-    return Fraction(total, 60)
+def _siegel_zeta_minus1(ds: list[int], sigma: np.ndarray) -> list[Fraction]:
+    """zeta_K(-1) of the real quadratic fields of discriminants ds by Siegel's
+    formula, from a sigma_1 table (_divisor_sums) reaching max(ds) // 4.
+
+    Writing b = p + 2k, p = D mod 2 (so D = p mod 4), the terms of a field
+    are sigma_1(D // 4 - k (k + p)), 0 <= k <= (isqrt(D) - p) / 2; b and -b
+    count once each, so the sum is twice theirs less the term of b = 0 for
+    even D.  One gather reads the terms of every field, and one exact int64
+    np.add.reduceat sums each field's contiguous slice.
+    """
+    if not ds:
+        return []
+    top = max(ds)
+    if len(sigma) <= top // 4:
+        raise DomainError("divisor sum table too short for discriminant %d" % top)
+    counts = [(isqrt(D) - D % 2) // 2 + 1 for D in ds]
+    starts = np.zeros(len(ds), dtype=np.int64)
+    np.cumsum(counts[:-1], out=starts[1:])
+    # k = 0 .. count - 1 of each field, one field after the other
+    k = np.arange(sum(counts), dtype=np.int64)
+    k -= np.repeat(starts, counts)
+    parity = np.array(ds, dtype=np.int64) & 1
+    index = np.repeat(np.array(ds, dtype=np.int64) >> 2, counts)
+    index -= k * (k + np.repeat(parity, counts))
+    vals = sigma[index]
+    totals = 2 * np.add.reduceat(vals, starts) - (1 - parity) * vals[starts]
+    return [Fraction(total, 60) for total in totals.tolist()]
 
 
 def scan_tables(dmax: int):
@@ -78,54 +103,71 @@ def scan_tables(dmax: int):
     return make_l1_lookup(4 * dmax + 16), _divisor_sums(dmax // 4 + 1)
 
 
-def scan_field(D: int, epsilon, l1_lookup, sigma) -> FieldRecord:
-    """Evaluate the criterion for one field; a Satisfied field is rechecked
-    on the exact path.
+def _scan_run(ds: list[int], epsilon, l1_lookup, sigma) -> list[FieldRecord]:
+    """The records of the fields ds, in order: the one path of scan records.
 
-    L(1, chi_D) is evaluated once, for hR; the elliptic bounds do not use it
-    and read L(1, chi_d) for their negative CM discriminants off l1_lookup.
-    The bounds come from the arithmetic core of elliptic_summary
-    (elliptic._elliptic_bounds), which gives the same total and exponent
-    record and builds no report object.  zeta_K(-1) comes from Siegel's
-    formula on sigma.  Both tables come from scan_tables and must reach D; a
-    short one raises DomainError.  D is validated here once.
+    Each D is validated once.  L(1, chi_D) comes from one log-sin pass per
+    batch of the run's characters (lfunctions._even_l1, the kernel of
+    closed_form_l1), and zeta_K(-1) from one gather of Siegel's terms per
+    run.  The elliptic bounds read L(1, chi_d) for their negative CM
+    discriminants off l1_lookup, through the arithmetic core of
+    elliptic_summary (elliptic._elliptic_bounds), and the L(1) < T_D
+    decision runs through the arithmetic core of verdict
+    (criteria._decide), with the cusp thresholds taken once; neither builds
+    a report object.  A Satisfied field is rechecked on the exact path
+    (field_invariants.exact_hr) and decided again by verdict, with h R.
+    Both tables come from scan_tables and must reach every D; a short one
+    raises DomainError.
     """
-    D = _check_field_discriminant(D)
-    l1_val, l1_cert = closed_form_l1(D)
-    zeta_m1 = _siegel_zeta_minus1(D, sigma)
-    zeta2, zeta2_cert = zeta_K2(D, zeta_m1)
-    _rows, ell_total, ell_exponent = _elliptic_bounds(D, l1_lookup)
-    inputs = FieldInputs(D=D, hr=math.sqrt(D) * l1_val / 2.0, zeta2=zeta2,
-                         zeta_m1=zeta_m1, l1_value=l1_val, l1_cert=l1_cert)
-    rep = verdict(inputs, epsilon)
-    exact = rep.verdict == "Satisfied"
-    if exact:
-        _unit, classes, reg, _residual = exact_hr(D, l1_val, l1_cert)
-        inputs = replace(inputs, hr=classes.h * reg, h=classes.h, regulator=reg)
-        rep = verdict(inputs, epsilon)
-    # the values go straight into the instance dict, in field order, as
-    # FieldRecord.from_dict writes them: the generated __init__ would pay one
-    # frozen setattr per field
-    record = object.__new__(FieldRecord)
-    record.__dict__.update(
-        D=D,
-        h=inputs.h,
-        R=inputs.regulator,
-        hr=inputs.hr,
-        zeta2=zeta2,
-        zeta2_cert=zeta2_cert,
-        l1=l1_val,
-        l1_cert=l1_cert,
-        nu_max=rep.nu_max,
-        nu_required=rep.nu_required,
-        margin=rep.margin,
-        elliptic_total_bound=ell_total,
-        elliptic_exponent=ell_exponent,
-        verdict=rep.verdict,
-        flags=rep.flags,
-        exact=exact,
-    )
-    return record
+    ds = [_check_field_discriminant(D) for D in ds]
+    th = _cusp_thresholds(to_fraction(epsilon, "epsilon"))
+    b2 = (th.b.numerator ** 2, th.b.denominator ** 2)
+    required = float(th.nu_cusp)
+    l1s = _even_l1(ds, map(character_table, ds))
+    records = []
+    for D, (l1_val, l1_cert), zeta_m1 in zip(ds, l1s, _siegel_zeta_minus1(ds, sigma)):
+        zeta2, zeta2_cert = zeta_K2(D, zeta_m1)
+        _rows, ell_total, ell_exponent = _elliptic_bounds(D, l1_lookup)
+        hr = math.sqrt(D) * l1_val / 2.0
+        below, top = _decide(D, zeta_m1, l1_val, l1_cert, hr, zeta2, b2)
+        h = reg = None
+        decided = "CandidateExceptional"
+        if below:
+            _unit, classes, reg, _residual = exact_hr(D, l1_val, l1_cert)
+            h, hr = classes.h, classes.h * reg
+            rep = verdict(FieldInputs(D=D, hr=hr, zeta2=zeta2, zeta_m1=zeta_m1, l1_value=l1_val,
+                                      l1_cert=l1_cert, h=h, regulator=reg), th.epsilon)
+            top, decided = rep.nu_max, rep.verdict
+        # the values go straight into the instance dict, in field order, as
+        # FieldRecord.from_dict writes them: the generated __init__ would pay
+        # one frozen setattr per field
+        record = object.__new__(FieldRecord)
+        record.__dict__.update(
+            D=D,
+            h=h,
+            R=reg,
+            hr=hr,
+            zeta2=zeta2,
+            zeta2_cert=zeta2_cert,
+            l1=l1_val,
+            l1_cert=l1_cert,
+            nu_max=top,
+            nu_required=required,
+            margin=top - required,
+            elliptic_total_bound=ell_total,
+            elliptic_exponent=ell_exponent,
+            verdict=decided,
+            flags=ASSUMPTION_FLAGS,
+            exact=below,
+        )
+        records.append(record)
+    return records
+
+
+def scan_field(D: int, epsilon, l1_lookup, sigma) -> FieldRecord:
+    """Evaluate the criterion for one field (the one-field run of _scan_run);
+    a Satisfied field is rechecked on the exact path."""
+    return _scan_run([D], epsilon, l1_lookup, sigma)[0]
 
 
 @dataclass(frozen=True)
@@ -163,8 +205,7 @@ def _init_worker(dmax: int) -> None:
 
 
 def _scan_chunk(ds: list[int], epsilon: Fraction) -> list[FieldRecord]:
-    lookup, sigma = _WORKER_STATE["tables"]
-    return [scan_field(D, epsilon, lookup, sigma) for D in ds]
+    return _scan_run(ds, epsilon, *_WORKER_STATE["tables"])
 
 
 def _dyadic_blocks(records) -> tuple[DyadicBlock, ...]:

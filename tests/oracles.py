@@ -15,15 +15,17 @@ generic wedge engine (which the package runs on two charts per cycle
 only), cusp cycles are rebuilt with a QuadElem at every continued-fraction
 and recurrence step (the package runs both on integers), the class-number
 sieve adds through a fancy index (the package adds along strided slices),
-scan records are decoded key by key and rendered to CSV cell by cell, and
-the verdict is taken by the float sign tests that the exact comparison
-replaced.
+scan records are decoded key by key, rendered to CSV cell by cell and
+encoded as cache text by the stdlib JSON encoder (the package fills one
+template), and the verdict is taken by the float sign tests that the exact
+comparison replaced.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import itertools
+import json
 import math
 from fractions import Fraction
 
@@ -341,6 +343,12 @@ def record_from_dict(record_class, rec: dict):
     if any(type(f) is not str for f in values["flags"]):
         raise ValueError("invalid flags: %r" % values["flags"])
     return record_class(**{**values, "flags": tuple(values["flags"])})
+
+
+def canonical_record_json(record: dict) -> str:
+    """Sorted, compact JSON of a JSON-native record (as from to_dict), by the
+    stdlib encoder: the record text the scan cache writes and checksums."""
+    return json.dumps(record, sort_keys=True, separators=(",", ":"), allow_nan=False)
 
 
 def _cell10(x) -> str:

@@ -77,6 +77,19 @@ def test_field_squarefree_value_normalized(capsys):
     assert doc["records"][0]["D"] == 24
 
 
+@pytest.mark.parametrize("value, D", [("6", 24), ("5", 5)])
+def test_field_value_factors_its_discriminant_once(value, D, monkeypatch, capsys):
+    # normalizing the value and validating the field read one factorization;
+    # the negative arguments are the CM discriminants of the elliptic bounds
+    calls = []
+    factor = lfunctions._prime_factors
+    monkeypatch.setattr(lfunctions, "_prime_factors", lambda n: calls.append(n) or factor(n))
+    lfunctions._fundamental_parts.cache_clear()
+    assert main(["field", value]) == 0
+    assert capsys.readouterr().out.startswith("field D=%d\n" % D)
+    assert [n for n in calls if n > 0] == [D]
+
+
 def test_field_json_schema(capsys):
     assert main(["field", "5", "--json", "--timings"]) == 0
     doc = json.loads(capsys.readouterr().out)

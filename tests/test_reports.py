@@ -6,7 +6,7 @@ import zlib
 from fractions import Fraction
 
 import pytest
-from oracles import record_from_dict, scan_csv
+from oracles import canonical_record_json, record_from_dict, scan_csv
 
 from hilbert_ggl.cli import main
 from hilbert_ggl.criteria import verdict
@@ -20,7 +20,6 @@ from hilbert_ggl.reports import (
     ScanCache,
     build_field_document,
     build_scan_document,
-    canonical_record_json,
     csv_rows,
     fmt10,
     json_dumps,
@@ -89,6 +88,32 @@ def test_scan_cache_round_trip(tmp_path, tables):
     # a second handle with identical params reads the same file
     again = ScanCache(path, params={"n": 2, "epsilon": "1/100"})
     assert again.load() == cache.load()
+
+
+@pytest.mark.parametrize("key", ["margin", "R", "l1_cert"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_scan_cache_append_refuses_non_finite_floats(tmp_path, tables, key, value):
+    # the stdlib encoder with allow_nan=False raises ValueError, and so does
+    # the writer, before it touches the file: a new file is not created, an
+    # old one keeps its bytes, and a torn last line stays for the next append
+    good = [scan_field(D, Fraction(1, 100), *tables) for D in (5, 8)]
+    bad = dataclasses.replace(scan_field(46373, Fraction(1, 100), *tables), **{key: value})
+    with pytest.raises(ValueError):
+        canonical_record_json(bad.to_dict())
+    path = tmp_path / "scan.cache"
+    cache = ScanCache(str(path), CLI_PARAMS)
+    with pytest.raises(ValueError):
+        cache.append(*good, bad)
+    assert not path.exists()
+    cache.append(*good)
+    torn = path.read_bytes()[:-5]
+    path.write_bytes(torn)
+    assert cache.load() == {5: good[0]}
+    with pytest.raises(ValueError):
+        cache.append(bad)
+    assert path.read_bytes() == torn
+    cache.append(good[1])
+    assert cache.load() == {5: good[0], 8: good[1]}
 
 
 def test_scan_cache_append_many_matches_one_by_one(tmp_path, tables):
@@ -255,7 +280,7 @@ def test_scan_cache_load_reads_the_stored_record_text(tmp_path, monkeypatch, tab
     def no_serializing(record):
         raise AssertionError("load re-serialized a record")
 
-    monkeypatch.setattr("hilbert_ggl.reports.canonical_record_json", no_serializing)
+    monkeypatch.setattr("hilbert_ggl.reports._record_text", no_serializing)
     loaded = ScanCache(path, CLI_PARAMS).load()
     assert loaded == {D: scan_field(D, Fraction(1, 100), *tables) for D in (5, 8, 12, 13, 17)}
 

@@ -2,14 +2,21 @@
 
 import dataclasses
 import hashlib
+import json
 import math
 import multiprocessing
+import os
+import subprocess
+import sys
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 
+import hilbert_ggl
 import hilbert_ggl.lfunctions as lfunctions
 import hilbert_ggl.scan as scan_module
+from hilbert_ggl.criteria import FieldInputs, verdict
 from hilbert_ggl.elliptic import elliptic_summary
 from hilbert_ggl.errors import DomainError, NumericalAgreementError
 from hilbert_ggl.field_invariants import (
@@ -20,11 +27,11 @@ from hilbert_ggl.field_invariants import (
     regulator,
 )
 from hilbert_ggl.lfunctions import closed_form_l1, zeta_K_minus1
-from hilbert_ggl.reports import canonical_record_json, csv_rows
+from hilbert_ggl.reports import _record_text, csv_rows
 from hilbert_ggl.scan import (_RUN, DyadicBlock, FieldRecord, _divisor_sums, _dyadic_blocks,
-                              _siegel_zeta_minus1, scan, scan_field, scan_tables)
+                              _scan_run, _siegel_zeta_minus1, scan, scan_field, scan_tables)
 
-from oracles import float_rule_verdict
+from oracles import canonical_record_json, float_rule_verdict, siegel_zeta_minus1
 
 # the first Satisfied field: its record always comes from the exact path
 FIRST_SATISFIED = 46373
@@ -111,16 +118,99 @@ def test_siegel_route_equals_bernoulli_route():
     sigma = _divisor_sums(100_000 // 4 + 1)
     ds = fundamental_discriminants_up_to(100_000)
     sample = sorted(set(d for d in ds if d <= 20_000) | set(ds[::10]))
-    for D in sample:
-        assert _siegel_zeta_minus1(D, sigma) == zeta_K_minus1(D), D
+    for D, zeta_m1 in zip(sample, _siegel_zeta_minus1(sample, sigma), strict=True):
+        assert zeta_m1 == zeta_K_minus1(D), D
 
 
 def test_siegel_route_refuses_a_short_table():
     sigma = _divisor_sums(100)
-    assert _siegel_zeta_minus1(401, sigma) == zeta_K_minus1(401)  # needs sigma_1(100)
+    assert _siegel_zeta_minus1([401], sigma) == [zeta_K_minus1(401)]  # needs sigma_1(100)
     for D in (404, 405, 99996):
         with pytest.raises(DomainError, match="too short"):
-            _siegel_zeta_minus1(D, sigma)
+            _siegel_zeta_minus1([D], sigma)
+        with pytest.raises(DomainError, match="too short"):
+            _siegel_zeta_minus1([5, 401, D], sigma)
+
+
+def _batching_mismatches(dmax: int) -> list:
+    """(D, how) for each fundamental D <= dmax where a run's record is not
+    the one-field record of D, or L(1) and its certificate are not the bits
+    of closed_form_l1, or where Siegel's zeta_K(-1) over one run of all the
+    fields is not the trial-division oracle's.  Runs of _RUN fields start
+    at offsets 0, 1, 3 and 7 (the first `offset` fields form a run of their
+    own), each with the kernel's element cap as it is and cut to 2^11, so
+    that batches split runs at any D."""
+    lookup, sigma = scan_tables(dmax)
+    ds = fundamental_discriminants_up_to(dmax)
+    eps = Fraction(1, 100)
+    single = [vars(scan_field(D, eps, lookup, sigma)) for D in ds]
+    bad = []
+    for D, rec in zip(ds, single):
+        value, cert = closed_form_l1(D)
+        if (rec["l1"].hex(), rec["l1_cert"].hex()) != (value.hex(), cert.hex()):
+            bad.append((D, "closed_form_l1"))
+    cap = lfunctions._L1_BATCH
+    try:
+        for lfunctions._L1_BATCH in (cap, 1 << 11):
+            for offset in (0, 1, 3, 7):
+                runs = [ds[:offset]] + [ds[i:i + _RUN] for i in range(offset, len(ds), _RUN)]
+                got = [vars(r) for run in runs if run for r in _scan_run(run, eps, lookup, sigma)]
+                bad += [(D, "cap %d, offset %d" % (lfunctions._L1_BATCH, offset))
+                        for D, a, b in zip(ds, got, single, strict=True) if a != b]
+    finally:
+        lfunctions._L1_BATCH = cap
+    bad += [(D, "siegel") for D, z in zip(ds, _siegel_zeta_minus1(ds, sigma), strict=True)
+            if z != siegel_zeta_minus1(D)]
+    return bad
+
+
+def test_scan_run_records_do_not_depend_on_batching():
+    assert _batching_mismatches(20_000) == []
+
+
+# the numpy dispatch targets that run float64 sin and log on an AVX-512 host
+AVX512 = "AVX512_SKX AVX512_CLX AVX512_CNL AVX512_ICL AVX512_SPR X86_V4"
+
+
+def test_scan_run_records_do_not_depend_on_batching_without_avx512():
+    # numpy reads the variable once, at import: a child process takes the
+    # other loops, and only the child
+    src = os.path.dirname(os.path.dirname(hilbert_ggl.__file__))
+    path = os.pathsep.join(p for p in (src, os.path.dirname(__file__),
+                                       os.environ.get("PYTHONPATH")) if p)
+    code = ("import json; from numpy._core._multiarray_umath import __cpu_features__ as f; "
+            "from test_scan import _batching_mismatches; "
+            "print(json.dumps([f.get('AVX512_SKX'), _batching_mismatches(20000)]))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=path, NPY_DISABLE_CPU_FEATURES=AVX512),
+                         timeout=300, check=True)
+    avx512, bad = json.loads(out.stdout.splitlines()[-1])
+    assert avx512 is False and bad == []
+
+
+def test_scan_run_memory_stays_flat(tables):
+    # one batch of log sines (one half period each at D ~ 1e5), one
+    # character table and the Siegel terms of a run, whatever the run's
+    # length; seven of these fields take the exact path
+    ds = fundamental_discriminants_up_to(100_000)[-64:]
+    assert ds[-1] == 99996
+    tracemalloc.start()
+    try:
+        records = _scan_run(ds, Fraction(1, 100), *tables)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sum(r.exact for r in records) == 7
+    assert peak < 4 * 2**20, peak
+
+
+def test_scan_run_straddle_raises(monkeypatch, tables):
+    # the run decides through the same core as verdict: an L(1) on T_D raises
+    D, eps = 64277, Fraction(1, 100)
+    t = (1 - 2 * eps) ** 2 * zeta_K_minus1(D) / (2 * D)
+    monkeypatch.setattr(scan_module, "_even_l1", lambda qs, tables: [(float(t), 1e-15)])
+    with pytest.raises(NumericalAgreementError, match="straddles"):
+        _scan_run([D], eps, *tables)
 
 
 def test_scan_deterministic_reruns():
@@ -276,6 +366,26 @@ def test_scan_band_bytes(band):
     assert hashlib.sha256(csv.encode("utf-8")).hexdigest() == BAND_CSV_SHA256
     lines = "".join(canonical_record_json(r.to_dict()) + "\n" for r in records)
     assert hashlib.sha256(lines.encode("utf-8")).hexdigest() == BAND_JSON_SHA256
+
+
+def test_record_text_equals_the_stdlib_encoder(band):
+    records = list(scan(20_000).records) + band[0]
+    assert sum(r.exact for r in records) == len(BAND_SATISFIED)
+    for rec in records:
+        assert _record_text(rec) == canonical_record_json(rec.to_dict()), rec.D
+
+
+def test_run_decisions_equal_verdict(band):
+    # the run's fast path calls the verdict's arithmetic core directly; the
+    # public verdict on the same numbers gives the same bits
+    records = list(scan(3_000).records) + band[0]
+    for rec in records:
+        rep = verdict(FieldInputs(D=rec.D, hr=rec.hr, zeta2=rec.zeta2,
+                                  zeta_m1=zeta_K_minus1(rec.D), l1_value=rec.l1,
+                                  l1_cert=rec.l1_cert, h=rec.h, regulator=rec.R),
+                      Fraction(1, 100))
+        assert (rep.nu_max.hex(), rep.margin.hex(), rep.verdict) == (
+            rec.nu_max.hex(), rec.margin.hex(), rec.verdict), rec.D
 
 
 def test_verdict_matches_float_rule_on_the_band(band):
