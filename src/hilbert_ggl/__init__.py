@@ -72,9 +72,7 @@ from .field_invariants import (
 from .hj import hj_expand, hj_reconstruct
 from .lfunctions import (
     closed_form_l1,
-    fundamental_discriminant,
     is_fundamental_discriminant,
-    is_squarefree,
     kronecker_chi,
 )
 from .quadratic import QuadElem
@@ -119,7 +117,6 @@ __all__ = [
     "elliptic_traces",
     "exact_det",
     "fit_growth_exponent",
-    "fundamental_discriminant",
     "fundamental_discriminants_up_to",
     "fundamental_unit",
     "hj_expand",
@@ -128,7 +125,6 @@ __all__ = [
     "imag_class_numbers",
     "invariants",
     "is_fundamental_discriminant",
-    "is_squarefree",
     "kronecker_chi",
     "make_l1_lookup",
     "nu_max",

@@ -205,23 +205,35 @@ def imag_class_numbers(limit: int) -> np.ndarray:
 
     Counts reduced positive binary quadratic forms (a, b, c): |b| <= a <= c
     with b >= 0 whenever |b| = a or a = c.  For fixed (a, b) the discriminant
-    -(4ac - b^2) steps by 4a as c runs up from its least value c0, so each
-    pair adds 1 along one strided slice.  Entries at non-discriminant indices
+    -(4ac - b^2) steps by 4a as c runs up from its least value c0 (a for
+    b >= 0, a + 1 for b < 0), so each pair adds 1 along one strided slice.
+    The slice of -b, 0 < b < a, is that of b less its first entry, so the
+    two add 2 along one slice, and np.subtract.at takes back the 1 at each
+    such start, 2^14 starts at a time.  Entries at non-discriminant indices
     are 0; entries at non-fundamental discriminants are the form counts of
     the non-maximal order and must not be used.  Scans read L(1, chi_d) off
-    this table (make_l1_lookup); single-field reports count the reduced forms
-    of each d alone (_reduced_form_count).  A negative limit raises
+    this table (make_l1_lookup); single-field reports count the reduced
+    forms of each d alone (_reduced_form_count).  A negative limit raises
     DomainError.
     """
     if limit < 0:
         raise DomainError("class number table limit must be >= 0, got %d" % limit)
     h = np.zeros(limit + 1, dtype=np.int64)
-    a_max = isqrt(limit // 3)
-    for a in range(1, a_max + 1):
-        step = 4 * a
-        for b in range(-a + 1, a + 1):
-            c0 = a if b >= 0 else a + 1
-            h[step * c0 - b * b :: step] += 1
+    starts = []  # where the pairs (a, +-b) start, which -b skips
+    for a in range(1, isqrt(limit // 3) + 1):
+        step, top = 4 * a, 4 * a * a
+        h[top::step] += 1  # b = 0
+        h[top - a * a :: step] += 1  # b = a (-a is not reduced)
+        # the starts top - b^2 fall as b rises; past the limit, none is taken
+        b_lo = 1 if top <= limit else isqrt(top - limit - 1) + 1
+        for b in range(b_lo, a):
+            start = top - b * b
+            h[start::step] += 2
+            starts.append(start)
+        if len(starts) >= 1 << 14:  # a bounded list beside the table
+            np.subtract.at(h, starts, 1)
+            starts.clear()
+    np.subtract.at(h, starts, 1)
     return h
 
 

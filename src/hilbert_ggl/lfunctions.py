@@ -1,7 +1,6 @@
 """Dirichlet L-values for quadratic characters, and zeta_K(-1) exactly.
 
-Discriminants: one trial division, ``_prime_factors``, serves
-``is_squarefree`` (and so ``fundamental_discriminant``) and the memoized
+Discriminants: one trial division, ``_prime_factors``, serves the memoized
 ``_fundamental_parts``: the prime-discriminant factors of d, or None unless
 d is fundamental.  ``is_fundamental_discriminant`` and ``factor_fundamental``
 both read those parts, so validating a field discriminant and building its
@@ -36,7 +35,8 @@ Evaluation routes:
 
 Character tables are built two independent ways: ``kronecker_chi`` (the
 reciprocity algorithm) and ``character_table`` (product of prime-discriminant
-tables, quadratic residues found by squaring).  The ideal-counting route in
+tables, quadratic residues found by squaring; the parts |p*| <= 64 are
+views of cached runs of whole periods).  The ideal-counting route in
 ``field_invariants`` uses a third construction (Euler-criterion sieve) so the
 dual zeta evaluations share no character code.
 """
@@ -53,15 +53,24 @@ import numpy as np
 from .errors import DomainError
 
 # fixed tables for the even-conductor prime discriminants, index n mod q
-_TABLE_M4 = np.array([0, 1, 0, -1], dtype=np.int8)
-_TABLE_P8 = np.array([0, 1, 0, -1, 0, -1, 0, 1], dtype=np.int8)
-_TABLE_M8 = np.array([0, 1, 0, 1, 0, -1, 0, -1], dtype=np.int8)
+_EVEN_TABLES = {
+    -4: np.array([0, 1, 0, -1], dtype=np.int8),
+    8: np.array([0, 1, 0, -1, 0, -1, 0, 1], dtype=np.int8),
+    -8: np.array([0, 1, 0, 1, 0, -1, 0, -1], dtype=np.int8),
+}
 
 # Legendre tables up to this modulus are cached (read-only) and never
 # evicted: about 1 MB for all the odd primes below it
 _CACHED_MODULUS = 4096
 _legendre_cache: dict[int, np.ndarray] = {}
 _primes_cache: dict[int, np.ndarray] = {}
+# the prime discriminants |p*| <= _RUN_PART (with -4 and +-8) keep their
+# tables as read-only runs of whole periods of at most _RUN_LEN entries
+# (128 KiB each, about 2.6 MB for all twenty), so character_table takes a
+# table of modulus q <= _RUN_LEN as run[:q] views; a longer one tiles
+_RUN_PART = 64
+_RUN_LEN = 1 << 17
+_runs: dict[int, np.ndarray] = {}
 
 # roots of unity of the imaginary quadratic fields; w = 2 for all others
 _W_IMAG = {-3: 6, -4: 4}
@@ -76,26 +85,20 @@ _DOT_BLOCK = 1 << 14
 _L1_BATCH = 1 << 16
 
 
-def _prime_factors(n: int) -> list[tuple[int, int]]:
-    """(p, e) for each prime power p^e exactly dividing |n| != 0, p ascending."""
+def _prime_factors(n: int) -> list[int]:
+    """The primes p dividing |n| != 0, ascending."""
     n = abs(n)
     out = []
     p = 2
     while p * p <= n:
         if n % p == 0:
-            e = 0
             while n % p == 0:
                 n //= p
-                e += 1
-            out.append((p, e))
+            out.append(p)
         p += 1 if p == 2 else 2
     if n > 1:
-        out.append((n, 1))
+        out.append(n)
     return out
-
-
-def is_squarefree(n: int) -> bool:
-    return n != 0 and all(e == 1 for _p, e in _prime_factors(n))
 
 
 @functools.lru_cache(maxsize=1024)
@@ -112,7 +115,7 @@ def _fundamental_parts(d: int) -> tuple[int, ...] | None:
     """
     if d in (0, 1):
         return None
-    parts = tuple(p if p % 4 == 1 else -p for p, _e in _prime_factors(d) if p > 2)
+    parts = tuple(p if p % 4 == 1 else -p for p in _prime_factors(d) if p > 2)
     two_part = d // math.prod(parts)
     if two_part == 1:
         return parts
@@ -122,13 +125,6 @@ def _fundamental_parts(d: int) -> tuple[int, ...] | None:
 def is_fundamental_discriminant(x: int) -> bool:
     """Discriminant of a quadratic field (positive or negative), excluding 1."""
     return _fundamental_parts(operator.index(x)) is not None
-
-
-def fundamental_discriminant(m: int) -> int:
-    """Discriminant of Q(sqrt(m)) for squarefree m >= 2."""
-    if m < 2 or not is_squarefree(m):
-        raise DomainError(f"need a squarefree integer >= 2, got {m}")
-    return m if m % 4 == 1 else 4 * m
 
 
 def kronecker_chi(d: int, n: int) -> int:
@@ -205,31 +201,59 @@ def factor_fundamental(d: int) -> list[int]:
     return list(parts)
 
 
+def _prime_table(part: int) -> np.ndarray:
+    """chi_part(n), n = 0..|part|-1, of a prime discriminant part."""
+    return _EVEN_TABLES[part] if part in _EVEN_TABLES else _legendre_table(abs(part))
+
+
+def _tiled(tbl: np.ndarray, copies: int) -> np.ndarray:
+    """copies whole periods of tbl in a fresh array: repeating it as rows is
+    np.tile without its per-call overhead."""
+    return tbl.reshape(1, -1).repeat(copies, axis=0).reshape(-1)
+
+
+def _period_run(part: int) -> np.ndarray:
+    """The table of a small prime discriminant part (|part| <= _RUN_PART),
+    repeated over the whole periods that fit in _RUN_LEN; read-only, built
+    on first use and kept."""
+    run = _runs.get(part)
+    if run is None:
+        tbl = _prime_table(part)
+        run = _tiled(tbl, _RUN_LEN // len(tbl))
+        run.flags.writeable = False
+        _runs[part] = run
+    return run
+
+
 def character_table(d: int) -> np.ndarray:
     """Values chi_d(n), n = 0..|d|-1, as the product of prime-discriminant
-    tables; the returned array belongs to the caller."""
+    tables; the returned array belongs to the caller.
+
+    A small part's factor is a view of its cached run (_period_run) while q
+    fits in it; any other factor tiles its table over q // len(table) whole
+    periods (the factor moduli multiply to q).  A broadcast multiply into
+    arr.reshape(-1, len(tbl)) is slower than the tile for short tables at
+    large q.
+    """
     q = abs(d)
     arr = None
+    views = []
     for part in factor_fundamental(d):
-        if part == -4:
-            tbl = _TABLE_M4
-        elif part == 8:
-            tbl = _TABLE_P8
-        elif part == -8:
-            tbl = _TABLE_M8
-        else:
-            tbl = _legendre_table(abs(part))
-        # the factor moduli multiply to q, so q // len(tbl) whole copies of
-        # each table fill a period; repeating it as rows is np.tile without
-        # its per-call overhead, and a broadcast multiply into
-        # arr.reshape(-1, len(tbl)) is slower for short tables at large q.
-        # repeat returns a fresh array, so the first factor's copies are the
-        # table the others multiply into
-        tiled = tbl.reshape(1, -1).repeat(q // len(tbl), axis=0).reshape(-1)
+        if q <= _RUN_LEN and abs(part) <= _RUN_PART:
+            views.append(_period_run(part)[:q])
+            continue
+        tbl = _prime_table(part)
+        # the first tile is fresh, so it is the table the others multiply into
+        tiled = _tiled(tbl, q // len(tbl))
         if arr is None:
             arr = tiled
         else:
             arr *= tiled
+    if arr is None:
+        # only views: the first product (or copy) is the caller's array
+        arr = np.multiply(views.pop(), views.pop()) if len(views) > 1 else views.pop().copy()
+    for view in views:
+        arr *= view
     return arr
 
 

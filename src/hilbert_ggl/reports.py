@@ -6,13 +6,14 @@ carry 10 significant digits (fmt10, and the CSV row templates).  The scan
 cache is a line-oriented file: one JSON header carrying the parameters that
 key the cache, then one JSON line per field record protected by a CRC32 of
 its canonical form, the sorted, compact JSON text that the writer fills in
-from one template generated from FieldRecord's fields (_record_text; the
-tests hold the stdlib encoder's text as its oracle).
+from one %-template per record, generated from FieldRecord's fields
+(_record_text; the tests hold the stdlib encoder's text as its oracle).
 """
 
 from __future__ import annotations
 
 import json
+import math
 import operator
 import os
 import re
@@ -93,9 +94,17 @@ _INVALID = object()
 # Decoders from a JSON value to a FieldRecord value, or _INVALID.  Types are
 # tested exactly, so that JSON true and false pass for no number.
 def _as_float(value):
-    # a float key may be written by JSON as an int
     kind = type(value)
-    return value if kind is float else float(value) if kind is int else _INVALID
+    if kind is float:
+        # JSON reads 1e400 as inf; x - x is 0.0 for every finite x and NaN otherwise
+        return value if value - value == 0.0 else _INVALID
+    if kind is not int:
+        return _INVALID
+    # a float key may be written by JSON as an int, even one past the float range
+    try:
+        return float(value)
+    except OverflowError:
+        return _INVALID
 
 
 def _as_float_or_none(value):
@@ -183,39 +192,59 @@ def _string_list(values) -> str:
     return "[" + ",".join(map(encode_basestring_ascii, values)) + "]"
 
 
-def _int_or_null(value) -> str:
-    return "null" if value is None else int.__repr__(value)
-
-
-def _float_or_null(value) -> str:
-    return "null" if value is None else float.__repr__(value)
-
-
 # The record text the cache writes and checksums: the sorted, compact JSON
 # of the record, as json.dumps(to_dict(), sort_keys=True, separators=(",",
-# ":"), allow_nan=False) writes it, from one template generated from
-# FieldRecord's fields.  Each key has the encoder of its JSON type; every
-# key not listed holds a float, written by float.__repr__ as the encoder
-# writes it.
-_SPECIAL_ENCODERS = {"D": int.__repr__, "h": _int_or_null, "R": _float_or_null,
-                     "verdict": encode_basestring_ascii, "flags": _string_list,
-                     "exact": {True: "true", False: "false"}.__getitem__}
+# ":"), allow_nan=False) writes it, from one %-template per (h is None,
+# R is None) generated from FieldRecord's fields.  D and h take %d, the
+# string keys their JSON text, and R and the float keys %r, float.__repr__
+# as the encoder writes a float; "null%.0s" writes null and swallows None.
+_STRING_KEYS = ("exact", "flags", "verdict")
 _TEXT_KEYS = sorted(_RECORD_KEYS)
-_TEXT_ENCODERS = tuple(_SPECIAL_ENCODERS.get(name, float.__repr__) for name in _TEXT_KEYS)
+_FLOAT_KEYS = tuple(name for name in _TEXT_KEYS if name not in ("D", "h", "R") + _STRING_KEYS)
+_FLOAT_VALUES = operator.itemgetter(*_FLOAT_KEYS)
 _TEXT_VALUES = operator.itemgetter(*_TEXT_KEYS)
-_RECORD_TEMPLATE = "{%s}" % ",".join(encode_basestring_ascii(name) + ":%s" for name in _TEXT_KEYS)
-# what float.__repr__ writes for NaN and the infinities, which JSON lacks
-_NON_FINITE = frozenset(("nan", "inf", "-inf"))
+
+
+def _text_slot(name: str, h_none: bool, r_none: bool) -> str:
+    if name in _STRING_KEYS:
+        return "%s"
+    if (name == "h" and h_none) or (name == "R" and r_none):
+        return "null%.0s"
+    return "%d" if name in ("D", "h") else "%r"
+
+
+_RECORD_TEMPLATES = {
+    (h_none, r_none): "{%s}" % ",".join(
+        encode_basestring_ascii(name) + ":" + _text_slot(name, h_none, r_none)
+        for name in _TEXT_KEYS)
+    for h_none in (False, True)
+    for r_none in (False, True)
+}
+_JSON_BOOL = {True: "true", False: "false"}
+_EXACT_FLOAT = frozenset((float,))
 
 
 def _record_text(record: FieldRecord) -> str:
     """The canonical JSON text of a record; a NaN or infinite value raises
     ValueError, as the encoder with allow_nan=False does."""
-    parts = tuple([encode(value) for encode, value in
-                   zip(_TEXT_ENCODERS, _TEXT_VALUES(record.__dict__))])
-    if not _NON_FINITE.isdisjoint(parts):
-        raise ValueError("Out of range float values are not JSON compliant: D=%r" % record.D)
-    return _RECORD_TEMPLATE % parts
+    values = record.__dict__
+    R = values["R"]
+    floats = _FLOAT_VALUES(values) + (() if R is None else (R,))
+    if not _EXACT_FLOAT.issuperset(map(type, floats)):
+        # %r writes a float subclass by its own repr, numpy's float64 as
+        # np.float64(...): write the plain float each one holds, as
+        # float.__repr__ does (float.__float__ refuses a non-float)
+        floats = tuple(map(float.__float__, floats))
+        values = dict(values)
+        values.update(zip(_FLOAT_KEYS + ("R",), floats))
+    # a sum of finite floats is finite unless it overflows
+    if not math.isfinite(sum(floats)) and not all(map(math.isfinite, floats)):
+        raise ValueError("Out of range float values are not JSON compliant: D=%r" % values["D"])
+    (D, R, ell_exp, ell_total, exact, flags, h, hr, l1, l1_cert, margin, nu_max, nu_required,
+     verdict, zeta2, zeta2_cert) = _TEXT_VALUES(values)
+    return _RECORD_TEMPLATES[h is None, R is None] % (
+        D, R, ell_exp, ell_total, _JSON_BOOL[exact], _string_list(flags), h, hr, l1, l1_cert,
+        margin, nu_max, nu_required, encode_basestring_ascii(verdict), zeta2, zeta2_cert)
 
 
 def _reject_constant(name: str):

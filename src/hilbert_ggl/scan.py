@@ -56,13 +56,31 @@ from .reports import FieldRecord
 # many: small enough that a pool stays balanced and a killed scan loses
 # little, large enough that each run's cache append stays cheap
 _RUN = 64
+# the most divisors k > isqrt(limit) that _divisor_sums adds in one strided
+# slice (512 KiB of int64)
+_SIGMA_BLOCK = 1 << 16
 
 
 def _divisor_sums(limit: int) -> np.ndarray:
-    """sigma_1(n) for 0 <= n <= limit (sigma_1(0) = 0), by strided adds."""
+    """sigma_1(n) for 0 <= n <= limit (sigma_1(0) = 0), by strided adds.
+
+    Each divisor k <= s = isqrt(limit) adds k along its multiples; each
+    k > s is added through its cofactor j = n / k < limit / s, as
+    sigma[j k] += k for s < k <= limit // j, one strided slice per block of
+    at most _SIGMA_BLOCK values of k.  That is about 2 sqrt(limit) strided
+    adds in place of limit, and memory stays within one block beside the
+    table.
+    """
     sigma = np.zeros(limit + 1, dtype=np.int64)
-    for k in range(1, limit + 1):
+    s = isqrt(limit)
+    for k in range(1, s + 1):
         sigma[k::k] += k
+    for j in range(1, limit // (s + 1) + 1):
+        k_end = limit // j + 1
+        for lo in range(s + 1, k_end, _SIGMA_BLOCK):
+            hi = min(lo + _SIGMA_BLOCK, k_end)
+            # sigma[j k] += k for lo <= k < hi
+            sigma[j * lo : j * (hi - 1) + 1 : j] += np.arange(lo, hi, dtype=np.int64)
     return sigma
 
 

@@ -14,7 +14,9 @@ come from the Leibniz permutation sum, every cusp chart goes through the
 generic wedge engine (which the package runs on two charts per cycle
 only), cusp cycles are rebuilt with a QuadElem at every continued-fraction
 and recurrence step (the package runs both on integers), the class-number
-sieve adds through a fancy index (the package adds along strided slices),
+sieve adds through a fancy index (the package adds along strided slices,
+two forms at a time), sigma_1 tables add every divisor along its own
+strided slice (the package adds the large ones through their cofactors),
 scan records are decoded key by key, rendered to CSV cell by cell and
 encoded as cache text by the stdlib JSON encoder (the package fills one
 template), and the verdict is taken by the float sign tests that the exact
@@ -180,6 +182,15 @@ def trial_division_reduced_forms(D: int) -> list[tuple[int, int, int]]:
             d += 1
         b += 2
     return sorted(out)
+
+
+def strided_divisor_sums(limit: int) -> np.ndarray:
+    """sigma_1(n) for 0 <= n <= limit, one strided add per divisor k <= limit
+    (the package adds the divisors past isqrt(limit) through their cofactors)."""
+    sigma = np.zeros(limit + 1, dtype=np.int64)
+    for k in range(1, limit + 1):
+        sigma[k::k] += k
+    return sigma
 
 
 def arange_imag_class_numbers(limit: int) -> np.ndarray:

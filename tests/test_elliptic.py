@@ -74,7 +74,9 @@ def test_imag_class_numbers_against_known_values():
 
 
 def test_strided_class_number_sieve_equals_arange_sieve():
-    for limit in (20016, 40016):
+    # every small limit cuts the pairs (a, +-b) at a different start, and
+    # 200016 (27223 pairs) takes their starts back in two batches
+    for limit in [*range(301), 20016, 40016, 200016]:
         assert np.array_equal(imag_class_numbers(limit), arange_imag_class_numbers(limit)), limit
 
 

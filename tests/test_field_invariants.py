@@ -33,7 +33,6 @@ from hilbert_ggl.lfunctions import (
     closed_form_l1,
     euler_chi_array,
     factor_fundamental,
-    fundamental_discriminant,
     is_fundamental_discriminant,
 )
 from hilbert_ggl.scan import scan_field
@@ -58,16 +57,6 @@ KNOWN_FIELDS = [
     (40, 6, 1, -1, 2, 2),
     (229, 15, 1, -1, 3, 3),
 ]
-
-
-def test_fundamental_discriminant_normalization():
-    assert fundamental_discriminant(5) == 5
-    assert fundamental_discriminant(2) == 8
-    assert fundamental_discriminant(3) == 12
-    assert fundamental_discriminant(6) == 24
-    for bad in (1, 0, -5, 4, 12, 18):
-        with pytest.raises(DomainError):
-            fundamental_discriminant(bad)
 
 
 def test_fundamental_discriminants_up_to():

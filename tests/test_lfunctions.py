@@ -20,7 +20,6 @@ from hilbert_ggl.lfunctions import (
     euler_chi_array,
     factor_fundamental,
     is_fundamental_discriminant,
-    is_squarefree,
     kronecker_chi,
     kronecker_table,
     max_partial_sum,
@@ -34,12 +33,6 @@ from oracles import brute_is_fundamental, kronecker, mp_l_value, siegel_zeta_min
 
 def negative_fundamental_discriminants(limit: int) -> list[int]:
     return [-m for m in range(3, limit + 1) if is_fundamental_discriminant(-m)]
-
-
-def test_is_squarefree():
-    assert is_squarefree(1) and is_squarefree(6) and is_squarefree(-10)
-    assert not is_squarefree(0)
-    assert not is_squarefree(4) and not is_squarefree(18) and not is_squarefree(-12)
 
 
 def test_is_fundamental_discriminant():
@@ -155,6 +148,52 @@ def test_character_table_against_euler_and_kronecker_to_large_modulus(monkeypatc
     # prime factors above 4096 are built on each call and not cached
     assert all(abs(part) > 4096 for part in factor_fundamental(ds[9]))
     assert ds[9] not in lfunctions._legendre_cache
+
+
+def test_character_table_against_euler_for_every_small_discriminant():
+    # every part of |d| <= 3000 below the run cutoff is a view of its run
+    for m in range(3, 3001):
+        for d in (m, -m):
+            if is_fundamental_discriminant(d):
+                assert np.array_equal(character_table(d), euler_chi_array(d, m - 1)), d
+
+
+def test_character_table_mixes_runs_and_tiles():
+    # near 1e5 a modulus takes run views of its parts up to the cutoff (59,
+    # 61) and tiles beside them (67); past the run length every part tiles
+    assert lfunctions._RUN_PART == 64 and 1e5 < lfunctions._RUN_LEN < 2e5
+
+    def mixed(lo, hi):
+        return [d for m in range(lo, hi) for d in (m, -m) if is_fundamental_discriminant(d)
+                and {59, 61} & set(map(abs, factor_fundamental(d)))
+                and 67 in map(abs, factor_fundamental(d))]
+
+    near = mixed(90_000, 110_000)
+    past = mixed(lfunctions._RUN_LEN + 1, lfunctions._RUN_LEN + 40_000)
+    assert min(near) < 0 < max(near) and len(past) >= 2
+    # the first moduli past the run length whose parts all have runs
+    small_only = [131365, 131560, -131560]
+    assert all(max(map(abs, factor_fundamental(d))) <= 64 for d in small_only)
+    for d in near + past[:2] + small_only:
+        assert np.array_equal(character_table(d), euler_chi_array(d, abs(d) - 1)), d
+
+
+def test_character_table_shares_no_memory_with_the_runs():
+    runs = lfunctions._runs
+    for d in (5, -4, 8, -8, -3 * 8, 5 * 13 * 17, -7 * 11 * 4, 4201, -61 * 67, 99996):
+        table = character_table(d)
+        assert table.flags.writeable, d
+        cached = [*runs.values(), *lfunctions._legendre_cache.values()]
+        assert not any(np.shares_memory(table, run) for run in cached), d
+        expected = table.copy()
+        table[:] = 7
+        assert np.array_equal(character_table(d), expected), d
+    assert {-4, 8, -8, -3, 5, -7, -11, 13, 17, 61} <= set(runs)
+    for part, run in runs.items():
+        assert abs(part) <= lfunctions._RUN_PART and len(run) <= lfunctions._RUN_LEN
+        assert len(run) % abs(part) == 0, part
+        with pytest.raises(ValueError):
+            run[0] = 1
 
 
 def test_legendre_cache_survives_many_distinct_primes(monkeypatch):

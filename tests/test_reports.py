@@ -5,6 +5,7 @@ import json
 import zlib
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from oracles import canonical_record_json, record_from_dict, scan_csv
 
@@ -114,6 +115,24 @@ def test_scan_cache_append_refuses_non_finite_floats(tmp_path, tables, key, valu
     assert path.read_bytes() == torn
     cache.append(good[1])
     assert cache.load() == {5: good[0], 8: good[1]}
+
+
+def test_scan_cache_writes_numpy_floats_as_floats(tmp_path, tables):
+    # numpy 2 reprs a float64 as np.float64(...); the cache writes the float
+    # it holds, so the bytes are those of the plain-float record
+    records = [scan_field(D, Fraction(1, 100), *tables) for D in (5, 12, 46373)]
+    assert records[-1].R is not None
+    as_numpy = [dataclasses.replace(rec, **{
+        f.name: np.float64(getattr(rec, f.name)) for f in dataclasses.fields(rec)
+        if type(getattr(rec, f.name)) is float}) for rec in records]
+    assert type(as_numpy[-1].R) is np.float64 and type(as_numpy[0].margin) is np.float64
+    for name, recs in (("float", records), ("numpy", as_numpy)):
+        ScanCache(str(tmp_path / name), CLI_PARAMS).append(*recs)
+    assert (tmp_path / "numpy").read_bytes() == (tmp_path / "float").read_bytes()
+    assert ScanCache(str(tmp_path / "numpy"), CLI_PARAMS).load() == {r.D: r for r in records}
+    # the type test admits no other number in a float key
+    with pytest.raises(TypeError):
+        ScanCache(str(tmp_path / "int"), CLI_PARAMS).append(dataclasses.replace(records[0], hr=2))
 
 
 def test_scan_cache_append_many_matches_one_by_one(tmp_path, tables):
@@ -296,6 +315,25 @@ def test_scan_cache_rejects_non_finite_floats(tmp_path, constant):
         entry["D"], zlib.crc32(text.encode("ascii")), text)
     _write_lines(path, lines)
     assert _load_error_key(path) == "line 2"
+
+
+@pytest.mark.parametrize("number", ["1e400", "-1e400", "1" + "0" * 400])
+def test_scan_cache_rejects_overflowing_floats(tmp_path, capsys, number):
+    # JSON reads 1e400 as inf and a 401-digit int does not fit a float: a
+    # CRC-valid line holding either is corrupt, and the scan exits 1
+    path, lines = _scan_cache_lines(tmp_path, 20)
+    capsys.readouterr()
+    entry = json.loads(lines[1])
+    text = canonical_record_json({**entry["record"], "margin": 0.5})
+    text = text.replace('"margin":0.5', '"margin":%s' % number)
+    lines[1] = '{"D":%d,"crc":%d,"record":%s}' % (
+        entry["D"], zlib.crc32(text.encode("ascii")), text)
+    _write_lines(path, lines)
+    assert _load_error_key(path) == "line 2"
+    assert main(["scan", "--dmax", "20", "--cache", path, "--format", "json"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: cache line 2 ")
 
 
 def _respaced(line):

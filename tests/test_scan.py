@@ -11,6 +11,7 @@ import sys
 import tracemalloc
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 import hilbert_ggl
@@ -31,7 +32,8 @@ from hilbert_ggl.reports import _record_text, csv_rows
 from hilbert_ggl.scan import (_RUN, DyadicBlock, FieldRecord, _divisor_sums, _dyadic_blocks,
                               _scan_run, _siegel_zeta_minus1, scan, scan_field, scan_tables)
 
-from oracles import canonical_record_json, float_rule_verdict, siegel_zeta_minus1
+from oracles import (canonical_record_json, float_rule_verdict, siegel_zeta_minus1,
+                     strided_divisor_sums)
 
 # the first Satisfied field: its record always comes from the exact path
 FIRST_SATISFIED = 46373
@@ -120,6 +122,14 @@ def test_siegel_route_equals_bernoulli_route():
     sample = sorted(set(d for d in ds if d <= 20_000) | set(ds[::10]))
     for D, zeta_m1 in zip(sample, _siegel_zeta_minus1(sample, sigma), strict=True):
         assert zeta_m1 == zeta_K_minus1(D), D
+
+
+def test_divisor_sums_equal_one_strided_add_per_divisor():
+    # 9999, 10000 and 10001 put isqrt(limit) at and around a square, where
+    # the divisors past it change hands; at 140000 the cofactors j = 1 and 2
+    # add their divisors in more than one block
+    for limit in [*range(301), 1251, 25001, 9999, 10000, 10001, 140000]:
+        assert np.array_equal(_divisor_sums(limit), strided_divisor_sums(limit)), limit
 
 
 def test_siegel_route_refuses_a_short_table():
