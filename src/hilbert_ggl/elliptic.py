@@ -30,20 +30,27 @@ bits: a scan reads it off one class-number sieve per worker
 off its character sum, the independent cross-check.  The count shares its
 divisor grid with the real reduced forms; neither uses trial division.
 
-Every elliptic number has one code path, the private arithmetic core below:
-the canonical trace pairs (_trace_pairs, a table), N(4 - s^2)
-(_norm_4_minus_s2), the CM numbers of a rational trace (_cm_numbers), each
-trace's value (_trace_value) and the total with its exponent record
-(_elliptic_bounds).  A scan field reads the core directly (scan._scan_run
-calls _elliptic_bounds) and builds no report object; the public entries
+Every elliptic number has one code path, the private arithmetic core below,
+which takes a run of fields at a time: the canonical trace pairs
+(_trace_pairs, a table), N(4 - s^2) (_norm_4_minus_s2, for the irrational
+traces of D = 5, 8 and 12), the CM numbers of the rational traces of every
+field of the run as int64 and float64 arrays (_cm_run: m, d2 and d3, d_K',
+w', N(rel disc), N(U0)^2 and h'R'/hR, with the norm checks over the whole
+run and one gather of the run's L-values from a make_l1_lookup table), and
+each field's total with its exponent record (_elliptic_bounds).  The float
+operations run in the order of one-field scalar arithmetic, so every number
+has the same bits whatever the run (tests/oracles.py holds that scalar
+arithmetic as the oracle).  A scan calls _elliptic_bounds once per run
+(scan._scan_run) and builds no report object; the public entries
 elliptic_traces, cm_extension_invariants, prestel_bound and elliptic_summary
-validate their arguments and wrap the same numbers in EllipticTrace,
-CMExtensionInvariants, TraceBound and EllipticSummary for a single-field
-report.
+validate their arguments, call the same core with a one-field run, and wrap
+the numbers in EllipticTrace, CMExtensionInvariants, TraceBound and
+EllipticSummary for a single-field report.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from dataclasses import dataclass
@@ -54,15 +61,25 @@ import numpy as np
 
 from .errors import DomainError
 from .field_invariants import _check_field_discriminant, _divisor_windows, _fundamental_mask
-from .lfunctions import _l1_odd, is_fundamental_discriminant
+from .lfunctions import _INT64_MAX, _l1_odd, _l1_odd_array, is_fundamental_discriminant
 from .quadratic import QuadElem
 
 
-# the arithmetic core: one code path per elliptic number, over plain ints and
-# floats.  D is a validated field discriminant and s a rational elliptic
-# trace; the callers check both (scan._scan_run and the public entries).
+# the arithmetic core: one code path per elliptic number, over int64 and
+# float64 arrays for a run of fields.  Every D is a validated field
+# discriminant and every s a rational elliptic trace; the callers check both
+# (scan._scan_run and the public entries).
 
 _TWO_PI_SQ = 2.0 * math.pi ** 2
+# |D d2 d3| <= 16 D^2 (|d2| <= 4 and |d3| <= 4 D) fits int64 up to this D
+_CM_D_MAX = isqrt(_INT64_MAX // 16)
+# the shift by residue mod 4 that takes a squarefree kernel k to its
+# discriminant (k << 2 unless k = 1 mod 4) and a field discriminant D to m
+# (D >> 2 unless D = 1 mod 4)
+_SHIFT_MOD4 = np.array([2, 0, 2, 2], dtype=np.int64)
+# the run core's integer operands as int64: numpy 2 converts a Python int
+# operand again on every ufunc call, which a one-field run would feel
+_I3, _I12, _IM4 = np.int64(3), np.int64(12), np.int64(-4)
 
 
 # canonical elliptic trace classes (p, q) of s = (p + q sqrt(D))/2, in (p, q)
@@ -104,56 +121,130 @@ def _trace_text(D: int, p: int, q: int) -> str:
     return "%s + %s*sqrt(%d)" % (Fraction(p, 2), Fraction(q, 2), D)
 
 
-def _cm_numbers(D: int, s: int, l1) -> tuple[int, int, int, int, int, int, float]:
-    """(d2, d3, d_K', w', N(rel disc), N(U0)^2, h'R'/hR) of the rational trace
-    s in {0, +-1}; l1 gives L(1, chi_d) for d = d2 and d3 (see
-    cm_extension_invariants).  The divisibility and positivity of the two
-    norm quotients are checked; a failure raises RuntimeError."""
-    d2 = -4 if s == 0 else -3
-    m = D if D % 4 == 1 else D // 4
-    core = -m if s == 0 else (-m // 3 if m % 3 == 0 else -3 * m)
-    d3 = core if core % 4 == 1 else 4 * core
-    d_kp = abs(D * d2 * d3)
-    w_prime = 12 if d3 in (-3, -4) else (4 if d2 == -4 else 6)
-    if d_kp % (D * D):
-        raise RuntimeError("d_K' = %d is not divisible by D^2 = %d" % (d_kp, D * D))
-    n_rel = d_kp // (D * D)
-    n4s = (4 - s * s) ** 2
-    if n4s % n_rel:
-        raise RuntimeError("N(4-s^2) = %d not divisible by N(rel disc) = %d" % (n4s, n_rel))
-    n_u0 = n4s // n_rel
-    if n_u0 < 1:
-        raise RuntimeError("N(U0)^2 = %d below 1" % n_u0)
-    hr_ratio = w_prime * math.sqrt(abs(d2 * d3)) * l1(d2) * l1(d3) / _TWO_PI_SQ
-    return d2, d3, d_kp, w_prime, n_rel, n_u0, hr_ratio
+@functools.lru_cache(maxsize=4)  # ss is (0, 1), (0,), (1,) or (-1,)
+def _trace_columns(ss: tuple[int, ...]) -> tuple[np.ndarray, ...]:
+    """Columns of shape (len(ss), 1) for the rational traces ss: -t for the
+    squarefree part t of 4 - s^2 (1 for s = 0, 3 for s = +-1), d2 (-4 and
+    -3), N(4 - s^2) = (4 - s^2)^2 and the w' of K' = K(sqrt(d2)) unless d3
+    is -3 or -4 as well."""
+    s = np.array(ss, dtype=np.int64)[:, None]
+    is0 = s == 0
+    columns = np.where(is0, -1, -3), np.where(is0, -4, -3), (4 - s * s) ** 2, np.where(is0, 4, 6)
+    for column in columns:  # shared by every run
+        column.flags.writeable = False
+    return columns
 
 
-def _trace_value(D: int, p: int, q: int, l1):
-    """(value, cm) for the trace class (p, q): a rational trace s = p/2 gives
-    (h'R'/hR) N(U0)^2 and its _cm_numbers, an irrational one the integer
-    N(4 - s^2) as a float and None."""
-    if q:
-        return float(_norm_4_minus_s2(D, p, q)), None
-    cm = _cm_numbers(D, p // 2, l1)
-    return cm[6] * cm[5], cm
+def _cm_run(ds: list[int], ss: tuple[int, ...], l1) -> tuple[np.ndarray, ...]:
+    """The CM numbers of the rational traces ss (each in {0, +-1}) of every
+    field of the run ds, as arrays of shape (len(ss), len(ds)) whose row j
+    belongs to ss[j]: d2, d3, d_K', w', N(rel disc), N(U0)^2 (int64), then
+    h'R'/hR and the trace's value (h'R'/hR) N(U0)^2 (float64).
 
-
-def _elliptic_bounds(D: int, l1):
-    """(rows, total_bound, exponent_record) of the field D, where rows holds
-    (p, q, value, cm) per canonical trace class in (p, q) order (_trace_value)
-    and exponent_record = log(total_bound) / log(D).  A total that is not a
-    positive finite number raises RuntimeError.
-
-    Each rational trace asks l1 for its two CM discriminants d2 and d3; the
-    two traces share none of them except at D = 12 (d = -3 and -4 both
-    twice), so nothing is memoized.
+    d3, the discriminant of Q(sqrt(D (s^2 - 4))), needs no factoring: with
+    D = m or 4m, m squarefree, and t the squarefree part of 4 - s^2, the
+    squarefree part of -(4 - s^2) D is -t m / gcd(t, m)^2: -m for s = 0,
+    and -m/3 or -3m for s = +-1 as 3 does or does not divide m.
+    l1 gives L(1, chi_d) for every d2 and d3 (_l1_values), and
+    h'R'/hR = w' sqrt|d2 d3| L(1, chi_d2) L(1, chi_d3) / (2 pi^2) is taken
+    in that order, so each entry has the bits of the one-field float
+    arithmetic.  The divisibility and positivity of the two norm quotients
+    are checked for the whole run; a failure raises RuntimeError naming the
+    first failing D.  |D d2 d3| <= 16 D^2 must fit int64, so a D past
+    _CM_D_MAX raises DomainError.
     """
-    rows = [(p, q) + _trace_value(D, p, q, l1) for p, q in _trace_pairs(D)]
-    total = float(sum(row[2] for row in rows))
-    if not 0 < total < math.inf:
-        raise RuntimeError("total elliptic bound %g for D=%d is not a positive finite number"
-                           % (total, D))
-    return rows, total, math.log(total) / math.log(D)
+    if max(ds, default=0) > _CM_D_MAX:
+        raise DomainError("D = %d is past the int64 range of |D d2 d3| <= 16 D^2"
+                          % next(D for D in ds if D > _CM_D_MAX))
+    minus_t, d2, n4s, w_base = _trace_columns(ss)
+    D = np.array(ds, dtype=np.int64)
+    m = D >> _SHIFT_MOD4[D & _I3]
+    g = np.gcd(minus_t, m)
+    core = minus_t * m // (g * g)
+    d3 = core << _SHIFT_MOD4[core & _I3]
+    d2d3 = d2 * d3
+    d_kp = D * d2d3
+    n_rel, rest = np.divmod(d_kp, D * D)
+    if rest.any():
+        _fail_run(ds, ss, [(rest != 0, "d_K' = |D d2 d3| is not divisible by D^2")])
+    n_u0, rest = np.divmod(n4s, n_rel)
+    # n4s and n_rel are positive, so an N(U0)^2 below 1 is a zero
+    if rest.any() or not n_u0.all():
+        _fail_run(ds, ss, [(rest != 0, "N(4-s^2) is not divisible by N(rel disc)"),
+                           (n_u0 < 1, "N(U0)^2 is below 1")])
+    # d3 <= -3 is a fundamental discriminant, so d3 >= -4 means -3 or -4:
+    # K' holds both sqrt(-1) and sqrt(-3)
+    w_prime = np.where(d3 >= _IM4, _I12, w_base)
+    l1_d2, l1_d3 = _l1_values(l1, d2, d3)
+    hr_ratio = w_prime * np.sqrt(d2d3) * l1_d2 * l1_d3 / _TWO_PI_SQ
+    return (d2.repeat(len(ds), 1), d3, d_kp, w_prime, n_rel, n_u0, hr_ratio,
+            hr_ratio * n_u0)
+
+
+def _fail_run(ds: list[int], ss: tuple[int, ...], checks) -> None:
+    """Raise the RuntimeError of a failed check of the run: checks holds
+    (bad, what) pairs, bad of shape (len(ss), len(ds)).  The first field
+    with a failure and, in it, the first trace of the first check it fails
+    are named."""
+    i = int(np.any([bad.any(axis=0) for bad, _what in checks], axis=0).argmax())
+    for bad, what in checks:
+        if bad[:, i].any():
+            raise RuntimeError("%s at D=%d, s=%d" % (what, ds[i], ss[int(bad[:, i].argmax())]))
+
+
+def _l1_values(l1, d2: np.ndarray, d3: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """L(1, chi_d) for the column d2 and the array d3 of a run, in their
+    shapes: one gather from the class-number sieve of a make_l1_lookup
+    table, or l1(d) element by element, d2 first, for any other callable."""
+    if isinstance(l1, _L1Lookup):
+        values = l1.values(np.concatenate((d2, d3), axis=1))
+        return values[:, :1], values[:, 1:]
+    return (np.array([[l1(d)] for d in d2.ravel().tolist()], dtype=np.float64),
+            np.array([[l1(d) for d in row] for row in d3.tolist()], dtype=np.float64))
+
+
+def _cm_field(cm: tuple[np.ndarray, ...], i: int) -> list[tuple]:
+    """The CM numbers of field i of a run (_cm_run) as Python ints and
+    floats, one tuple per trace."""
+    return list(zip(*(a[:, i].tolist() for a in cm)))
+
+
+def _field_rows(D: int, cms: list[tuple]) -> list[tuple]:
+    """(p, q, value, cm) per canonical trace class of the field D, in (p, q)
+    order, from the CM numbers cms of s = 0 and 1 (_cm_field): a rational
+    trace s = p/2 takes (h'R'/hR) N(U0)^2 and its CM numbers, an irrational
+    one the integer N(4 - s^2) as a float and None."""
+    return [(p, q, float(_norm_4_minus_s2(D, p, q)), None) if q
+            else (p, q, cms[p // 2][7], cms[p // 2])
+            for p, q in _trace_pairs(D)]
+
+
+def _elliptic_bounds(ds: list[int], l1):
+    """(cm, totals, exponents) of the run of validated field discriminants
+    ds: the CM numbers of the traces s = 0 and 1 (_cm_run), and per field
+    the total bound and exponent_record = log(total_bound) / log(D), as
+    lists of floats.  This is the one path of the elliptic numbers: a scan
+    calls it once per run, the public entries with a one-field run.
+
+    A field's total sums its rows in (p, q) order as float(sum(...)) does:
+    the two rational values for D > 12, and with the irrational rows of
+    D = 5, 8 and 12 between them.  A total that is not a positive finite
+    number raises RuntimeError naming the first such D.  math.log stays per
+    field: numpy's vector log need not round as libm does.
+    """
+    cm = _cm_run(ds, (0, 1), l1)
+    values = cm[7]
+    totals = (values[0] + values[1]).tolist()
+    exponents = []
+    for i, D in enumerate(ds):
+        if D in _TRACE_PAIRS:
+            totals[i] = float(sum(row[2] for row in _field_rows(D, _cm_field(cm, i))))
+        total = totals[i]
+        if not 0 < total < math.inf:
+            raise RuntimeError("total elliptic bound %g for D=%d is not a positive finite number"
+                               % (total, D))
+        exponents.append(math.log(total) / math.log(D))
+    return cm, totals, exponents
 
 
 @dataclass(frozen=True)
@@ -237,6 +328,10 @@ def imag_class_numbers(limit: int) -> np.ndarray:
     return h
 
 
+# h(d) of the CM discriminants d2 = -4 (s = 0) and -3 (s = +-1)
+_D2_CLASS_NUMBERS = {-4: 1, -3: 1}
+
+
 def _reduced_form_count(d: int) -> int:
     """h(d) for a fundamental d < 0, counted as reduced forms (H. Cohen, A
     Course in Computational Algebraic Number Theory, 5.3).
@@ -249,8 +344,13 @@ def _reduced_form_count(d: int) -> int:
     reduced forms (field_invariants._divisor_windows), so memory stays flat
     for any q.  The forms of a fundamental discriminant are primitive, so the
     count is h(d): the integer closed_form_l1 reads off its character sum.
-    A d >= 0 or a non-fundamental d raises DomainError.
+    A d >= 0 or a non-fundamental d raises DomainError.  h(-3) = h(-4) = 1,
+    the class numbers of d2 that every rational trace asks for, come from
+    _D2_CLASS_NUMBERS and skip the grid's fixed cost.
     """
+    h = _D2_CLASS_NUMBERS.get(d)
+    if h is not None:
+        return h
     if d >= 0 or not is_fundamental_discriminant(d):
         raise DomainError("need a fundamental discriminant < 0, got %d" % d)
     q = -d
@@ -271,11 +371,42 @@ def _reduced_form_l1(d: int) -> float:
     return _l1_odd(d, _reduced_form_count(d))
 
 
-def make_l1_lookup(limit: int):
+class _L1Lookup:
+    """The L(1, chi_d) table of make_l1_lookup: a call answers one d, and
+    values answers an int64 array of d by one gather, with the same
+    refusals."""
+
+    __slots__ = ("limit", "h", "fundamental")
+
+    def __init__(self, limit: int):
+        self.h = imag_class_numbers(limit)
+        self.fundamental = _fundamental_mask(limit, -1)
+        self.limit = limit
+
+    def __call__(self, d: int) -> float:
+        if -d > self.limit:
+            raise DomainError("class number table too short for discriminant %d" % d)
+        if d >= 0 or not self.fundamental[-d]:
+            raise DomainError("need a fundamental discriminant < 0, got %d" % d)
+        return _l1_odd(d, int(self.h[-d]))
+
+    def values(self, d: np.ndarray) -> np.ndarray:
+        """L(1, chi_d) for every entry of d, each with the bits of a call;
+        the first d a call refuses raises its DomainError."""
+        k = -d
+        ok = (k > 0) & (k <= self.limit)
+        ok &= self.fundamental[np.where(ok, k, 0)]
+        if not ok.all():
+            self(int(d.T[~ok.T][0]))  # column by column: field order in a run
+        return _l1_odd_array(d, self.h[k])
+
+
+def make_l1_lookup(limit: int) -> _L1Lookup:
     """L(1, chi_d) callable for fundamental d < 0, |d| <= limit, backed by one
-    class-number sieve (imag_class_numbers); scans build it once per worker,
-    and single-field reports count the reduced forms of each d, which gives
-    the same h and so the same bits.
+    class-number sieve (imag_class_numbers); scans build it once per worker
+    and read a whole run's d at once (_L1Lookup.values), and single-field
+    reports count the reduced forms of each d, which gives the same h and so
+    the same bits.
 
     d is validated by the mask of the fundamental -k, k <= limit, that
     fundamental_discriminants_up_to reads for the positive side
@@ -283,17 +414,7 @@ def make_l1_lookup(limit: int):
     non-fundamental d and a |d| past the table raise DomainError, and so
     does a negative limit (imag_class_numbers).
     """
-    h = imag_class_numbers(limit)
-    fundamental = _fundamental_mask(limit, -1)
-
-    def l1(d: int) -> float:
-        if -d > limit:
-            raise DomainError("class number table too short for discriminant %d" % d)
-        if d >= 0 or not fundamental[-d]:
-            raise DomainError("need a fundamental discriminant < 0, got %d" % d)
-        return _l1_odd(d, int(h[-d]))
-
-    return l1
+    return _L1Lookup(limit)
 
 
 @dataclass(frozen=True)
@@ -333,7 +454,7 @@ def _rational_trace(s, expected: str) -> int:
 
 
 def _cm_invariants(D: int, s: int, cm) -> CMExtensionInvariants:
-    d2, d3, d_kp, w_prime, n_rel, n_u0, hr_ratio = cm
+    d2, d3, d_kp, w_prime, n_rel, n_u0, hr_ratio, _value = cm
     return CMExtensionInvariants(
         D=D,
         s=s,
@@ -352,16 +473,13 @@ def cm_extension_invariants(D: int, s: int, l1=None) -> CMExtensionInvariants:
     s is an integer of any type but bool.  l1 optionally supplies L(1, chi_d)
     values (callable d -> float); it is asked only for d2 and d3, both
     negative.  By default each factor is 2 pi h / (w sqrt|d|) with h(d)
-    counted as reduced forms (_reduced_form_count).
-
-    d3, the discriminant of Q(sqrt(D (s^2 - 4))), needs no factoring: with
-    D = m or 4m, m squarefree, the squarefree part of -(4 - s^2) D is -m
-    for s = 0, and -m/3 or -3m for s = +-1 as 3 does or does not divide m.
-    The numbers come from _cm_numbers.
+    counted as reduced forms (_reduced_form_count).  The numbers come from
+    the one-field, one-trace run of _cm_run.
     """
     D = _check_field_discriminant(D)
     s = _rational_trace(s, "rational elliptic traces are 0 and +-1")
-    return _cm_invariants(D, s, _cm_numbers(D, s, _reduced_form_l1 if l1 is None else l1))
+    cm = _cm_run([D], (s,), _reduced_form_l1 if l1 is None else l1)
+    return _cm_invariants(D, s, _cm_field(cm, 0)[0])
 
 
 @dataclass(frozen=True)
@@ -383,7 +501,8 @@ class TraceBound:
 
 
 def _trace_bound(trace: EllipticTrace, value: float, cm) -> TraceBound:
-    """The TraceBound of one (value, cm) pair of _trace_value."""
+    """The TraceBound of one trace's value and CM numbers (None for an
+    irrational trace), as _field_rows pairs them."""
     if cm is None:
         return TraceBound(trace=trace, value=value, exact=False,
                           unresolved_unit_ratio=True, cm=None)
@@ -395,8 +514,9 @@ def prestel_bound(D: int, s, l1=None) -> TraceBound:
     """Bound the count of elliptic points with trace s.
 
     s may be an EllipticTrace or a rational integer trace of any integer type
-    but bool; l1 is read as by cm_extension_invariants.  The value comes from
-    _trace_value.
+    but bool; l1 is read as by cm_extension_invariants.  A rational trace
+    takes its value from the one-field, one-trace run of _cm_run, an
+    irrational one the integer N(4 - s^2).
     """
     D = _check_field_discriminant(D)
     if isinstance(s, EllipticTrace):
@@ -408,8 +528,10 @@ def prestel_bound(D: int, s, l1=None) -> TraceBound:
     else:
         s = _rational_trace(s, "s must be an EllipticTrace or a rational integer")
         trace = EllipticTrace(D=D, p=2 * s, q=0)
-    l1 = _reduced_form_l1 if l1 is None else l1
-    return _trace_bound(trace, *_trace_value(D, trace.p, trace.q, l1))
+    if trace.q:
+        return _trace_bound(trace, float(trace.norm_4_minus_s2()), None)
+    cm = _cm_field(_cm_run([D], (trace.p // 2,), _reduced_form_l1 if l1 is None else l1), 0)[0]
+    return _trace_bound(trace, cm[7], cm)
 
 
 @dataclass(frozen=True)
@@ -428,13 +550,14 @@ class EllipticSummary:
 
 def elliptic_summary(D: int, l1=None) -> EllipticSummary:
     """Enumerate traces and aggregate the per-trace bounds, the numbers of
-    _elliptic_bounds; l1 is read as by cm_extension_invariants."""
+    the one-field run of _elliptic_bounds; l1 is read as by
+    cm_extension_invariants."""
     D = _check_field_discriminant(D)
-    rows, total, exponent = _elliptic_bounds(D, _reduced_form_l1 if l1 is None else l1)
+    cm, (total,), (exponent,) = _elliptic_bounds([D], _reduced_form_l1 if l1 is None else l1)
     return EllipticSummary(
         D=D,
         bounds=tuple(_trace_bound(EllipticTrace(D=D, p=p, q=q), value, cm)
-                     for p, q, value, cm in rows),
+                     for p, q, value, cm in _field_rows(D, _cm_field(cm, 0))),
         total_bound=total,
         exponent_record=exponent,
     )

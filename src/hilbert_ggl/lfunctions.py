@@ -274,6 +274,13 @@ def _l1_odd(d: int, h: int) -> float:
     return 2.0 * math.pi * h / (_W_IMAG.get(d, 2) * math.sqrt(-d))
 
 
+def _l1_odd_array(d: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """_l1_odd entry by entry for int64 arrays d and h, in its operation
+    order, so every entry has the bits of the scalar call."""
+    w = np.where(d == -3, 6, np.where(d == -4, 4, 2))
+    return 2.0 * math.pi * h / (w * np.sqrt(-d))
+
+
 def closed_form_l1(d: int, table: np.ndarray | None = None) -> tuple[float, float]:
     """Exact finite-sum evaluation of L(1, chi_d); returns (value, error bound).
 

@@ -222,6 +222,24 @@ _RECORD_TEMPLATES = {
 }
 _JSON_BOOL = {True: "true", False: "false"}
 _EXACT_FLOAT = frozenset((float,))
+# the JSON texts of the flags tuples and of the verdicts met so far, each
+# memo at most _TEXT_MEMO_SIZE entries: a scan writes one flags tuple and
+# two verdicts
+_FLAGS_TEXT: dict = {}
+_VERDICT_TEXT: dict = {}
+_TEXT_MEMO_SIZE = 64
+
+
+def _memo_text(memo: dict, value, encode) -> str:
+    """encode(value), kept in memo while it has room; an unhashable value
+    (flags held as a list) is encoded without the memo."""
+    text = encode(value)
+    try:
+        if len(memo) < _TEXT_MEMO_SIZE:
+            memo[value] = text
+    except TypeError:
+        pass
+    return text
 
 
 def _record_text(record: FieldRecord) -> str:
@@ -242,9 +260,17 @@ def _record_text(record: FieldRecord) -> str:
         raise ValueError("Out of range float values are not JSON compliant: D=%r" % values["D"])
     (D, R, ell_exp, ell_total, exact, flags, h, hr, l1, l1_cert, margin, nu_max, nu_required,
      verdict, zeta2, zeta2_cert) = _TEXT_VALUES(values)
+    try:
+        flags_text = _FLAGS_TEXT[flags]
+    except (KeyError, TypeError):
+        flags_text = _memo_text(_FLAGS_TEXT, flags, _string_list)
+    try:
+        verdict_text = _VERDICT_TEXT[verdict]
+    except (KeyError, TypeError):
+        verdict_text = _memo_text(_VERDICT_TEXT, verdict, encode_basestring_ascii)
     return _RECORD_TEMPLATES[h is None, R is None] % (
-        D, R, ell_exp, ell_total, _JSON_BOOL[exact], _string_list(flags), h, hr, l1, l1_cert,
-        margin, nu_max, nu_required, encode_basestring_ascii(verdict), zeta2, zeta2_cert)
+        D, R, ell_exp, ell_total, _JSON_BOOL[exact], flags_text, h, hr, l1, l1_cert,
+        margin, nu_max, nu_required, verdict_text, zeta2, zeta2_cert)
 
 
 def _reject_constant(name: str):

@@ -21,7 +21,8 @@ of the 30394 fields up to D = 1e5 do.
 Records come from one path, _scan_run, which takes a run of fields at a
 time: one elementwise log-sin pass per batch of the run's characters for
 L(1) (lfunctions._even_l1, summed per field, so every bit is the one-field
-value of closed_form_l1), one gather of Siegel's terms per run, and the
+value of closed_form_l1), one gather of Siegel's terms per run, one array
+pass of the elliptic core per run (elliptic._elliptic_bounds), and the
 verdict's arithmetic core (criteria._decide) with the thresholds taken once
 per run.  scan_field is its one-field run.
 
@@ -127,9 +128,10 @@ def _scan_run(ds: list[int], epsilon, l1_lookup, sigma) -> list[FieldRecord]:
     Each D is validated once.  L(1, chi_D) comes from one log-sin pass per
     batch of the run's characters (lfunctions._even_l1, the kernel of
     closed_form_l1), and zeta_K(-1) from one gather of Siegel's terms per
-    run.  The elliptic bounds read L(1, chi_d) for their negative CM
-    discriminants off l1_lookup, through the arithmetic core of
-    elliptic_summary (elliptic._elliptic_bounds), and the L(1) < T_D
+    run.  The elliptic totals and exponents of the whole run come from one
+    call of the arithmetic core of elliptic_summary
+    (elliptic._elliptic_bounds), which reads L(1, chi_d) for the run's
+    negative CM discriminants off l1_lookup in one gather, and the L(1) < T_D
     decision runs through the arithmetic core of verdict
     (criteria._decide), with the cusp thresholds taken once; neither builds
     a report object.  A Satisfied field is rechecked on the exact path
@@ -142,10 +144,11 @@ def _scan_run(ds: list[int], epsilon, l1_lookup, sigma) -> list[FieldRecord]:
     b2 = (th.b.numerator ** 2, th.b.denominator ** 2)
     required = float(th.nu_cusp)
     l1s = _even_l1(ds, map(character_table, ds))
+    _cm, ell_totals, ell_exponents = _elliptic_bounds(ds, l1_lookup)
     records = []
-    for D, (l1_val, l1_cert), zeta_m1 in zip(ds, l1s, _siegel_zeta_minus1(ds, sigma)):
+    for D, (l1_val, l1_cert), zeta_m1, ell_total, ell_exponent in zip(
+            ds, l1s, _siegel_zeta_minus1(ds, sigma), ell_totals, ell_exponents):
         zeta2, zeta2_cert = zeta_K2(D, zeta_m1)
-        _rows, ell_total, ell_exponent = _elliptic_bounds(D, l1_lookup)
         hr = math.sqrt(D) * l1_val / 2.0
         below, top = _decide(D, zeta_m1, l1_val, l1_cert, hr, zeta2, b2)
         h = reg = None

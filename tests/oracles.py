@@ -19,8 +19,10 @@ two forms at a time), sigma_1 tables add every divisor along its own
 strided slice (the package adds the large ones through their cofactors),
 scan records are decoded key by key, rendered to CSV cell by cell and
 encoded as cache text by the stdlib JSON encoder (the package fills one
-template), and the verdict is taken by the float sign tests that the exact
-comparison replaced.
+template), the verdict is taken by the float sign tests that the exact
+comparison replaced, and the elliptic numbers of a field come from scalar
+int and float arithmetic, one trace at a time (the package takes a run of
+fields as int64 and float64 arrays).
 """
 
 from __future__ import annotations
@@ -230,6 +232,57 @@ def brute_elliptic_traces(D: int) -> set[tuple[int, int]]:
                 else:
                     found.add((-p, -q))
     return found
+
+
+_TWO_PI_SQ = 2.0 * math.pi ** 2
+
+
+def scalar_cm_numbers(D: int, s: int, l1) -> tuple[int, int, int, int, int, int, float]:
+    """(d2, d3, d_K', w', N(rel disc), N(U0)^2, h'R'/hR) of the rational
+    trace s in {0, +-1} of the field D by Python int and float arithmetic;
+    l1 gives L(1, chi_d) for d = d2 and d3.  A failed divisibility or
+    positivity check raises RuntimeError."""
+    d2 = -4 if s == 0 else -3
+    m = D if D % 4 == 1 else D // 4
+    core = -m if s == 0 else (-m // 3 if m % 3 == 0 else -3 * m)
+    d3 = core if core % 4 == 1 else 4 * core
+    d_kp = abs(D * d2 * d3)
+    w_prime = 12 if d3 in (-3, -4) else (4 if d2 == -4 else 6)
+    if d_kp % (D * D):
+        raise RuntimeError("d_K' = %d is not divisible by D^2 = %d" % (d_kp, D * D))
+    n_rel = d_kp // (D * D)
+    n4s = (4 - s * s) ** 2
+    if n4s % n_rel:
+        raise RuntimeError("N(4-s^2) = %d not divisible by N(rel disc) = %d" % (n4s, n_rel))
+    n_u0 = n4s // n_rel
+    if n_u0 < 1:
+        raise RuntimeError("N(U0)^2 = %d below 1" % n_u0)
+    hr_ratio = w_prime * math.sqrt(abs(d2 * d3)) * l1(d2) * l1(d3) / _TWO_PI_SQ
+    return d2, d3, d_kp, w_prime, n_rel, n_u0, hr_ratio
+
+
+def scalar_trace_value(D: int, p: int, q: int, l1):
+    """(value, cm) of the trace class s = (p + q sqrt(D))/2: a rational trace
+    gives (h'R'/hR) N(U0)^2 and its scalar_cm_numbers, an irrational one the
+    integer N(4 - s^2) = ((16 - p^2 - q^2 D)^2 - 4 p^2 q^2 D) / 16 as a
+    float and None."""
+    if q:
+        v = 16 - p * p - q * q * D
+        num = v * v - 4 * p * p * q * q * D
+        assert num % 16 == 0 and num > 0, (D, p, q)
+        return float(num // 16), None
+    cm = scalar_cm_numbers(D, p // 2, l1)
+    return cm[6] * cm[5], cm
+
+
+def scalar_elliptic_bounds(D: int, pairs, l1):
+    """(rows, total, exponent) of the field D with trace classes pairs, one
+    trace at a time: rows holds (p, q, value, cm) per pair in the given
+    order, the total is float(sum(values)) in that order and the exponent
+    log(total) / log(D)."""
+    rows = [(p, q) + scalar_trace_value(D, p, q, l1) for p, q in pairs]
+    total = float(sum(row[2] for row in rows))
+    return rows, total, math.log(total) / math.log(D)
 
 
 def minus_cf_value(digits: list[int]) -> Fraction:

@@ -8,9 +8,14 @@ from math import isqrt
 import numpy as np
 import pytest
 
+import hilbert_ggl.elliptic as elliptic_module
 from hilbert_ggl.elliptic import (
     EllipticTrace,
+    _cm_field,
+    _elliptic_bounds,
+    _field_rows,
     _reduced_form_count,
+    _trace_pairs,
     cm_extension_invariants,
     elliptic_summary,
     elliptic_traces,
@@ -22,8 +27,10 @@ from hilbert_ggl.elliptic import (
 from hilbert_ggl.errors import DomainError
 from hilbert_ggl.field_invariants import _FORM_CELLS, fundamental_discriminants_up_to
 from hilbert_ggl.lfunctions import _l1_odd, closed_form_l1, is_fundamental_discriminant
+from hilbert_ggl.scan import _RUN
 
-from oracles import arange_imag_class_numbers, brute_elliptic_traces, mp_l_value
+from oracles import (arange_imag_class_numbers, brute_elliptic_traces, mp_l_value,
+                     scalar_elliptic_bounds)
 
 # class numbers of imaginary quadratic fields, textbook values
 KNOWN_IMAG_H = {3: 1, 4: 1, 7: 1, 8: 1, 11: 1, 15: 2, 19: 1, 20: 2, 23: 3,
@@ -371,3 +378,100 @@ def test_trace_str_matches_field_element():
     for D in (5, 8, 12, 13, 21, 24, 28, 40, 1009, 99996):
         for t in elliptic_traces(D):
             assert str(t) == str(t.elem), (D, t.p, t.q)
+
+
+def _bits(values) -> np.ndarray:
+    """The int64 bit patterns of a sequence of floats: equal patterns are
+    equal float.hex texts."""
+    return np.asarray(values, dtype=np.float64).view(np.int64)
+
+
+def test_run_core_equals_scalar_oracle_bit_for_bit(tables):
+    # every CM number, row value, total and exponent of the array core
+    # against one-trace scalar arithmetic, bit for bit, on every field to
+    # 1e5, for runs cut at any field: runs of _RUN from offsets 0, 1, 3 and
+    # 7, and one run of all
+    lookup = tables[0]
+    ds = fundamental_discriminants_up_to(100_000)
+    assert ds[:3] == [5, 8, 12] and len(ds) == 30394
+    oracle = [scalar_elliptic_bounds(D, _trace_pairs(D), lookup) for D in ds]
+    # the rational rows s = 0 and 1 of every field, one array per CM number
+    rational = [[row[2:] for row in rows if row[3] is not None] for rows, _, _ in oracle]
+    want_ints = np.array([[[cm[k] for _, cm in pair] for pair in rational] for k in range(6)])
+    want_floats = _bits([[[pair[j][1][6], pair[j][0]] for pair in rational] for j in (0, 1)])
+    want_sums = _bits([[total, exponent] for _, total, exponent in oracle])
+    layouts = [[ds[:offset]] + [ds[i:i + _RUN] for i in range(offset, len(ds), _RUN)]
+               for offset in (0, 1, 3, 7)] + [[ds]]
+    for runs in layouts:
+        parts = [(run, _elliptic_bounds(run, lookup)) for run in runs if run]
+        cm = [np.concatenate([out[0][k] for _, out in parts], axis=1) for k in range(8)]
+        assert np.array_equal(np.stack(cm[:6]).transpose(0, 2, 1), want_ints), len(runs)
+        floats = np.stack(cm[6:]).transpose(1, 2, 0)
+        assert np.array_equal(_bits(floats), want_floats), len(runs)
+        sums = [[t, e] for _, out in parts for t, e in zip(out[1], out[2])]
+        assert np.array_equal(_bits(sums), want_sums), len(runs)
+        # the rows of the fields with irrational traces, in (p, q) order
+        for run, out in parts[:3]:
+            for i, D in enumerate(run[:3]):
+                rows = _field_rows(D, _cm_field(out[0], i))
+                got = [(p, q, value.hex()) for p, q, value, _ in rows]
+                want = [(p, q, value.hex()) for p, q, value, _ in oracle[ds.index(D)][0]]
+                assert got == want, D
+
+
+def _first_d3(ds, reach):
+    """The first CM discriminant d3 of the run ds, field by field and s = 0
+    before s = 1, for which reach(d3) is false."""
+    unit = lambda d: 1.0
+    return next(d3 for D in ds for s in (0, 1)
+                if not reach(d3 := cm_extension_invariants(D, s, l1=unit).subfield_discs[2]))
+
+
+def test_run_lookup_refusals_name_the_first_failing_d():
+    # the run's one gather keeps the lookup's refusals, and names the first
+    # d in field order, not in trace order
+    ds = [int(D) for D in fundamental_discriminants_up_to(4100) if D > 3990]
+    lookup = make_l1_lookup(4 * 4100 + 16)
+    d_late = cm_extension_invariants(ds[-1], 0, l1=lookup).subfield_discs[2]
+    d_early = cm_extension_invariants(ds[1], 1, l1=lookup).subfield_discs[2]
+    for d in (d_late, d_early):
+        lookup.fundamental[-d] = False
+    with pytest.raises(DomainError, match="fundamental discriminant < 0, got %d$" % d_early):
+        _elliptic_bounds(ds, lookup)
+    short = make_l1_lookup(4 * 1000 + 16)
+    ds = [int(D) for D in fundamental_discriminants_up_to(1100) if D > 990]
+    d = _first_d3(ds, lambda d3: -d3 <= 4 * 1000 + 16)
+    with pytest.raises(DomainError, match="too short for discriminant %d$" % d):
+        _elliptic_bounds(ds, short)
+
+
+def test_run_norm_checks_name_the_first_failing_field(monkeypatch):
+    # 20 = 4 * 5 is no field discriminant, and d_K' of its trace s = 1 is
+    # not divisible by D^2: the core does not validate D again, but its norm
+    # checks still catch such a D
+    unit = lambda d: 1.0
+    with pytest.raises(RuntimeError, match="not divisible by D\\^2 at D=20, s=1"):
+        _elliptic_bounds([13, 17, 20, 6], unit)
+    columns = elliptic_module._trace_columns
+
+    def broken_norm(ss):
+        minus_t, d2, n4s, w_base = columns(ss)
+        return minus_t, d2, n4s + 1, w_base
+
+    monkeypatch.setattr(elliptic_module, "_trace_columns", broken_norm)
+    with pytest.raises(RuntimeError, match="not divisible by N\\(rel disc\\) at D=13, s=0"):
+        _elliptic_bounds([13, 17], unit)
+
+
+def test_run_core_refuses_d_past_the_int64_range(monkeypatch):
+    # |D d2 d3| <= 16 D^2 fits int64 exactly up to _CM_D_MAX
+    top = elliptic_module._CM_D_MAX
+    assert 16 * top**2 <= 2**63 - 1 < 16 * (top + 1) ** 2
+    monkeypatch.setattr(elliptic_module, "_CM_D_MAX", 1000)
+    with pytest.raises(DomainError, match="D = 1009 is past the int64 range"):
+        _elliptic_bounds([997, 1009, 1013], lambda d: 1.0)
+    for call in (elliptic_summary, lambda D: prestel_bound(D, 0),
+                 lambda D: cm_extension_invariants(D, 1)):
+        with pytest.raises(DomainError, match="int64"):
+            call(1009)
+    assert elliptic_summary(997).total_bound > 0

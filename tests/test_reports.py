@@ -135,6 +135,23 @@ def test_scan_cache_writes_numpy_floats_as_floats(tmp_path, tables):
         ScanCache(str(tmp_path / "int"), CLI_PARAMS).append(dataclasses.replace(records[0], hr=2))
 
 
+def test_record_text_memo_stays_small_and_exact(tables, monkeypatch):
+    # the flags and verdict texts come from a bounded memo; flags held as a
+    # list, which no memo can key, and memos that are full still give the
+    # encoder's text
+    from hilbert_ggl import reports
+
+    monkeypatch.setattr(reports, "_FLAGS_TEXT", {})
+    monkeypatch.setattr(reports, "_VERDICT_TEXT", {})
+    rec = scan_field(13, Fraction(1, 100), *tables)
+    variants = [dataclasses.replace(rec, flags=("f%d" % k, 'q"\u00e9'), verdict="v%d" % k)
+                for k in range(3 * reports._TEXT_MEMO_SIZE)]
+    variants.append(dataclasses.replace(rec, flags=list(rec.flags)))
+    for r in variants + variants:
+        assert reports._record_text(r) == canonical_record_json(r.to_dict())
+    assert len(reports._FLAGS_TEXT) == len(reports._VERDICT_TEXT) == reports._TEXT_MEMO_SIZE
+
+
 def test_scan_cache_append_many_matches_one_by_one(tmp_path, tables):
     params = {"n": 2, "epsilon": "1/100"}
     records = [scan_field(D, Fraction(1, 100), *tables) for D in (5, 8, 12)]
