@@ -16,7 +16,7 @@ import sys
 import time
 from fractions import Fraction
 
-from .criteria import to_fraction, verdict
+from .criteria import _cusp_thresholds, to_fraction, verdict
 from .cusps import cusp_cycle, verify_cusp_tangency
 from .cyclic import parse_matrices, tangency_divisor
 from .elliptic import elliptic_summary
@@ -71,6 +71,7 @@ def _tangency_exit(tan, D: int) -> int:
 def cmd_field(args, parser) -> int:
     D = _normalize_field_value(args.value, parser)
     eps = _epsilon_fraction(args.epsilon, parser)
+    _cusp_thresholds(eps)  # an epsilon out of range raises before any invariant is computed
     timings: dict[str, float] | None = {} if args.timings else None
 
     t0 = time.perf_counter()

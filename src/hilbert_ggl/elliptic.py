@@ -33,24 +33,24 @@ divisor grid with the real reduced forms; neither uses trial division.
 Every elliptic number has one code path, the private arithmetic core below,
 which takes a run of fields at a time: the canonical trace pairs
 (_trace_pairs, a table), N(4 - s^2) (_norm_4_minus_s2, for the irrational
-traces of D = 5, 8 and 12), the CM numbers of the rational traces of every
-field of the run as int64 and float64 arrays (_cm_run: m, d2 and d3, d_K',
-w', N(rel disc), N(U0)^2 and h'R'/hR, with the norm checks over the whole
-run and one gather of the run's L-values from a make_l1_lookup table), and
-each field's total with its exponent record (_elliptic_bounds).  The float
-operations run in the order of one-field scalar arithmetic, so every number
-has the same bits whatever the run (tests/oracles.py holds that scalar
-arithmetic as the oracle).  A scan calls _elliptic_bounds once per run
-(scan._scan_run) and builds no report object; the public entries
-elliptic_traces, cm_extension_invariants, prestel_bound and elliptic_summary
-validate their arguments, call the same core with a one-field run, and wrap
-the numbers in EllipticTrace, CMExtensionInvariants, TraceBound and
-EllipticSummary for a single-field report.
+traces of D = 5, 8 and 12), the CM numbers of the rational traces s = 0
+and 1 of every field of the run as int64 and float64 arrays, one row per
+trace (_cm_run: m, d2 and d3, d_K', w', N(rel disc), N(U0)^2 and h'R'/hR,
+with the norm checks over the whole run and one gather of the run's
+L-values from a make_l1_lookup table), and each field's total with its
+exponent record (_elliptic_bounds).  The float operations run in the order
+of one-field scalar arithmetic, so every number has the same bits whatever
+the run (tests/oracles.py holds that scalar arithmetic as the oracle).  A
+scan calls _elliptic_bounds once per run (scan._scan_run) and builds no
+report object; the public entries elliptic_traces, cm_extension_invariants,
+prestel_bound and elliptic_summary validate their arguments, call the same
+core with a one-field run, and wrap the numbers in EllipticTrace,
+CMExtensionInvariants, TraceBound and EllipticSummary for a single-field
+report.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 import operator
 from dataclasses import dataclass
@@ -67,8 +67,8 @@ from .quadratic import QuadElem
 
 # the arithmetic core: one code path per elliptic number, over int64 and
 # float64 arrays for a run of fields.  Every D is a validated field
-# discriminant and every s a rational elliptic trace; the callers check both
-# (scan._scan_run and the public entries).
+# discriminant, which the callers check (scan._scan_run and the public
+# entries); the public entries also check the trace s they are given.
 
 _TWO_PI_SQ = 2.0 * math.pi ** 2
 # |D d2 d3| <= 16 D^2 (|d2| <= 4 and |d3| <= 4 D) fits int64 up to this D
@@ -121,30 +121,25 @@ def _trace_text(D: int, p: int, q: int) -> str:
     return "%s + %s*sqrt(%d)" % (Fraction(p, 2), Fraction(q, 2), D)
 
 
-@functools.lru_cache(maxsize=4)  # ss is (0, 1), (0,), (1,) or (-1,)
-def _trace_columns(ss: tuple[int, ...]) -> tuple[np.ndarray, ...]:
-    """Columns of shape (len(ss), 1) for the rational traces ss: -t for the
-    squarefree part t of 4 - s^2 (1 for s = 0, 3 for s = +-1), d2 (-4 and
-    -3), N(4 - s^2) = (4 - s^2)^2 and the w' of K' = K(sqrt(d2)) unless d3
-    is -3 or -4 as well."""
-    s = np.array(ss, dtype=np.int64)[:, None]
-    is0 = s == 0
-    columns = np.where(is0, -1, -3), np.where(is0, -4, -3), (4 - s * s) ** 2, np.where(is0, 4, 6)
-    for column in columns:  # shared by every run
-        column.flags.writeable = False
-    return columns
+# read-only columns of shape (2, 1) shared by every run, row s for the
+# rational traces s = 0 and 1 (s = -1 has the numbers of s = 1): -t for the
+# squarefree part t of 4 - s^2, d2, N(4 - s^2) = (4 - s^2)^2, and the w' of
+# K' = K(sqrt(d2)) unless d3 is -3 or -4 as well
+_TRACE_COLUMNS = np.array([[[-1], [-3]], [[-4], [-3]], [[16], [9]], [[4], [6]]], dtype=np.int64)
+_TRACE_COLUMNS.flags.writeable = False
+_MINUS_T, _D2, _N4S, _W_BASE = _TRACE_COLUMNS
 
 
-def _cm_run(ds: list[int], ss: tuple[int, ...], l1) -> tuple[np.ndarray, ...]:
-    """The CM numbers of the rational traces ss (each in {0, +-1}) of every
-    field of the run ds, as arrays of shape (len(ss), len(ds)) whose row j
-    belongs to ss[j]: d2, d3, d_K', w', N(rel disc), N(U0)^2 (int64), then
-    h'R'/hR and the trace's value (h'R'/hR) N(U0)^2 (float64).
+def _cm_run(ds: list[int], l1) -> tuple[np.ndarray, ...]:
+    """The CM numbers of the rational traces s = 0 and 1 of every field of
+    the run ds, as arrays of shape (2, len(ds)) whose row s belongs to the
+    trace s: d2, d3, d_K', w', N(rel disc), N(U0)^2 (int64), then h'R'/hR
+    and the trace's value (h'R'/hR) N(U0)^2 (float64).
 
     d3, the discriminant of Q(sqrt(D (s^2 - 4))), needs no factoring: with
     D = m or 4m, m squarefree, and t the squarefree part of 4 - s^2, the
     squarefree part of -(4 - s^2) D is -t m / gcd(t, m)^2: -m for s = 0,
-    and -m/3 or -3m for s = +-1 as 3 does or does not divide m.
+    and -m/3 or -3m for s = 1 as 3 does or does not divide m.
     l1 gives L(1, chi_d) for every d2 and d3 (_l1_values), and
     h'R'/hR = w' sqrt|d2 d3| L(1, chi_d2) L(1, chi_d3) / (2 pi^2) is taken
     in that order, so each entry has the bits of the one-field float
@@ -156,40 +151,39 @@ def _cm_run(ds: list[int], ss: tuple[int, ...], l1) -> tuple[np.ndarray, ...]:
     if max(ds, default=0) > _CM_D_MAX:
         raise DomainError("D = %d is past the int64 range of |D d2 d3| <= 16 D^2"
                           % next(D for D in ds if D > _CM_D_MAX))
-    minus_t, d2, n4s, w_base = _trace_columns(ss)
     D = np.array(ds, dtype=np.int64)
     m = D >> _SHIFT_MOD4[D & _I3]
-    g = np.gcd(minus_t, m)
-    core = minus_t * m // (g * g)
+    g = np.gcd(_MINUS_T, m)
+    core = _MINUS_T * m // (g * g)
     d3 = core << _SHIFT_MOD4[core & _I3]
-    d2d3 = d2 * d3
+    d2d3 = _D2 * d3
     d_kp = D * d2d3
     n_rel, rest = np.divmod(d_kp, D * D)
     if rest.any():
-        _fail_run(ds, ss, [(rest != 0, "d_K' = |D d2 d3| is not divisible by D^2")])
-    n_u0, rest = np.divmod(n4s, n_rel)
-    # n4s and n_rel are positive, so an N(U0)^2 below 1 is a zero
+        _fail_run(ds, [(rest != 0, "d_K' = |D d2 d3| is not divisible by D^2")])
+    n_u0, rest = np.divmod(_N4S, n_rel)
+    # _N4S and n_rel are positive, so an N(U0)^2 below 1 is a zero
     if rest.any() or not n_u0.all():
-        _fail_run(ds, ss, [(rest != 0, "N(4-s^2) is not divisible by N(rel disc)"),
-                           (n_u0 < 1, "N(U0)^2 is below 1")])
+        _fail_run(ds, [(rest != 0, "N(4-s^2) is not divisible by N(rel disc)"),
+                       (n_u0 < 1, "N(U0)^2 is below 1")])
     # d3 <= -3 is a fundamental discriminant, so d3 >= -4 means -3 or -4:
     # K' holds both sqrt(-1) and sqrt(-3)
-    w_prime = np.where(d3 >= _IM4, _I12, w_base)
-    l1_d2, l1_d3 = _l1_values(l1, d2, d3)
+    w_prime = np.where(d3 >= _IM4, _I12, _W_BASE)
+    l1_d2, l1_d3 = _l1_values(l1, _D2, d3)
     hr_ratio = w_prime * np.sqrt(d2d3) * l1_d2 * l1_d3 / _TWO_PI_SQ
-    return (d2.repeat(len(ds), 1), d3, d_kp, w_prime, n_rel, n_u0, hr_ratio,
+    return (_D2.repeat(len(ds), 1), d3, d_kp, w_prime, n_rel, n_u0, hr_ratio,
             hr_ratio * n_u0)
 
 
-def _fail_run(ds: list[int], ss: tuple[int, ...], checks) -> None:
+def _fail_run(ds: list[int], checks) -> None:
     """Raise the RuntimeError of a failed check of the run: checks holds
-    (bad, what) pairs, bad of shape (len(ss), len(ds)).  The first field
-    with a failure and, in it, the first trace of the first check it fails
-    are named."""
+    (bad, what) pairs, bad of shape (2, len(ds)), row s for the trace s.
+    The first field with a failure and, in it, the first trace of the first
+    check it fails are named."""
     i = int(np.any([bad.any(axis=0) for bad, _what in checks], axis=0).argmax())
     for bad, what in checks:
         if bad[:, i].any():
-            raise RuntimeError("%s at D=%d, s=%d" % (what, ds[i], ss[int(bad[:, i].argmax())]))
+            raise RuntimeError("%s at D=%d, s=%d" % (what, ds[i], int(bad[:, i].argmax())))
 
 
 def _l1_values(l1, d2: np.ndarray, d3: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -232,7 +226,7 @@ def _elliptic_bounds(ds: list[int], l1):
     number raises RuntimeError naming the first such D.  math.log stays per
     field: numpy's vector log need not round as libm does.
     """
-    cm = _cm_run(ds, (0, 1), l1)
+    cm = _cm_run(ds, l1)
     values = cm[7]
     totals = (values[0] + values[1]).tolist()
     exponents = []
@@ -471,15 +465,16 @@ def cm_extension_invariants(D: int, s: int, l1=None) -> CMExtensionInvariants:
     """Invariants of the CM extension attached to a rational elliptic trace.
 
     s is an integer of any type but bool.  l1 optionally supplies L(1, chi_d)
-    values (callable d -> float); it is asked only for d2 and d3, both
-    negative.  By default each factor is 2 pi h / (w sqrt|d|) with h(d)
-    counted as reduced forms (_reduced_form_count).  The numbers come from
-    the one-field, one-trace run of _cm_run.
+    values (callable d -> float); it is asked only for the d2 and d3 of the
+    traces 0 and 1, all negative.  By default each factor is 2 pi h / (w sqrt|d|) with h(d)
+    counted as reduced forms (_reduced_form_count).  The numbers are row |s|
+    of the one-field run of _cm_run (s = -1 has the numbers of s = 1), and
+    the invariants report the s given.
     """
     D = _check_field_discriminant(D)
     s = _rational_trace(s, "rational elliptic traces are 0 and +-1")
-    cm = _cm_run([D], (s,), _reduced_form_l1 if l1 is None else l1)
-    return _cm_invariants(D, s, _cm_field(cm, 0)[0])
+    cm = _cm_run([D], _reduced_form_l1 if l1 is None else l1)
+    return _cm_invariants(D, s, _cm_field(cm, 0)[abs(s)])
 
 
 @dataclass(frozen=True)
@@ -515,7 +510,7 @@ def prestel_bound(D: int, s, l1=None) -> TraceBound:
 
     s may be an EllipticTrace or a rational integer trace of any integer type
     but bool; l1 is read as by cm_extension_invariants.  A rational trace
-    takes its value from the one-field, one-trace run of _cm_run, an
+    s takes its value from row |s| of the one-field run of _cm_run, an
     irrational one the integer N(4 - s^2).
     """
     D = _check_field_discriminant(D)
@@ -530,7 +525,7 @@ def prestel_bound(D: int, s, l1=None) -> TraceBound:
         trace = EllipticTrace(D=D, p=2 * s, q=0)
     if trace.q:
         return _trace_bound(trace, float(trace.norm_4_minus_s2()), None)
-    cm = _cm_field(_cm_run([D], (trace.p // 2,), _reduced_form_l1 if l1 is None else l1), 0)[0]
+    cm = _cm_field(_cm_run([D], _reduced_form_l1 if l1 is None else l1), 0)[abs(trace.p) // 2]
     return _trace_bound(trace, cm[7], cm)
 
 

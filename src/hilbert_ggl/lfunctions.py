@@ -16,11 +16,9 @@ Evaluation routes:
 
 * ``closed_form_l1``: exact finite evaluation of L(1, chi_d), where partial
   sums would need ~2M/tol terms.  For even characters (d > 0)
-  it is the route of L(1, chi_D) in every report and scan:
-  -(1/sqrt(q)) sum chi(a) log sin(pi a / q), through ``_even_l1``, which
-  evaluates the log sines of many characters in one elementwise pass (a
-  scan's run) and sums each character over its own slice, so a value has
-  the same bits alone or in a batch.  For odd ones (d < 0) the
+  it is the route of L(1, chi_D) in every report and scan, one call per
+  field: -(1/sqrt(q)) sum chi(a) log sin(pi a / q), one elementwise log-sin
+  pass over half a period and two pairwise sums.  For odd ones (d < 0) the
   integer sum gives the class number h = -w sum a chi(a) / (2q)
   (RuntimeError unless a positive integer), and the value is
   2 pi h / (w sqrt(q)), the expression that the elliptic bounds share; they
@@ -80,9 +78,6 @@ _INT64_MAX = 2**63 - 1
 # blocks twice as long, glibc's malloc maps and unmaps fresh pages for each
 # one, 160 minor page faults per call at D = 99989
 _DOT_BLOCK = 1 << 14
-# the most log sines _even_l1 evaluates in one array (512 KiB) for a batch
-# of characters; a character with a longer half period gets its own array
-_L1_BATCH = 1 << 16
 
 
 def _prime_factors(n: int) -> list[int]:
@@ -284,8 +279,9 @@ def _l1_odd_array(d: np.ndarray, h: np.ndarray) -> np.ndarray:
 def closed_form_l1(d: int, table: np.ndarray | None = None) -> tuple[float, float]:
     """Exact finite-sum evaluation of L(1, chi_d); returns (value, error bound).
 
-    For d > 0 this is the one-character call of _even_l1, the kernel that
-    scans run over many characters at once."""
+    For d > 0, L(1, chi) = -(2/sqrt(q)) sum_{0<a<q/2} chi(a) log sin(pi a / q),
+    over one float64 array of the half period: the certificate scales the
+    sum of the |log sin|, then the array is multiplied by chi in place."""
     q = abs(d)
     if table is None:
         table = character_table(d)
@@ -301,51 +297,16 @@ def closed_form_l1(d: int, table: np.ndarray | None = None) -> tuple[float, floa
                                "not a positive integer" % (Fraction(w_sum, 2 * q), d))
         value = _l1_odd(d, h)
         return value, 4e-15 * (abs(value) + 1.0)
-    return _even_l1([q], [table])[0]
-
-
-def _even_l1(qs: list[int], tables) -> list[tuple[float, float]]:
-    """(L(1, chi_q), certificate) for the even characters of conductors qs,
-    in order; tables yields the character table of each q in turn and is
-    read one table at a time, after the log sines of its batch.
-
-    chi is even, so the sum folds around q/2 (log sin is symmetric):
-    L(1, chi) = -(2/sqrt(q)) sum_{0<a<q/2} chi(a) log sin(pi a / q).  The log
-    sines of consecutive characters fill one float64 array of at most
-    _L1_BATCH entries, or the half period of one longer character alone,
-    in one elementwise pass; each character's two sums stay numpy's pairwise
-    sums over its own contiguous slice, so no bit depends on the batching.
-    Every log sin is <= 0, so the first sum, -sum(x), is exactly the sum of
-    their absolute values, which the certificate scales; then the slice is
-    multiplied by chi in place, so one character alone needs one array.
-    """
-    tables = iter(tables)
-    out = []
-    start = 0
-    while start < len(qs):
-        stop, total = start + 1, (qs[start] - 1) // 2
-        while stop < len(qs) and total + (qs[stop] - 1) // 2 <= _L1_BATCH:
-            total += (qs[stop] - 1) // 2
-            stop += 1
-        x = np.arange(1, total + 1, dtype=np.float64)
-        parts = []
-        lo = 0
-        for q in qs[start:stop]:
-            part = x[lo : lo + (q - 1) // 2]
-            if lo:
-                part -= lo  # a = 1 .. (q - 1) / 2, exactly
-            part *= math.pi / q
-            parts.append(part)
-            lo += len(part)
-        np.log(np.sin(x, out=x), out=x)
-        # zip reads tables last, so it takes no table past this batch
-        for q, part, table in zip(qs[start:stop], parts, tables):
-            root = math.sqrt(q)
-            cert = 2.0 ** -50 * -float(part.sum()) / root + 1e-14
-            part *= table[1 : len(part) + 1]
-            out.append((-2.0 * float(part.sum()) / root, cert))
-        start = stop
-    return out
+    # chi even: fold around q/2 (log sin is symmetric), one array, in place
+    half = (q - 1) // 2
+    root = math.sqrt(q)
+    x = np.arange(1, half + 1, dtype=np.float64)
+    x *= math.pi / q
+    np.log(np.sin(x, out=x), out=x)
+    # every log sin is <= 0, so -sum(x) is exactly the sum of their absolute values
+    cert = 2.0 ** -50 * -float(x.sum()) / root + 1e-14
+    x *= table[1 : half + 1]
+    return -2.0 * float(x.sum()) / root, cert
 
 
 def zeta_K_minus1(D: int, table: np.ndarray | None = None) -> Fraction:

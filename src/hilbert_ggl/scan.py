@@ -15,16 +15,15 @@ The criterion is one exact comparison of the certified L(1, chi_D) with
 T_D = b^2 zeta_K(-1) / (2D).  Fields below T_D, the Satisfied ones, are
 recomputed on the exact path (field_invariants.exact_hr), which runs the same
 unit-norm and class number formula checks as a single-field report, and the
-verdict then decides them by h R as well; none occur below D = 5000, and 458
-of the 30394 fields up to D = 1e5 do.
+verdict's core then decides them by h R as well; none occur below D = 5000,
+and 458 of the 30394 fields up to D = 1e5 do.
 
 Records come from one path, _scan_run, which takes a run of fields at a
-time: one elementwise log-sin pass per batch of the run's characters for
-L(1) (lfunctions._even_l1, summed per field, so every bit is the one-field
-value of closed_form_l1), one gather of Siegel's terms per run, one array
-pass of the elliptic core per run (elliptic._elliptic_bounds), and the
-verdict's arithmetic core (criteria._decide) with the thresholds taken once
-per run.  scan_field is its one-field run.
+time: L(1) per field from lfunctions.closed_form_l1, one gather of Siegel's
+terms per run, one array pass of the elliptic core per run
+(elliptic._elliptic_bounds), and the verdict's arithmetic core
+(criteria._decide) with the thresholds taken once per run.  scan_field is
+its one-field run.
 
 Scans are deterministic: per-field work is a pure function of (D, parameters).
 The fields still to compute are split into contiguous ascending runs, and one
@@ -45,12 +44,11 @@ from math import isqrt
 
 import numpy as np
 
-from .criteria import (ASSUMPTION_FLAGS, FieldInputs, _cusp_thresholds, _decide, to_fraction,
-                       verdict)
+from .criteria import ASSUMPTION_FLAGS, _cusp_thresholds, _decide, to_fraction
 from .elliptic import _elliptic_bounds, make_l1_lookup
 from .errors import DomainError
 from .field_invariants import _check_field_discriminant, exact_hr, fundamental_discriminants_up_to
-from .lfunctions import _even_l1, character_table, zeta_K2
+from .lfunctions import character_table, closed_form_l1, zeta_K2
 from .reports import FieldRecord
 
 # a scan computes its missing fields in contiguous ascending runs of this
@@ -125,40 +123,36 @@ def scan_tables(dmax: int):
 def _scan_run(ds: list[int], epsilon, l1_lookup, sigma) -> list[FieldRecord]:
     """The records of the fields ds, in order: the one path of scan records.
 
-    Each D is validated once.  L(1, chi_D) comes from one log-sin pass per
-    batch of the run's characters (lfunctions._even_l1, the kernel of
-    closed_form_l1), and zeta_K(-1) from one gather of Siegel's terms per
-    run.  The elliptic totals and exponents of the whole run come from one
-    call of the arithmetic core of elliptic_summary
+    Each D is validated once.  L(1, chi_D) comes from closed_form_l1 on the
+    field's character table, and zeta_K(-1) from one gather of Siegel's
+    terms per run.  The elliptic totals and exponents of the whole run come
+    from one call of the arithmetic core of elliptic_summary
     (elliptic._elliptic_bounds), which reads L(1, chi_d) for the run's
     negative CM discriminants off l1_lookup in one gather, and the L(1) < T_D
     decision runs through the arithmetic core of verdict
     (criteria._decide), with the cusp thresholds taken once; neither builds
     a report object.  A Satisfied field is rechecked on the exact path
-    (field_invariants.exact_hr) and decided again by verdict, with h R.
-    Both tables come from scan_tables and must reach every D; a short one
-    raises DomainError.
+    (field_invariants.exact_hr) and decided again by the same core with
+    h R, which raises unless h R certifies the same side.  Both tables come
+    from scan_tables and must reach every D; a short one raises DomainError.
     """
     ds = [_check_field_discriminant(D) for D in ds]
     th = _cusp_thresholds(to_fraction(epsilon, "epsilon"))
     b2 = (th.b.numerator ** 2, th.b.denominator ** 2)
     required = float(th.nu_cusp)
-    l1s = _even_l1(ds, map(character_table, ds))
     _cm, ell_totals, ell_exponents = _elliptic_bounds(ds, l1_lookup)
     records = []
-    for D, (l1_val, l1_cert), zeta_m1, ell_total, ell_exponent in zip(
-            ds, l1s, _siegel_zeta_minus1(ds, sigma), ell_totals, ell_exponents):
+    for D, zeta_m1, ell_total, ell_exponent in zip(
+            ds, _siegel_zeta_minus1(ds, sigma), ell_totals, ell_exponents):
+        l1_val, l1_cert = closed_form_l1(D, character_table(D))
         zeta2, zeta2_cert = zeta_K2(D, zeta_m1)
         hr = math.sqrt(D) * l1_val / 2.0
         below, top = _decide(D, zeta_m1, l1_val, l1_cert, hr, zeta2, b2)
         h = reg = None
-        decided = "CandidateExceptional"
         if below:
             _unit, classes, reg, _residual = exact_hr(D, l1_val, l1_cert)
             h, hr = classes.h, classes.h * reg
-            rep = verdict(FieldInputs(D=D, hr=hr, zeta2=zeta2, zeta_m1=zeta_m1, l1_value=l1_val,
-                                      l1_cert=l1_cert, h=h, regulator=reg), th.epsilon)
-            top, decided = rep.nu_max, rep.verdict
+            top = _decide(D, zeta_m1, l1_val, l1_cert, hr, zeta2, b2, h, reg)[1]
         # the values go straight into the instance dict, in field order, as
         # FieldRecord.from_dict writes them: the generated __init__ would pay
         # one frozen setattr per field
@@ -177,7 +171,7 @@ def _scan_run(ds: list[int], epsilon, l1_lookup, sigma) -> list[FieldRecord]:
             margin=top - required,
             elliptic_total_bound=ell_total,
             elliptic_exponent=ell_exponent,
-            verdict=decided,
+            verdict="Satisfied" if below else "CandidateExceptional",
             flags=ASSUMPTION_FLAGS,
             exact=below,
         )
@@ -257,6 +251,7 @@ def scan(dmax: int, epsilon="0.01", workers: int = 1,
     if workers < 1:
         raise DomainError("worker count must be >= 1, got %d" % workers)
     eps = to_fraction(epsilon, "epsilon")
+    _cusp_thresholds(eps)  # an epsilon out of range raises before any table is built
     ds = fundamental_discriminants_up_to(dmax)
     done = dict(precomputed) if precomputed else {}
     todo = [d for d in ds if d not in done]

@@ -14,6 +14,7 @@ import pytest
 
 import hilbert_ggl
 import hilbert_ggl.cli as cli_module
+import hilbert_ggl.scan as scan_module
 from hilbert_ggl import field_invariants, lfunctions
 from hilbert_ggl.cli import main
 from hilbert_ggl.errors import CacheError
@@ -131,6 +132,18 @@ def test_domain_errors_exit_one(capsys):
     assert main(["hj", "12", "8"]) == 1  # gcd(12, 8) != 1
     assert main(["tangency", os.path.join(GOLDEN, "no_such_file.txt")]) == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_epsilon_out_of_range_exits_one_before_any_invariant(monkeypatch, capsys):
+    def refuse(*args):
+        raise AssertionError("computed before epsilon was checked")
+
+    monkeypatch.setattr(cli_module, "invariants", refuse)
+    monkeypatch.setattr(scan_module, "scan_tables", refuse)
+    for argv in (["field", "95881", "--epsilon", "0.6"],
+                 ["scan", "--dmax", "400000", "--epsilon", "0.6"]):
+        assert main(argv) == 1
+        assert capsys.readouterr().err == "error: epsilon must lie in (0, 1/2), got 3/5\n"
 
 
 def test_scan_stdout_csv(capsys):

@@ -1,5 +1,6 @@
 """Elliptic trace enumeration and the CM-extension count bounds."""
 
+import dataclasses
 import math
 import tracemalloc
 from fractions import Fraction
@@ -12,6 +13,7 @@ import hilbert_ggl.elliptic as elliptic_module
 from hilbert_ggl.elliptic import (
     EllipticTrace,
     _cm_field,
+    _cm_run,
     _elliptic_bounds,
     _field_rows,
     _reduced_form_count,
@@ -25,7 +27,8 @@ from hilbert_ggl.elliptic import (
     prestel_bound,
 )
 from hilbert_ggl.errors import DomainError
-from hilbert_ggl.field_invariants import _FORM_CELLS, fundamental_discriminants_up_to
+from hilbert_ggl.field_invariants import (_FORM_CELLS, _fundamental_mask,
+                                          fundamental_discriminants_up_to)
 from hilbert_ggl.lfunctions import _l1_odd, closed_form_l1, is_fundamental_discriminant
 from hilbert_ggl.scan import _RUN
 
@@ -170,13 +173,25 @@ def test_field_and_scan_elliptic_bounds_agree_up_to_20000():
 
 def test_cm_d3_equals_field_discriminant_up_to_1e5():
     # d3 is read off the squarefree kernel of D; the factoring route agrees:
-    # the discriminant of Q(sqrt(r)) is the fundamental d with r d a square
+    # the discriminant of Q(sqrt(r)) is the fundamental d with r d a square.
+    # Both rows of d3 come from one run over all the fields, and the sieve
+    # of the fundamental d < 0 checks them
     unit_l1 = lambda d: 1.0
-    for D in fundamental_discriminants_up_to(100_000):
+    ds = [int(D) for D in fundamental_discriminants_up_to(100_000)]
+    d3 = _cm_run(ds, unit_l1)[1]
+    assert d3.shape == (2, 30394)
+    fundamental = _fundamental_mask(4 * 100_000, -1)
+    assert (d3 < 0).all() and fundamental[-d3].all()
+    # r d3 <= 16 D^2 < 2^53, so the float square root of a square is exact
+    r_d3 = np.array(ds) * np.array([[-4], [-3]]) * d3
+    root = np.sqrt(r_d3).astype(np.int64)
+    assert np.array_equal(root * root, r_d3)
+    for D in (5, 12, 13, 24, 4001, 99996):
         for s in (0, 1):
-            d3 = cm_extension_invariants(D, s, l1=unit_l1).subfield_discs[2]
-            r_d3 = D * (s * s - 4) * d3
-            assert is_fundamental_discriminant(d3) and isqrt(r_d3) ** 2 == r_d3, (D, s)
+            d3_D = cm_extension_invariants(D, s, l1=unit_l1).subfield_discs[2]
+            r = D * (s * s - 4) * d3_D
+            assert is_fundamental_discriminant(d3_D) and isqrt(r) ** 2 == r, (D, s)
+            assert d3_D == d3[s, ds.index(D)], (D, s)
 
 
 def test_trace_argument_types():
@@ -227,6 +242,20 @@ def test_cm_extension_validation():
         cm_extension_invariants(5, 2)
     with pytest.raises(DomainError):
         cm_extension_invariants(6, 0)
+
+
+def test_trace_minus_one_has_the_numbers_of_one():
+    # s = -1 reads the row of s = 1 (4 - s^2 is the same) and reports -1
+    for D in (5, 8, 12, 13, 4001, 99996):
+        minus, plus = cm_extension_invariants(D, -1), cm_extension_invariants(D, 1)
+        assert (minus.s, plus.s) == (-1, 1)
+        assert dataclasses.replace(minus, s=1) == plus, D
+        assert minus.hR_ratio.hex() == plus.hR_ratio.hex(), D
+        bounds = prestel_bound(D, -1), prestel_bound(D, EllipticTrace(D=D, p=-2, q=0))
+        for bound in bounds:
+            assert (bound.trace.p, bound.trace.q, bound.cm) == (-2, 0, minus), D
+            assert bound.value.hex() == prestel_bound(D, 1).value.hex(), D
+            assert bound.exact == prestel_bound(D, 1).exact, D
 
 
 def test_prestel_bound_rational_collapse_is_exact_rational():
@@ -452,13 +481,7 @@ def test_run_norm_checks_name_the_first_failing_field(monkeypatch):
     unit = lambda d: 1.0
     with pytest.raises(RuntimeError, match="not divisible by D\\^2 at D=20, s=1"):
         _elliptic_bounds([13, 17, 20, 6], unit)
-    columns = elliptic_module._trace_columns
-
-    def broken_norm(ss):
-        minus_t, d2, n4s, w_base = columns(ss)
-        return minus_t, d2, n4s + 1, w_base
-
-    monkeypatch.setattr(elliptic_module, "_trace_columns", broken_norm)
+    monkeypatch.setattr(elliptic_module, "_N4S", elliptic_module._N4S + 1)
     with pytest.raises(RuntimeError, match="not divisible by N\\(rel disc\\) at D=13, s=0"):
         _elliptic_bounds([13, 17], unit)
 

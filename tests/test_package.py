@@ -60,3 +60,37 @@ def test_every_import_is_used_or_exported():
     assert unused == {}
     # the check sees an import that only a docstring mentions
     assert _unused_imports('"""uses math"""\nimport math\nimport os as o\nprint(o)\n') == {"math"}
+
+
+def _unread_private_definitions(sources) -> set[str]:
+    """The module-level names _x (one leading underscore) that one of the
+    sources defines, by def, class or assignment, and that none of them
+    reads, as a name or as an attribute."""
+    defined, read = set(), set()
+    for source in sources:
+        tree = ast.parse(source)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.add(node.name)
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined.update(name.id for target in targets for name in ast.walk(target)
+                               if isinstance(name, ast.Name))
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load):
+                read.add(node.id if isinstance(node, ast.Name) else node.attr)
+    return {name for name in defined - read if name.startswith("_") and not name.startswith("__")}
+
+
+def test_every_private_definition_is_read():
+    # a private helper or constant that the package no longer reads is dead
+    package = Path(hilbert_ggl.__file__).parent
+    sources = [path.read_text(encoding="utf-8") for path in sorted(package.glob("*.py"))]
+    assert len(sources) >= 13
+    assert _unread_private_definitions(sources) == set()
+    # the check sees a definition read in another module, as an attribute,
+    # and one that only a docstring or a store mentions
+    assert _unread_private_definitions([
+        '"""_dead"""\n_dead, _used = 1, 2\ndef _f(): pass\nclass _C: pass\n__all__ = []\n',
+        'import m\nm._dead = 3\nprint(_used, m._C)\n',
+    ]) == {"_dead", "_f"}

@@ -148,8 +148,8 @@ def _batching_mismatches(dmax: int) -> list:
     of closed_form_l1, or where Siegel's zeta_K(-1) over one run of all the
     fields is not the trial-division oracle's.  Runs of _RUN fields start
     at offsets 0, 1, 3 and 7 (the first `offset` fields form a run of their
-    own), each with the kernel's element cap as it is and cut to 2^11, so
-    that batches split runs at any D."""
+    own), so that Siegel's gather and the elliptic core see every D at
+    several places in a run."""
     lookup, sigma = scan_tables(dmax)
     ds = fundamental_discriminants_up_to(dmax)
     eps = Fraction(1, 100)
@@ -159,16 +159,11 @@ def _batching_mismatches(dmax: int) -> list:
         value, cert = closed_form_l1(D)
         if (rec["l1"].hex(), rec["l1_cert"].hex()) != (value.hex(), cert.hex()):
             bad.append((D, "closed_form_l1"))
-    cap = lfunctions._L1_BATCH
-    try:
-        for lfunctions._L1_BATCH in (cap, 1 << 11):
-            for offset in (0, 1, 3, 7):
-                runs = [ds[:offset]] + [ds[i:i + _RUN] for i in range(offset, len(ds), _RUN)]
-                got = [vars(r) for run in runs if run for r in _scan_run(run, eps, lookup, sigma)]
-                bad += [(D, "cap %d, offset %d" % (lfunctions._L1_BATCH, offset))
-                        for D, a, b in zip(ds, got, single, strict=True) if a != b]
-    finally:
-        lfunctions._L1_BATCH = cap
+    for offset in (0, 1, 3, 7):
+        runs = [ds[:offset]] + [ds[i:i + _RUN] for i in range(offset, len(ds), _RUN)]
+        got = [vars(r) for run in runs if run for r in _scan_run(run, eps, lookup, sigma)]
+        bad += [(D, "offset %d" % offset) for D, a, b in zip(ds, got, single, strict=True)
+                if a != b]
     bad += [(D, "siegel") for D, z in zip(ds, _siegel_zeta_minus1(ds, sigma), strict=True)
             if z != siegel_zeta_minus1(D)]
     return bad
@@ -199,9 +194,9 @@ def test_scan_run_records_do_not_depend_on_batching_without_avx512():
 
 
 def test_scan_run_memory_stays_flat(tables):
-    # one batch of log sines (one half period each at D ~ 1e5), one
-    # character table and the Siegel terms of a run, whatever the run's
-    # length; seven of these fields take the exact path
+    # one field's log sines (half a period at D ~ 1e5), one character table
+    # and the Siegel terms of a run, whatever the run's length; seven of
+    # these fields take the exact path
     ds = fundamental_discriminants_up_to(100_000)[-64:]
     assert ds[-1] == 99996
     tracemalloc.start()
@@ -218,7 +213,7 @@ def test_scan_run_straddle_raises(monkeypatch, tables):
     # the run decides through the same core as verdict: an L(1) on T_D raises
     D, eps = 64277, Fraction(1, 100)
     t = (1 - 2 * eps) ** 2 * zeta_K_minus1(D) / (2 * D)
-    monkeypatch.setattr(scan_module, "_even_l1", lambda qs, tables: [(float(t), 1e-15)])
+    monkeypatch.setattr(scan_module, "closed_form_l1", lambda d, table: (float(t), 1e-15))
     with pytest.raises(NumericalAgreementError, match="straddles"):
         _scan_run([D], eps, *tables)
 
@@ -326,6 +321,18 @@ def test_scan_validation_and_workers():
         scan(4)
     with pytest.raises(DomainError):
         scan(100, workers=0)
+
+
+def test_scan_refuses_epsilon_before_building_tables(monkeypatch):
+    # an epsilon out of (0, 1/2) costs no sieve, no sigma_1 table and no pool
+    def no_tables(dmax):
+        raise AssertionError("scan_tables(%d) called" % dmax)
+
+    monkeypatch.setattr(scan_module, "scan_tables", no_tables)
+    for eps in ("0.6", "1/2", "0", "-0.01"):
+        for workers in (1, 2):
+            with pytest.raises(DomainError, match="epsilon must lie in \\(0, 1/2\\)"):
+                scan(400_000, epsilon=eps, workers=workers)
 
 
 def test_field_record_round_trip(tables):
