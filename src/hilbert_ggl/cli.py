@@ -107,6 +107,7 @@ def cmd_scan(args, parser) -> int:
     if args.workers < 1:
         parser.error("--workers must be at least 1")
     eps = _epsilon_fraction(args.epsilon, parser)
+    _cusp_thresholds(eps)  # an epsilon out of range raises before the cache is read
     params = {"n": DEGREE, "epsilon": str(eps)}
     t0 = time.perf_counter()
     cache = ScanCache(args.cache, params) if args.cache else None

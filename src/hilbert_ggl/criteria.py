@@ -55,7 +55,8 @@ class FieldInputs:
     """Invariant data the criterion consumes.
 
     Any object with these attributes works (the full invariant record does);
-    this class is the lightweight carrier for scans and synthetic inputs.
+    this class carries synthetic inputs to verdict (scans call its core,
+    _decide, directly).
     zeta_m1 is the exact zeta_K(-1); h and regulator are None where unknown.
     """
 
@@ -153,10 +154,13 @@ def thresholds(n: int, epsilon, s_sums=()) -> Thresholds:
 
 
 @functools.lru_cache(maxsize=8)
-def _cusp_thresholds(eps: Fraction) -> Thresholds:
-    """thresholds(DEGREE, eps) with no elliptic orbits, memoized: verdict
-    asks for them once per field, and a scan has one epsilon."""
-    return thresholds(DEGREE, eps)
+def _cusp_thresholds(eps: Fraction) -> tuple[tuple[int, int], float]:
+    """(b^2 as (numerator^2, denominator^2), nu_cusp as a float) of
+    thresholds(DEGREE, eps), the two numbers _decide reads, memoized: verdict
+    asks for them once per field, and a scan has one epsilon.  An epsilon
+    outside (0, 1/2) raises DomainError."""
+    th = thresholds(DEGREE, eps)
+    return (th.b.numerator ** 2, th.b.denominator ** 2), float(th.nu_cusp)
 
 
 def beta_constant(epsilon, n: int, sup_norm) -> Fraction:
@@ -200,13 +204,14 @@ def _below(lo: int, hi: int, den: int, limit_num: int, limit_den: int) -> bool |
 
 
 def _decide(D: int, zeta_m1: Fraction, l1_value: float, l1_cert: float, hr: float,
-            zeta2: float, b2: tuple[int, int], h: int | None = None,
-            regulator: float | None = None) -> tuple[bool, float]:
-    """(L(1) < T_D, nu_max) for one real quadratic field: the arithmetic core
-    of verdict, which scans call directly with b2 = (numerator^2,
-    denominator^2) of b, taken once per run.  It runs every check verdict
-    does: a straddle, known h and R that certify the other side, and hR
-    below the floor of nu_max raise NumericalAgreementError."""
+            zeta2: float, cut: tuple[tuple[int, int], float], h: int | None = None,
+            regulator: float | None = None) -> tuple[bool, float, float, float, str, tuple]:
+    """(L(1) < T_D, nu_max, nu_required, margin, verdict, flags) for one real
+    quadratic field: the core of verdict, which scans call directly with
+    cut = _cusp_thresholds(epsilon), taken once per run.  It runs every
+    check verdict does: a straddle, known h and R that certify the other
+    side, and hR below the floor of nu_max raise NumericalAgreementError."""
+    b2, required = cut
     # T_D = b^2 zeta_K(-1) / (2D)
     t_num = b2[0] * zeta_m1.numerator
     t_den = 2 * D * b2[1] * zeta_m1.denominator
@@ -231,7 +236,9 @@ def _decide(D: int, zeta_m1: Fraction, l1_value: float, l1_cert: float, hr: floa
                 "the same side of the threshold %.17g"
                 % (D, h, regulator, l1_value, l1_cert, t_num / t_den)
             )
-    return below, _nu_max(D, zeta2, hr, DEGREE)
+    top = _nu_max(D, zeta2, hr, DEGREE)
+    return (below, top, required, top - required,
+            "Satisfied" if below else "CandidateExceptional", ASSUMPTION_FLAGS)
 
 
 def verdict(inv, epsilon) -> CriterionReport:
@@ -253,19 +260,18 @@ def verdict(inv, epsilon) -> CriterionReport:
     """
     # to_fraction first: the memo is keyed by exact value, never by a type
     # that thresholds would refuse
-    th = _cusp_thresholds(to_fraction(epsilon, "epsilon"))
-    b = th.b
-    below, top = _decide(inv.D, inv.zeta_m1, inv.l1_value, inv.l1_cert, inv.hr, inv.zeta2,
-                         (b.numerator ** 2, b.denominator ** 2), inv.h, inv.regulator)
-    required = float(th.nu_cusp)
+    eps = to_fraction(epsilon, "epsilon")
+    top, required, margin, name, flags = _decide(
+        inv.D, inv.zeta_m1, inv.l1_value, inv.l1_cert, inv.hr, inv.zeta2, _cusp_thresholds(eps),
+        inv.h, inv.regulator)[1:]
     return CriterionReport(
         D=inv.D,
         n=DEGREE,
-        epsilon=th.epsilon,
+        epsilon=eps,
         nu_max=top,
         nu_required=required,
-        margin=top - required,
+        margin=margin,
         rr_coefficient_at_required=rr_leading_coeff(inv, DEGREE, required),
-        verdict="Satisfied" if below else "CandidateExceptional",
-        flags=ASSUMPTION_FLAGS,
+        verdict=name,
+        flags=flags,
     )

@@ -2,7 +2,7 @@
 
 Documents are plain dicts serialized as JSON; floats keep full repr precision
 so a written report parses back to identical values.  Human-facing numbers
-carry 10 significant digits (fmt10, and the CSV row templates).  The scan
+carry 10 significant digits (fmt10, and the CSV row template).  The scan
 cache is a line-oriented file: one JSON header carrying the parameters that
 key the cache, then one JSON line per field record protected by a CRC32 of
 its canonical form, the sorted, compact JSON text that the writer fills in
@@ -22,6 +22,7 @@ from dataclasses import dataclass, fields
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 
+from .criteria import ASSUMPTION_FLAGS
 from .errors import CacheError
 
 # 3: the elliptic bounds take h'R'/hR from the two CM L-values alone
@@ -169,23 +170,18 @@ def csv_rows(records) -> str:
     """
     lines = [",".join(CSV_COLUMNS)]
     for rec in records:
-        cells = _CSV_CELLS(rec)
-        lines.append(_CSV_ROW[cells[1] is None, cells[2] is None] % cells)
+        h, R = rec["h"], rec["R"]
+        lines.append(_CSV_ROW % ((rec["D"], "" if h is None else "%d" % h,
+                                  "" if R is None else "%.10g" % R) + _CSV_CELLS(rec)))
     return "\n".join(lines) + "\n"
 
 
-# the record key behind each CSV column, in column order
-_CSV_CELLS = operator.itemgetter(*("hr" if col == "hR" else col for col in CSV_COLUMNS))
-# one row template for each (h is None, R is None); "%.0s" renders None as
-# an empty cell, and every float column takes 10 significant digits
-_CSV_ROW = {
-    (h_none, r_none): ",".join(
-        ("%d", "%.0s" if h_none else "%d", "%.0s" if r_none else "%.10g")
-        + ("%.10g",) * 6 + ("%s",)
-    )
-    for h_none in (False, True)
-    for r_none in (False, True)
-}
+# the record keys behind the columns after D, h and R, in column order
+_CSV_CELLS = operator.itemgetter(*("hr" if col == "hR" else col for col in CSV_COLUMNS[3:]))
+# the row template: h and R come rendered (empty for None), every other
+# float column takes 10 significant digits
+_CSV_ROW = ",".join({"D": "%d", "h": "%s", "R": "%s", "verdict": "%s"}.get(col, "%.10g")
+                    for col in CSV_COLUMNS)
 
 
 def _string_list(values) -> str:
@@ -194,57 +190,30 @@ def _string_list(values) -> str:
 
 # The record text the cache writes and checksums: the sorted, compact JSON
 # of the record, as json.dumps(to_dict(), sort_keys=True, separators=(",",
-# ":"), allow_nan=False) writes it, from one %-template per (h is None,
-# R is None) generated from FieldRecord's fields.  D and h take %d, the
-# string keys their JSON text, and R and the float keys %r, float.__repr__
-# as the encoder writes a float; "null%.0s" writes null and swallows None.
-_STRING_KEYS = ("exact", "flags", "verdict")
+# ":"), allow_nan=False) writes it, from one %-template generated from
+# FieldRecord's fields.  D takes %d and the float keys %r, float.__repr__ as
+# the encoder writes a float; h, R and the string keys come rendered as
+# their JSON text.
 _TEXT_KEYS = sorted(_RECORD_KEYS)
-_FLOAT_KEYS = tuple(name for name in _TEXT_KEYS if name not in ("D", "h", "R") + _STRING_KEYS)
+_TEXT_SLOTS = {"D": "%d", "h": "%s", "R": "%s", "exact": "%s", "flags": "%s", "verdict": "%s"}
+_RECORD_TEMPLATE = "{%s}" % ",".join(
+    encode_basestring_ascii(name) + ":" + _TEXT_SLOTS.get(name, "%r") for name in _TEXT_KEYS)
+_FLOAT_KEYS = tuple(name for name in _TEXT_KEYS if name not in _TEXT_SLOTS)
 _FLOAT_VALUES = operator.itemgetter(*_FLOAT_KEYS)
 _TEXT_VALUES = operator.itemgetter(*_TEXT_KEYS)
-
-
-def _text_slot(name: str, h_none: bool, r_none: bool) -> str:
-    if name in _STRING_KEYS:
-        return "%s"
-    if (name == "h" and h_none) or (name == "R" and r_none):
-        return "null%.0s"
-    return "%d" if name in ("D", "h") else "%r"
-
-
-_RECORD_TEMPLATES = {
-    (h_none, r_none): "{%s}" % ",".join(
-        encode_basestring_ascii(name) + ":" + _text_slot(name, h_none, r_none)
-        for name in _TEXT_KEYS)
-    for h_none in (False, True)
-    for r_none in (False, True)
-}
 _JSON_BOOL = {True: "true", False: "false"}
 _EXACT_FLOAT = frozenset((float,))
-# the JSON texts of the flags tuples and of the verdicts met so far, each
-# memo at most _TEXT_MEMO_SIZE entries: a scan writes one flags tuple and
-# two verdicts
-_FLAGS_TEXT: dict = {}
-_VERDICT_TEXT: dict = {}
-_TEXT_MEMO_SIZE = 64
-
-
-def _memo_text(memo: dict, value, encode) -> str:
-    """encode(value), kept in memo while it has room; an unhashable value
-    (flags held as a list) is encoded without the memo."""
-    text = encode(value)
-    try:
-        if len(memo) < _TEXT_MEMO_SIZE:
-            memo[value] = text
-    except TypeError:
-        pass
-    return text
+# the JSON texts of the two verdicts from_dict accepts, and of the flags
+# every scan record holds; other flags are encoded per record
+_VERDICT_TEXT = {verdict: encode_basestring_ascii(verdict) for verdict in _VERDICTS}
+_ASSUMPTION_FLAGS_TEXT = _string_list(ASSUMPTION_FLAGS)
 
 
 def _record_text(record: FieldRecord) -> str:
-    """The canonical JSON text of a record; a NaN or infinite value raises
-    ValueError, as the encoder with allow_nan=False does."""
+    """The canonical JSON text of a record.  What the encoder with
+    allow_nan=False refuses, a NaN or infinite value, raises ValueError, and
+    so does what from_dict would refuse to read back: a verdict other than
+    Satisfied and CandidateExceptional, or a flag that is not a string."""
     values = record.__dict__
     R = values["R"]
     floats = _FLOAT_VALUES(values) + (() if R is None else (R,))
@@ -261,16 +230,20 @@ def _record_text(record: FieldRecord) -> str:
     (D, R, ell_exp, ell_total, exact, flags, h, hr, l1, l1_cert, margin, nu_max, nu_required,
      verdict, zeta2, zeta2_cert) = _TEXT_VALUES(values)
     try:
-        flags_text = _FLAGS_TEXT[flags]
-    except (KeyError, TypeError):
-        flags_text = _memo_text(_FLAGS_TEXT, flags, _string_list)
-    try:
         verdict_text = _VERDICT_TEXT[verdict]
     except (KeyError, TypeError):
-        verdict_text = _memo_text(_VERDICT_TEXT, verdict, encode_basestring_ascii)
-    return _RECORD_TEMPLATES[h is None, R is None] % (
-        D, R, ell_exp, ell_total, _JSON_BOOL[exact], flags_text, h, hr, l1, l1_cert,
-        margin, nu_max, nu_required, verdict_text, zeta2, zeta2_cert)
+        raise ValueError("invalid verdict for D=%r: %r" % (D, verdict)) from None
+    if flags == ASSUMPTION_FLAGS:
+        flags_text = _ASSUMPTION_FLAGS_TEXT
+    else:
+        try:
+            flags_text = _string_list(flags)
+        except TypeError:
+            raise ValueError("invalid flags for D=%r: %r" % (D, flags)) from None
+    return _RECORD_TEMPLATE % (
+        D, "null" if R is None else repr(R), ell_exp, ell_total, _JSON_BOOL[exact], flags_text,
+        "null" if h is None else "%d" % h, hr, l1, l1_cert, margin, nu_max, nu_required,
+        verdict_text, zeta2, zeta2_cert)
 
 
 def _reject_constant(name: str):

@@ -21,9 +21,8 @@ and 458 of the 30394 fields up to D = 1e5 do.
 Records come from one path, _scan_run, which takes a run of fields at a
 time: L(1) per field from lfunctions.closed_form_l1, one gather of Siegel's
 terms per run, one array pass of the elliptic core per run
-(elliptic._elliptic_bounds), and the verdict's arithmetic core
-(criteria._decide) with the thresholds taken once per run.  scan_field is
-its one-field run.
+(elliptic._elliptic_bounds), and the verdict's core (criteria._decide),
+which forms the verdict fields, with the thresholds taken once per run.
 
 Scans are deterministic: per-field work is a pure function of (D, parameters).
 The fields still to compute are split into contiguous ascending runs, and one
@@ -44,7 +43,7 @@ from math import isqrt
 
 import numpy as np
 
-from .criteria import ASSUMPTION_FLAGS, _cusp_thresholds, _decide, to_fraction
+from .criteria import _cusp_thresholds, _decide, to_fraction
 from .elliptic import _elliptic_bounds, make_l1_lookup
 from .errors import DomainError
 from .field_invariants import _check_field_discriminant, exact_hr, fundamental_discriminants_up_to
@@ -113,7 +112,7 @@ def _siegel_zeta_minus1(ds: list[int], sigma: np.ndarray) -> list[Fraction]:
 
 
 def scan_tables(dmax: int):
-    """(l1_lookup, sigma), the tables scan_field reads for every field
+    """(l1_lookup, sigma), the tables _scan_run reads for every field
     D <= dmax: the class-number sieve of the CM discriminants |d3| <= 4 D
     (elliptic.make_l1_lookup) and the sigma_1 table of Siegel's formula up to
     D // 4 (_divisor_sums)."""
@@ -129,7 +128,7 @@ def _scan_run(ds: list[int], epsilon, l1_lookup, sigma) -> list[FieldRecord]:
     from one call of the arithmetic core of elliptic_summary
     (elliptic._elliptic_bounds), which reads L(1, chi_d) for the run's
     negative CM discriminants off l1_lookup in one gather, and the L(1) < T_D
-    decision runs through the arithmetic core of verdict
+    decision and the verdict fields come from the core of verdict
     (criteria._decide), with the cusp thresholds taken once; neither builds
     a report object.  A Satisfied field is rechecked on the exact path
     (field_invariants.exact_hr) and decided again by the same core with
@@ -137,9 +136,7 @@ def _scan_run(ds: list[int], epsilon, l1_lookup, sigma) -> list[FieldRecord]:
     from scan_tables and must reach every D; a short one raises DomainError.
     """
     ds = [_check_field_discriminant(D) for D in ds]
-    th = _cusp_thresholds(to_fraction(epsilon, "epsilon"))
-    b2 = (th.b.numerator ** 2, th.b.denominator ** 2)
-    required = float(th.nu_cusp)
+    cut = _cusp_thresholds(to_fraction(epsilon, "epsilon"))
     _cm, ell_totals, ell_exponents = _elliptic_bounds(ds, l1_lookup)
     records = []
     for D, zeta_m1, ell_total, ell_exponent in zip(
@@ -147,12 +144,13 @@ def _scan_run(ds: list[int], epsilon, l1_lookup, sigma) -> list[FieldRecord]:
         l1_val, l1_cert = closed_form_l1(D, character_table(D))
         zeta2, zeta2_cert = zeta_K2(D, zeta_m1)
         hr = math.sqrt(D) * l1_val / 2.0
-        below, top = _decide(D, zeta_m1, l1_val, l1_cert, hr, zeta2, b2)
+        decided = _decide(D, zeta_m1, l1_val, l1_cert, hr, zeta2, cut)
         h = reg = None
-        if below:
+        if decided[0]:
             _unit, classes, reg, _residual = exact_hr(D, l1_val, l1_cert)
             h, hr = classes.h, classes.h * reg
-            top = _decide(D, zeta_m1, l1_val, l1_cert, hr, zeta2, b2, h, reg)[1]
+            decided = _decide(D, zeta_m1, l1_val, l1_cert, hr, zeta2, cut, h, reg)
+        below, top, required, margin, verdict, flags = decided
         # the values go straight into the instance dict, in field order, as
         # FieldRecord.from_dict writes them: the generated __init__ would pay
         # one frozen setattr per field
@@ -168,21 +166,15 @@ def _scan_run(ds: list[int], epsilon, l1_lookup, sigma) -> list[FieldRecord]:
             l1_cert=l1_cert,
             nu_max=top,
             nu_required=required,
-            margin=top - required,
+            margin=margin,
             elliptic_total_bound=ell_total,
             elliptic_exponent=ell_exponent,
-            verdict="Satisfied" if below else "CandidateExceptional",
-            flags=ASSUMPTION_FLAGS,
+            verdict=verdict,
+            flags=flags,
             exact=below,
         )
         records.append(record)
     return records
-
-
-def scan_field(D: int, epsilon, l1_lookup, sigma) -> FieldRecord:
-    """Evaluate the criterion for one field (the one-field run of _scan_run);
-    a Satisfied field is rechecked on the exact path."""
-    return _scan_run([D], epsilon, l1_lookup, sigma)[0]
 
 
 @dataclass(frozen=True)

@@ -11,6 +11,7 @@ import textwrap
 from fractions import Fraction
 
 import pytest
+from conftest import scan_record
 
 import hilbert_ggl
 import hilbert_ggl.cli as cli_module
@@ -22,7 +23,7 @@ from hilbert_ggl.elliptic import elliptic_summary
 from hilbert_ggl.field_invariants import fundamental_discriminants_up_to
 from hilbert_ggl.lfunctions import closed_form_l1
 from hilbert_ggl.reports import ScanCache
-from hilbert_ggl.scan import _RUN, scan_field
+from hilbert_ggl.scan import _RUN
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 
@@ -144,6 +145,25 @@ def test_epsilon_out_of_range_exits_one_before_any_invariant(monkeypatch, capsys
                  ["scan", "--dmax", "400000", "--epsilon", "0.6"]):
         assert main(argv) == 1
         assert capsys.readouterr().err == "error: epsilon must lie in (0, 1/2), got 3/5\n"
+
+
+def test_scan_checks_epsilon_before_reading_the_cache(tmp_path, monkeypatch, capsys):
+    # a cache written at epsilon 1/100 is neither read nor written by a scan
+    # whose epsilon is out of range: the epsilon message, not the header's
+    path = tmp_path / "scan.cache"
+    assert main(["scan", "--dmax", "30", "--cache", str(path)]) == 0
+    written = path.read_bytes()
+    capsys.readouterr()
+
+    def refuse(self):
+        raise AssertionError("the cache was read before epsilon was checked")
+
+    monkeypatch.setattr(ScanCache, "load", refuse)
+    for eps in ("0.6", "0", "1/2"):
+        assert main(["scan", "--dmax", "30", "--epsilon", eps, "--cache", str(path)]) == 1
+        assert capsys.readouterr().err == (
+            "error: epsilon must lie in (0, 1/2), got %s\n" % Fraction(eps))
+        assert path.read_bytes() == written
 
 
 def test_scan_stdout_csv(capsys):
@@ -491,7 +511,7 @@ def test_field_json_elliptic_block_equals_scan_record(capsys, tables):
     for D in sample:
         assert main(["field", str(D), "--json"]) == 0
         ell = json.loads(capsys.readouterr().out)["records"][0]["elliptic"]
-        rec = scan_field(D, Fraction(1, 100), lookup, sigma)
+        rec = scan_record(D, Fraction(1, 100), lookup, sigma)
         assert ell["total_bound"] == rec.elliptic_total_bound, D
         assert ell["exponent_record"] == rec.elliptic_exponent, D
         summary = elliptic_summary(D, l1=lookup)

@@ -35,8 +35,8 @@ from hilbert_ggl.lfunctions import (
     factor_fundamental,
     is_fundamental_discriminant,
 )
-from hilbert_ggl.scan import scan_field
 
+from conftest import scan_record
 from oracles import (
     brute_class_number,
     brute_fundamental_unit,
@@ -118,7 +118,7 @@ def test_field_functions_take_numpy_integers(tables):
     eps = Fraction(1, 100)
     for D in (5, 409, 64277, 99996):
         for f in (fundamental_unit, regulator, class_number, invariants,
-                  elliptic_summary, cusp_cycle, lambda d: scan_field(d, eps, *tables)):
+                  elliptic_summary, cusp_cycle, lambda d: scan_record(d, eps, *tables)):
             assert f(np.int64(D)) == f(D), (f, D)
     assert type(fundamental_unit(np.int64(409)).t) is int
     assert type(cusp_cycle(np.int64(5)).digits[0]) is int

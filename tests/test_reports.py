@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from conftest import scan_record, unusual_records
 from oracles import canonical_record_json, record_from_dict, scan_csv
 
 from hilbert_ggl.cli import main
@@ -26,7 +27,7 @@ from hilbert_ggl.reports import (
     json_dumps,
     render_field_text,
 )
-from hilbert_ggl.scan import scan, scan_field
+from hilbert_ggl.scan import scan
 
 
 def test_fmt10():
@@ -52,13 +53,13 @@ def test_json_dumps_fractions_and_floats():
 
 
 def test_csv_rows_frozen_layout(tables):
-    fast = scan_field(5, Fraction(1, 100), *tables)
+    fast = scan_record(5, Fraction(1, 100), *tables)
     assert csv_rows([fast.to_dict()]) == (
         "D,h,R,hR,zeta2,nu_max,nu_required,margin,elliptic_total_bound,verdict\n"
         "5,,,0.4812118251,1.161671196,0.1760065078,2.040816327,"
         "-1.864809819,14,CandidateExceptional\n"
     )
-    exact = scan_field(46373, Fraction(1, 100), *tables)  # Satisfied: the exact path fills h and R
+    exact = scan_record(46373, Fraction(1, 100), *tables)  # Satisfied: the exact path fills h and R
     assert csv_rows([exact.to_dict()]).splitlines()[1] == (
         "46373,1,31.146314,31.146314,1.092508677,2.043205146,2.040816327,"
         "0.002388819678,532,Satisfied"
@@ -80,7 +81,7 @@ def test_scan_cache_round_trip(tmp_path, tables):
     path = str(tmp_path / "scan.cache")
     cache = ScanCache(path, params={"n": 2, "epsilon": "1/100"})
     assert cache.load() == {}
-    records = [scan_field(D, Fraction(1, 100), *tables) for D in (5, 8, 12)]
+    records = [scan_record(D, Fraction(1, 100), *tables) for D in (5, 8, 12)]
     cache.append(records[0])
     cache.append(records[1])
     assert cache.load() == {5: records[0], 8: records[1]}
@@ -97,8 +98,8 @@ def test_scan_cache_append_refuses_non_finite_floats(tmp_path, tables, key, valu
     # the stdlib encoder with allow_nan=False raises ValueError, and so does
     # the writer, before it touches the file: a new file is not created, an
     # old one keeps its bytes, and a torn last line stays for the next append
-    good = [scan_field(D, Fraction(1, 100), *tables) for D in (5, 8)]
-    bad = dataclasses.replace(scan_field(46373, Fraction(1, 100), *tables), **{key: value})
+    good = [scan_record(D, Fraction(1, 100), *tables) for D in (5, 8)]
+    bad = dataclasses.replace(scan_record(46373, Fraction(1, 100), *tables), **{key: value})
     with pytest.raises(ValueError):
         canonical_record_json(bad.to_dict())
     path = tmp_path / "scan.cache"
@@ -117,10 +118,34 @@ def test_scan_cache_append_refuses_non_finite_floats(tmp_path, tables, key, valu
     assert cache.load() == {5: good[0], 8: good[1]}
 
 
+@pytest.mark.parametrize("key, value", [
+    ("verdict", "Bogus"), ("verdict", "satisfied"), ("verdict", None), ("verdict", ["Satisfied"]),
+    ("flags", (1,)), ("flags", ["rotation_defaulted", None]), ("flags", None)])
+def test_scan_cache_append_refuses_what_load_refuses(tmp_path, tables, key, value):
+    # a verdict other than the two from_dict accepts, or a flag that is not a
+    # string, raises ValueError before the file is touched, as from_dict
+    # would raise on reading the line back
+    good = scan_record(5, Fraction(1, 100), *tables)
+    with pytest.raises(ValueError, match="invalid %s" % key):
+        FieldRecord.from_dict(json.loads(json.dumps({**good.to_dict(), key: value})))
+    bad = dataclasses.replace(good, **{key: value})
+    path = tmp_path / "scan.cache"
+    cache = ScanCache(str(path), CLI_PARAMS)
+    with pytest.raises(ValueError, match="invalid %s" % key):
+        cache.append(good, bad)
+    assert not path.exists()
+    cache.append(good)
+    before = path.read_bytes()
+    with pytest.raises(ValueError, match="invalid %s" % key):
+        cache.append(bad)
+    assert path.read_bytes() == before
+    assert cache.load() == {5: good}
+
+
 def test_scan_cache_writes_numpy_floats_as_floats(tmp_path, tables):
     # numpy 2 reprs a float64 as np.float64(...); the cache writes the float
     # it holds, so the bytes are those of the plain-float record
-    records = [scan_field(D, Fraction(1, 100), *tables) for D in (5, 12, 46373)]
+    records = [scan_record(D, Fraction(1, 100), *tables) for D in (5, 12, 46373)]
     assert records[-1].R is not None
     as_numpy = [dataclasses.replace(rec, **{
         f.name: np.float64(getattr(rec, f.name)) for f in dataclasses.fields(rec)
@@ -135,26 +160,9 @@ def test_scan_cache_writes_numpy_floats_as_floats(tmp_path, tables):
         ScanCache(str(tmp_path / "int"), CLI_PARAMS).append(dataclasses.replace(records[0], hr=2))
 
 
-def test_record_text_memo_stays_small_and_exact(tables, monkeypatch):
-    # the flags and verdict texts come from a bounded memo; flags held as a
-    # list, which no memo can key, and memos that are full still give the
-    # encoder's text
-    from hilbert_ggl import reports
-
-    monkeypatch.setattr(reports, "_FLAGS_TEXT", {})
-    monkeypatch.setattr(reports, "_VERDICT_TEXT", {})
-    rec = scan_field(13, Fraction(1, 100), *tables)
-    variants = [dataclasses.replace(rec, flags=("f%d" % k, 'q"\u00e9'), verdict="v%d" % k)
-                for k in range(3 * reports._TEXT_MEMO_SIZE)]
-    variants.append(dataclasses.replace(rec, flags=list(rec.flags)))
-    for r in variants + variants:
-        assert reports._record_text(r) == canonical_record_json(r.to_dict())
-    assert len(reports._FLAGS_TEXT) == len(reports._VERDICT_TEXT) == reports._TEXT_MEMO_SIZE
-
-
 def test_scan_cache_append_many_matches_one_by_one(tmp_path, tables):
     params = {"n": 2, "epsilon": "1/100"}
-    records = [scan_field(D, Fraction(1, 100), *tables) for D in (5, 8, 12)]
+    records = [scan_record(D, Fraction(1, 100), *tables) for D in (5, 8, 12)]
     one_by_one = ScanCache(str(tmp_path / "a.cache"), params)
     for rec in records:
         one_by_one.append(rec)
@@ -166,7 +174,7 @@ def test_scan_cache_append_many_matches_one_by_one(tmp_path, tables):
 
 def test_scan_cache_header_mismatch(tmp_path, capsys, tables):
     path = str(tmp_path / "scan.cache")
-    ScanCache(path, params={"epsilon": "1/100"}).append(scan_field(5, Fraction(1, 100), *tables))
+    ScanCache(path, params={"epsilon": "1/100"}).append(scan_record(5, Fraction(1, 100), *tables))
     other = ScanCache(path, params={"epsilon": "1/20"})
     with pytest.raises(CacheError) as err:
         other.load()
@@ -191,7 +199,7 @@ def test_scan_cache_header_mismatch(tmp_path, capsys, tables):
 
 
 def test_field_record_from_dict_checks_types(tables):
-    good = scan_field(46373, Fraction(1, 100), *tables).to_dict()  # exact path: Satisfied
+    good = scan_record(46373, Fraction(1, 100), *tables).to_dict()  # exact path: Satisfied
     # a JSON int is a valid float value
     assert FieldRecord.from_dict({**good, "margin": -2}).margin == -2.0
     assert FieldRecord.from_dict({**good, "h": None, "R": None}).h is None
@@ -224,7 +232,7 @@ WRONG_VALUES = (True, False, "1.5", None, [1], ["flag"], 1.0, -2, {})
 
 @pytest.mark.parametrize("D", [5, 46373])  # fast path, and exact path (Satisfied)
 def test_field_record_from_dict_matches_key_by_key_oracle(D, tables):
-    good = scan_field(D, Fraction(1, 100), *tables)
+    good = scan_record(D, Fraction(1, 100), *tables)
     rec = good.to_dict()
     assert list(rec) == [f.name for f in dataclasses.fields(FieldRecord)]
     new, old = _decoded(rec)
@@ -241,12 +249,9 @@ def test_field_record_from_dict_matches_key_by_key_oracle(D, tables):
 def test_csv_rows_matches_cell_by_cell_oracle(tables):
     # exact-path (Satisfied) records fill h and R; R = 8.251403133 at D = 50837
     # takes all 10 digits
-    exact = [scan_field(D, Fraction(1, 100), *tables) for D in (46373, 50837)]
+    exact = [scan_record(D, Fraction(1, 100), *tables) for D in (46373, 50837)]
     assert all(r.h is not None and r.R is not None for r in exact)
-    records = list(scan(3000).records) + exact
-    exact = exact[-1]
-    # either empty cell alone, which no scan writes but a mapping may hold
-    records += [dataclasses.replace(exact, h=None), dataclasses.replace(exact, R=None)]
+    records = list(scan(3000).records) + exact + unusual_records(exact[-1])
     dicts = [r.to_dict() for r in records]
     expected = scan_csv(dicts)
     assert csv_rows(dicts) == expected
@@ -257,7 +262,7 @@ def test_csv_rows_matches_cell_by_cell_oracle(tables):
 def test_scan_cache_corruption(tmp_path, tables):
     path = str(tmp_path / "scan.cache")
     cache = ScanCache(path, params={"epsilon": "1/100"})
-    cache.append(scan_field(5, Fraction(1, 100), *tables))
+    cache.append(scan_record(5, Fraction(1, 100), *tables))
 
     with open(path, "a", encoding="utf-8") as fh:
         fh.write("this is not json\n")
@@ -318,7 +323,7 @@ def test_scan_cache_load_reads_the_stored_record_text(tmp_path, monkeypatch, tab
 
     monkeypatch.setattr("hilbert_ggl.reports._record_text", no_serializing)
     loaded = ScanCache(path, CLI_PARAMS).load()
-    assert loaded == {D: scan_field(D, Fraction(1, 100), *tables) for D in (5, 8, 12, 13, 17)}
+    assert loaded == {D: scan_record(D, Fraction(1, 100), *tables) for D in (5, 8, 12, 13, 17)}
 
 
 @pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])

@@ -30,8 +30,9 @@ from hilbert_ggl.field_invariants import (
 from hilbert_ggl.lfunctions import closed_form_l1, zeta_K_minus1
 from hilbert_ggl.reports import _record_text, csv_rows
 from hilbert_ggl.scan import (_RUN, DyadicBlock, FieldRecord, _divisor_sums, _dyadic_blocks,
-                              _scan_run, _siegel_zeta_minus1, scan, scan_field, scan_tables)
+                              _scan_run, _siegel_zeta_minus1, scan, scan_tables)
 
+from conftest import scan_record, unusual_records
 from oracles import (canonical_record_json, float_rule_verdict, siegel_zeta_minus1,
                      strided_divisor_sums)
 
@@ -40,7 +41,7 @@ FIRST_SATISFIED = 46373
 
 
 def test_scan_field_fast_path_matches_closed_form(tables):
-    rec = scan_field(5, Fraction(1, 100), *tables)
+    rec = scan_record(5, Fraction(1, 100), *tables)
     assert rec.h is None and rec.R is None and not rec.exact
     assert rec.hr == math.sqrt(5) * closed_form_l1(5)[0] / 2.0
     # zeta_K(2) is exact up to rounding, so nu_max is too
@@ -60,13 +61,13 @@ def test_scan_field_factors_its_discriminant_once(tables, monkeypatch):
     lfunctions._fundamental_parts.cache_clear()
     for D in (5, 12, 4001, FIRST_SATISFIED, 99996):
         calls.clear()
-        scan_field(D, Fraction(1, 100), *tables)
+        scan_record(D, Fraction(1, 100), *tables)
         assert calls == [D], D
 
 
 def test_scan_field_exact_path_consistent(tables):
     D = FIRST_SATISFIED
-    exact = scan_field(D, Fraction(1, 100), *tables)
+    exact = scan_record(D, Fraction(1, 100), *tables)
     assert exact.exact and exact.verdict == "Satisfied"
     assert exact.h == class_number(D).h
     assert exact.R == regulator(D)
@@ -74,20 +75,20 @@ def test_scan_field_exact_path_consistent(tables):
     assert abs(exact.hr - math.sqrt(D) * exact.l1 / 2.0) <= 1e-9 * exact.hr
     # the fast records of other fields agree with the exact h*R check
     for D in (5, 8, 40, 229):
-        fast = scan_field(D, Fraction(1, 100), *tables)
+        fast = scan_record(D, Fraction(1, 100), *tables)
         _unit, classes, reg, _residual = exact_hr(D, fast.l1, fast.l1_cert)
         assert classes.h == class_number(D).h
         assert abs(classes.h * reg - fast.hr) <= 1e-9 * fast.hr
 
 
 def test_scan_field_elliptic_numbers_equal_elliptic_summary_up_to_20000():
-    # scan_field reads the arithmetic core; elliptic_summary wraps it in
+    # a scan reads the arithmetic core; elliptic_summary wraps it in
     # report objects: the same bits, irrational traces (D < 16) included
     lookup, sigma = scan_tables(20_000)
     ds = fundamental_discriminants_up_to(20_000)
     assert ds[:4] == [5, 8, 12, 13]
     for D in ds:
-        rec = scan_field(D, Fraction(1, 100), lookup, sigma)
+        rec = scan_record(D, Fraction(1, 100), lookup, sigma)
         ell = elliptic_summary(D, l1=lookup)
         assert rec.elliptic_total_bound.hex() == ell.total_bound.hex(), D
         assert rec.elliptic_exponent.hex() == ell.exponent_record.hex(), D
@@ -96,14 +97,14 @@ def test_scan_field_elliptic_numbers_equal_elliptic_summary_up_to_20000():
 def test_scan_field_builds_no_elliptic_report_object(monkeypatch, tables):
     import hilbert_ggl.elliptic as elliptic_module
 
-    expected = [scan_field(D, Fraction(1, 100), *tables) for D in (5, 8, 12, 13, 229, 46373)]
+    expected = [scan_record(D, Fraction(1, 100), *tables) for D in (5, 8, 12, 13, 229, 46373)]
 
     def refuse(*args, **kwargs):
-        raise AssertionError("scan_field built an elliptic report object")
+        raise AssertionError("a scan built an elliptic report object")
 
     for name in ("EllipticTrace", "TraceBound", "CMExtensionInvariants", "EllipticSummary"):
         monkeypatch.setattr(elliptic_module, name, refuse)
-    got = [scan_field(D, Fraction(1, 100), *tables) for D in (5, 8, 12, 13, 229, 46373)]
+    got = [scan_record(D, Fraction(1, 100), *tables) for D in (5, 8, 12, 13, 229, 46373)]
     assert got == expected
 
 
@@ -111,7 +112,7 @@ def test_scan_field_refuses_a_total_that_is_not_finite(tables):
     _lookup, sigma = tables
     for bad in (float("nan"), float("inf")):
         with pytest.raises(RuntimeError, match="total elliptic bound"):
-            scan_field(13, Fraction(1, 100), lambda d: bad, sigma)
+            scan_record(13, Fraction(1, 100), lambda d: bad, sigma)
 
 
 def test_siegel_route_equals_bernoulli_route():
@@ -153,7 +154,7 @@ def _batching_mismatches(dmax: int) -> list:
     lookup, sigma = scan_tables(dmax)
     ds = fundamental_discriminants_up_to(dmax)
     eps = Fraction(1, 100)
-    single = [vars(scan_field(D, eps, lookup, sigma)) for D in ds]
+    single = [vars(scan_record(D, eps, lookup, sigma)) for D in ds]
     bad = []
     for D, rec in zip(ds, single):
         value, cert = closed_form_l1(D)
@@ -336,7 +337,7 @@ def test_scan_refuses_epsilon_before_building_tables(monkeypatch):
 
 
 def test_field_record_round_trip(tables):
-    rec = scan_field(FIRST_SATISFIED, Fraction(1, 100), *tables)
+    rec = scan_record(FIRST_SATISFIED, Fraction(1, 100), *tables)
     assert rec.exact
     assert FieldRecord.from_dict(rec.to_dict()) == rec
     assert list(rec.to_dict()) == [
@@ -345,9 +346,9 @@ def test_field_record_round_trip(tables):
         "verdict", "flags", "exact",
     ]
     assert rec.to_dict()["flags"] == list(rec.flags)
-    fast = scan_field(13, Fraction(1, 100), *tables)
+    fast = scan_record(13, Fraction(1, 100), *tables)
     assert FieldRecord.from_dict(fast.to_dict()) == fast
-    # scan_field writes the instance dict itself: every field, in field order
+    # _scan_run writes the instance dict itself: every field, in field order
     names = [f.name for f in dataclasses.fields(FieldRecord)]
     assert list(vars(rec)) == list(vars(fast)) == names
 
@@ -356,7 +357,7 @@ def test_exact_recheck_disagreement_raises_specific_error(monkeypatch, tables):
     original = FundamentalUnit.regulator
     monkeypatch.setattr(FundamentalUnit, "regulator", lambda unit: 2 * original(unit))
     with pytest.raises(NumericalAgreementError, match="class number formula residual"):
-        scan_field(FIRST_SATISFIED, Fraction(1, 100), *tables)
+        scan_record(FIRST_SATISFIED, Fraction(1, 100), *tables)
 
 
 # sha256 of the records of every field in [64000, 65000] at epsilon 1/100,
@@ -372,7 +373,7 @@ BAND_SATISFIED = [64253, 64277, 64517, 64973]
 def band():
     lookup, sigma = scan_tables(65000)
     ds = [int(d) for d in fundamental_discriminants_up_to(65000) if d >= 64000]
-    return [scan_field(D, Fraction(1, 100), lookup, sigma) for D in ds], lookup
+    return [scan_record(D, Fraction(1, 100), lookup, sigma) for D in ds], lookup
 
 
 def test_scan_band_bytes(band):
@@ -388,6 +389,7 @@ def test_scan_band_bytes(band):
 def test_record_text_equals_the_stdlib_encoder(band):
     records = list(scan(20_000).records) + band[0]
     assert sum(r.exact for r in records) == len(BAND_SATISFIED)
+    records += unusual_records([r for r in band[0] if r.exact][-1])
     for rec in records:
         assert _record_text(rec) == canonical_record_json(rec.to_dict()), rec.D
 
