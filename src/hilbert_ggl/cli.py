@@ -176,7 +176,7 @@ def cmd_cusp(args, parser) -> int:
             "period": cyc.period,
             "v_power": cyc.v_power,
             "eta": str(cyc.eta),
-            "rays": [str(r) for r in cyc.rays],
+            "rays": cyc.ray_strings(),
             "unimodular": cyc.unimodular,
             "tangency_ok": tan.ok,
             "chart_sqrt_coeffs": [c.sqrt_coeff for c in tan.charts],
@@ -188,7 +188,7 @@ def cmd_cusp(args, parser) -> int:
             % (D, ", ".join(str(b) for b in cyc.digits), cyc.period, cyc.v_power)
         )
         print("eta=%s" % cyc.eta)
-        print("rays: %s" % "; ".join(str(r) for r in cyc.rays))
+        print("rays: %s" % "; ".join(cyc.ray_strings()))
         print(
             "tangency: %s (%d charts, sqrt coeffs %s)"
             % (

@@ -9,11 +9,15 @@ irrational w attached to (M, V).
 
 Everything here is exact.  The period word and the rays run on integers:
 the rays mu_k = X_k + Y_k*w of M = lam*(Z + Z*w) are integer pairs, with
-module coordinates X_k*coords(lam) + Y_k*coords(lam*w).  Each ray is built
-as a QuadElem (a + b*sqrt(D))/c once, for total positivity, the closing ray,
-the recurrence at the two seams (where eta enters) and Cramer's rule, which
-must give back its coordinates; the unit eta identified by the cycle is
-compared against the fundamental unit computed independently in
+module coordinates X_k*coords(lam) + Y_k*coords(lam*w), and each ray is
+kept as integer numerators (A_k + B_k*sqrt(D))/den over one shared
+denominator.  Total positivity (A_k > 0 and A_k^2 > B_k^2 D) and Cramer's
+rule, which must give back the coordinates, run on those integers for
+every ray.  A QuadElem is built only for the closing ray and the rays at
+the two seams (where eta enters), which the closing check, the seam
+recurrence and the wedge engine's spot charts read, and for
+CuspCycle.rays when a caller asks for them; the unit eta identified by the
+cycle is compared against the fundamental unit computed independently in
 field_invariants.  Only the preperiod steps QuadElem.hj_step: an irrational
 that is not reduced is expanded to its first reduced tail
 (_expand_to_reduced), whose period word periodic_hj reads.
@@ -24,12 +28,13 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import isqrt
 
 from .cyclic import _wedge_check
 from .errors import DomainError
 from .field_invariants import _check_field_discriminant, fundamental_unit
-from .quadratic import QuadElem, _elem
+from .quadratic import QuadElem, _elem, _elem_str
 
 _MAX_PREPERIOD = 100_000
 _MAX_PERIOD = 100_000
@@ -106,7 +111,8 @@ def _coerce_elem(x, D: int, what: str) -> QuadElem:
         if x.D != D:
             raise DomainError("%s lives in the field of discriminant %d, expected %d" % (what, x.D, D))
         return x
-    if isinstance(x, (int, Fraction)):
+    # bool is refused, as _v_index refuses it
+    if isinstance(x, (int, Fraction)) and not isinstance(x, bool):
         return QuadElem.from_rational(Fraction(x), D)
     raise DomainError("%s must be a field element or a rational, got %r" % (what, x))
 
@@ -169,20 +175,18 @@ def _module_multiplier(alpha: QuadElem, beta: QuadElem):
     return got
 
 
-def _cramer(e: QuadElem, alpha: QuadElem, beta: QuadElem) -> tuple[int, int, int]:
-    """Coordinates (u, v) of e in the basis (alpha, beta) as integers
-    (u * den, v * den, den), den != 0.
+def _cramer(a: int, b: int, c: int, alpha: QuadElem, beta: QuadElem) -> tuple[int, int, int]:
+    """Coordinates (u, v) of e = (a + b*sqrt(D))/c, c != 0, in the basis
+    (alpha, beta) as integers (u * den, v * den, den), den != 0.
 
-    Cramer's rule on the integer parts of (a + b*sqrt(D))/c: with
-    [p, q] = p.a*q.b - p.b*q.a, u = [e, beta] alpha.c / (e.c [alpha, beta])
-    and v = [alpha, e] beta.c / (e.c [alpha, beta]).
+    Cramer's rule on the integer numerators, which need not be in normal
+    form: with [p, q] = p.a*q.b - p.b*q.a, u = [e, beta] alpha.c / (c [alpha, beta])
+    and v = [alpha, e] beta.c / (c [alpha, beta]).
     """
     den = alpha.a * beta.b - alpha.b * beta.a
     if den == 0:
         raise DomainError("module generators are linearly dependent over Q")
-    den *= e.c
-    return ((e.a * beta.b - e.b * beta.a) * alpha.c,
-            (alpha.a * e.b - alpha.b * e.a) * beta.c, den)
+    return ((a * beta.b - b * beta.a) * alpha.c, (alpha.a * b - alpha.b * a) * beta.c, den * c)
 
 
 def _rays_from_cycle(digits: list[int], count: int) -> list[tuple[int, int]]:
@@ -207,8 +211,11 @@ class CuspCycle:
     digits      period word of V (the module period repeated v_power times)
     period      length of the module period word
     v_power     index of V inside the full totally positive unit group
-    rays        mu_0 .. mu_{len(digits)-1}, totally positive module elements
-    closing_ray eta^{-1} * mu_0, the ray that would follow rays[-1]
+    ray_nums    (A_k, B_k) for k < len(digits): the totally positive module
+                elements mu_k = (A_k + B_k*sqrt(D)) / ray_den, as the
+                recurrence gives them (not reduced to normal form)
+    ray_den     the positive denominator shared by every ray
+    closing_ray eta^{-1} * mu_0, the ray that would follow mu_{len(digits)-1}
     eta         generator of V picked out by the cycle (mu_0 / mu_{fr})
     eta_period  generator for v_power = 1 (eta = eta_period ** v_power)
     module      the basis (alpha, beta) the rays live in
@@ -221,13 +228,17 @@ class CuspCycle:
                 coord_det * (alpha beta' - alpha' beta), which is how
                 verify_cusp_tangency checks it
     unimodular  True when that determinant is +-1
+
+    rays, the mu_k as QuadElems, are built on first request; ray_strings()
+    formats them from the integers without building them.
     """
 
     D: int
     digits: tuple[int, ...]
     period: int
     v_power: int
-    rays: tuple[QuadElem, ...]
+    ray_nums: tuple[tuple[int, int], ...]
+    ray_den: int
     closing_ray: QuadElem
     eta: QuadElem
     eta_period: QuadElem
@@ -238,6 +249,23 @@ class CuspCycle:
     def self_intersections(self) -> tuple[int, ...]:
         """Self-intersection numbers of the cycle curves are -digits."""
         return tuple(-b for b in self.digits)
+
+    @cached_property
+    def rays(self) -> tuple[QuadElem, ...]:
+        """mu_0 .. mu_{len(digits)-1} as field elements."""
+        return tuple(map(self._ray, range(len(self.ray_nums))))
+
+    def ray_strings(self) -> list[str]:
+        """str() of every ray, formatted from the integer numerators."""
+        den, D = self.ray_den, self.D
+        return [_elem_str(A, B, den, D) for A, B in self.ray_nums]
+
+    def _ray(self, k: int) -> QuadElem:
+        """mu_k for 0 <= k <= len(digits), mu_{len(digits)} being the closing ray."""
+        if k == len(self.ray_nums):
+            return self.closing_ray
+        A, B = self.ray_nums[k]
+        return _elem(A, B, self.ray_den, self.D)
 
 
 def cusp_cycle(D: int, module=None, v=None) -> CuspCycle:
@@ -276,12 +304,17 @@ def cusp_cycle(D: int, module=None, v=None) -> CuspCycle:
         lam, w = _module_multiplier(alpha, beta)
         basis_coords = []
         for e in (lam, lam * w):
-            nu, nv, den = _cramer(e, alpha, beta)
+            nu, nv, den = _cramer(e.a, e.b, e.c, alpha, beta)
             if nu % den or nv % den:
                 raise RuntimeError("lam = %s or lam*w does not lie in the module" % (lam,))
             basis_coords.append((nu // den, nv // den))
 
     digits = periodic_hj(w)
+    # checked before any ray is built from them
+    if any(b < 2 for b in digits):
+        raise RuntimeError("period word %s has a digit below 2" % (digits,))
+    if all(b == 2 for b in digits):
+        raise RuntimeError("period word is all 2s, which no quadratic surd produces")
     r = len(digits)
     pairs = _rays_from_cycle(digits, (f or 1) * r)
     x_r, y_r = pairs[r]
@@ -325,41 +358,43 @@ def cusp_cycle(D: int, module=None, v=None) -> CuspCycle:
     ma, mb = lam_w.a * lam.c, lam_w.b * lam.c
     (u1, v1), (u2, v2) = basis_coords
     coords = [(X * u1 + Y * u2, X * v1 + Y * v2) for X, Y in pairs]
-    built = [_elem(X * la + Y * ma, X * lb + Y * mb, den, D) for X, Y in pairs]
-    rays, closing = built[:total], built[total]
-    for mu in rays:
-        if not mu.is_totally_positive():
-            raise RuntimeError("ray %s is not totally positive" % (mu,))
-    if closing != eta.inverse() * rays[0]:
+    nums = [(X * la + Y * ma, X * lb + Y * mb) for X, Y in pairs]
+    ray_nums = tuple(nums[:total])
+    # with den > 0, (A + B*sqrt(D))/den is totally positive iff A > |B|*sqrt(D)
+    for A, B in ray_nums:
+        if A <= 0 or A * A <= B * B * D:
+            raise RuntimeError("ray %s is not totally positive" % _elem_str(A, B, den, D))
+    # field elements for the closing ray mu[total] and the seam rays 0, 1,
+    # total - 2 and total - 1
+    mu = {k: _elem(*nums[k], den, D) for k in {0, 1, total - 2, total - 1, total} if k >= 0}
+    closing = mu[total]
+    if closing != eta.inverse() * mu[0]:
         raise RuntimeError("cycle did not close: mu_%d != eta^-1 * mu_0" % total)
 
     # the recurrence on QuadElem at the seams 0 (where eta enters) and
     # total - 1, on module coordinates between them
-    if digits_v[0] * rays[0] != eta * rays[-1] + (rays[1] if total > 1 else closing):
+    if digits_v[0] * mu[0] != eta * mu[total - 1] + mu[1]:
         raise RuntimeError("ray recurrence broken at position 0")
     for k, b, (x0, y0), (x1, y1), (x2, y2) in zip(range(1, total - 1), digits_v[1:],
                                                   coords, coords[1:], coords[2:]):
         if b * x1 != x0 + x2 or b * y1 != y0 + y2:
             raise RuntimeError("ray recurrence broken at position %d" % k)
-    if total > 1 and digits_v[-1] * rays[-1] != rays[-2] + closing:
+    if total > 1 and digits_v[-1] * mu[total - 1] != mu[total - 2] + closing:
         raise RuntimeError("ray recurrence broken at position %d" % (total - 1))
 
-    if any(b < 2 for b in digits_v):
-        raise RuntimeError("period word %s has a digit below 2" % (digits_v,))
-    if all(b == 2 for b in digits_v):
-        raise RuntimeError("period word is all 2s, which no quadratic surd produces")
-
-    # module membership: Cramer's rule on each built ray gives its coordinates
-    for mu, (x, y) in zip(built, coords):
-        nu, nv, den = _cramer(mu, alpha, beta)
-        if nu != x * den or nv != y * den:
+    # module membership: Cramer's rule on each ray, closing ray included,
+    # gives its coordinates
+    for (A, B), (x, y) in zip(nums, coords):
+        nu, nv, cden = _cramer(A, B, den, alpha, beta)
+        if nu != x * cden or nv != y * cden:
             raise RuntimeError("ray %s does not lie in the module at (%d, %d) (coords %s, %s)"
-                               % (mu, x, y, Fraction(nu, den), Fraction(nv, den)))
+                               % (_elem_str(A, B, den, D), x, y,
+                                  Fraction(nu, cden), Fraction(nv, cden)))
 
     if v_unit:
         for gen_img in (eta * alpha, eta * beta):
-            nu, nv, den = _cramer(gen_img, alpha, beta)
-            if nu % den or nv % den:
+            nu, nv, cden = _cramer(gen_img.a, gen_img.b, gen_img.c, alpha, beta)
+            if nu % cden or nv % cden:
                 raise DomainError("v = eta^%d does not preserve the module" % f)
 
     # one determinant per cycle: the recurrence checked above at every position
@@ -372,7 +407,8 @@ def cusp_cycle(D: int, module=None, v=None) -> CuspCycle:
         digits=tuple(digits_v),
         period=r,
         v_power=f,
-        rays=tuple(rays),
+        ray_nums=ray_nums,
+        ray_den=den,
         closing_ray=closing,
         eta=eta,
         eta_period=eta_period,
@@ -463,12 +499,12 @@ def verify_cusp_tangency(cycle: CuspCycle) -> CuspTangencyReport:
     det = delta * cycle.coord_det
     check = CuspChartCheck(det=det, sqrt_coeff=det.y, multiplicities=(1, 1),
                            coord_det=cycle.coord_det, degenerate=det.is_zero())
-    rays = cycle.rays + (cycle.closing_ray,)
-    for k in sorted({0, len(cycle.rays) - 1}):
-        wedge = _chart_check(rays[k], rays[k + 1], cycle.coord_det)
+    total = len(cycle.digits)
+    for k in sorted({0, total - 1}):
+        wedge = _chart_check(cycle._ray(k), cycle._ray(k + 1), cycle.coord_det)
         if wedge != check:
             raise RuntimeError("chart %d: the wedge engine gives det %s, the module identity %s"
                                % (k, wedge.det, det))
     ok = not check.degenerate and cycle.unimodular
-    return CuspTangencyReport(D=cycle.D, charts=(check,) * len(cycle.rays),
+    return CuspTangencyReport(D=cycle.D, charts=(check,) * total,
                               unimodular=cycle.unimodular, ok=ok)

@@ -41,6 +41,12 @@ def _ratio_str(n: int, d: int) -> str:
     return f"{n // g}/{d // g}"
 
 
+def _elem_str(a: int, b: int, c: int, D: int) -> str:
+    """str() of (a + b*sqrt(D))/c for c > 0, whether or not gcd(a, b, c) = 1:
+    _ratio_str reduces each part, so the text is that of the normal form."""
+    return f"{_ratio_str(a, c)} + {_ratio_str(b, c)}*sqrt({D})"
+
+
 # Every D that passed QuadElem's check; derived elements skip the isqrt.
 _VALID_D: set[int] = set()
 
@@ -272,7 +278,7 @@ class QuadElem:
         return (self - self._coerce(other)).sign() < 0
 
     def __str__(self) -> str:
-        return f"{_ratio_str(self.a, self.c)} + {_ratio_str(self.b, self.c)}*sqrt({self.D})"
+        return _elem_str(self.a, self.b, self.c, self.D)
 
 
 # QuadElem.__setattr__ refuses writes; constructors fill the slots through

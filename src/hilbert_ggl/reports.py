@@ -212,9 +212,20 @@ _ASSUMPTION_FLAGS_TEXT = _string_list(ASSUMPTION_FLAGS)
 def _record_text(record: FieldRecord) -> str:
     """The canonical JSON text of a record.  What the encoder with
     allow_nan=False refuses, a NaN or infinite value, raises ValueError, and
-    so does what from_dict would refuse to read back: a verdict other than
-    Satisfied and CandidateExceptional, or a flag that is not a string."""
+    so does what from_dict would refuse to read back: a D that is not an
+    int, an h that is neither None nor an int, an exact that is not a bool,
+    a verdict other than Satisfied and CandidateExceptional, or a flag that
+    is not a string."""
     values = record.__dict__
+    # the reader's own decoders: %d would write a float D or h truncated,
+    # and the bool table takes 1 for True
+    D = values["D"]
+    if _as_int(D) is _INVALID:
+        raise ValueError("invalid D: %r" % (D,))
+    if _as_int_or_none(values["h"]) is _INVALID:
+        raise ValueError("invalid h for D=%d: %r" % (D, values["h"]))
+    if _as_bool(values["exact"]) is _INVALID:
+        raise ValueError("invalid exact for D=%d: %r" % (D, values["exact"]))
     R = values["R"]
     floats = _FLOAT_VALUES(values) + (() if R is None else (R,))
     if not _EXACT_FLOAT.issuperset(map(type, floats)):
@@ -444,7 +455,7 @@ def build_field_document(params: dict, inv, rep, ell, cyc, tan, timings=None) ->
             "period": cyc.period,
             "v_power": cyc.v_power,
             "eta": str(cyc.eta),
-            "rays": [str(r) for r in cyc.rays],
+            "rays": cyc.ray_strings(),
             "module": [str(g) for g in cyc.module],
             "unimodular": cyc.unimodular,
             "tangency": {

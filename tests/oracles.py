@@ -36,7 +36,7 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 
-from hilbert_ggl.cusps import CuspChartCheck, CuspCycle, _default_surd, _module_multiplier
+from hilbert_ggl.cusps import CuspChartCheck, _default_surd, _module_multiplier
 from hilbert_ggl.cyclic import _wedge_check
 from hilbert_ggl.quadratic import QuadElem
 
@@ -334,15 +334,25 @@ def wedge_cusp_charts(cycle) -> tuple:
     return tuple(out)
 
 
+# the data of a CuspCycle that quadelem_cusp_cycle rebuilds, rays as QuadElems
+CUSP_CYCLE_FIELDS = ("D", "digits", "period", "v_power", "rays", "closing_ray", "eta",
+                     "eta_period", "module", "coord_det", "unimodular")
 
-def quadelem_cusp_cycle(D: int, module=None, v=None):
-    """The CuspCycle of cusp_cycle by QuadElem arithmetic at every step: the
-    period word by QuadElem.hj_step until the tail returns to w, the rays by
-    the three-term recurrence on QuadElem, and each ray's module coordinates
-    by Cramer's rule in Fractions.  The reduced w and the scaling lam come
-    from the package (_default_surd, _module_multiplier).  The determinant of
-    every consecutive coordinate pair is formed, and the one check made here
-    is that they are a single value, which becomes coord_det."""
+
+def cusp_cycle_fields(cycle) -> dict:
+    """The CUSP_CYCLE_FIELDS of a CuspCycle, as quadelem_cusp_cycle returns them."""
+    return {name: getattr(cycle, name) for name in CUSP_CYCLE_FIELDS}
+
+
+def quadelem_cusp_cycle(D: int, module=None, v=None) -> dict:
+    """The CUSP_CYCLE_FIELDS of cusp_cycle's CuspCycle by QuadElem arithmetic
+    at every step: the period word by QuadElem.hj_step until the tail
+    returns to w, the rays by the three-term recurrence on QuadElem, and
+    each ray's module coordinates by Cramer's rule in Fractions.  The reduced
+    w and the scaling lam come from the package (_default_surd,
+    _module_multiplier).  The determinant of every consecutive coordinate
+    pair is formed, and the one check made here is that they are a single
+    value, which becomes coord_det."""
     if module is None:
         alpha, beta = QuadElem.from_rational(1, D), QuadElem.from_pq(D, 1, D)
         lam, w = alpha, _default_surd(D)
@@ -378,10 +388,9 @@ def quadelem_cusp_cycle(D: int, module=None, v=None):
     dets = {x1 * y2 - y1 * x2 for (x1, y1), (x2, y2) in zip(coords, coords[1:])}
     assert len(dets) == 1, (D, module, v, dets)
     (coord_det,) = dets
-    return CuspCycle(D=D, digits=tuple(digits * f), period=r, v_power=f, rays=tuple(mus[:-1]),
-                     closing_ray=mus[-1], eta=eta_period ** f, eta_period=eta_period,
-                     module=(alpha, beta), coord_det=coord_det,
-                     unimodular=abs(coord_det) == 1)
+    return dict(D=D, digits=tuple(digits * f), period=r, v_power=f, rays=tuple(mus[:-1]),
+                closing_ray=mus[-1], eta=eta_period ** f, eta_period=eta_period,
+                module=(alpha, beta), coord_det=coord_det, unimodular=abs(coord_det) == 1)
 
 
 # the JSON types each FieldRecord key accepts; every key not listed holds a float

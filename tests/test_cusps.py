@@ -4,6 +4,7 @@ import contextlib
 import dataclasses
 import hashlib
 import io
+import types
 from fractions import Fraction
 
 import numpy as np
@@ -27,9 +28,9 @@ from hilbert_ggl.field_invariants import (
     fundamental_unit,
 )
 from hilbert_ggl.lfunctions import primes_up_to
-from hilbert_ggl.quadratic import QuadElem
+from hilbert_ggl.quadratic import QuadElem, _elem_str
 
-from oracles import cyclically_equal, quadelem_cusp_cycle, wedge_cusp_charts
+from oracles import cusp_cycle_fields, cyclically_equal, quadelem_cusp_cycle, wedge_cusp_charts
 
 
 def test_periodic_hj_known_surds():
@@ -188,6 +189,11 @@ def test_cusp_cycle_module_validation():
         cusp_cycle(5, module=(1, QuadElem(0, 1, 8)))
     with pytest.raises(DomainError):
         cusp_cycle(5, module=(1, 3))  # rationally dependent generators
+    # a bool is no generator, as it is no index v
+    with pytest.raises(DomainError, match="alpha must be a field element or a rational, got True"):
+        cusp_cycle(5, module=(True, QuadElem(0, 1, 5)))
+    with pytest.raises(DomainError, match="beta must be a field element or a rational, got False"):
+        cusp_cycle(5, module=(QuadElem(0, 1, 5), False))
 
 
 def test_chart_tangency_degenerate_reported():
@@ -291,6 +297,22 @@ def test_wedge_engine_runs_on_a_fixed_number_of_charts(monkeypatch):
     assert len(cyc.rays) == 1683
 
 
+def test_cusp_path_builds_a_fixed_number_of_field_elements(monkeypatch):
+    # the rays stay integers: a field element is built for the closing ray
+    # and the seam rays 0, 1, r-2, r-1 in cusp_cycle, and for rays 0, 1 and
+    # r-1 of the spot charts in verify_cusp_tangency, whatever the period r;
+    # the ray strings build none
+    calls = []
+    elem = cusps_mod._elem
+    monkeypatch.setattr(cusps_mod, "_elem", lambda *args: calls.append(args) or elem(*args))
+    for D, period in ((40801, 1683), (95881, 3769)):
+        calls.clear()
+        cyc = cusp_cycle(D)
+        assert verify_cusp_tangency(cyc).ok
+        assert len(cyc.ray_strings()) == cyc.period == period
+        assert len(calls) == 5 + 3, (D, len(calls))
+
+
 @pytest.mark.parametrize("v", [None, 2, "eta"], ids=["v_none", "v_2", "v_eta"])
 @pytest.mark.parametrize("cases, count", [(_fields_up_to_2000_as_cases, 607),
                                           (_pinned_modules_up_to_600_as_cases, 728)],
@@ -301,9 +323,9 @@ def test_cusp_cycle_matches_quadelem_oracle(cases, count, v):
     unit."""
     n = 0
     for D, module in cases():
-        given = quadelem_cusp_cycle(D, module=module).eta if v == "eta" else v
+        given = quadelem_cusp_cycle(D, module=module)["eta"] if v == "eta" else v
         want = quadelem_cusp_cycle(D, module=module, v=given)
-        assert cusp_cycle(D, module=module, v=given) == want, (D, module, v)
+        assert cusp_cycle_fields(cusp_cycle(D, module=module, v=given)) == want, (D, module, v)
         n += 1
     assert n == count
 
@@ -314,7 +336,42 @@ def test_cusp_cycle_unit_v_of_higher_index_matches_quadelem_oracle():
         eta = cusp_cycle(D).eta
         for v, f in ((eta ** 2, 2), (eta ** -3, 3)):
             c = cusp_cycle(D, v=v)
-            assert c.v_power == f and c == cusp_cycle(D, v=f) == quadelem_cusp_cycle(D, v=v), D
+            assert c.v_power == f and c == cusp_cycle(D, v=f), D
+            assert cusp_cycle_fields(c) == quadelem_cusp_cycle(D, v=v), D
+
+
+def _rational_modules_up_to_200_as_cases():
+    # generators with denominators 3, 5 and 7: rays over a shared denominator 105 or 315
+    return [(D, (Fraction(1, 3), QuadElem(Fraction(1, 5), Fraction(1, 7), D)))
+            for D in map(int, fundamental_discriminants_up_to(200))]
+
+
+def test_ray_strings_match_str_of_the_quadelem_oracle():
+    """The integer formatter gives str() of the oracle's QuadElem for every
+    ray, and for the closing ray put over the rays' shared denominator."""
+    shared, denominators, negative, integral = set(), set(), False, False
+    for cases, count in ((_fields_up_to_2000_as_cases, 607), (_pinned_modules_up_to_600_as_cases, 728),
+                         (_rational_modules_up_to_200_as_cases, 60)):
+        n = 0
+        for D, module in cases():
+            cyc = cusp_cycle(D, module=module)
+            want = quadelem_cusp_cycle(D, module=module)
+            assert cyc.ray_strings() == [str(mu) for mu in want["rays"]], (D, module)
+            scale, rem = divmod(cyc.ray_den, cyc.closing_ray.c)
+            assert rem == 0, (D, module)
+            closing = (cyc.closing_ray.a * scale, cyc.closing_ray.b * scale)
+            assert _elem_str(*closing, cyc.ray_den, D) == str(want["closing_ray"]), (D, module)
+            mus = want["rays"] + (want["closing_ray"],)
+            shared.add(cyc.ray_den)
+            denominators.update(mu.c for mu in mus)
+            negative |= any(min(nums) < 0 for nums in cyc.ray_nums + (closing,))
+            integral |= any(mu.b == 0 and mu.c == 1 for mu in mus)
+            n += 1
+        assert n == count
+    # the shared denominators 1, 2, 105 and 315; reduced ones past 2, negative
+    # numerators and rays that are rational integers all occur
+    assert shared == {1, 2, 105, 315}, shared
+    assert negative and integral and denominators - {1, 2}, denominators
 
 
 # Fault injection: each check of the cusp path must still fire when the
@@ -393,6 +450,52 @@ def test_fault_perturbed_ray_breaks_cusp_cycle(monkeypatch, k, message):
         cusp_cycle(229)
 
 
+def test_fault_last_digit_breaks_the_recurrence_at_the_end_seam(monkeypatch):
+    rays = cusps_mod._rays_from_cycle
+
+    def relabelled(digits, count):
+        # the checks read a last digit the rays were not built with; only the
+        # recurrence at position r - 1 (D = 229 has r = 15) reads it
+        pairs = rays(digits, count)
+        digits[-1] += 1
+        return pairs
+
+    monkeypatch.setattr(cusps_mod, "_rays_from_cycle", relabelled)
+    with pytest.raises(RuntimeError, match="recurrence broken at position 14"):
+        cusp_cycle(229)
+
+
+@pytest.mark.parametrize("word, message", [([1, 3], "has a digit below 2"), ([2, 2], "all 2s")],
+                         ids=["digit_below_2", "all_2s"])
+def test_fault_period_word_digits_raise(monkeypatch, word, message):
+    monkeypatch.setattr(cusps_mod, "periodic_hj", lambda w: list(word))
+    with pytest.raises(RuntimeError, match=message):
+        cusp_cycle(229)
+
+
+def test_fault_cycle_unit_disagreeing_with_the_fundamental_unit_raises(monkeypatch):
+    # the unit of the field's own continued fraction, squared
+    eta = cusp_cycle(229).eta
+    monkeypatch.setattr(cusps_mod, "fundamental_unit", lambda D: types.SimpleNamespace(
+        totally_positive_generator=lambda: eta ** 2))
+    with pytest.raises(RuntimeError, match="disagrees with the totally positive fundamental unit"):
+        cusp_cycle(229)
+
+
+@pytest.mark.parametrize("chart", [0, 14], ids=["chart_0", "seam_chart"])
+def test_fault_ray_read_by_one_spot_chart_raises(chart):
+    # doubling ray 0 changes chart 0 alone and doubling the closing ray the
+    # seam chart r - 1 alone: the wedge engine runs on each of them
+    cyc = cusp_cycle(229)
+    if chart == 0:
+        (A, B), rest = cyc.ray_nums[0], cyc.ray_nums[1:]
+        bad = dataclasses.replace(cyc, ray_nums=((2 * A, 2 * B),) + rest)
+    else:
+        bad = dataclasses.replace(cyc, closing_ray=2 * cyc.closing_ray)
+    with pytest.raises(RuntimeError, match="chart %d: the wedge engine gives" % chart):
+        verify_cusp_tangency(bad)
+
+
 def test_fault_negated_ray_is_not_totally_positive(monkeypatch):
     rays = cusps_mod._rays_from_cycle
 
@@ -436,9 +539,9 @@ def _off_module(calls_before_fault: int):
     real = cusps_mod._cramer
     calls = []
 
-    def fake(e, alpha, beta):
-        nu, nv, den = real(e, alpha, beta)
-        calls.append(e)
+    def fake(a, b, c, alpha, beta):
+        nu, nv, den = real(a, b, c, alpha, beta)
+        calls.append((a, b, c))
         if len(calls) > calls_before_fault:
             return 2 * nu + 1, 2 * nv, 2 * den
         return nu, nv, den
@@ -448,6 +551,13 @@ def _off_module(calls_before_fault: int):
 
 def test_fault_ray_outside_module_raises(monkeypatch):
     monkeypatch.setattr(cusps_mod, "_cramer", _off_module(0))
+    with pytest.raises(RuntimeError, match="does not lie in the module"):
+        cusp_cycle(229)
+
+
+def test_fault_closing_ray_outside_module_raises(monkeypatch):
+    # D = 229 has period 15: the 16th Cramer call is the closing ray's, the last one
+    monkeypatch.setattr(cusps_mod, "_cramer", _off_module(15))
     with pytest.raises(RuntimeError, match="does not lie in the module"):
         cusp_cycle(229)
 

@@ -120,11 +120,14 @@ def test_scan_cache_append_refuses_non_finite_floats(tmp_path, tables, key, valu
 
 @pytest.mark.parametrize("key, value", [
     ("verdict", "Bogus"), ("verdict", "satisfied"), ("verdict", None), ("verdict", ["Satisfied"]),
-    ("flags", (1,)), ("flags", ["rotation_defaulted", None]), ("flags", None)])
+    ("flags", (1,)), ("flags", ["rotation_defaulted", None]), ("flags", None),
+    ("D", 5.7), ("D", 5.0), ("D", True), ("h", 1.5), ("h", True),
+    ("exact", 1), ("exact", 2), ("exact", None)])
 def test_scan_cache_append_refuses_what_load_refuses(tmp_path, tables, key, value):
-    # a verdict other than the two from_dict accepts, or a flag that is not a
-    # string, raises ValueError before the file is touched, as from_dict
-    # would raise on reading the line back
+    # a verdict other than the two from_dict accepts, a flag that is not a
+    # string, a D or h that is not an int or an exact that is not a bool
+    # raises ValueError before the file is touched, as from_dict would raise
+    # on reading the line back
     good = scan_record(5, Fraction(1, 100), *tables)
     with pytest.raises(ValueError, match="invalid %s" % key):
         FieldRecord.from_dict(json.loads(json.dumps({**good.to_dict(), key: value})))
