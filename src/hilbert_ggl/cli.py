@@ -19,7 +19,7 @@ from fractions import Fraction
 from .criteria import _cusp_thresholds, to_fraction, verdict
 from .cusps import cusp_cycle, verify_cusp_tangency
 from .cyclic import parse_matrices, tangency_divisor
-from .elliptic import elliptic_summary
+from .elliptic import _check_cm_range, elliptic_summary
 from .errors import DomainError
 from .field_invariants import DEGREE, invariants
 from .hj import hj_expand
@@ -72,6 +72,7 @@ def cmd_field(args, parser) -> int:
     D = _normalize_field_value(args.value, parser)
     eps = _epsilon_fraction(args.epsilon, parser)
     _cusp_thresholds(eps)  # an epsilon out of range raises before any invariant is computed
+    _check_cm_range([D])
     timings: dict[str, float] | None = {} if args.timings else None
 
     t0 = time.perf_counter()

@@ -9,7 +9,8 @@ irrational w attached to (M, V).
 
 Everything here is exact.  The period word and the rays run on integers:
 the rays mu_k = X_k + Y_k*w of M = lam*(Z + Z*w) are integer pairs, with
-module coordinates X_k*coords(lam) + Y_k*coords(lam*w), and each ray is
+module coordinates X_k*coords(lam) + Y_k*coords(lam*w) (Cramer's rule on
+the basis integers, read once per cycle, for every module), and each ray is
 kept as integer numerators (A_k + B_k*sqrt(D))/den over one shared
 denominator.  Total positivity (A_k > 0 and A_k^2 > B_k^2 D) and Cramer's
 rule, which must give back the coordinates, run on those integers for
@@ -175,18 +176,27 @@ def _module_multiplier(alpha: QuadElem, beta: QuadElem):
     return got
 
 
-def _cramer(a: int, b: int, c: int, alpha: QuadElem, beta: QuadElem) -> tuple[int, int, int]:
+def _module_basis(alpha: QuadElem, beta: QuadElem) -> tuple[int, ...]:
+    """The integers _cramer reads off the basis (alpha, beta), read once per
+    cycle: alpha.a, alpha.b, alpha.c, beta.a, beta.b, beta.c and
+    [alpha, beta] = alpha.a*beta.b - alpha.b*beta.a, which must not be 0."""
+    det = alpha.a * beta.b - alpha.b * beta.a
+    if det == 0:
+        raise DomainError("module generators are linearly dependent over Q")
+    return alpha.a, alpha.b, alpha.c, beta.a, beta.b, beta.c, det
+
+
+def _cramer(a: int, b: int, c: int, basis: tuple[int, ...]) -> tuple[int, int, int]:
     """Coordinates (u, v) of e = (a + b*sqrt(D))/c, c != 0, in the basis
-    (alpha, beta) as integers (u * den, v * den, den), den != 0.
+    (alpha, beta) of _module_basis as integers (u * den, v * den, den),
+    den != 0.
 
     Cramer's rule on the integer numerators, which need not be in normal
     form: with [p, q] = p.a*q.b - p.b*q.a, u = [e, beta] alpha.c / (c [alpha, beta])
     and v = [alpha, e] beta.c / (c [alpha, beta]).
     """
-    den = alpha.a * beta.b - alpha.b * beta.a
-    if den == 0:
-        raise DomainError("module generators are linearly dependent over Q")
-    return ((a * beta.b - b * beta.a) * alpha.c, (alpha.a * b - alpha.b * a) * beta.c, den * c)
+    aa, ab, ac, ba, bb, bc, det = basis
+    return (a * bb - b * ba) * ac, (aa * b - ab * a) * bc, det * c
 
 
 def _rays_from_cycle(digits: list[int], count: int) -> list[tuple[int, int]]:
@@ -290,8 +300,6 @@ def cusp_cycle(D: int, module=None, v=None) -> CuspCycle:
         alpha = lam = QuadElem.from_rational(1, D)
         beta = QuadElem.from_pq(D, 1, D)
         w = _default_surd(D)
-        # lam = 1 and w = (p + sqrt(D))/2 = (p - D)/2 + beta
-        basis_coords = ((1, 0), ((w.a - D) // 2, 1))
     else:
         try:
             raw_alpha, raw_beta = module
@@ -302,12 +310,14 @@ def cusp_cycle(D: int, module=None, v=None) -> CuspCycle:
         if alpha.is_zero() or beta.is_zero():
             raise DomainError("module generators must be nonzero")
         lam, w = _module_multiplier(alpha, beta)
-        basis_coords = []
-        for e in (lam, lam * w):
-            nu, nv, den = _cramer(e.a, e.b, e.c, alpha, beta)
-            if nu % den or nv % den:
-                raise RuntimeError("lam = %s or lam*w does not lie in the module" % (lam,))
-            basis_coords.append((nu // den, nv // den))
+    basis = _module_basis(alpha, beta)
+    lam_w = lam * w
+    basis_coords = []
+    for e in (lam, lam_w):
+        nu, nv, cden = _cramer(e.a, e.b, e.c, basis)
+        if nu % cden or nv % cden:
+            raise RuntimeError("lam = %s or lam*w does not lie in the module" % (lam,))
+        basis_coords.append((nu // cden, nv // cden))
 
     digits = periodic_hj(w)
     # checked before any ray is built from them
@@ -352,7 +362,6 @@ def cusp_cycle(D: int, module=None, v=None) -> CuspCycle:
     eta = eta_period ** f
 
     # lam*(X + Y*w) = ((X*la + Y*ma) + (X*lb + Y*mb)*sqrt(D)) / den
-    lam_w = lam * w
     den = lam.c * lam_w.c
     la, lb = lam.a * lam_w.c, lam.b * lam_w.c
     ma, mb = lam_w.a * lam.c, lam_w.b * lam.c
@@ -385,7 +394,7 @@ def cusp_cycle(D: int, module=None, v=None) -> CuspCycle:
     # module membership: Cramer's rule on each ray, closing ray included,
     # gives its coordinates
     for (A, B), (x, y) in zip(nums, coords):
-        nu, nv, cden = _cramer(A, B, den, alpha, beta)
+        nu, nv, cden = _cramer(A, B, den, basis)
         if nu != x * cden or nv != y * cden:
             raise RuntimeError("ray %s does not lie in the module at (%d, %d) (coords %s, %s)"
                                % (_elem_str(A, B, den, D), x, y,
@@ -393,7 +402,7 @@ def cusp_cycle(D: int, module=None, v=None) -> CuspCycle:
 
     if v_unit:
         for gen_img in (eta * alpha, eta * beta):
-            nu, nv, cden = _cramer(gen_img.a, gen_img.b, gen_img.c, alpha, beta)
+            nu, nv, cden = _cramer(gen_img.a, gen_img.b, gen_img.c, basis)
             if nu % cden or nv % cden:
                 raise DomainError("v = eta^%d does not preserve the module" % f)
 

@@ -29,6 +29,8 @@ bits: a scan reads it off one class-number sieve per worker
 (_reduced_form_count, the default), and lfunctions.closed_form_l1 reads it
 off its character sum, the independent cross-check.  The count shares its
 divisor grid with the real reduced forms; neither uses trial division.
+Only d3 asks a source: L(1, chi_d2) for d2 = -4 and -3 (h = 1) is a
+read-only column computed once (_L1_D2).
 
 Every elliptic number has one code path, the private arithmetic core below,
 which takes a run of fields at a time: the canonical trace pairs
@@ -36,7 +38,7 @@ which takes a run of fields at a time: the canonical trace pairs
 traces of D = 5, 8 and 12), the CM numbers of the rational traces s = 0
 and 1 of every field of the run as int64 and float64 arrays, one row per
 trace (_cm_run: m, d2 and d3, d_K', w', N(rel disc), N(U0)^2 and h'R'/hR,
-with the norm checks over the whole run and one gather of the run's
+with the norm checks over the whole run and one gather of the run's d3
 L-values from a make_l1_lookup table), and each field's total with its
 exponent record (_elliptic_bounds).  The float operations run in the order
 of one-field scalar arithmetic, so every number has the same bits whatever
@@ -62,7 +64,7 @@ import numpy as np
 from .errors import DomainError
 from .field_invariants import _check_field_discriminant, _divisor_windows, _fundamental_mask
 from .lfunctions import _INT64_MAX, _l1_odd, _l1_odd_array, is_fundamental_discriminant
-from .quadratic import QuadElem
+from .quadratic import QuadElem, _elem_str
 
 
 # the arithmetic core: one code path per elliptic number, over int64 and
@@ -112,13 +114,8 @@ def _norm_4_minus_s2(D: int, p: int, q: int) -> int:
     num = v * v - 4 * p * p * q * q * D
     if num % 16 or num <= 0:
         raise RuntimeError("N(4 - s^2) = %s for s = %s is not a positive integer"
-                           % (Fraction(num, 16), _trace_text(D, p, q)))
+                           % (Fraction(num, 16), _elem_str(p, q, 2, D)))
     return num // 16
-
-
-def _trace_text(D: int, p: int, q: int) -> str:
-    """The text of str(QuadElem.from_pq(p, q, D)), without building it."""
-    return "%s + %s*sqrt(%d)" % (Fraction(p, 2), Fraction(q, 2), D)
 
 
 # read-only columns of shape (2, 1) shared by every run, row s for the
@@ -128,6 +125,20 @@ def _trace_text(D: int, p: int, q: int) -> str:
 _TRACE_COLUMNS = np.array([[[-1], [-3]], [[-4], [-3]], [[16], [9]], [[4], [6]]], dtype=np.int64)
 _TRACE_COLUMNS.flags.writeable = False
 _MINUS_T, _D2, _N4S, _W_BASE = _TRACE_COLUMNS
+# L(1, chi_d2) beside them, from h(-4) = h(-3) = 1: every source of L(1)
+# gives these bits, so no run asks one for d2
+_L1_D2 = np.array([[_l1_odd(d2, 1)] for d2 in _D2.ravel().tolist()])
+_L1_D2.flags.writeable = False
+
+
+def _check_cm_range(ds) -> None:
+    """Raise DomainError naming the first D of ds past _CM_D_MAX, where
+    |D d2 d3| <= 16 D^2 would leave int64.  _cm_run checks every run; scan
+    and the field command check their D first, before any table, mask or
+    invariant is built."""
+    if max(ds, default=0) > _CM_D_MAX:
+        raise DomainError("D = %d is past the int64 range of |D d2 d3| <= 16 D^2"
+                          % next(D for D in ds if D > _CM_D_MAX))
 
 
 def _cm_run(ds: list[int], l1) -> tuple[np.ndarray, ...]:
@@ -140,17 +151,16 @@ def _cm_run(ds: list[int], l1) -> tuple[np.ndarray, ...]:
     D = m or 4m, m squarefree, and t the squarefree part of 4 - s^2, the
     squarefree part of -(4 - s^2) D is -t m / gcd(t, m)^2: -m for s = 0,
     and -m/3 or -3m for s = 1 as 3 does or does not divide m.
-    l1 gives L(1, chi_d) for every d2 and d3 (_l1_values), and
+    L(1, chi_d2) is the column _L1_D2, and l1 is asked for L(1, chi_d3)
+    alone, in one call per run (_l1_values); then
     h'R'/hR = w' sqrt|d2 d3| L(1, chi_d2) L(1, chi_d3) / (2 pi^2) is taken
     in that order, so each entry has the bits of the one-field float
     arithmetic.  The divisibility and positivity of the two norm quotients
     are checked for the whole run; a failure raises RuntimeError naming the
     first failing D.  |D d2 d3| <= 16 D^2 must fit int64, so a D past
-    _CM_D_MAX raises DomainError.
+    _CM_D_MAX raises DomainError (_check_cm_range).
     """
-    if max(ds, default=0) > _CM_D_MAX:
-        raise DomainError("D = %d is past the int64 range of |D d2 d3| <= 16 D^2"
-                          % next(D for D in ds if D > _CM_D_MAX))
+    _check_cm_range(ds)
     D = np.array(ds, dtype=np.int64)
     m = D >> _SHIFT_MOD4[D & _I3]
     g = np.gcd(_MINUS_T, m)
@@ -169,8 +179,7 @@ def _cm_run(ds: list[int], l1) -> tuple[np.ndarray, ...]:
     # d3 <= -3 is a fundamental discriminant, so d3 >= -4 means -3 or -4:
     # K' holds both sqrt(-1) and sqrt(-3)
     w_prime = np.where(d3 >= _IM4, _I12, _W_BASE)
-    l1_d2, l1_d3 = _l1_values(l1, _D2, d3)
-    hr_ratio = w_prime * np.sqrt(d2d3) * l1_d2 * l1_d3 / _TWO_PI_SQ
+    hr_ratio = w_prime * np.sqrt(d2d3) * _L1_D2 * _l1_values(l1, d3) / _TWO_PI_SQ
     return (_D2.repeat(len(ds), 1), d3, d_kp, w_prime, n_rel, n_u0, hr_ratio,
             hr_ratio * n_u0)
 
@@ -186,15 +195,13 @@ def _fail_run(ds: list[int], checks) -> None:
             raise RuntimeError("%s at D=%d, s=%d" % (what, ds[i], int(bad[:, i].argmax())))
 
 
-def _l1_values(l1, d2: np.ndarray, d3: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """L(1, chi_d) for the column d2 and the array d3 of a run, in their
-    shapes: one gather from the class-number sieve of a make_l1_lookup
-    table, or l1(d) element by element, d2 first, for any other callable."""
+def _l1_values(l1, d3: np.ndarray) -> np.ndarray:
+    """L(1, chi_d) for the array d3 of a run, in its shape: one gather from
+    the class-number sieve of a make_l1_lookup table, or l1(d) element by
+    element for any other callable."""
     if isinstance(l1, _L1Lookup):
-        values = l1.values(np.concatenate((d2, d3), axis=1))
-        return values[:, :1], values[:, 1:]
-    return (np.array([[l1(d)] for d in d2.ravel().tolist()], dtype=np.float64),
-            np.array([[l1(d) for d in row] for row in d3.tolist()], dtype=np.float64))
+        return l1.values(d3)
+    return np.array([[l1(d) for d in row] for row in d3.tolist()], dtype=np.float64)
 
 
 def _cm_field(cm: tuple[np.ndarray, ...], i: int) -> list[tuple]:
@@ -275,7 +282,7 @@ class EllipticTrace:
         return _norm_4_minus_s2(self.D, self.p, self.q)
 
     def __str__(self) -> str:
-        return _trace_text(self.D, self.p, self.q)
+        return _elem_str(self.p, self.q, 2, self.D)
 
 
 def elliptic_traces(D: int) -> list[EllipticTrace]:
@@ -322,10 +329,6 @@ def imag_class_numbers(limit: int) -> np.ndarray:
     return h
 
 
-# h(d) of the CM discriminants d2 = -4 (s = 0) and -3 (s = +-1)
-_D2_CLASS_NUMBERS = {-4: 1, -3: 1}
-
-
 def _reduced_form_count(d: int) -> int:
     """h(d) for a fundamental d < 0, counted as reduced forms (H. Cohen, A
     Course in Computational Algebraic Number Theory, 5.3).
@@ -338,13 +341,9 @@ def _reduced_form_count(d: int) -> int:
     reduced forms (field_invariants._divisor_windows), so memory stays flat
     for any q.  The forms of a fundamental discriminant are primitive, so the
     count is h(d): the integer closed_form_l1 reads off its character sum.
-    A d >= 0 or a non-fundamental d raises DomainError.  h(-3) = h(-4) = 1,
-    the class numbers of d2 that every rational trace asks for, come from
-    _D2_CLASS_NUMBERS and skip the grid's fixed cost.
+    A d >= 0 or a non-fundamental d raises DomainError.  A report asks it
+    for the d3 of its field alone: L(1, chi_d2) is the column _L1_D2.
     """
-    h = _D2_CLASS_NUMBERS.get(d)
-    if h is not None:
-        return h
     if d >= 0 or not is_fundamental_discriminant(d):
         raise DomainError("need a fundamental discriminant < 0, got %d" % d)
     q = -d
@@ -465,9 +464,10 @@ def cm_extension_invariants(D: int, s: int, l1=None) -> CMExtensionInvariants:
     """Invariants of the CM extension attached to a rational elliptic trace.
 
     s is an integer of any type but bool.  l1 optionally supplies L(1, chi_d)
-    values (callable d -> float); it is asked only for the d2 and d3 of the
-    traces 0 and 1, all negative.  By default each factor is 2 pi h / (w sqrt|d|) with h(d)
-    counted as reduced forms (_reduced_form_count).  The numbers are row |s|
+    values (callable d -> float); it is asked only for the d3 of the traces
+    0 and 1, all negative, as L(1, chi_d2) is a constant (_L1_D2).  By
+    default each factor is 2 pi h / (w sqrt|d|) with h(d) counted as
+    reduced forms (_reduced_form_count).  The numbers are row |s|
     of the one-field run of _cm_run (s = -1 has the numbers of s = 1), and
     the invariants report the s given.
     """

@@ -33,8 +33,9 @@ Evaluation routes:
 
 Character tables are built two independent ways: ``kronecker_chi`` (the
 reciprocity algorithm) and ``character_table`` (product of prime-discriminant
-tables, quadratic residues found by squaring; the parts |p*| <= 64 are
-views of cached runs of whole periods).  The ideal-counting route in
+tables, quadratic residues found by squaring, each part's table cached once:
+a run of whole periods up to 2^17 entries for |p*| <= 64, one period for
+the other |p*| <= 4096).  The ideal-counting route in
 ``field_invariants`` uses a third construction (Euler-criterion sieve) so the
 dual zeta evaluations share no character code.
 """
@@ -57,18 +58,16 @@ _EVEN_TABLES = {
     -8: np.array([0, 1, 0, 1, 0, -1, 0, -1], dtype=np.int8),
 }
 
-# Legendre tables up to this modulus are cached (read-only) and never
-# evicted: about 1 MB for all the odd primes below it
+# one read-only table per prime discriminant part |p*| <= _CACHED_MODULUS,
+# built on first use and never evicted (_part_table): a part |p*| <= _RUN_PART
+# (with -4 and +-8) holds a run of whole periods of at most _RUN_LEN entries
+# (128 KiB each, about 2.6 MB for all twenty), any other part one period
+# (about 1 MB for all the odd primes below _CACHED_MODULUS)
 _CACHED_MODULUS = 4096
-_legendre_cache: dict[int, np.ndarray] = {}
-_primes_cache: dict[int, np.ndarray] = {}
-# the prime discriminants |p*| <= _RUN_PART (with -4 and +-8) keep their
-# tables as read-only runs of whole periods of at most _RUN_LEN entries
-# (128 KiB each, about 2.6 MB for all twenty), so character_table takes a
-# table of modulus q <= _RUN_LEN as run[:q] views; a longer one tiles
 _RUN_PART = 64
 _RUN_LEN = 1 << 17
-_runs: dict[int, np.ndarray] = {}
+_part_tables: dict[int, np.ndarray] = {}
+_primes_cache: dict[int, np.ndarray] = {}
 
 # roots of unity of the imaginary quadratic fields; w = 2 for all others
 _W_IMAG = {-3: 6, -4: 4}
@@ -175,15 +174,10 @@ def primes_up_to(limit: int) -> np.ndarray:
 
 def _legendre_table(p: int) -> np.ndarray:
     """(n/p) for n = 0..p-1; the residues are the squares a^2, 1 <= a < p/2."""
-    tbl = _legendre_cache.get(p)
-    if tbl is None:
-        tbl = np.full(p, -1, dtype=np.int8)
-        tbl[0] = 0
-        a = np.arange(1, (p + 1) // 2, dtype=np.int64)
-        tbl[a * a % p] = 1
-        if p <= _CACHED_MODULUS:
-            tbl.flags.writeable = False
-            _legendre_cache[p] = tbl
+    tbl = np.full(p, -1, dtype=np.int8)
+    tbl[0] = 0
+    a = np.arange(1, (p + 1) // 2, dtype=np.int64)
+    tbl[a * a % p] = 1
     return tbl
 
 
@@ -196,50 +190,49 @@ def factor_fundamental(d: int) -> list[int]:
     return list(parts)
 
 
-def _prime_table(part: int) -> np.ndarray:
-    """chi_part(n), n = 0..|part|-1, of a prime discriminant part."""
-    return _EVEN_TABLES[part] if part in _EVEN_TABLES else _legendre_table(abs(part))
-
-
 def _tiled(tbl: np.ndarray, copies: int) -> np.ndarray:
     """copies whole periods of tbl in a fresh array: repeating it as rows is
     np.tile without its per-call overhead."""
     return tbl.reshape(1, -1).repeat(copies, axis=0).reshape(-1)
 
 
-def _period_run(part: int) -> np.ndarray:
-    """The table of a small prime discriminant part (|part| <= _RUN_PART),
-    repeated over the whole periods that fit in _RUN_LEN; read-only, built
-    on first use and kept."""
-    run = _runs.get(part)
-    if run is None:
-        tbl = _prime_table(part)
-        run = _tiled(tbl, _RUN_LEN // len(tbl))
-        run.flags.writeable = False
-        _runs[part] = run
-    return run
+def _part_table(part: int) -> np.ndarray:
+    """chi_part(n) of a prime discriminant part over whole periods: the
+    cached read-only array of a part |part| <= _CACHED_MODULUS (a run of up
+    to _RUN_LEN entries for |part| <= _RUN_PART, one period otherwise), or
+    one fresh period of a larger part."""
+    tbl = _part_tables.get(part)
+    if tbl is None:
+        tbl = _EVEN_TABLES[part] if part in _EVEN_TABLES else _legendre_table(abs(part))
+        if abs(part) <= _CACHED_MODULUS:
+            if abs(part) <= _RUN_PART:
+                tbl = _tiled(tbl, _RUN_LEN // len(tbl))
+            tbl.flags.writeable = False
+            _part_tables[part] = tbl
+    return tbl
 
 
 def character_table(d: int) -> np.ndarray:
     """Values chi_d(n), n = 0..|d|-1, as the product of prime-discriminant
     tables; the returned array belongs to the caller.
 
-    A small part's factor is a view of its cached run (_period_run) while q
-    fits in it; any other factor tiles its table over q // len(table) whole
-    periods (the factor moduli multiply to q).  A broadcast multiply into
-    arr.reshape(-1, len(tbl)) is slower than the tile for short tables at
+    Each factor is a view of its part's table (_part_table) while that
+    covers q, and otherwise tiles one period over q // |part| whole periods
+    (the factor moduli multiply to q).  A broadcast multiply into
+    arr.reshape(-1, |part|) is slower than the tile for short tables at
     large q.
     """
     q = abs(d)
     arr = None
     views = []
     for part in factor_fundamental(d):
-        if q <= _RUN_LEN and abs(part) <= _RUN_PART:
-            views.append(_period_run(part)[:q])
+        tbl = _part_table(part)
+        if len(tbl) >= q:
+            views.append(tbl[:q])
             continue
-        tbl = _prime_table(part)
+        period = abs(part)
         # the first tile is fresh, so it is the table the others multiply into
-        tiled = _tiled(tbl, q // len(tbl))
+        tiled = _tiled(tbl[:period], q // period)
         if arr is None:
             arr = tiled
         else:

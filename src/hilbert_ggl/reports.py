@@ -277,7 +277,10 @@ class ScanCache:
     as stored.  A parameter mismatch, a checksum mismatch, a line in any other
     layout or a record holding NaN or Infinity raises CacheError naming the
     file and offending key, except a last line without its newline (a torn
-    append): load stops before it, and the next append cuts it off.
+    append): load stops before it, and the next append cuts it off.  A
+    header line without its newline is a torn first append if it is a
+    prefix of the header the writer writes (an empty file included): load
+    returns {} and the next append rewrites the file from the start.
     """
 
     CACHE_VERSION = 1
@@ -296,6 +299,10 @@ class ScanCache:
             "params": self.params,
         }
 
+    def _header_line(self) -> bytes:
+        """The first line append writes to a new file."""
+        return (json.dumps(self._header(), sort_keys=True) + "\n").encode("ascii")
+
     def load(self) -> dict[int, FieldRecord]:
         """Records already present, or {} when the file does not exist yet."""
         self._resume_at = None
@@ -306,6 +313,10 @@ class ScanCache:
         # stray non-ASCII byte would fail outside the line that holds it
         with open(self.path, "rb") as fh:
             header_line = fh.readline()
+            if not header_line.endswith(b"\n") and self._header_line().startswith(header_line):
+                # a torn first append, which wrote no record: start again
+                self._resume_at = 0
+                return out
             if not header_line.strip():
                 raise CacheError("cache file is empty", path=self.path, key="header")
             try:
@@ -365,18 +376,19 @@ class ScanCache:
 
     def append(self, *records: FieldRecord) -> None:
         """Append records in the given order, writing the header first if the
-        file is new and cutting off a torn last line that load found.  The
-        lines are built before the file is touched, so a record that cannot
-        be written (ValueError for a NaN) leaves the file as it was."""
+        file is new or load found its header torn, and cutting off a torn
+        last line that load found.  The lines are built before the file is
+        touched, so a record that cannot be written (ValueError for a NaN)
+        leaves the file as it was."""
         # bytes, as load reads them: every line is ASCII and ends in "\n" alone
         lines = "".join(map(_entry_line, records)).encode("ascii")
-        new = not os.path.exists(self.path)
+        new = self._resume_at == 0 or not os.path.exists(self.path)
         if self._resume_at is not None:
             os.truncate(self.path, self._resume_at)
             self._resume_at = None
         with open(self.path, "ab") as fh:
             if new:
-                fh.write((json.dumps(self._header(), sort_keys=True) + "\n").encode("ascii"))
+                fh.write(self._header_line())
             fh.write(lines)
 
 

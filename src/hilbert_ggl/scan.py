@@ -44,7 +44,7 @@ from math import isqrt
 import numpy as np
 
 from .criteria import _cusp_thresholds, _decide, to_fraction
-from .elliptic import _elliptic_bounds, make_l1_lookup
+from .elliptic import _check_cm_range, _elliptic_bounds, make_l1_lookup
 from .errors import DomainError
 from .field_invariants import _check_field_discriminant, exact_hr, fundamental_discriminants_up_to
 from .lfunctions import character_table, closed_form_l1, zeta_K2
@@ -236,7 +236,9 @@ def scan(dmax: int, epsilon="0.01", workers: int = 1,
     fields are computed in runs of _RUN consecutive fields, in ascending
     order; on_records, if given, is called with each run's records (a list
     in ascending D) as soon as that run is done, so the CLI appends them to
-    the cache run by run.
+    the cache run by run.  A dmax past the int64 range of the elliptic
+    core (elliptic._check_cm_range) raises DomainError before any table or
+    mask is built.
     """
     if dmax < 5:
         raise DomainError("dmax must be at least 5, got %d" % dmax)
@@ -244,6 +246,7 @@ def scan(dmax: int, epsilon="0.01", workers: int = 1,
         raise DomainError("worker count must be >= 1, got %d" % workers)
     eps = to_fraction(epsilon, "epsilon")
     _cusp_thresholds(eps)  # an epsilon out of range raises before any table is built
+    _check_cm_range([dmax])
     ds = fundamental_discriminants_up_to(dmax)
     done = dict(precomputed) if precomputed else {}
     todo = [d for d in ds if d not in done]

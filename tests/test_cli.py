@@ -147,6 +147,25 @@ def test_epsilon_out_of_range_exits_one_before_any_invariant(monkeypatch, capsys
         assert capsys.readouterr().err == "error: epsilon must lie in (0, 1/2), got 3/5\n"
 
 
+def test_d_past_the_int64_range_exits_one_before_any_table(monkeypatch, capsys):
+    # 759250129 is the first fundamental D past elliptic._CM_D_MAX: field and
+    # scan refuse it before any invariant, mask or table is built
+    D = 759250129
+    assert lfunctions.is_fundamental_discriminant(D)
+    assert not any(map(lfunctions.is_fundamental_discriminant, range(D - 4, D)))
+
+    def refuse(*args):
+        raise AssertionError("built before D was checked")
+
+    monkeypatch.setattr(cli_module, "invariants", refuse)
+    monkeypatch.setattr(scan_module, "fundamental_discriminants_up_to", refuse)
+    monkeypatch.setattr(scan_module, "scan_tables", refuse)
+    for argv in (["field", str(D)], ["scan", "--dmax", str(D)]):
+        assert main(argv) == 1
+        assert capsys.readouterr().err == (
+            "error: D = %d is past the int64 range of |D d2 d3| <= 16 D^2\n" % D)
+
+
 def test_scan_checks_epsilon_before_reading_the_cache(tmp_path, monkeypatch, capsys):
     # a cache written at epsilon 1/100 is neither read nor written by a scan
     # whose epsilon is out of range: the epsilon message, not the header's
@@ -423,6 +442,34 @@ def test_scan_resumes_from_a_torn_last_line(part, scan_2000_cache, tmp_path, cap
         assert main(argv) == 0, cut
         assert capsys.readouterr().out.startswith("scanned 607 fields to D<=2000 (606 from cache)")
         _assert_scan_2000_golden(out, cache)
+
+
+def test_scan_resumes_from_a_torn_header(tmp_path, capsys):
+    # a scan killed during its first append leaves a prefix of the header
+    # line, the empty file included; cut at every byte of that line, the
+    # rerun starts the file again and ends with the bytes of a cold scan
+    cold, cold_out = tmp_path / "cold.cache", tmp_path / "cold.csv"
+    assert main(["scan", "--dmax", "50", "--cache", str(cold), "--out", str(cold_out)]) == 0
+    want_cache, want_csv = cold.read_bytes(), cold_out.read_bytes()
+    header_len = want_cache.index(b"\n") + 1
+    cache, out = tmp_path / "scan.cache", tmp_path / "scan.csv"
+    argv = ["scan", "--dmax", "50", "--cache", str(cache), "--out", str(out)]
+    for cut in range(header_len):
+        cache.write_bytes(want_cache[:cut])
+        assert main(argv) == 0, cut
+        assert " (0 from cache)" in capsys.readouterr().out, cut
+        assert cache.read_bytes() == want_cache, cut
+        assert out.read_bytes() == want_csv, cut
+    # a one-line file that is no prefix of the header stays a CacheError,
+    # and the scan leaves it as it was
+    for line in (b'{"format": "other"}', want_cache[:header_len - 2] + b"X"):
+        cache.write_bytes(line)
+        with pytest.raises(CacheError) as err:
+            ScanCache(str(cache), {"n": 2, "epsilon": "1/100"}).load()
+        assert err.value.key == "header"
+        assert main(argv) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert cache.read_bytes() == line
 
 
 def test_scan_resumes_twice_after_a_lost_newline(scan_2000_cache, tmp_path, capsys):

@@ -539,8 +539,8 @@ def _off_module(calls_before_fault: int):
     real = cusps_mod._cramer
     calls = []
 
-    def fake(a, b, c, alpha, beta):
-        nu, nv, den = real(a, b, c, alpha, beta)
+    def fake(a, b, c, basis):
+        nu, nv, den = real(a, b, c, basis)
         calls.append((a, b, c))
         if len(calls) > calls_before_fault:
             return 2 * nu + 1, 2 * nv, 2 * den
@@ -550,22 +550,30 @@ def _off_module(calls_before_fault: int):
 
 
 def test_fault_ray_outside_module_raises(monkeypatch):
+    # the first two Cramer calls give the coordinates of lam and lam*w, for
+    # the default module too; the third is mu_0's
     monkeypatch.setattr(cusps_mod, "_cramer", _off_module(0))
-    with pytest.raises(RuntimeError, match="does not lie in the module"):
+    with pytest.raises(RuntimeError, match="^lam = .* does not lie in the module"):
+        cusp_cycle(229)
+    monkeypatch.undo()
+    monkeypatch.setattr(cusps_mod, "_cramer", _off_module(2))
+    with pytest.raises(RuntimeError, match="^ray .* does not lie in the module"):
         cusp_cycle(229)
 
 
 def test_fault_closing_ray_outside_module_raises(monkeypatch):
-    # D = 229 has period 15: the 16th Cramer call is the closing ray's, the last one
-    monkeypatch.setattr(cusps_mod, "_cramer", _off_module(15))
+    # D = 229 has period 15: after lam's and lam*w's, the 18th Cramer call
+    # is the closing ray's, the last one
+    monkeypatch.setattr(cusps_mod, "_cramer", _off_module(17))
     with pytest.raises(RuntimeError, match="does not lie in the module"):
         cusp_cycle(229)
 
 
 def test_fault_v_not_preserving_module_raises(monkeypatch):
     cyc = cusp_cycle(5, v=cusp_cycle(5).eta)
-    # the rays and the closing ray pass; the images of alpha and beta do not
-    monkeypatch.setattr(cusps_mod, "_cramer", _off_module(len(cyc.rays) + 1))
+    # lam, lam*w, the rays and the closing ray pass; the images of alpha
+    # and beta do not
+    monkeypatch.setattr(cusps_mod, "_cramer", _off_module(2 + len(cyc.rays) + 1))
     with pytest.raises(DomainError, match="does not preserve the module"):
         cusp_cycle(5, v=cyc.eta)
 

@@ -273,7 +273,9 @@ STANDARD_D = (5, 8, 12, 13, 24, 229, 401, 997, 9997, 12345, 64277, 99996)
 
 
 def test_l1_is_asked_only_for_the_cm_discriminants():
-    # L(1, chi_D) cancels in h'R'/hR, so the bounds never ask for d >= 0
+    # L(1, chi_D) cancels in h'R'/hR, so the bounds never ask for d >= 0,
+    # and L(1, chi_d2) is a column: the source sees the d3 of s = 0 and 1
+    # alone, once per call, and -3 and -4 only where they are d3 (D = 12)
     for D in STANDARD_D:
         asked = []
 
@@ -281,10 +283,30 @@ def test_l1_is_asked_only_for_the_cm_discriminants():
             asked.append(d)
             return closed_form_l1(d)[0]
 
+        d3 = [cm_extension_invariants(D, s, l1=spy).subfield_discs[2] for s in (0, 1)]
+        asked.clear()
         elliptic_summary(D, l1=spy)
         for s in (0, 1):
             prestel_bound(D, s, l1=spy)
-        assert asked and all(d < 0 for d in asked), (D, asked)
+        assert asked == 3 * d3 and all(d < 0 for d in asked), (D, asked)
+        assert (D == 12) == bool({-3, -4} & set(asked)), (D, asked)
+
+
+def test_d2_column_has_the_bits_of_every_l1_source():
+    # L(1, chi_d2) for d2 = -4 and -3 (h = 1): the column equals _l1_odd,
+    # the sieve's gather, the reduced-form count and the closed form, bit
+    # for bit
+    d2 = elliptic_module._D2
+    assert d2.ravel().tolist() == [-4, -3]
+    column = elliptic_module._L1_D2
+    assert column.shape == (2, 1) and column.dtype == np.float64
+    assert not column.flags.writeable
+    want = np.array([[_l1_odd(d, 1)] for d in d2.ravel().tolist()])
+    assert column.tobytes() == want.tobytes()
+    assert column.tobytes() == make_l1_lookup(16).values(d2).tobytes()
+    for d, value in zip(d2.ravel().tolist(), column.ravel().tolist()):
+        assert _reduced_form_count(d) == 1
+        assert value.hex() == closed_form_l1(d)[0].hex(), d
 
 
 def test_rational_bounds_equal_class_number_ratio_up_to_20000():

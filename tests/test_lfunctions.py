@@ -116,9 +116,9 @@ def test_three_character_constructions_agree():
 
 
 def test_character_table_against_euler_and_kronecker_to_large_modulus(monkeypatch):
-    # an empty cache, so every Legendre table below is built here and not by
-    # another test
-    monkeypatch.setattr(lfunctions, "_legendre_cache", {})
+    # an empty cache, so every prime-discriminant table below is built here
+    # and not by another test
+    monkeypatch.setattr(lfunctions, "_part_tables", {})
     rng = random.Random(4096)
     pos = [int(x) for x in fundamental_discriminants_up_to(100_000)]
     big = [d for d in pos if d > 10_000]
@@ -141,13 +141,13 @@ def test_character_table_against_euler_and_kronecker_to_large_modulus(monkeypatc
         assert np.array_equal(character_table(d), kronecker_table(d)), d
 
     # a prime discriminant is a single factor: its table is a copy, never
-    # the cached Legendre table itself
+    # the cached table itself
     p = ds[8]
-    assert p <= 4096 and p in lfunctions._legendre_cache
-    assert not np.shares_memory(character_table(p), lfunctions._legendre_cache[p])
+    assert p <= 4096 and p in lfunctions._part_tables
+    assert not np.shares_memory(character_table(p), lfunctions._part_tables[p])
     # prime factors above 4096 are built on each call and not cached
     assert all(abs(part) > 4096 for part in factor_fundamental(ds[9]))
-    assert ds[9] not in lfunctions._legendre_cache
+    assert ds[9] not in lfunctions._part_tables
 
 
 def test_character_table_against_euler_for_every_small_discriminant():
@@ -179,45 +179,54 @@ def test_character_table_mixes_runs_and_tiles():
 
 
 def test_character_table_shares_no_memory_with_the_runs():
-    runs = lfunctions._runs
-    for d in (5, -4, 8, -8, -3 * 8, 5 * 13 * 17, -7 * 11 * 4, 4201, -61 * 67, 99996):
+    # the one cache: a run of whole periods for the parts up to the run
+    # cutoff, one period for the others up to 4096, none above; moduli past
+    # 4096 and past the run length tile, and share no memory with it either
+    cache = lfunctions._part_tables
+    for d in (5, -4, 8, -8, -3 * 8, 5 * 13 * 17, -7 * 11 * 4, 4201, -61 * 67, 99996,
+              131365, -131560):
         table = character_table(d)
         assert table.flags.writeable, d
-        cached = [*runs.values(), *lfunctions._legendre_cache.values()]
-        assert not any(np.shares_memory(table, run) for run in cached), d
+        assert not any(np.shares_memory(table, cached) for cached in cache.values()), d
         expected = table.copy()
         table[:] = 7
         assert np.array_equal(character_table(d), expected), d
-    assert {-4, 8, -8, -3, 5, -7, -11, 13, 17, 61} <= set(runs)
-    for part, run in runs.items():
-        assert abs(part) <= lfunctions._RUN_PART and len(run) <= lfunctions._RUN_LEN
-        assert len(run) % abs(part) == 0, part
+    assert {-4, 8, -8, -3, 5, -7, -11, 13, 17, 61, -67, 641} <= set(cache)
+    assert 4201 not in cache
+    for part, tbl in cache.items():
+        if abs(part) <= lfunctions._RUN_PART:
+            assert lfunctions._RUN_LEN - abs(part) < len(tbl) <= lfunctions._RUN_LEN, part
+        else:
+            assert abs(part) <= lfunctions._CACHED_MODULUS and len(tbl) == abs(part), part
+        assert len(tbl) % abs(part) == 0, part
         with pytest.raises(ValueError):
-            run[0] = 1
+            tbl[0] = 1
 
 
 def test_legendre_cache_survives_many_distinct_primes(monkeypatch):
-    monkeypatch.setattr(lfunctions, "_legendre_cache", {})
+    monkeypatch.setattr(lfunctions, "_part_tables", {})
     # d = -p for 80 primes p = 3 mod 4 in a row: more distinct primes than
     # any fixed-size cache would hold
     ds = [d for d in negative_fundamental_discriminants(4096)
           if factor_fundamental(d) == [d]][-80:]
     first = character_table(ds[0])
-    first_legendre = lfunctions._legendre_cache[-ds[0]]
+    first_legendre = lfunctions._part_tables[ds[0]]
     for d in ds:
         q = abs(d)
         assert np.array_equal(character_table(d), euler_chi_array(d, q - 1)), d
-    assert len(lfunctions._legendre_cache) == 80
-    assert lfunctions._legendre_cache[-ds[0]] is first_legendre
+    assert len(lfunctions._part_tables) == 80
+    assert lfunctions._part_tables[ds[0]] is first_legendre
     assert np.array_equal(first, kronecker_table(ds[0]))
 
 
 def test_cached_tables_are_read_only():
     character_table(-7 * 11 * 4)
-    assert lfunctions._legendre_cache
-    for p, legendre in lfunctions._legendre_cache.items():
+    character_table(-67 * -4)
+    # runs of the small parts and one period of -67
+    assert {-4, -7, -11, -67} <= set(lfunctions._part_tables)
+    for part, tbl in lfunctions._part_tables.items():
         with pytest.raises(ValueError):
-            legendre[0] = 1
+            tbl[0] = 1
     # character tables are not cached: each one belongs to the caller
     for d in (5, -4, 4201):
         own = character_table(d)
